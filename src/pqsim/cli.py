@@ -130,7 +130,7 @@ def cmd_sample(args) -> int:
         batch.write(sample_path, fmt=args.format)
         outputs.append(sample_path)
         _say(args, f"wrote {sample_path}")
-    _finish(args, started, config.config_hash(), outputs)
+    _finish(args, started, batch.config_hash, outputs)
     return EXIT_OK
 
 

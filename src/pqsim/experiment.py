@@ -145,17 +145,19 @@ class ExperimentConfig:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        sources = []
-        for entry in self.sources:
-            sources.append(_source_to_dict(entry))
-        lon = self.lon_spec if self.lon_spec is not None else (
-            {"kind": "matrix"} | matrix_to_dict(self.transfer)
-        )
+        out = self._spec()
+        if self.lon_spec is None:
+            out["lon"] = {"kind": "matrix"} | matrix_to_dict(self.transfer)
+        return out
+
+    def _spec(self) -> dict:
+        """:meth:`to_dict` without the entries of a matrix the config was
+        built from directly (``lon`` is then ``{"kind": "matrix"}``)."""
         out = {
             "modes": self.modes,
             "scheme": self.scheme,
-            "sources": sources,
-            "lon": lon,
+            "sources": [_source_to_dict(entry) for entry in self.sources],
+            "lon": self.lon_spec if self.lon_spec is not None else {"kind": "matrix"},
             "detectors": [{"eta_d": d.eta_d, "p_d": d.p_d} for d in self.detectors],
         }
         if self.mismatch is not None:
@@ -166,9 +168,23 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def config_hash(self) -> str:
-        """SHA-256 of the canonicalized JSON form; stable across platforms."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        """SHA-256 of the canonicalized JSON form; stable across platforms.
+
+        A network given as a matrix (inline or by file) is hashed as
+        ``{"kind": "matrix"}`` in the JSON, followed by the transfer matrix
+        as little-endian complex128 bytes in C order, so the hash depends on
+        the entries, not on how they were stored, and costs no JSON of M^2
+        numbers.
+        """
+        spec = self._spec()
+        matrix = spec["lon"].get("kind") == "matrix"
+        if matrix:
+            spec["lon"] = {"kind": "matrix"}
+        canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode())
+        if matrix:
+            digest.update(np.ascontiguousarray(self.transfer, dtype="<c16").tobytes())
+        return digest.hexdigest()
 
     @classmethod
     def from_dict(cls, data: dict, base_dir=None) -> "ExperimentConfig":

@@ -48,7 +48,7 @@ def validate_transfer(matrix: np.ndarray, tol: float = CONTRACTION_TOL) -> np.nd
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"transfer matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.all(np.isfinite(a)):
         raise DimensionError("transfer matrix entries must be finite")
     smax = np.linalg.norm(a, ord=2) if a.size else 0.0
     if smax > 1.0 + tol:

@@ -20,13 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotPsdError, SimulabilityError
-from .linalg import psd_factor_complex, standard_complex_normal, validate_transfer
+from .linalg import PSD_TOL, psd_factor_complex, standard_complex_normal, validate_transfer
 from .rng import RngStream
 from .states import GaussianPQDState
 
 #: Ordering preset realizing classical (heterodyne-like) measurements:
 #: s = t = -1 keeps the transition Gaussian proper for every contraction.
 CLASSICAL_MEASUREMENT_ORDERING = -1.0
+
+#: Excess of a whitened squared singular value over 1 that
+#: :func:`transition_factor` accepts as roundoff; the covariance error is
+#: then of the same order.
+WHITENED_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,17 +60,72 @@ def uniform_loss_eta(model: LossModel) -> float:
 
 
 def sigma_matrix(transfer: np.ndarray, s, t) -> np.ndarray:
-    """Sigma = I - L^dag L - diag(s) + L^dag diag(t) L (Hermitian by
-    construction; symmetrized to kill roundoff)."""
+    """Sigma = I - diag(s) - L_R^dag diag(1 - t_R) L_R over the rows R with
+    t != 1, which equals I - L^dag L - diag(s) + L^dag diag(t) L for any t
+    (rows with t = 1 cancel exactly).  Hermitian by construction;
+    symmetrized to kill roundoff."""
     matrix = np.asarray(transfer, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionError(f"transfer matrix must be square, got {matrix.shape}")
     m = matrix.shape[0]
     s = np.broadcast_to(np.asarray(s, dtype=float), (m,))
     t = np.broadcast_to(np.asarray(t, dtype=float), (m,))
-    lh = matrix.conj().T
-    sigma = np.eye(m) - lh @ matrix - np.diag(s) + (lh * t) @ matrix
+    rows = np.flatnonzero(t != 1.0)
+    lr = matrix[rows]
+    sigma = np.diag(1.0 - s) - (lr.conj().T * (1.0 - t[rows])) @ lr
     return (sigma + sigma.conj().T) / 2.0
+
+
+def nonclassical_rows(transfer: np.ndarray, t) -> np.ndarray:
+    """B = diag(sqrt(1 - t_S)) L_S over the ports S with ordering t < 1.
+
+    For t <= 1, L^dag diag(1 - t) L = B^dag B: classical ports (vacuum,
+    coherent, thermal; t_bar = 1) add no noise, so the input side of Sigma
+    has rank |S|.
+    """
+    matrix = np.asarray(transfer, dtype=complex)
+    t = np.asarray(t, dtype=float)
+    ports = np.flatnonzero(t < 1.0)
+    return np.sqrt(1.0 - t[ports])[:, None] * matrix[ports]
+
+
+def transition_factor(transfer: np.ndarray, s, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor of the transition covariance Sigma/2 for orderings s, t <= 1
+    whose Sigma passed the PSD test, from one |S| x |S| eigenproblem.
+
+    With D = 1 - s and B from :func:`nonclassical_rows`,
+    Sigma = diag(D) - B^dag B.  Let C = B diag(D^-1/2), with C's columns
+    set to 0 where D = 0 (modes with p_d = 0), and
+    eigh(C C^dag) = U diag(lam) U^dag.  Returns (C^dag, G, sqrt(D/2)) with
+    G = U diag(1 / (1 + sqrt(1 - lam))) U^dag C, 1 - lam clamped at 0, so
+    that F = (I - C^dag G) diag(sqrt(D/2)) satisfies F^dag F = Sigma/2
+    without dividing by lam.  Applying F to a row costs O(M |S|).
+
+    This is exact when Sigma is PSD: B's columns then vanish where D = 0
+    and lam <= 1.  A verdict that passed only within the PSD tolerance can
+    leave a column of B nonzero where D = 0, or push lam far above 1 where
+    D is tiny, and C would amplify that excess; the factor is then built
+    for Sigma + PSD_TOL * I, which is PSD, so the covariance is off by at
+    most the tolerance, as with the clamp of :func:`psd_factor_complex`.
+    """
+    d = 1.0 - np.asarray(s, dtype=float)
+    b = nonclassical_rows(transfer, t)
+    c, lam, u = _whiten(b, d)
+    if np.any(b[:, d <= 0.0]) or (lam.size and lam[-1] > 1.0 + WHITENED_ROUNDOFF):
+        d = d + PSD_TOL
+        c, lam, u = _whiten(b, d)
+    shrink = 1.0 / (1.0 + np.sqrt(np.clip(1.0 - lam, 0.0, None)))
+    g = (u * shrink) @ (u.conj().T @ c)
+    return c.conj().T, g, np.sqrt(d / 2.0)
+
+
+def _whiten(b: np.ndarray, d: np.ndarray):
+    """C = B diag(D^-1/2) (0 where D = 0) and the eigenpairs of C C^dag."""
+    live = d > 0.0
+    c = np.zeros_like(b)
+    c[:, live] = b[:, live] / np.sqrt(d[live])
+    lam, u = np.linalg.eigh(c @ c.conj().T)
+    return c, lam, u
 
 
 def transition_sample(

@@ -22,12 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPsdError, SimulabilityError
-from .linalg import psd_factor_complex, psd_factor_real, standard_complex_normal
 from .experiment import ExperimentConfig
-from .processes import propagate_gaussian, sigma_matrix
+from .linalg import psd_factor_real
+from .processes import propagate_gaussian, transition_factor
 from .rng import RngStream
 from .simulability import check_second_condition, s_bar_vector
-from .states import GaussianPQDState, sample_source_pqd, wigner_moments
+from .states import GaussianPQDState, Vacuum, sample_source_pqd, wigner_moments
+
+# Not called here; perfbench's tracer wraps these names and stops if one is missing.
+from .linalg import psd_factor_complex, standard_complex_normal  # noqa: F401
+from .processes import sigma_matrix  # noqa: F401
 
 #: Fixed batch granularity; part of the reproducibility contract.
 BATCH_SIZE = 16384
@@ -59,18 +63,21 @@ class SampleBatch:
         return self.outcomes.shape[1]
 
     def bitstrings(self) -> list[str]:
-        return ["".join("1" if b else "0" for b in row) for row in self.outcomes]
+        return _row_keys(self.outcomes).astype(str).tolist()
 
     def to_csv_bytes(self) -> bytes:
-        body = np.hstack([
-            self.outcomes + ord("0"),
-            np.full((len(self), 1), ord("\n"), dtype=np.uint8),
-        ])
-        return body.astype(np.uint8).tobytes()
+        body = np.empty((len(self), self.modes + 1), dtype=np.uint8)
+        body[:, :-1] = _row_chars(self.outcomes)
+        body[:, -1] = ord("\n")
+        return body.tobytes()
 
     def to_jsonl_bytes(self) -> bytes:
-        rows = (b'{"n":"' + row.tobytes() + b'"}\n' for row in (self.outcomes + ord("0")))
-        return b"".join(rows)
+        head, tail = b'{"n":"', b'"}\n'
+        body = np.empty((len(self), len(head) + self.modes + len(tail)), dtype=np.uint8)
+        body[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
+        body[:, len(head):-len(tail)] = _row_chars(self.outcomes)
+        body[:, -len(tail):] = np.frombuffer(tail, dtype=np.uint8)
+        return body.tobytes()
 
     def write(self, path, fmt: str = "csv") -> None:
         data = self.to_csv_bytes() if fmt == "csv" else self.to_jsonl_bytes()
@@ -78,16 +85,26 @@ class SampleBatch:
             fh.write(data)
 
 
+def _row_chars(outcomes: np.ndarray) -> np.ndarray:
+    """Outcomes as ASCII '0'/'1' characters, C-contiguous, one row per shot."""
+    return np.ascontiguousarray(outcomes + np.uint8(ord("0")))
+
+
+def _row_keys(outcomes: np.ndarray) -> np.ndarray:
+    """One M-byte string per row, mode 0 first: the bit-string key of a shot."""
+    return _row_chars(outcomes).view(f"S{outcomes.shape[1]}")[:, 0]
+
+
 def _histogram(outcomes: np.ndarray) -> dict:
     m = outcomes.shape[1]
-    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
-    codes = outcomes.astype(np.int64) @ weights
     if m <= 20:
+        weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
+        codes = outcomes.astype(np.int64) @ weights
         counts = np.bincount(codes, minlength=1 << m)
         indices = np.flatnonzero(counts)
         return {format(i, f"0{m}b"): int(counts[i]) for i in indices}
-    uniq, counts = np.unique(codes, return_counts=True)
-    return {format(i, f"0{m}b"): int(c) for i, c in zip(uniq, counts)}
+    keys, counts = np.unique(_row_keys(outcomes), return_counts=True)
+    return dict(zip(keys.astype(str).tolist(), counts.tolist()))
 
 
 def _make_batch(config, outcomes, rng) -> SampleBatch:
@@ -153,6 +170,12 @@ def run_condition2(
     Refuses with :class:`SimulabilityError` (report attached) unless
     Sigma_bar at the extreme orderings is positive semidefinite; the chain
     then draws unbiased samples from the exact outcome distribution.
+
+    Only the ports with t_bar < 1 (set S) add quantum noise and only
+    non-vacuum ports (set A) carry amplitude, so a sample costs
+    O(M (|S| + |A|)): the noise is a unit complex normal w mapped through
+    the factor F = (I - C^dag G) diag(sqrt(D/2)) of
+    :func:`transition_factor`, and the mixing is alpha_A @ L_A.
     """
     report = check_second_condition(config)
     if not report.simulatable:
@@ -162,24 +185,46 @@ def run_condition2(
             report=report,
         )
     tbar, sbar = report.ordering_t, report.ordering_s
-    sigma = sigma_matrix(config.transfer, sbar, tbar)
-    noise_factor = psd_factor_complex(sigma / 2.0)
+    m = config.modes
+    c_h, g, scale = transition_factor(config.transfer, sbar, tbar)
+    # w = re + i im has E|w|^2 = 2; the 1/sqrt(2) of a unit normal goes here.
+    scale = scale / np.sqrt(2.0)
     eta, p_d, denom = _detector_arrays(config, sbar)
-    assignments = [
-        (entry.source, np.array(entry.ports), tbar[list(entry.ports)])
-        for entry in config.sources
-    ]
-    transfer = config.transfer
+    decay = -eta / denom
+    keep = (1.0 - p_d) / denom
+
+    # Every source draws through sample_source_pqd, which owns the stream;
+    # a vacuum port's amplitude is 0 at t_bar = 1, so it is left out of
+    # the mixing.
+    active, assignments = [], []
+    for entry in config.sources:
+        cols = None
+        if not isinstance(entry.source, Vacuum):
+            cols = slice(len(active), len(active) + len(entry.ports))
+            active.extend(entry.ports)
+        assignments.append((entry.source, cols, tbar[list(entry.ports)]))
+    mixing = config.transfer[active]
 
     def draw_batch(gen, n):
-        alpha = np.empty((n, config.modes), dtype=complex)
-        for source, ports, t_block in assignments:
-            alpha[:, ports] = sample_source_pqd(source, t_block, gen, n)
-        beta = alpha @ transfer + standard_complex_normal(gen, (n, config.modes)) @ noise_factor
-        p_click = 1.0 - (1.0 - p_d) * np.exp(-eta * np.abs(beta) ** 2 / denom) / denom
-        return (gen.random((n, config.modes)) < p_click).astype(np.uint8)
+        alpha = np.empty((n, len(active)), dtype=complex)
+        for source, cols, t_block in assignments:
+            draw = sample_source_pqd(source, t_block, gen, n)
+            if cols is not None:
+                alpha[:, cols] = draw
+        beta = gen.standard_normal((n, 2 * m)).view(complex)
+        beta -= (beta @ c_h) @ g
+        beta *= scale
+        beta += alpha @ mixing
+        parts = beta.view(float)
+        np.square(parts, out=parts)
+        p_click = parts[:, 0::2] + parts[:, 1::2]
+        p_click *= decay
+        np.exp(p_click, out=p_click)
+        p_click *= keep
+        np.subtract(1.0, p_click, out=p_click)
+        return (gen.random((n, m)) < p_click).view(np.uint8)
 
-    outcomes = _run_batched(draw_batch, config.modes, n_samples, rng, workers, batch_size)
+    outcomes = _run_batched(draw_batch, m, n_samples, rng, workers, batch_size)
     return _make_batch(config, outcomes, rng)
 
 

@@ -22,7 +22,7 @@ from .detectors import s_bar as detector_s_bar
 from .errors import UndefinedOperatingPointError
 from .experiment import SCHEME_SINGLE_PHOTON, SCHEME_SPDC, ExperimentConfig
 from .linalg import PSD_TOL
-from .processes import sigma_matrix
+from .processes import nonclassical_rows, sigma_matrix
 from .states import SpdcPair, t_bar
 
 
@@ -83,7 +83,9 @@ def check_second_condition(config: ExperimentConfig) -> SimulabilityReport:
     Always returns a report.  With identical detectors the report also
     carries the exact scalar threshold on the random-count probability,
     p_d >= (eta_d / 2) * lambda_max(L^dag (I - diag(t_bar)) L), which the
-    positivity test crosses exactly once as p_d grows.
+    positivity test crosses exactly once as p_d grows.  Only the ports with
+    t_bar < 1 contribute, so lambda_max comes from B B^dag with
+    B = diag(sqrt(1 - t_bar_S)) L_S, an |S| x |S| problem.
     """
     tbar = t_bar_vector(config)
     sbar = s_bar_vector(config)
@@ -96,9 +98,8 @@ def check_second_condition(config: ExperimentConfig) -> SimulabilityReport:
     note = ""
     det = config.identical_detectors()
     if det is not None and det.eta_d > 0.0:
-        lh = config.transfer.conj().T
-        needed = (lh * (1.0 - tbar)) @ config.transfer
-        lam_max = float(np.linalg.eigvalsh((needed + needed.conj().T) / 2.0)[-1])
+        b = nonclassical_rows(config.transfer, tbar)
+        lam_max = float(np.linalg.eigvalsh(b @ b.conj().T)[-1]) if b.size else 0.0
         threshold = det.eta_d * lam_max / 2.0
         margin = det.p_d - threshold
         note = "exact for identical detectors: simulatable iff p_d >= threshold"

@@ -10,7 +10,7 @@ import numpy as np
 from pqsim import DetectorModel, RngStream
 from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import haar_unitary
-from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
+from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum, t_bar
 
 
 def naive_permanent(matrix) -> complex:
@@ -32,6 +32,29 @@ def random_contraction(modes: int, seed: int, scale: float = 0.9) -> np.ndarray:
 
 def beamsplitter_50_50() -> np.ndarray:
     return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def single_photon_click_marginals(config) -> np.ndarray:
+    """Exact per-mode click probabilities for vacuum and one-photon-mixture
+    inputs, at any mode count.
+
+    P(no click on k) = (1 - p_d) int_0^inf e^-t prod_j (1 - t eta_bar_j eta_d |L_jk|^2) dt,
+    the rank-1 permanent identity; the integrand is a polynomial of degree
+    N (the photon-port count), so (N + 1)-point Gauss-Laguerre is exact.
+    """
+    eta_bar = np.zeros(config.modes)
+    for entry in config.sources:
+        if isinstance(entry.source, MixedSinglePhoton):
+            eta_bar[entry.ports[0]] = entry.source.eta_bar
+        elif not isinstance(entry.source, Vacuum):
+            raise TypeError(f"no marginal formula for {entry.source!r}")
+    eta_d = np.array([d.eta_d for d in config.detectors])
+    p_d = np.array([d.p_d for d in config.detectors])
+    photons = np.flatnonzero(eta_bar > 0.0)
+    weight = eta_bar[photons, None] * eta_d * np.abs(config.transfer[photons]) ** 2
+    nodes, quad = np.polynomial.laguerre.laggauss(photons.size + 1)
+    no_photon = sum(q * np.prod(1.0 - x * weight, axis=0) for x, q in zip(nodes, quad))
+    return 1.0 - (1.0 - p_d) * no_photon
 
 
 def _cfg(modes, sources, transfer, det):
@@ -156,3 +179,41 @@ def oracle_suite():
         3, 1,
     ))
     return suite
+
+
+def random_mixed_config(seed: int, modes: int, dark_modes: int = 0,
+                        dead_modes: int = 0) -> ExperimentConfig:
+    """A random source mix (all five kinds) on a random contraction, with
+    heterogeneous detectors whose random counts make Sigma_bar PSD.
+
+    ``dark_modes`` detectors have p_d = 0; no light reaches them (their
+    transfer columns are zero), which the verdict then requires.
+    ``dead_modes`` detectors have eta_d = 0.
+    """
+    gen = RngStream(seed).generator()
+    transfer = gen.uniform(0.5, 0.9) * haar_unitary(modes, RngStream(seed + 1))
+    ports = [int(p) for p in gen.permutation(modes)]
+    sources = []
+    while ports:
+        kind = int(gen.integers(5)) if len(ports) > 1 else int(gen.integers(4))
+        if kind == 4:
+            sources.append(PortSource(SpdcPair(gen.uniform(0.05, 0.6), gen.uniform(0.0, 1.0)),
+                                      (ports.pop(), ports.pop())))
+            continue
+        source = (Vacuum(), MixedSinglePhoton(gen.uniform(0.0, 1.0), gen.uniform(0.0, 1.0)),
+                  Coherent(complex(*gen.normal(size=2))), Thermal(gen.uniform(0.0, 0.5)))[kind]
+        sources.append(PortSource(source, (ports.pop(),)))
+    special = gen.permutation(modes)
+    dark, dead = special[:dark_modes], special[dark_modes:dark_modes + dead_modes]
+    transfer[:, dark] = 0.0
+    tbar = np.array([1.0] * modes)
+    for entry in sources:
+        tbar[list(entry.ports)] = t_bar(entry.source)
+    needed = transfer.conj().T @ ((1.0 - tbar)[:, None] * transfer)
+    lam_max = max(np.linalg.eigvalsh(needed)[-1], 0.0)
+    detectors = []
+    for k in range(modes):
+        eta_d = 0.0 if k in dead else gen.uniform(0.3, 1.0)
+        p_d = 0.0 if k in dark else eta_d * lam_max * gen.uniform(1.0, 1.2) / 2.0
+        detectors.append(DetectorModel(eta_d, p_d))
+    return _cfg(modes, sources, transfer, detectors)

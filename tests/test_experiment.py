@@ -192,6 +192,29 @@ class TestRoundTripAndHash:
         )
         assert other.config_hash() != config.config_hash()
 
+    def test_hash_of_matrix_config_survives_json_round_trip(self, tmp_path):
+        config = self.build()
+        path = tmp_path / "cfg.json"
+        path.write_text(config.to_json())
+        assert parse_config(path).config_hash() == config.config_hash()
+
+    def test_hash_sees_one_ulp_in_one_entry(self):
+        config = self.build()
+        transfer = config.transfer.copy()
+        transfer[2, 1] = complex(np.nextafter(transfer[2, 1].real, np.inf), transfer[2, 1].imag)
+        other = ExperimentConfig(modes=4, sources=config.sources, transfer=transfer,
+                                 detectors=config.detectors, mismatch=config.mismatch)
+        assert other.config_hash() != config.config_hash()
+
+    def test_hash_ignores_memory_layout(self):
+        config = self.build()
+        wide = np.zeros((4, 8), dtype=complex)
+        wide[:, ::2] = config.transfer
+        for transfer in (np.asfortranarray(config.transfer), wide[:, ::2]):
+            copy = ExperimentConfig(modes=4, sources=config.sources, transfer=transfer,
+                                    detectors=config.detectors, mismatch=config.mismatch)
+            assert copy.config_hash() == config.config_hash()
+
     def test_round_trip_of_parsed_json_config(self, tmp_path):
         data = {
             "modes": 2,

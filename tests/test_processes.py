@@ -11,12 +11,26 @@ from pqsim.processes import (
     propagate_gaussian,
     quadrature_rep,
     sigma_matrix,
+    transition_factor,
     transition_sample,
     uniform_loss_eta,
 )
+from pqsim.simulability import check_second_condition, s_bar_vector, t_bar_vector
 from pqsim.states import GaussianPQDState, spdc_covariance
 
-from conftest import random_contraction
+from conftest import random_contraction, random_mixed_config
+
+
+def dense_sigma(transfer, s, t):
+    """The unstructured formula I - L^dag L - diag(s) + L^dag diag(t) L."""
+    lh = transfer.conj().T
+    sigma = np.eye(len(s)) - lh @ transfer - np.diag(s) + (lh * t) @ transfer
+    return (sigma + sigma.conj().T) / 2.0
+
+
+def dense_factor(transfer, s, t):
+    c_h, g, scale = transition_factor(transfer, s, t)
+    return (np.eye(len(scale)) - c_h @ g) * scale
 
 
 class TestSigmaMatrix:
@@ -54,6 +68,54 @@ class TestSigmaMatrix:
             expected = (1.0 - c) * (np.eye(3) - transfer.conj().T @ transfer)
             assert np.allclose(sigma, expected, atol=1e-13)
             assert np.linalg.eigvalsh(sigma)[0] >= -1e-12
+
+
+    def test_structured_form_equals_dense_formula(self):
+        # Any orderings, including t > 1 and s >= 1, and rows with t = 1.
+        gen = RngStream(4).generator()
+        for k, modes in enumerate((1, 2, 5, 17, 64)):
+            transfer = random_contraction(modes, 200 + k)
+            s = gen.uniform(-1.0, 1.5, modes)
+            t = np.where(gen.random(modes) < 0.5, 1.0, gen.uniform(-1.0, 1.5, modes))
+            assert np.max(np.abs(sigma_matrix(transfer, s, t)
+                                 - dense_sigma(transfer, s, t))) <= 1e-12
+
+
+class TestTransitionFactor:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_factor_reproduces_sigma_bar(self, seed):
+        # Mixed sources (SPDC included), heterogeneous detectors, and on some
+        # seeds dead detectors and p_d = 0 modes.
+        modes = 2 + seed % 9
+        config = random_mixed_config(300 + seed, modes, dark_modes=seed % 3,
+                                     dead_modes=(seed // 3) % 2)
+        assert check_second_condition(config).simulatable
+        s, t = s_bar_vector(config), t_bar_vector(config)
+        factor = dense_factor(config.transfer, s, t)
+        sigma = sigma_matrix(config.transfer, s, t)
+        assert np.max(np.abs(factor.conj().T @ factor - sigma / 2.0)) <= 1e-12
+
+    def test_rank_of_the_correction_is_the_nonclassical_port_count(self):
+        config = random_mixed_config(320, 9)
+        c_h, g, scale = transition_factor(config.transfer, s_bar_vector(config),
+                                          t_bar_vector(config))
+        rank = int(np.sum(t_bar_vector(config) < 1.0))
+        assert c_h.shape == (9, rank) and g.shape == (rank, 9) and scale.shape == (9,)
+
+    def test_psd_only_within_tolerance_stays_within_tolerance(self):
+        # A mode with a tiny 1 - s_bar and a column of B a hair above it
+        # passes the verdict; whitening must not amplify that excess.
+        gen = RngStream(5).generator()
+        transfer = 0.6 * haar_unitary(4, RngStream(6))
+        t = np.array([-1.0, 0.2, 1.0, 1.0])
+        d = np.array([2e-13, 1.5, 1.5, 0.0])
+        transfer[:, 3] = 0.0
+        transfer[:2, 0] = gen.normal(size=2) * 2e-6
+        s = 1.0 - d
+        sigma = sigma_matrix(transfer, s, t)
+        assert -1e-10 <= np.linalg.eigvalsh(sigma)[0] < 0.0
+        factor = dense_factor(transfer, s, t)
+        assert np.max(np.abs(factor.conj().T @ factor - sigma / 2.0)) <= 1e-10
 
 
 class TestTransitionSample:

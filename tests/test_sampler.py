@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -18,7 +19,20 @@ from pqsim.sampler import (
 )
 from pqsim.states import Coherent, Thermal, Vacuum
 
-from conftest import oracle_suite
+from conftest import oracle_suite, single_photon_click_marginals
+
+
+def old_bitstrings(outcomes):
+    return ["".join("1" if b else "0" for b in row) for row in outcomes]
+
+
+def old_csv_bytes(outcomes):
+    body = np.hstack([outcomes + ord("0"), np.full((len(outcomes), 1), ord("\n"), dtype=np.uint8)])
+    return body.astype(np.uint8).tobytes()
+
+
+def old_jsonl_bytes(outcomes):
+    return b"".join(b'{"n":"' + row.tobytes() + b'"}\n' for row in (outcomes + ord("0")))
 
 
 def coherent_config(p_d=0.0, eta_d=1.0, seed=31):
@@ -69,6 +83,26 @@ class TestCondition2:
         batch = run_condition2(config, 200_000, RngStream(4))
         bound = max(0.01, 3 * math.sqrt(len(table.outcomes) / 200_000))
         assert tv_distance(table, batch) <= bound
+
+
+class TestClickMarginals:
+    # M = 8 has 2|S| > M, where the rank-|S| factor does more work than a
+    # dense one would; it must stay exact there too.
+    @pytest.mark.parametrize("modes,photons", [(8, 6), (256, 16), (1024, 32)])
+    def test_click_rates_match_exact_marginals(self, modes, photons):
+        draws = 16384
+        config = single_photon_config(modes, photons, p_d=0.06)
+        exact = single_photon_click_marginals(config)
+        outcomes = run_condition2(config, draws, RngStream(40 + modes)).outcomes
+        # Per mode, two-sided, Bonferroni-corrected at a family-wise 1e-6.
+        z_max = NormalDist().inv_cdf(1.0 - 1e-6 / (2 * modes))
+        z = (outcomes.mean(axis=0) - exact) / np.sqrt(exact * (1.0 - exact) / draws)
+        assert np.max(np.abs(z)) <= z_max
+        # The photons add about N * threshold clicks per shot on top of
+        # M * p_d: far below one mode's noise, well above the total's.
+        totals = outcomes.sum(axis=1)
+        z_total = (totals.mean() - exact.sum()) / (totals.std() / math.sqrt(draws))
+        assert abs(z_total) <= NormalDist().inv_cdf(1.0 - 1e-6 / 2)
 
 
 class TestCondition1:
@@ -171,6 +205,25 @@ class TestBatchAndStats:
         stats = empirical_stats(run_condition2(config, draws, RngStream(17)))
         se = math.sqrt(3 * 0.05 * 0.95 / draws)
         assert abs(stats.mean_total_clicks - 0.15) <= 5 * se
+
+    @pytest.mark.parametrize("modes", [64, 100])
+    def test_histogram_keys_beyond_int64(self, modes):
+        gen = RngStream(50 + modes).generator()
+        outcomes = (gen.random((4000, modes)) < 0.5).astype(np.uint8)
+        outcomes[2000:] = outcomes[:2000]  # every row seen twice
+        rows, counts = np.unique(outcomes, axis=0, return_counts=True)
+        expected = {"".join(map(str, row)): int(c) for row, c in zip(rows, counts)}
+        stats = empirical_stats(SampleBatch(outcomes, RngStream(0), "x", None))
+        assert stats.histogram == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_outputs_match_row_by_row_formatting(self, n):
+        gen = RngStream(60 + n).generator()
+        outcomes = (gen.random((n, 13)) < 0.3).astype(np.uint8)
+        batch = SampleBatch(outcomes, RngStream(0), "x", None)
+        assert batch.bitstrings() == old_bitstrings(outcomes)
+        assert batch.to_csv_bytes() == old_csv_bytes(outcomes)
+        assert batch.to_jsonl_bytes() == old_jsonl_bytes(outcomes)
 
     def test_write_formats(self, tmp_path):
         config = single_photon_config(3, 1, p_d=0.06)

@@ -25,6 +25,8 @@ from pqsim.simulability import (
 )
 from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum, t_bar
 
+from conftest import random_mixed_config
+
 PARAMS = ScenarioParams()  # mu=0.5, eta_b=0.1, eta0=0.98, ell=2, eta_d=0.95
 
 
@@ -110,6 +112,21 @@ class TestCheckSecondCondition:
                 low = mid
         closed = threshold_single_photon(PARAMS.mu, PARAMS.eta_b, eta_l(5), PARAMS.eta_d)
         assert abs(high - closed) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_threshold_equals_dense_formula(self, seed):
+        # lambda_max of the |S| x |S| matrix B B^dag against the M x M
+        # L^dag (I - diag(t_bar)) L over all rows.
+        modes = (3, 8, 16, 33, 50, 64)[seed]
+        mixed = random_mixed_config(400 + seed, modes)
+        config = ExperimentConfig(modes=modes, sources=mixed.sources,
+                                  transfer=mixed.transfer,
+                                  detectors=(DetectorModel(0.8, 0.3),) * modes)
+        tbar = t_bar_vector(config)
+        needed = config.transfer.conj().T @ ((1.0 - tbar)[:, None] * config.transfer)
+        lam_max = np.linalg.eigvalsh((needed + needed.conj().T) / 2.0)[-1]
+        report = check_second_condition(config)
+        assert abs(report.threshold_p_d - 0.8 * lam_max / 2.0) <= 1e-12
 
     def test_working_orderings_emitted_only_when_simulatable(self):
         good = check_second_condition(single_photon_config(4, 2, 0.1, PARAMS))
