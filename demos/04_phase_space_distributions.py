@@ -13,7 +13,7 @@ import numpy as np
 
 from pqsim import DetectorModel, RngStream
 from pqsim.detectors import pqd_on, s_bar
-from pqsim.processes import sigma_matrix, transition_sample
+from pqsim.processes import sample_transition, sigma_matrix, transition_factor
 from pqsim.states import MixedSinglePhoton, pqd_single_photon_mixture, t_bar
 
 print("1. The one-photon mixture")
@@ -63,10 +63,10 @@ for s, t in ((1.0, 1.0), (0.0, 0.0), (0.95, 0.5)):
 print()
 
 print("5. And sampling it is just an affine map plus noise")
-alpha = np.array([2.0 + 0.0j, 0.0])
-beta = transition_sample(transfer, np.zeros(2), np.zeros(2), alpha,
-                         RngStream(5), size=200_000)
+alpha = np.tile([2.0 + 0.0j, 0.0], (200_000, 1))
+factor = transition_factor(transfer, np.zeros(2), np.zeros(2))
+beta = sample_transition(alpha, transfer, factor, RngStream(5).generator())
 print(f"   E[beta_1] = {beta[:, 0].mean():+.4f} "
-      f"(exact {alpha[0] * math.sqrt(0.7):+.4f})")
+      f"(exact {alpha[0, 0] * math.sqrt(0.7):+.4f})")
 print(f"   Var[beta_1] = {np.mean(np.abs(beta[:, 0] - beta[:, 0].mean())**2):.4f} "
       f"(exact {(1 - 0.7) / 2:.4f})")

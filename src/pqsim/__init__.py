@@ -10,7 +10,7 @@ reference at small scale.
 
 __version__ = "0.1.0"
 
-from .detectors import DetectorModel, pqd_off, pqd_on, s_bar, sample_outcome
+from .detectors import DetectorModel, click_coefficients, pqd_off, pqd_on, s_bar, sample_clicks
 from .errors import (
     ConfigError,
     ContractionError,
@@ -38,7 +38,6 @@ from .linalg import (
     dilate_to_unitary,
     haar_unitary,
     permanent,
-    sample_complex_gaussian,
     validate_transfer,
 )
 from .oracle import (
@@ -52,8 +51,9 @@ from .presets import ScenarioParams, single_photon_config, spdc_config, threshol
 from .processes import (
     LossModel,
     propagate_gaussian,
+    sample_transition,
     sigma_matrix,
-    transition_sample,
+    transition_factor,
     uniform_loss_eta,
 )
 from .rng import RngStream
@@ -85,7 +85,7 @@ from .states import (
     Thermal,
     Vacuum,
     pqd_single_photon_mixture,
-    sample_input_pqd,
+    sample_source_pqd,
     spdc_covariance,
     t_bar,
 )

@@ -25,7 +25,6 @@ from .errors import (
     NegativityError,
     SingularOrderingError,
 )
-from .rng import RngStream
 from .states import ORDERING_TOL
 
 
@@ -43,19 +42,17 @@ class DetectorModel:
             raise ValueError(f"p_d must be in [0, 1], got {self.p_d}")
 
 
-def _denominator(s: float, det: DetectorModel) -> float:
+def pqd_off(beta: complex, s: float, det: DetectorModel) -> float:
+    """PQD of the no-click POVM element at output ordering s; 0 at every
+    ordering when p_d = 1, since the element itself is 0."""
+    if det.p_d == 1.0:
+        return 0.0
     d = 1.0 - det.eta_d * (1.0 - s) / 2.0
     if d <= 0.0:
         raise SingularOrderingError(
             f"detector PQD is singular at ordering s={s:g} for eta_d={det.eta_d:g} "
             f"(requires s > {1.0 - 2.0 / det.eta_d if det.eta_d else -math.inf:g})"
         )
-    return d
-
-
-def pqd_off(beta: complex, s: float, det: DetectorModel) -> float:
-    """PQD of the no-click POVM element at output ordering s."""
-    d = _denominator(s, det)
     return (1.0 - det.p_d) / math.pi * math.exp(-det.eta_d * abs(beta) ** 2 / d) / d
 
 
@@ -73,56 +70,59 @@ def s_bar(det: DetectorModel) -> float:
     return 1.0 - 2.0 * det.p_d / det.eta_d
 
 
-def click_probabilities(beta, s, dets) -> np.ndarray:
-    """Per-mode click probabilities pi * W_on(beta_k) at orderings s_k.
+def click_coefficients(s, dets) -> tuple[np.ndarray, np.ndarray]:
+    """Set-up half of the click stage: per-mode (decay, keep) such that
+    pi * W_on(beta_k) = 1 - keep_k * exp(decay_k * |beta_k|^2) at orderings s.
 
-    ``beta`` may be a vector (M,) or a batch (n, M); the result has the same
-    shape.  This is the vectorized kernel behind :func:`sample_outcome`.
+    Raises :class:`NegativityError` naming the mode if some s_k is below the
+    detector's s_bar (the click PQD would be negative there), and
+    :class:`SingularOrderingError` if the no-click PQD is singular at s_k.
+    A mode with p_d = 1 always clicks: its no-click element is 0, so its PQD
+    is 0 at every ordering, whereas the denominator D is 0 at s_bar up to
+    roundoff and is left out.
     """
-    beta = np.asarray(beta, dtype=complex)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     dets = list(dets)
-    modes = beta.shape[-1]
-    if s.size != modes or len(dets) != modes:
-        raise DimensionError("beta, s, and detectors must agree on the mode count")
+    if s.size != len(dets):
+        raise DimensionError("orderings and detectors must agree on the mode count")
     eta = np.array([d.eta_d for d in dets])
     p_d = np.array([d.p_d for d in dets])
+    live = eta > 0.0
+    bound = np.full(s.size, -np.inf)
+    bound[live] = 1.0 - 2.0 * p_d[live] / eta[live]
+    low = s < bound - ORDERING_TOL
+    if np.any(low):
+        k = int(np.argmax(low))
+        raise NegativityError(
+            f"ordering s={s[k]:g} on mode {k} is below the detector bound "
+            f"s_bar={bound[k]:g}; the click PQD would be negative"
+        )
     denom = 1.0 - eta * (1.0 - s) / 2.0
+    # Any positive D will do there: keep = (1 - p_d) / D is exactly 0.
+    denom[p_d == 1.0] = 1.0
     if np.any(denom <= 0.0):
         k = int(np.argmax(denom <= 0.0))
         raise SingularOrderingError(
             f"detector PQD is singular at ordering s={s[k]:g} on mode {k}"
         )
-    return 1.0 - (1.0 - p_d) * np.exp(-eta * np.abs(beta) ** 2 / denom) / denom
+    return -eta / denom, (1.0 - p_d) / denom
 
 
-def sample_outcome(
-    beta,
-    s,
-    dets,
-    rng: RngStream,
-    size: int | None = None,
-) -> np.ndarray:
-    """Sample click/no-click outcomes from the measurement PQDs.
+def sample_clicks(beta: np.ndarray, coefficients, gen: np.random.Generator) -> np.ndarray:
+    """Per-batch half of the click stage: one uint8 outcome per shot and mode.
 
-    Each mode clicks independently with probability pi * W_on(beta_k), which
-    is a proper probability because the two outcome PQDs sum to 1/pi per
-    mode.  Requires s_k >= s_bar of the detector on every mode.  Returns a
-    uint8 vector of length M, or (size, M) when ``size`` is given (``beta``
-    may then be a matching batch).
+    ``beta`` is a C-contiguous complex (n, M) batch of output amplitudes and
+    is overwritten; ``coefficients`` come from :func:`click_coefficients`.
+    Each mode clicks independently with probability pi * W_on(beta_k),
+    which is a proper probability because the two outcome PQDs sum to 1/pi
+    per mode.  Consumes one uniform per shot and mode from ``gen``.
     """
-    beta = np.asarray(beta, dtype=complex)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    dets = list(dets)
-    for k, det in enumerate(dets):
-        if det.eta_d > 0.0 and s[k] < s_bar(det) - ORDERING_TOL:
-            raise NegativityError(
-                f"ordering s={s[k]:g} on mode {k} is below the detector bound "
-                f"s_bar={s_bar(det):g}; the click PQD would be negative"
-            )
-    probs = click_probabilities(beta, s, dets)
-    gen = rng.generator()
-    n = 1 if size is None else int(size)
-    u = gen.random((n, len(dets)))
-    bits = (u < np.broadcast_to(probs, (n, len(dets)))).astype(np.uint8)
-    return bits[0] if size is None else bits
+    decay, keep = coefficients
+    parts = beta.view(float)
+    np.square(parts, out=parts)
+    p_click = parts[:, 0::2] + parts[:, 1::2]
+    p_click *= decay
+    np.exp(p_click, out=p_click)
+    p_click *= keep
+    np.subtract(1.0, p_click, out=p_click)
+    return (gen.random(p_click.shape) < p_click).view(np.uint8)

@@ -1,6 +1,6 @@
 """Complex linear algebra kernels: Haar unitaries, unitary dilation of
-contractions, matrix permanents, and circularly-symmetric complex Gaussian
-sampling.
+contractions, matrix permanents, PSD factors, and circularly-symmetric
+complex normals.
 
 Vector convention used throughout the package: phase-space amplitudes are row
 vectors and propagate as ``beta = alpha @ L``.  A complex covariance ``C``
@@ -59,7 +59,7 @@ def validate_transfer(matrix: np.ndarray, tol: float = CONTRACTION_TOL) -> np.nd
     return a
 
 
-def dilate_to_unitary(transfer: np.ndarray, tol: float = CONTRACTION_TOL) -> np.ndarray:
+def dilate_to_unitary(transfer: np.ndarray) -> np.ndarray:
     """Embed an M x M contraction L as the top-left block of a 2M x 2M unitary.
 
     Uses the SVD construction: with L = V S W^dag and C = sqrt(I - S^2),
@@ -70,72 +70,51 @@ def dilate_to_unitary(transfer: np.ndarray, tol: float = CONTRACTION_TOL) -> np.
     The M added rows and columns are the environment (loss) modes; feeding
     them vacuum reproduces the lossy network exactly.
     """
-    matrix = validate_transfer(transfer, tol=tol)
-    v, s, wh = np.linalg.svd(matrix)
-    c = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
-    top = np.hstack([matrix, v * c])
-    bottom = np.hstack([c[:, None] * wh, np.diag(-s).astype(complex)])
-    return np.vstack([top, bottom])
+    return _svd_dilation(transfer, min_defect=-1.0)[0]
 
 
-def economy_dilation(transfer: np.ndarray, defect_tol: float = 1e-12) -> tuple[np.ndarray, int]:
+def economy_dilation(transfer: np.ndarray) -> tuple[np.ndarray, int]:
     """Like :func:`dilate_to_unitary` but adds only as many environment modes
-    as there are lossy directions (singular values with 1 - s^2 > defect_tol).
+    as there are lossy directions (singular values with 1 - s^2 > 1e-12).
 
     Returns ``(unitary, n_env)`` where unitary is (M + n_env) square.
     """
+    return _svd_dilation(transfer, min_defect=1e-12)
+
+
+def _svd_dilation(transfer: np.ndarray, min_defect: float) -> tuple[np.ndarray, int]:
+    """The SVD dilation with one environment mode per singular value s
+    whose defect 1 - s^2 exceeds ``min_defect``; returns it and the number
+    of environment modes."""
     matrix = validate_transfer(transfer)
     m = matrix.shape[0]
     v, s, wh = np.linalg.svd(matrix)
     defect = np.clip(1.0 - s**2, 0.0, None)
-    keep = np.flatnonzero(defect > defect_tol)
-    e = keep.size
-    if e == 0:
-        return matrix.copy(), 0
+    keep = np.flatnonzero(defect > min_defect)
     c = np.sqrt(defect[keep])
-    out = np.zeros((m + e, m + e), dtype=complex)
+    out = np.zeros((m + keep.size, m + keep.size), dtype=complex)
     out[:m, :m] = matrix
     out[:m, m:] = v[:, keep] * c
     out[m:, :m] = c[:, None] * wh[keep, :]
     out[m:, m:] = np.diag(-s[keep])
-    return out, e
+    return out, keep.size
 
 
 def permanent(a: np.ndarray) -> complex:
-    """Permanent of a square complex matrix by Ryser's formula, O(2^n n).
-
-    Column subsets are visited in Gray-code order so each step updates the
-    running row sums with a single column.
-    """
+    """Permanent of a square complex matrix: :func:`permanent_batch` on a
+    stack of one."""
     mat = np.asarray(a, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"permanent needs a square matrix, got shape {mat.shape}")
-    n = mat.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    if n > 30:
-        raise DimensionError("permanent limited to n <= 30 (cost 2^n)")
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    gray = 0
-    for k in range(1, 1 << n):
-        bit = k & -k
-        j = bit.bit_length() - 1
-        if gray & bit:
-            row_sums -= mat[:, j]
-        else:
-            row_sums += mat[:, j]
-        gray ^= bit
-        sign = -1.0 if (gray.bit_count() & 1) else 1.0
-        total += sign * np.prod(row_sums)
-    return complex(total * (-1) ** n)
+    return complex(permanent_batch(mat[None])[0])
 
 
 def permanent_batch(mats: np.ndarray) -> np.ndarray:
-    """Permanents of a stack of equally sized square matrices, shape (B, n, n).
+    """Permanents of a stack of equally sized square matrices, shape (B, n, n),
+    by Ryser's formula, O(2^n n) each.
 
-    Same Ryser/Gray-code scheme as :func:`permanent`, vectorized over the
-    batch axis.
+    Column subsets are visited in Gray-code order so each step updates the
+    running row sums with a single column, vectorized over the batch axis.
     """
     arr = np.asarray(mats, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -161,15 +140,6 @@ def permanent_batch(mats: np.ndarray) -> np.ndarray:
     return total * (-1) ** n
 
 
-def _check_hermitian(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    c = np.asarray(cov, dtype=complex)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DimensionError(f"covariance must be square, got shape {c.shape}")
-    if c.size and np.max(np.abs(c - c.conj().T)) > tol:
-        raise NotPsdError("covariance is not Hermitian within tolerance")
-    return (c + c.conj().T) / 2.0
-
-
 def psd_factor_complex(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """Factor A with A^dag A = cov for Hermitian PSD cov (row convention).
 
@@ -177,29 +147,26 @@ def psd_factor_complex(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     directions exactly deterministic; below -tol raises.  Standard complex
     normals left-multiplied into A then have covariance cov.
     """
-    c = _check_hermitian(cov, tol)
+    return _psd_factor(np.asarray(cov, dtype=complex), tol)
+
+
+def psd_factor_real(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+    """Real symmetric analogue of :func:`psd_factor_complex` (A^T A = cov)."""
+    return _psd_factor(np.asarray(cov, dtype=float), tol)
+
+
+def _psd_factor(c: np.ndarray, tol: float) -> np.ndarray:
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise DimensionError(f"covariance must be square, got shape {c.shape}")
+    if c.size and np.max(np.abs(c - c.conj().T)) > tol:
+        raise NotPsdError("covariance is not Hermitian within tolerance")
+    c = (c + c.conj().T) / 2.0
     if c.size == 0:
         return c
     vals, vecs = np.linalg.eigh(c)
     if vals[0] < -tol:
         raise NotPsdError(f"covariance eigenvalue {vals[0]:.3e} below -{tol:g}")
-    vals = np.clip(vals, 0.0, None)
-    return np.sqrt(vals)[:, None] * vecs.conj().T
-
-
-def psd_factor_real(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """Real symmetric analogue of :func:`psd_factor_complex` (A^T A = cov)."""
-    c = np.asarray(cov, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DimensionError(f"covariance must be square, got shape {c.shape}")
-    if c.size and np.max(np.abs(c - c.T)) > tol:
-        raise NotPsdError("covariance is not symmetric within tolerance")
-    c = (c + c.T) / 2.0
-    vals, vecs = np.linalg.eigh(c)
-    if c.size and vals[0] < -tol:
-        raise NotPsdError(f"covariance eigenvalue {vals[0]:.3e} below -{tol:g}")
-    vals = np.clip(vals, 0.0, None)
-    return np.sqrt(vals)[:, None] * vecs.T
+    return np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.conj().T
 
 
 def standard_complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
@@ -207,29 +174,3 @@ def standard_complex_normal(gen: np.random.Generator, shape) -> np.ndarray:
     re = gen.standard_normal(shape)
     im = gen.standard_normal(shape)
     return (re + 1j * im) / np.sqrt(2.0)
-
-
-def sample_complex_gaussian(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    rng: RngStream,
-    size: int | None = None,
-) -> np.ndarray:
-    """Draw from a circularly-symmetric complex Gaussian.
-
-    ``mean`` is a length-M complex vector and ``cov`` an M x M Hermitian PSD
-    matrix with ``E[conj(z_i - m_i)(z_j - m_j)] = cov_ij``.  Zero-variance
-    directions come out exactly deterministic.  With ``size=None`` a single
-    length-M vector is returned, otherwise an array of shape (size, M).
-    """
-    mu = np.asarray(mean, dtype=complex)
-    if mu.ndim != 1:
-        raise DimensionError("mean must be a vector")
-    factor = psd_factor_complex(cov)
-    if factor.shape[0] != mu.shape[0]:
-        raise DimensionError("mean and covariance dimensions disagree")
-    gen = rng.generator()
-    n = 1 if size is None else int(size)
-    w = standard_complex_normal(gen, (n, mu.shape[0]))
-    z = mu + w @ factor
-    return z[0] if size is None else z

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotPsdError, SimulabilityError
-from .linalg import PSD_TOL, psd_factor_complex, standard_complex_normal, validate_transfer
-from .rng import RngStream
+from .errors import DimensionError
+from .linalg import PSD_TOL, validate_transfer
 from .states import GaussianPQDState
 
 #: Ordering preset realizing classical (heterodyne-like) measurements:
@@ -128,36 +127,21 @@ def _whiten(b: np.ndarray, d: np.ndarray):
     return c, lam, u
 
 
-def transition_sample(
-    transfer: np.ndarray,
-    s,
-    t,
-    alpha,
-    rng: RngStream,
-    size: int | None = None,
-) -> np.ndarray:
-    """Propagate input amplitudes through the network's transition Gaussian.
-
-    Returns beta = alpha @ L + delta with delta a circularly-symmetric
-    complex Gaussian of covariance Sigma/2.  When Sigma = 0 the map is
-    deterministic and bitwise stable.  Raises :class:`SimulabilityError` if
-    Sigma has an eigenvalue below the PSD tolerance, since the transition
-    function is then not a probability density.
+def sample_transition(alpha: np.ndarray, rows: np.ndarray, factor,
+                      gen: np.random.Generator) -> np.ndarray:
+    """Draw beta = alpha @ rows + delta for input amplitudes alpha (n, K),
+    where ``rows`` (K, M) are those K ports' rows of L and delta is a
+    circular complex Gaussian of covariance Sigma/2 from ``factor`` =
+    :func:`transition_factor`; delta is exactly 0 when Sigma = 0.
+    Consumes 2 n M standard normals from ``gen``, read as (re, im) pairs.
     """
-    matrix = np.asarray(transfer, dtype=complex)
-    sigma = sigma_matrix(matrix, s, t)
-    try:
-        factor = psd_factor_complex(sigma / 2.0)
-    except NotPsdError as exc:
-        raise SimulabilityError(
-            f"transition function is not nonnegative at these orderings: {exc}"
-        ) from exc
-    alpha = np.asarray(alpha, dtype=complex)
-    gen = rng.generator()
-    n = alpha.shape[0] if (size is None and alpha.ndim == 2) else (1 if size is None else int(size))
-    w = standard_complex_normal(gen, (n, matrix.shape[0]))
-    beta = alpha @ matrix + w @ factor
-    return beta[0] if (size is None and alpha.ndim == 1) else beta
+    c_h, g, scale = factor
+    delta = gen.standard_normal((alpha.shape[0], 2 * scale.size)).view(complex)
+    delta -= (delta @ c_h) @ g
+    # delta = re + i im has E|delta|^2 = 2; the 1/sqrt(2) of a unit normal goes here.
+    delta *= scale / np.sqrt(2.0)
+    delta += alpha @ rows
+    return delta
 
 
 def quadrature_rep(matrix: np.ndarray) -> np.ndarray:

@@ -10,8 +10,12 @@ Two routes, mirroring the two positivity conditions:
   whenever the output covariance stays above the s_bar floor, which is a
   weaker requirement than the Sigma_bar test.
 
-Sampling is batched; batch b draws from ``rng.child(b)``, so the outcome
-stream depends only on (config, seed), never on the worker count.
+Each draw has one implementation, which both routes and the public API
+share: :func:`~pqsim.states.sample_source_pqd` (input),
+:func:`~pqsim.processes.sample_transition` (network) and
+:func:`~pqsim.detectors.sample_clicks` (detectors).  Sampling is batched;
+batch b draws from ``rng.child(b)``, so the outcome stream depends only on
+(config, seed), never on the worker count.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detectors import click_coefficients, sample_clicks
 from .errors import NotPsdError, SimulabilityError
 from .experiment import ExperimentConfig
 from .linalg import psd_factor_real
-from .processes import propagate_gaussian, transition_factor
+from .processes import propagate_gaussian, sample_transition, transition_factor
 from .rng import RngStream
 from .simulability import check_second_condition, s_bar_vector
 from .states import GaussianPQDState, Vacuum, sample_source_pqd, wigner_moments
@@ -80,6 +85,8 @@ class SampleBatch:
         return body.tobytes()
 
     def write(self, path, fmt: str = "csv") -> None:
+        if fmt not in ("csv", "jsonl"):
+            raise ValueError(f"unknown sample format {fmt!r}; expected 'csv' or 'jsonl'")
         data = self.to_csv_bytes() if fmt == "csv" else self.to_jsonl_bytes()
         with open(path, "wb") as fh:
             fh.write(data)
@@ -117,19 +124,19 @@ def _make_batch(config, outcomes, rng) -> SampleBatch:
     )
 
 
-def _run_batched(draw_batch, modes, n_samples, rng, workers, batch_size):
+def _run_batched(draw_batch, modes, n_samples, rng, workers):
     """Fill (n_samples, modes) by running ``draw_batch(gen, n)`` per batch.
 
-    Batch boundaries and per-batch streams are fixed by (n_samples,
-    batch_size, rng) alone; workers only change scheduling.
+    Batch boundaries and per-batch streams are fixed by (n_samples, rng)
+    alone; workers only change scheduling.
     """
     n_samples = int(n_samples)
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
     out = np.empty((n_samples, modes), dtype=np.uint8)
     splits = [
-        (b, start, min(start + batch_size, n_samples))
-        for b, start in enumerate(range(0, n_samples, batch_size))
+        (b, start, min(start + BATCH_SIZE, n_samples))
+        for b, start in enumerate(range(0, n_samples, BATCH_SIZE))
     ]
 
     def run_one(task):
@@ -146,24 +153,11 @@ def _run_batched(draw_batch, modes, n_samples, rng, workers, batch_size):
     return out
 
 
-def _detector_arrays(config, sbar):
-    eta = np.array([d.eta_d for d in config.detectors])
-    p_d = np.array([d.p_d for d in config.detectors])
-    denom = 1.0 - eta * (1.0 - sbar) / 2.0
-    if np.any(denom <= 0.0):
-        raise SimulabilityError(
-            "detector PQD is singular at its own ordering bound (p_d = 1 "
-            "with the efficiency-limited ordering); perturb p_d below 1"
-        )
-    return eta, p_d, denom
-
-
 def run_condition2(
     config: ExperimentConfig,
     n_samples: int,
     rng: RngStream,
     workers: int = 1,
-    batch_size: int = BATCH_SIZE,
 ) -> SampleBatch:
     """Sample outcomes through input PQDs + transition Gaussian + measurement.
 
@@ -185,13 +179,8 @@ def run_condition2(
             report=report,
         )
     tbar, sbar = report.ordering_t, report.ordering_s
-    m = config.modes
-    c_h, g, scale = transition_factor(config.transfer, sbar, tbar)
-    # w = re + i im has E|w|^2 = 2; the 1/sqrt(2) of a unit normal goes here.
-    scale = scale / np.sqrt(2.0)
-    eta, p_d, denom = _detector_arrays(config, sbar)
-    decay = -eta / denom
-    keep = (1.0 - p_d) / denom
+    factor = transition_factor(config.transfer, sbar, tbar)
+    clicks = click_coefficients(sbar, config.detectors)
 
     # Every source draws through sample_source_pqd, which owns the stream;
     # a vacuum port's amplitude is 0 at t_bar = 1, so it is left out of
@@ -211,20 +200,9 @@ def run_condition2(
             draw = sample_source_pqd(source, t_block, gen, n)
             if cols is not None:
                 alpha[:, cols] = draw
-        beta = gen.standard_normal((n, 2 * m)).view(complex)
-        beta -= (beta @ c_h) @ g
-        beta *= scale
-        beta += alpha @ mixing
-        parts = beta.view(float)
-        np.square(parts, out=parts)
-        p_click = parts[:, 0::2] + parts[:, 1::2]
-        p_click *= decay
-        np.exp(p_click, out=p_click)
-        p_click *= keep
-        np.subtract(1.0, p_click, out=p_click)
-        return (gen.random((n, m)) < p_click).view(np.uint8)
+        return sample_clicks(sample_transition(alpha, mixing, factor, gen), clicks, gen)
 
-    outcomes = _run_batched(draw_batch, m, n_samples, rng, workers, batch_size)
+    outcomes = _run_batched(draw_batch, config.modes, n_samples, rng, workers)
     return _make_batch(config, outcomes, rng)
 
 
@@ -248,7 +226,6 @@ def run_condition1(
     n_samples: int,
     rng: RngStream,
     workers: int = 1,
-    batch_size: int = BATCH_SIZE,
 ) -> SampleBatch:
     """Sample outcomes by drawing from the output-state PQD directly.
 
@@ -266,16 +243,16 @@ def run_condition1(
             f"{exc}",
             report=check_second_condition(config),
         ) from exc
-    eta, p_d, denom = _detector_arrays(config, sbar)
-    mean = out_state.mean
+    clicks = click_coefficients(sbar, config.detectors)
+    # beta = (x + i p) / 2; halving is exact, so it is folded into the moments.
+    half_mean, half_factor = out_state.mean / 2.0, factor / 2.0
 
     def draw_batch(gen, n):
-        quad = mean + gen.standard_normal((n, 2 * config.modes)) @ factor
-        beta = (quad[:, 0::2] + 1j * quad[:, 1::2]) / 2.0
-        p_click = 1.0 - (1.0 - p_d) * np.exp(-eta * np.abs(beta) ** 2 / denom) / denom
-        return (gen.random((n, config.modes)) < p_click).astype(np.uint8)
+        quad = gen.standard_normal((n, 2 * config.modes)) @ half_factor
+        quad += half_mean
+        return sample_clicks(quad.view(complex), clicks, gen)
 
-    outcomes = _run_batched(draw_batch, config.modes, n_samples, rng, workers, batch_size)
+    outcomes = _run_batched(draw_batch, config.modes, n_samples, rng, workers)
     return _make_batch(config, outcomes, rng)
 
 
@@ -285,7 +262,6 @@ def run_experiment(
     rng: RngStream,
     condition: int | None = None,
     workers: int = 1,
-    batch_size: int = BATCH_SIZE,
 ) -> SampleBatch:
     """Dispatch to a sampling engine.
 
@@ -296,9 +272,9 @@ def run_experiment(
     if condition is None:
         condition = 1 if config.scheme == "spdc" else 2
     if condition == 1:
-        return run_condition1(config, n_samples, rng, workers, batch_size)
+        return run_condition1(config, n_samples, rng, workers)
     if condition == 2:
-        return run_condition2(config, n_samples, rng, workers, batch_size)
+        return run_condition2(config, n_samples, rng, workers)
     raise ValueError(f"condition must be 1 or 2, got {condition!r}")
 
 

@@ -26,7 +26,6 @@ from .errors import (
     UnsupportedSourceError,
 )
 from .linalg import PSD_TOL, psd_factor_real, standard_complex_normal
-from .rng import RngStream
 
 #: Slack used when checking ordering bounds, so exact-boundary orderings
 #: produced by closed-form thresholds are accepted despite roundoff.
@@ -220,18 +219,6 @@ def wigner_moments(source: SourceModel) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _require_admissible(source: SourceModel, t_block: np.ndarray, mode_offset: int):
-    bound = t_bar(source)
-    for k, tk in enumerate(t_block):
-        if tk > bound + ORDERING_TOL:
-            raise NegativityError(
-                f"ordering t={tk:g} on mode {mode_offset + k} exceeds the "
-                f"nonnegativity bound t_bar={bound:g} for {type(source).__name__}"
-            )
-        if tk > 1.0 + ORDERING_TOL:
-            raise NegativityError(f"ordering t={tk:g} on mode {mode_offset + k} exceeds 1")
-
-
 def _sample_circular(gen, n, mean: complex, var: float) -> np.ndarray:
     # Zero variance is a point mass; consuming no draws keeps it exact.
     if var <= 0.0:
@@ -248,9 +235,12 @@ def sample_source_pqd(
     """Draw ``size`` phase-space amplitudes from one source's ordering-t PQD.
 
     Returns an array of shape (size, n_ports).  ``t_block`` holds the
-    ordering parameter for each port the source occupies.  The draw sequence
-    consumed from ``gen`` is fixed per source type, so batches are exactly
-    reproducible.
+    ordering parameter for each port the source occupies (an
+    :class:`SpdcPair` takes herald then signal); every entry must respect
+    the source's nonnegativity bound, otherwise the PQD is not a
+    probability density and a :class:`NegativityError` names the mode.
+    The draw sequence consumed from ``gen`` is fixed per source type, so
+    batches are exactly reproducible.
     """
     t_block = np.atleast_1d(np.asarray(t_block, dtype=float))
     if t_block.size != n_ports(source):
@@ -258,6 +248,14 @@ def sample_source_pqd(
             f"{type(source).__name__} occupies {n_ports(source)} port(s), "
             f"got {t_block.size} ordering value(s)"
         )
+    # Every source has t_bar <= 1, so this also refuses t > 1.
+    bound = t_bar(source)
+    for k, tk in enumerate(t_block):
+        if tk > bound + ORDERING_TOL:
+            raise NegativityError(
+                f"ordering t={tk:g} on mode {k} of the {type(source).__name__} "
+                f"block exceeds its nonnegativity bound t_bar={bound:g}"
+            )
 
     if isinstance(source, Vacuum):
         return _sample_circular(gen, size, 0.0, (1.0 - t_block[0]) / 2.0)[:, None]
@@ -290,39 +288,3 @@ def sample_source_pqd(
         return (z[:, 0::2] + 1j * z[:, 1::2]) / 2.0
 
     raise UnsupportedSourceError(f"unknown source model {source!r}")
-
-
-def sample_input_pqd(
-    sources,
-    t,
-    rng: RngStream,
-    size: int | None = None,
-) -> np.ndarray:
-    """Draw input amplitudes from the product of per-source ordering-t PQDs.
-
-    ``sources`` is an ordered list; each entry occupies the next port(s), an
-    :class:`SpdcPair` taking two adjacent ports (herald then signal).  ``t``
-    holds one ordering parameter per port and every entry must respect the
-    source's nonnegativity bound, otherwise the PQD is not a probability
-    density and a :class:`NegativityError` is raised naming the mode.
-
-    Returns a complex vector of length K, or shape (size, K) when ``size``
-    is given.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    total = sum(n_ports(s) for s in sources)
-    if t.size != total:
-        raise DimensionError(
-            f"sources occupy {total} ports but got {t.size} ordering values"
-        )
-    n = 1 if size is None else int(size)
-    gen = rng.generator()
-    out = np.empty((n, total), dtype=complex)
-    offset = 0
-    for source in sources:
-        width = n_ports(source)
-        block = t[offset:offset + width]
-        _require_admissible(source, block, offset)
-        out[:, offset:offset + width] = sample_source_pqd(source, block, gen, n)
-        offset += width
-    return out[0] if size is None else out

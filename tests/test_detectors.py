@@ -11,12 +11,28 @@ from pqsim.errors import (
     SingularOrderingError,
 )
 from pqsim.detectors import (
-    click_probabilities,
+    click_coefficients,
     pqd_off,
     pqd_on,
     s_bar,
-    sample_outcome,
+    sample_clicks,
 )
+
+
+class FixedCoins:
+    """Stands in for a Generator whose uniforms are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        return np.broadcast_to(self.u, shape)
+
+
+def clicks_for(beta, s, dets, gen, size):
+    """Both halves of the click stage on ``size`` copies of one beta."""
+    batch = np.tile(np.asarray(beta, dtype=complex), (size, 1))
+    return sample_clicks(batch, click_coefficients(s, dets), gen)
 
 
 class TestOutcomePqds:
@@ -24,9 +40,13 @@ class TestOutcomePqds:
         assert pqd_off(0.0, 1.0, DetectorModel(1.0, 0.0)) == pytest.approx(1.0 / math.pi)
 
     def test_certain_random_count_kills_off_element(self):
-        det = DetectorModel(0.6, 1.0)
-        for beta in [0.0, 0.5, 2.0 + 1.0j]:
-            assert pqd_off(beta, 1.0, det) == 0.0
+        # At every ordering, including s_bar, where the denominator is 0
+        # up to roundoff, and below it, where the formula is singular.
+        for eta in [0.3, 0.6, 0.9, 0.95, 1.0]:
+            det = DetectorModel(eta, 1.0)
+            for s in [1.0, s_bar(det), s_bar(det) - 0.5]:
+                for beta in [0.0, 0.5, 2.0 + 1.0j]:
+                    assert pqd_off(beta, s, det) == 0.0
 
     def test_p_side_of_ideal_detector_is_singular(self):
         # At s = -1 the off element of a perfect detector is a vacuum
@@ -104,20 +124,21 @@ class TestSBar:
 
 class TestSampleOutcome:
     def test_vacuum_ideal_detectors_never_click(self):
-        bits = sample_outcome(np.zeros(3), np.ones(3),
-                              [DetectorModel(1.0, 0.0)] * 3, RngStream(1), size=1000)
+        bits = clicks_for(np.zeros(3), np.ones(3), [DetectorModel(1.0, 0.0)] * 3,
+                          RngStream(1).generator(), size=1000)
         assert not bits.any()
 
     def test_bright_light_always_clicks(self):
         beta = np.full(2, 10.0 + 0.0j)
-        bits = sample_outcome(beta, np.ones(2),
-                              [DetectorModel(0.95, 0.0)] * 2, RngStream(2), size=1000)
+        bits = clicks_for(beta, np.ones(2), [DetectorModel(0.95, 0.0)] * 2,
+                          RngStream(2).generator(), size=1000)
         assert bits.all()
 
     def test_dark_count_rate_binomial(self):
         draws = 100_000
         det = DetectorModel(0.95, 0.05)
-        bits = sample_outcome(np.zeros(1), np.ones(1), [det], RngStream(3), size=draws)
+        bits = clicks_for(np.zeros(1), np.ones(1), [det], RngStream(3).generator(),
+                          size=draws)
         rate = bits.mean()
         se = math.sqrt(0.05 * 0.95 / draws)
         assert abs(rate - 0.05) <= 5 * se
@@ -125,12 +146,39 @@ class TestSampleOutcome:
     def test_below_bound_is_rejected_naming_mode(self):
         dets = [DetectorModel(0.9, 0.5), DetectorModel(0.9, 0.0)]
         with pytest.raises(NegativityError, match="mode 1"):
-            sample_outcome(np.zeros(2), np.array([0.0, 0.9]), dets, RngStream(4))
+            click_coefficients(np.array([0.0, 0.9]), dets)
+
+    def test_singular_ordering_within_tolerance_is_rejected(self):
+        det = DetectorModel(1.0, 1.0 - 1e-14)
+        with pytest.raises(SingularOrderingError, match="mode 0"):
+            click_coefficients([s_bar(det) - 5e-13], [det])
 
     def test_click_probabilities_match_pqd_on(self):
-        det = DetectorModel(0.8, 0.1)
+        # The coin is u < p: coins just below and just above pi * W_on pin
+        # the kernel's p to 1e-12 relative, at s_bar and at a larger s.
+        dets = [DetectorModel(0.8, 0.1), DetectorModel(0.9, 0.4)]
         beta = np.array([0.3 + 0.2j, 1.5])
-        s = np.array([0.9, 0.5])
-        probs = click_probabilities(beta, s, [det, det])
-        for k in range(2):
-            assert probs[k] == pytest.approx(math.pi * pqd_on(beta[k], s[k], det))
+        for s in (np.array([s_bar(d) for d in dets]), np.array([0.9, 0.5])):
+            expected = np.array([math.pi * pqd_on(beta[k], s[k], dets[k]) for k in range(2)])
+            coefficients = click_coefficients(s, dets)
+            below = sample_clicks(beta[None].copy(), coefficients,
+                                  FixedCoins(expected * (1 - 1e-12)))
+            above = sample_clicks(beta[None].copy(), coefficients,
+                                  FixedCoins(expected * (1 + 1e-12)))
+            assert below.all() and not above.any()
+
+    @pytest.mark.parametrize("eta", [0.3, 0.9, 0.95, 1.0])
+    def test_certain_random_count_always_clicks_at_its_bound(self, eta):
+        # The no-click denominator is 0 at s_bar up to roundoff; the mode
+        # must click with probability exactly 1 anyway.
+        det = DetectorModel(eta, 1.0)
+        gen = RngStream(5).generator()
+        beta = gen.normal(size=(1000, 2)) + 1j * gen.normal(size=(1000, 2))
+        bits = sample_clicks(beta, click_coefficients([s_bar(det)] * 2, [det] * 2),
+                             FixedCoins(np.nextafter(1.0, 0.0)))
+        assert bits.all()
+
+    def test_dead_detector_clicks_at_its_random_count_rate(self):
+        det = DetectorModel(0.0, 0.2)
+        decay, keep = click_coefficients([-1.0], [det])
+        assert decay[0] == 0.0 and keep[0] == pytest.approx(0.8)

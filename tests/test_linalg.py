@@ -9,7 +9,8 @@ from pqsim.linalg import (
     haar_unitary,
     permanent,
     permanent_batch,
-    sample_complex_gaussian,
+    psd_factor_complex,
+    standard_complex_normal,
     validate_transfer,
 )
 
@@ -110,25 +111,33 @@ class TestPermanent:
         mats = gen.standard_normal((6, 4, 4)) + 1j * gen.standard_normal((6, 4, 4))
         batch = permanent_batch(mats)
         for k in range(6):
-            assert abs(batch[k] - permanent(mats[k])) <= 1e-12 * max(1.0, abs(batch[k]))
+            expected = naive_permanent(mats[k])
+            assert abs(batch[k] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def draw_complex_gaussian(mean, cov, gen, size):
+    """mean + w A with w unit circular complex normals and A^dag A = cov."""
+    mean = np.asarray(mean, dtype=complex)
+    return mean + standard_complex_normal(gen, (size, mean.size)) @ psd_factor_complex(cov)
 
 
 class TestComplexGaussian:
     def test_zero_covariance_is_point_mass(self):
         mean = np.array([1.0 + 2.0j, -0.5j])
-        z = sample_complex_gaussian(mean, np.zeros((2, 2)), RngStream(1), size=7)
+        z = draw_complex_gaussian(mean, np.zeros((2, 2)), RngStream(1).generator(), size=7)
         assert np.array_equal(z, np.broadcast_to(mean, (7, 2)))
 
     def test_unit_covariance_moments(self):
         draws = 100_000
-        z = sample_complex_gaussian(np.zeros(2), np.eye(2), RngStream(2), size=draws)
+        z = draw_complex_gaussian(np.zeros(2), np.eye(2), RngStream(2).generator(), size=draws)
         # |z|^2 is Exp(1): variance 1, so se of the mean is 1/sqrt(n).
         assert abs(np.mean(np.abs(z[:, 0]) ** 2) - 1.0) <= 5 / np.sqrt(draws)
 
     def test_singular_direction_is_deterministic(self):
         draws = 100_000
         mean = np.array([0.0, 3.0 + 1.0j])
-        z = sample_complex_gaussian(mean, np.diag([1.0, 0.0]), RngStream(3), size=draws)
+        z = draw_complex_gaussian(mean, np.diag([1.0, 0.0]), RngStream(3).generator(),
+                                  size=draws)
         assert np.all(z[:, 1] == mean[1])
         re_var = np.var(z[:, 0].real)
         # Re z ~ N(0, 1/2): se of sample variance is sqrt(2/n) * 0.5.
@@ -137,17 +146,26 @@ class TestComplexGaussian:
     def test_empirical_covariance_matches_request(self):
         draws = 100_000
         cov = np.array([[2.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]])
-        z = sample_complex_gaussian(np.zeros(2), cov, RngStream(4), size=draws)
+        z = draw_complex_gaussian(np.zeros(2), cov, RngStream(4).generator(), size=draws)
         emp = z.conj().T @ z / draws
         for i in range(2):
             for j in range(2):
                 se = np.sqrt(abs(cov[i, i] * cov[j, j]) / draws)
                 assert abs(emp[i, j] - cov[i, j]) <= 5 * se
 
+    def test_factor_reproduces_covariance(self):
+        cov = np.array([[2.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]])
+        factor = psd_factor_complex(cov)
+        assert np.max(np.abs(factor.conj().T @ factor - cov)) <= 1e-14
+
+    def test_roundoff_negative_eigenvalue_is_clamped_to_a_zero_row(self):
+        factor = psd_factor_complex(np.diag([-1e-12, 1.0]))
+        assert np.array_equal(factor[0], np.zeros(2))
+
     def test_non_psd_rejected(self):
         with pytest.raises(NotPsdError):
-            sample_complex_gaussian(np.zeros(1), np.array([[-1e-6]]), RngStream(0))
+            psd_factor_complex(np.array([[-1e-6]]))
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotPsdError):
-            sample_complex_gaussian(np.zeros(2), np.array([[1.0, 1.0], [0.0, 1.0]]), RngStream(0))
+            psd_factor_complex(np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from pqsim import RngStream
-from pqsim.errors import SimulabilityError
 from pqsim.linalg import haar_unitary
 from pqsim.processes import (
     LossModel,
     propagate_gaussian,
     quadrature_rep,
+    sample_transition,
     sigma_matrix,
     transition_factor,
-    transition_sample,
     uniform_loss_eta,
 )
 from pqsim.simulability import check_second_condition, s_bar_vector, t_bar_vector
@@ -118,21 +117,28 @@ class TestTransitionFactor:
         assert np.max(np.abs(factor.conj().T @ factor - sigma / 2.0)) <= 1e-10
 
 
+def transition(transfer, s, t, alpha, seed, size):
+    """``size`` draws of beta given one input amplitude row alpha."""
+    transfer = np.asarray(transfer, dtype=complex)
+    alpha = np.tile(np.asarray(alpha, dtype=complex), (size, 1))
+    return sample_transition(alpha, transfer, transition_factor(transfer, s, t),
+                             RngStream(seed).generator())
+
+
 class TestTransitionSample:
     def test_delta_transition_is_deterministic_and_stable(self):
         u = haar_unitary(4, RngStream(5))
         alpha = np.array([1.0, 0.0, 0.3j, -0.2])
-        beta1 = transition_sample(u, np.ones(4), np.ones(4), alpha, RngStream(6))
-        beta2 = transition_sample(u, np.ones(4), np.ones(4), alpha, RngStream(7))
-        assert np.array_equal(beta1, alpha @ u)
+        beta1 = transition(u, np.ones(4), np.ones(4), alpha, 6, 1)
+        beta2 = transition(u, np.ones(4), np.ones(4), alpha, 7, 1)
+        assert np.array_equal(beta1[0], alpha @ u)
         assert np.array_equal(beta1, beta2)
 
     def test_full_loss_outputs_vacuum_wigner_noise(self):
         draws = 100_000
         transfer = np.zeros((2, 2), dtype=complex)
         alpha = np.array([3.0, -1.0 + 2.0j])
-        beta = transition_sample(transfer, np.zeros(2), np.zeros(2), alpha,
-                                 RngStream(8), size=draws)
+        beta = transition(transfer, np.zeros(2), np.zeros(2), alpha, 8, draws)
         for k in range(2):
             mean_sq = np.mean(np.abs(beta[:, k]) ** 2)
             assert abs(mean_sq - 0.5) <= 5 * 0.5 / math.sqrt(draws)
@@ -140,17 +146,10 @@ class TestTransitionSample:
     def test_single_mode_moments(self):
         draws = 100_000
         transfer = np.array([[math.sqrt(0.5)]])
-        beta = transition_sample(transfer, [0.0], [0.0], np.array([2.0 + 0.0j]),
-                                 RngStream(9), size=draws)
+        beta = transition(transfer, [0.0], [0.0], np.array([2.0 + 0.0j]), 9, draws)
         center = 2.0 * math.sqrt(0.5)
         var = np.mean(np.abs(beta - center) ** 2)
         assert abs(var - 0.25) <= 5 * 0.25 / math.sqrt(draws)
-
-    def test_negative_sigma_is_refused(self):
-        transfer = np.sqrt(0.5) * np.eye(2)
-        with pytest.raises(SimulabilityError):
-            transition_sample(transfer, [0.9, 0.9], [0.5, 0.5],
-                              np.zeros(2, dtype=complex), RngStream(10))
 
     def test_classical_measurement_preset_is_always_proper(self):
         from pqsim.processes import CLASSICAL_MEASUREMENT_ORDERING as preset
@@ -158,9 +157,20 @@ class TestTransitionSample:
         for seed in range(5):
             transfer = random_contraction(3, 60 + seed, scale=np.sqrt(0.6))
             s = np.full(3, preset)
-            beta = transition_sample(transfer, s, s, np.zeros(3, dtype=complex),
-                                     RngStream(seed), size=10)
-            assert beta.shape == (10, 3)
+            beta = transition(transfer, s, s, np.zeros(3, dtype=complex), seed, 10)
+            assert beta.shape == (10, 3) and np.all(np.isfinite(beta))
+
+    def test_noise_covariance_is_half_sigma_bar(self):
+        draws = 200_000
+        config = random_mixed_config(330, 3)
+        s, t = s_bar_vector(config), t_bar_vector(config)
+        beta = transition(config.transfer, s, t, np.zeros(3, dtype=complex), 11, draws)
+        target = sigma_matrix(config.transfer, s, t) / 2.0
+        emp = beta.conj().T @ beta / draws
+        for i in range(3):
+            for j in range(3):
+                se = np.sqrt(target[i, i].real * target[j, j].real / draws)
+                assert abs(emp[i, j] - target[i, j]) <= 6 * se
 
 
 class TestUniformLoss:

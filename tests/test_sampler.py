@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -17,7 +18,7 @@ from pqsim.sampler import (
     run_condition2,
     run_experiment,
 )
-from pqsim.states import Coherent, Thermal, Vacuum
+from pqsim.states import Coherent, MixedSinglePhoton, Thermal, Vacuum
 
 from conftest import oracle_suite, single_photon_click_marginals
 
@@ -140,6 +141,45 @@ class TestCondition1:
         assert 0.5 * np.abs(freq1 - freq2).sum() <= 0.01
 
 
+def certain_count_configs(eta_d):
+    """Route-1 and route-2 desk configs whose detector 0 has p_d = 1."""
+    dets = (DetectorModel(eta_d, 1.0), DetectorModel(0.9, 0.3), DetectorModel(0.8, 0.4))
+    transfer = np.sqrt(0.9) * haar_unitary(3, RngStream(70))
+    gaussian = ExperimentConfig(
+        modes=3,
+        sources=(PortSource(Coherent(0.3), (0,)), PortSource(Thermal(0.05), (1,)),
+                 PortSource(Vacuum(), (2,))),
+        transfer=transfer, detectors=dets)
+    photons = ExperimentConfig(
+        modes=3,
+        sources=(PortSource(MixedSinglePhoton(0.6, 0.5), (0,)),
+                 PortSource(MixedSinglePhoton(0.6, 0.5), (1,)), PortSource(Vacuum(), (2,))),
+        transfer=transfer, detectors=dets)
+    return gaussian, photons
+
+
+class TestCertainRandomCounts:
+    # At s = s_bar the no-click denominator 1 - eta_d (1 - s_bar)/2 of a
+    # p_d = 1 detector is 0 up to roundoff, of either sign.
+    @pytest.mark.parametrize("eta_d", [0.3, 0.9, 0.95, 1.0])
+    def test_every_shot_clicks_on_both_routes(self, eta_d):
+        dets = (DetectorModel(eta_d, 1.0),) * 3
+        gaussian, photons = certain_count_configs(eta_d)
+        one = run_condition1(replace(gaussian, detectors=dets), 2000, RngStream(71))
+        two = run_condition2(replace(photons, detectors=dets), 2000, RngStream(72))
+        assert one.outcomes.all() and two.outcomes.all()
+
+    @pytest.mark.parametrize("eta_d", [0.3, 0.95])
+    def test_mixed_detectors_match_oracle(self, eta_d):
+        draws = 200_000
+        for route, config in zip((run_condition1, run_condition2), certain_count_configs(eta_d)):
+            table = exact_distribution(config, n_max=4)
+            batch = route(config, draws, RngStream(73))
+            assert batch.outcomes[:, 0].all()
+            bound = max(0.01, 3 * math.sqrt(len(table.outcomes) / draws))
+            assert tv_distance(table, batch) <= bound
+
+
 class TestReproducibility:
     def test_same_seed_is_bitwise_identical(self):
         config = single_photon_config(4, 2, p_d=0.06)
@@ -236,6 +276,14 @@ class TestBatchAndStats:
         assert len(lines) == 100 and set(lines[0]) <= {"0", "1"}
         first = jsonl_path.read_bytes().decode().splitlines()[0]
         assert first.startswith('{"n":"') and first.endswith('"}')
+
+    @pytest.mark.parametrize("fmt", ["CSV", "json", ""])
+    def test_write_refuses_unknown_format(self, tmp_path, fmt):
+        batch = SampleBatch(np.zeros((2, 3), dtype=np.uint8), RngStream(0), "x", None)
+        path = tmp_path / "s.out"
+        with pytest.raises(ValueError, match="unknown sample format"):
+            batch.write(path, fmt)
+        assert not path.exists()
 
     def test_histogram_suppressed_beyond_mode_limit(self):
         modes = 25

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from pqsim import RngStream
-from pqsim.errors import NegativityError, SingularOrderingError
+from pqsim.errors import DimensionError, NegativityError, SingularOrderingError
 from pqsim.states import (
     Coherent,
     MixedSinglePhoton,
@@ -13,7 +13,8 @@ from pqsim.states import (
     Thermal,
     Vacuum,
     pqd_single_photon_mixture,
-    sample_input_pqd,
+    n_ports,
+    sample_source_pqd,
     spdc_covariance,
     t_bar,
 )
@@ -109,12 +110,12 @@ class TestSpdcCovariance:
 class TestSampleInputPqd:
     def test_vacuum_wigner_moments(self):
         draws = 100_000
-        alpha = sample_input_pqd([Vacuum()], [0.0], RngStream(1), size=draws)
+        alpha = sample_source_pqd(Vacuum(), [0.0], RngStream(1).generator(), draws)
         # |alpha|^2 is Exp(1/2): sd = 1/2.
         assert abs(np.mean(np.abs(alpha) ** 2) - 0.5) <= 5 * 0.5 / math.sqrt(draws)
 
     def test_coherent_p_function_is_point_mass(self):
-        alpha = sample_input_pqd([Coherent(2.0)], [1.0], RngStream(2), size=50)
+        alpha = sample_source_pqd(Coherent(2.0), [1.0], RngStream(2).generator(), 50)
         assert np.all(alpha == 2.0)
 
     def test_single_photon_mixture_moments_match_quadrature(self):
@@ -122,9 +123,8 @@ class TestSampleInputPqd:
         mean_sq = radial_moment(eta_bar, t, 1)
         var_sq = radial_moment(eta_bar, t, 2) - mean_sq**2
         assert mean_sq == pytest.approx((1.0 - t) / 2.0 + eta_bar, abs=1e-9)
-        alpha = sample_input_pqd(
-            [MixedSinglePhoton(1.0, eta_bar)], [t], RngStream(3), size=draws
-        )
+        alpha = sample_source_pqd(MixedSinglePhoton(1.0, eta_bar), [t],
+                                  RngStream(3).generator(), draws)
         observed = np.mean(np.abs(alpha) ** 2)
         assert abs(observed - mean_sq) <= 5 * math.sqrt(var_sq / draws)
 
@@ -135,22 +135,21 @@ class TestSampleInputPqd:
             pytest.skip("inadmissible ordering")
         target = radial_moment(eta_bar, t, 2)
         spread = math.sqrt(max(radial_moment(eta_bar, t, 4) - target**2, 0.0))
-        alpha = sample_input_pqd(
-            [MixedSinglePhoton(1.0, eta_bar)], [t], RngStream(4), size=draws
-        )
+        alpha = sample_source_pqd(MixedSinglePhoton(1.0, eta_bar), [t],
+                                  RngStream(4).generator(), draws)
         observed = np.mean(np.abs(alpha) ** 4)
         assert abs(observed - target) <= 5 * spread / math.sqrt(draws)
 
     def test_thermal_moments(self):
         n_bar, t, draws = 0.4, 0.3, 100_000
-        alpha = sample_input_pqd([Thermal(n_bar)], [t], RngStream(5), size=draws)
+        alpha = sample_source_pqd(Thermal(n_bar), [t], RngStream(5).generator(), draws)
         target = (2.0 * n_bar + 1.0 - t) / 2.0
         assert abs(np.mean(np.abs(alpha) ** 2) - target) <= 5 * target / math.sqrt(draws)
 
     def test_spdc_pair_moments(self):
         r, eta, t, draws = 0.6, 0.8, 0.1, 200_000
         cov = spdc_covariance(r, eta).cov - t * np.eye(4)
-        alpha = sample_input_pqd([SpdcPair(r, eta)], [t, t], RngStream(6), size=draws)
+        alpha = sample_source_pqd(SpdcPair(r, eta), [t, t], RngStream(6).generator(), draws)
         for mode in (0, 1):
             target = (cov[2 * mode, 2 * mode] + cov[2 * mode + 1, 2 * mode + 1]) / 4.0
             observed = np.mean(np.abs(alpha[:, mode]) ** 2)
@@ -161,16 +160,25 @@ class TestSampleInputPqd:
         assert abs(cross - target_cross) <= 5 * 2 * target_cross / math.sqrt(draws)
 
     def test_inadmissible_ordering_names_the_mode(self):
-        with pytest.raises(NegativityError, match="mode 1"):
-            sample_input_pqd(
-                [Vacuum(), MixedSinglePhoton(0.9, 1.0)], [1.0, 0.5], RngStream(7)
-            )
+        with pytest.raises(NegativityError, match="mode 0"):
+            sample_source_pqd(MixedSinglePhoton(0.9, 1.0), [0.5], RngStream(7).generator(), 1)
+        pair = SpdcPair(0.3, 0.9)
+        with pytest.raises(NegativityError, match="mode 1 of the SpdcPair block"):
+            sample_source_pqd(pair, [t_bar(pair), 1.0], RngStream(7).generator(), 1)
+
+    def test_ordering_above_one_is_refused_for_classical_sources(self):
+        with pytest.raises(NegativityError):
+            sample_source_pqd(Thermal(0.2), [1.0 + 1e-9], RngStream(7).generator(), 1)
 
     def test_mixed_port_layout(self):
-        sources = [Vacuum(), SpdcPair(0.3, 0.9), Coherent(1.0)]
-        alpha = sample_input_pqd(sources, [0.0, 0.0, 0.0, 0.5], RngStream(8), size=10)
-        assert alpha.shape == (10, 4)
+        gen = RngStream(8).generator()
+        for source, t in ((Vacuum(), [0.0]), (SpdcPair(0.3, 0.9), [0.0, 0.0]),
+                          (Coherent(1.0), [0.5])):
+            assert sample_source_pqd(source, t, gen, 10).shape == (10, n_ports(source))
+        with pytest.raises(DimensionError):
+            sample_source_pqd(SpdcPair(0.3, 0.9), [0.0], gen, 10)
 
     def test_single_draw_shape(self):
-        alpha = sample_input_pqd([Vacuum(), Vacuum()], [0.0, 0.0], RngStream(9))
-        assert alpha.shape == (2,)
+        # One draw is one row with a column per port of the source.
+        alpha = sample_source_pqd(SpdcPair(0.3, 0.9), [0.0, 0.0], RngStream(9).generator(), 1)
+        assert alpha.shape == (1, 2)
