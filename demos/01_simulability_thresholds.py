@@ -43,5 +43,5 @@ config = single_photon_config(modes, modes, p_d=0.05, params=params, unitary_see
 report = check_second_condition(config)
 print(f"explicit {modes}-mode network at p_d = 0.05:")
 print(f"  exact threshold from the positivity test: {report.threshold_p_d:.4f}")
-print(f"  smallest eigenvalue of the test matrix:   {report.sigma_eigenvalues[0]:.5f}")
+print(f"  noise ratio kappa (simulatable iff <= 1): {report.noise_ratio:.5f}")
 print(f"  simulatable: {report.simulatable}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -93,10 +94,12 @@ def cmd_check(args) -> int:
     payload = report.to_dict()
     verdict = "simulatable" if report.simulatable else "NOT simulatable"
     _say(args, f"experiment with {config.modes} modes is {verdict} by the phase-space method")
-    _say(args, f"  min Sigma_bar eigenvalue: {report.sigma_eigenvalues[0]:.6g}")
-    if report.threshold_note:
+    _say(args, f"  noise ratio kappa: {report.noise_ratio:.6g} (simulatable iff <= 1)")
+    if math.isfinite(report.threshold_p_d):
         _say(args, f"  threshold: {report.threshold_p_d:.6g} ({report.threshold_note})")
         _say(args, f"  margin (p_d - threshold): {report.margin:.6g}")
+    else:
+        _say(args, f"  {report.threshold_note}")
     print(json.dumps(payload, indent=2))
     outputs = []
     out = _out_dir(args)

@@ -175,7 +175,7 @@ def run_condition2(
     if not report.simulatable:
         raise SimulabilityError(
             "experiment is not simulatable by the phase-space method: "
-            f"min eigenvalue of Sigma_bar is {report.sigma_eigenvalues[0]:.3e}",
+            f"Sigma_bar is not PSD (noise ratio kappa = {report.noise_ratio:.6g} > 1)",
             report=report,
         )
     tbar, sbar = report.ordering_t, report.ordering_s

@@ -48,6 +48,26 @@ class TestCheck:
         # mu * eta_b * eta_l(3) * eta_d = 0.5 * 0.1 * 0.98^log2(3) * 0.95
         assert payload["threshold_p_d"] == pytest.approx(0.04600, abs=5e-5)
 
+    def test_heterogeneous_detectors_print_the_note_not_nan(self, hom_config_path, capsys):
+        data = json.loads(hom_config_path.read_text())
+        data["detectors"] = [{"eta_d": 0.9, "p_d": 0.3}, {"eta_d": 0.8, "p_d": 0.35}]
+        hom_config_path.write_text(json.dumps(data))
+        assert main(["check", "--config", str(hom_config_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        assert "no scalar threshold: detectors are heterogeneous or dead" in out
+        assert "noise ratio kappa" in out
+        payload = json.loads(out[out.index("{"):])
+        assert payload["threshold_p_d"] is None and payload["margin"] is None
+        assert 0.0 < payload["noise_ratio"] <= 1.0
+        assert "sigma_eigenvalues" not in payload
+
+    def test_identical_detectors_print_threshold_and_margin(self, photon_config_path, capsys):
+        assert main(["check", "--config", str(photon_config_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        assert "  threshold: 0.0460" in out and "  margin (p_d - threshold): 0.0139" in out
+
     def test_report_file_and_manifest(self, photon_config_path, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["check", "--config", str(photon_config_path),

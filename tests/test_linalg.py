@@ -4,6 +4,7 @@ import pytest
 from pqsim import RngStream
 from pqsim.errors import ContractionError, DimensionError, NotPsdError
 from pqsim.linalg import (
+    CONTRACTION_TOL,
     dilate_to_unitary,
     economy_dilation,
     haar_unitary,
@@ -75,6 +76,61 @@ class TestDilation:
         validate_transfer(np.eye(3, dtype=complex))
         with pytest.raises(DimensionError):
             validate_transfer(np.ones((2, 3)))
+
+
+class TestValidateTransfer:
+    TOL = CONTRACTION_TOL
+
+    @pytest.mark.parametrize("name", ["identity", "scaled_unitary", "zero", "rank_deficient",
+                                      "strided_view", "empty"])
+    def test_accepts_contractions(self, name):
+        u = haar_unitary(5, RngStream(8))
+        matrix = {
+            "identity": np.eye(5, dtype=complex),
+            "scaled_unitary": (1.0 + self.TOL / 2.0) * u,
+            "zero": np.zeros((5, 5), dtype=complex),
+            "rank_deficient": u[:, :2] @ u[:2, :],
+            "strided_view": haar_unitary(10, RngStream(9))[::2, ::2],
+            "empty": np.zeros((0, 0), dtype=complex),
+        }[name]
+        out = validate_transfer(matrix)
+        assert out.dtype == complex and np.array_equal(out, matrix)
+
+    def test_refuses_expansion_with_the_singular_value_message(self):
+        u = haar_unitary(5, RngStream(8))
+        smax = 1.0 + 2.0 * self.TOL
+        with pytest.raises(ContractionError,
+                           match=r"^largest singular value 1\.000000002\d* exceeds 1 \+ 1e-09; "
+                                 "the network would amplify light$"):
+            validate_transfer(smax * u)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_entries(self, bad):
+        matrix = 0.5 * np.eye(3, dtype=complex)
+        matrix[1, 2] = bad
+        with pytest.raises(DimensionError, match="finite"):
+            validate_transfer(matrix)
+
+    def test_singular_gap_falls_back_to_the_svd_and_accepts(self, monkeypatch):
+        # (1 + tol)^2 - (1 + tol)^2 is exactly 0, so the Cholesky test fails
+        # and the 2-norm, exactly 1 + tol, decides.
+        matrix = np.diag([1.0 + self.TOL, 0.5]).astype(complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky((1.0 + self.TOL) ** 2 * np.eye(2) - matrix.conj().T @ matrix)
+        norms = []
+        original = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda *a, **k: norms.append(1) or original(*a, **k))
+        assert np.array_equal(validate_transfer(matrix), matrix)
+        assert norms
+
+    def test_contraction_takes_no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SVD taken for a strict contraction")
+
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        validate_transfer(0.9 * haar_unitary(6, RngStream(2)))
 
 
 class TestPermanent:

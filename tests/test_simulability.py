@@ -11,9 +11,9 @@ from pqsim.experiment import (
     ExperimentConfig,
     PortSource,
 )
-from pqsim.linalg import haar_unitary
+from pqsim.linalg import PSD_TOL, haar_unitary
 from pqsim.presets import ScenarioParams, single_photon_config, spdc_config
-from pqsim.processes import LossModel, uniform_loss_eta
+from pqsim.processes import LossModel, sigma_matrix, uniform_loss_eta
 from pqsim.simulability import (
     check_second_condition,
     mode_mismatch_pd,
@@ -156,6 +156,93 @@ class TestCheckSecondCondition:
         report = check_second_condition(config)
         assert report.simulatable
         assert np.allclose(report.s_bar, -1.0)
+
+
+def verdict_case(seed: int) -> ExperimentConfig:
+    """A random config for the verdict-equivalence test.
+
+    Built like ``random_mixed_config`` with each p_d scaled by
+    uniform(0.3, 1.3), so both verdicts occur; ``seed % 8`` selects a
+    variant: unlit p_d = 0 modes, lit p_d = 0 modes, dead detectors,
+    p_d = 1 modes, all-classical inputs (|S| = 0), all non-classical inputs
+    (|S| = M), identical detectors, or none of these.
+    """
+    gen = RngStream(7000 + seed).generator()
+    variant = seed % 8
+    modes = int(gen.integers(1, 9))
+    mixed = random_mixed_config(seed, modes,
+                                dark_modes=int(gen.integers(1, modes + 1)) if variant == 0 else 0,
+                                dead_modes=int(gen.integers(1, modes + 1)) if variant == 2 else 0)
+    sources, transfer = mixed.sources, mixed.transfer
+    if variant == 4:
+        kinds = (Vacuum(), Coherent(0.4 - 0.2j), Thermal(0.3))
+        sources = tuple(PortSource(kinds[int(gen.integers(3))], (k,)) for k in range(modes))
+    elif variant == 5:
+        sources = tuple(PortSource(MixedSinglePhoton(gen.uniform(0.1, 1.0), gen.uniform(0.1, 1.0)),
+                                   (k,)) for k in range(modes))
+    detectors = [DetectorModel(d.eta_d, min(1.0, d.p_d * gen.uniform(0.3, 1.3)))
+                 for d in mixed.detectors]
+    special = int(gen.integers(modes))
+    if variant == 1:
+        detectors[special] = DetectorModel(detectors[special].eta_d, 0.0)
+    elif variant == 3:
+        detectors[special] = DetectorModel(gen.uniform(0.3, 1.0), 1.0)
+    elif variant == 6:
+        detectors = [DetectorModel(0.8, 0.0)] * modes
+    config = ExperimentConfig(modes=modes, sources=sources, transfer=transfer,
+                              detectors=tuple(detectors))
+    if variant == 6:
+        # p_d around the exact threshold (eta_d / 2) lambda_max(L^dag (I - t_bar) L).
+        tbar = t_bar_vector(config)
+        needed = transfer.conj().T @ ((1.0 - tbar)[:, None] * transfer)
+        lam_max = max(np.linalg.eigvalsh((needed + needed.conj().T) / 2.0)[-1], 0.0)
+        p_d = min(1.0, 0.8 * lam_max * gen.uniform(0.3, 1.3) / 2.0)
+        config = ExperimentConfig(modes=modes, sources=sources, transfer=transfer,
+                                  detectors=(DetectorModel(0.8, p_d),) * modes)
+    return config
+
+
+class TestVerdictEquivalence:
+    """The |S| x |S| verdict kappa <= 1 against the dense M x M test
+    lambda_min(Sigma_bar) >= -PSD_TOL, which lives only here."""
+
+    def test_matches_dense_eigenvalue_test(self):
+        verdicts = {True: 0, False: 0}
+        identical = 0
+        for seed in range(240):
+            config = verdict_case(seed)
+            report = check_second_condition(config)
+            sigma = sigma_matrix(config.transfer, s_bar_vector(config), t_bar_vector(config))
+            lam_min = np.linalg.eigvalsh(sigma)[0]
+            assert report.simulatable == (report.noise_ratio <= 1.0), seed
+            if abs(lam_min + PSD_TOL) > 1e-12:
+                assert report.simulatable == (lam_min >= -PSD_TOL), (seed, lam_min)
+                verdicts[report.simulatable] += 1
+            if not math.isnan(report.margin) and not -PSD_TOL - 1e-12 <= lam_min <= 1e-12:
+                assert (report.noise_ratio <= 1.0) == (report.margin >= 0.0), (seed, lam_min)
+                identical += 1
+        assert min(verdicts.values()) >= 40, verdicts
+        assert identical >= 25, identical
+
+    def test_edge_cases_occur(self):
+        seen = set()
+        for seed in range(240):
+            config = verdict_case(seed)
+            tbar = t_bar_vector(config)
+            lit = np.any(config.transfer != 0.0, axis=0)
+            for k, det in enumerate(config.detectors):
+                if det.eta_d > 0.0 and det.p_d == 0.0:
+                    seen.add("p_d = 0, lit" if lit[k] else "p_d = 0, unlit")
+                seen.add("dead" if det.eta_d == 0.0 else "p_d = 1" if det.p_d == 1.0 else "")
+            seen.add("|S| = 0" if np.all(tbar == 1.0) else "|S| = M" if np.all(tbar < 1.0) else "")
+        assert {"p_d = 0, lit", "p_d = 0, unlit", "dead", "p_d = 1",
+                "|S| = 0", "|S| = M"} <= seen
+
+    def test_no_nonclassical_port_gives_zero_ratio(self):
+        config = verdict_case(4)
+        assert np.all(t_bar_vector(config) == 1.0)
+        report = check_second_condition(config)
+        assert report.noise_ratio == 0.0 and report.simulatable
 
 
 class TestClosedFormThresholds:
