@@ -14,7 +14,7 @@ import numpy as np
 from pqsim import DetectorModel, RngStream
 from pqsim.detectors import pqd_on, s_bar
 from pqsim.processes import sample_transition, sigma_matrix, transition_factor
-from pqsim.states import MixedSinglePhoton, pqd_single_photon_mixture, t_bar
+from pqsim.states import MixedSinglePhoton, pqd_single_photon_mixture
 
 print("1. The one-photon mixture")
 print("   At symmetric ordering (t = 0) a pure single photon is negative at")
@@ -33,7 +33,7 @@ print("2. Orderings trade negativity for singularity")
 print("   Lowering t below t_bar = 1 - 2*eta_bar makes the distribution")
 print("   nonnegative everywhere, at the price of a broader density:")
 source = MixedSinglePhoton(mu=0.9, eta_b=0.5)
-bound = t_bar(source)
+bound = source.t_bar
 for t in (0.5, bound, -0.5):
     w0 = pqd_single_photon_mixture(0.0, t, source.eta_bar)
     status = "ok" if t <= bound else "NEGATIVE somewhere"

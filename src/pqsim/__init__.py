@@ -86,8 +86,6 @@ from .states import (
     Vacuum,
     pqd_single_photon_mixture,
     sample_source_pqd,
-    spdc_covariance,
-    t_bar,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

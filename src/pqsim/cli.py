@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .errors import OracleSizeError, PqsimError, SimulabilityError, TruncationError
+from .errors import PqsimError, SimulabilityError
 from .experiment import SCHEME_SINGLE_PHOTON, SCHEME_SPDC, parse_config
 from .oracle import exact_distribution, tv_distance
 from .presets import ScenarioParams, threshold_table
@@ -307,13 +307,7 @@ def main(argv=None) -> int:
     except SimulabilityError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (OracleSizeError, TruncationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PqsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (PqsimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,37 +1,30 @@
 """Experiment configuration: sources per port, the network transfer matrix,
 detectors per mode, and optional mode-mismatch bookkeeping.
 
-Configurations are declared as JSON.  Non-SPDC sources fill free ports in
-declaration order (or pin one with ``"port"``); SPDC entries always name
-their ``herald`` and ``signal`` ports.  The network is either an inline or
-on-disk matrix, the identity, or a uniform-loss model that realizes
-``sqrt(eta_l) * U`` with a seeded Haar-random unitary.
+Configurations are declared as JSON.  Each source entry holds its kind's
+``kind`` name and dataclass fields (see :mod:`pqsim.states`).  One-port
+sources fill free ports in declaration order (or pin one with ``"port"``);
+SPDC entries always name their ``herald`` and ``signal`` ports.  The network
+is either an inline or on-disk matrix, the identity, or a uniform-loss model
+that realizes ``sqrt(eta_l) * U`` with a seeded Haar-random unitary.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .detectors import DetectorModel
-from .errors import ConfigError, ContractionError, DimensionError
+from .errors import ConfigError, ContractionError, DimensionError, UnsupportedSourceError
 from .linalg import haar_unitary, validate_transfer
 from .matrixio import load_matrix, matrix_from_dict, matrix_to_dict
 from .processes import LossModel, uniform_loss_eta
 from .rng import RngStream
-from .states import (
-    Coherent,
-    MixedSinglePhoton,
-    SourceModel,
-    SpdcPair,
-    Thermal,
-    Vacuum,
-    n_ports,
-)
+from .states import SOURCE_KINDS, SourceModel, SpdcPair
 
 SCHEME_SINGLE_PHOTON = "single-photon"
 SCHEME_SPDC = "spdc"
@@ -45,11 +38,13 @@ class PortSource:
     ports: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.source, SourceModel):
+            raise UnsupportedSourceError(f"unknown source model {self.source!r}")
         ports = tuple(int(p) for p in self.ports)
-        if len(ports) != n_ports(self.source):
+        if len(ports) != len(self.source.port_names):
             raise ConfigError(
                 f"sources: {type(self.source).__name__} occupies "
-                f"{n_ports(self.source)} port(s), got {ports}"
+                f"{len(self.source.port_names)} port(s), got {ports}"
             )
         if len(set(ports)) != len(ports):
             raise ConfigError(f"sources: duplicate port in {ports}")
@@ -129,12 +124,6 @@ class ExperimentConfig:
             and self.scheme == other.scheme
         )
 
-    def source_on_port(self, port: int) -> SourceModel:
-        for entry in self.sources:
-            if port in entry.ports:
-                return entry.source
-        raise ConfigError(f"no source assigned to port {port}")
-
     def identical_detectors(self) -> DetectorModel | None:
         """The common detector model, or None when modes differ."""
         first = self.detectors[0]
@@ -191,24 +180,20 @@ class ExperimentConfig:
         return _config_from_dict(data, base_dir)
 
 
+# Field annotations are strings (postponed evaluation); a complex field is
+# written in JSON as [re, im].
+_COMPLEX = "complex"
+
+
 def _source_to_dict(entry: PortSource) -> dict:
     src = entry.source
-    if isinstance(src, Vacuum):
-        return {"kind": "vacuum", "port": entry.ports[0]}
-    if isinstance(src, MixedSinglePhoton):
-        return {"kind": "single_photon", "mu": src.mu, "eta_b": src.eta_b,
-                "port": entry.ports[0]}
-    if isinstance(src, Coherent):
-        amp = complex(src.amplitude)
-        return {"kind": "coherent", "amplitude": [amp.real, amp.imag],
-                "port": entry.ports[0]}
-    if isinstance(src, Thermal):
-        return {"kind": "thermal", "mean_photons": src.mean_photons,
-                "port": entry.ports[0]}
-    if isinstance(src, SpdcPair):
-        return {"kind": "spdc", "r": src.r, "eta_bl": src.eta_bl,
-                "herald": entry.ports[0], "signal": entry.ports[1]}
-    raise ConfigError(f"sources: cannot serialize {src!r}")
+    out = {"kind": src.kind}
+    for f in fields(src):
+        value = getattr(src, f.name)
+        if f.type == _COMPLEX:
+            value = [complex(value).real, complex(value).imag]
+        out[f.name] = value
+    return out | dict(zip(src.port_names, entry.ports))
 
 
 def _require_number(data: dict, field: str, context: str, default=None):
@@ -222,6 +207,17 @@ def _require_number(data: dict, field: str, context: str, default=None):
     return value
 
 
+def _parse_field(raw: dict, f, context: str):
+    if f.type == _COMPLEX:
+        value = raw.get(f.name)
+        if not (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(isinstance(v, (int, float, str)) for v in value)):
+            raise ConfigError(f"{context}.{f.name}: expected [re, im]")
+        return complex(float(value[0]), float(value[1]))
+    default = None if f.default is MISSING else f.default
+    return _require_number(raw, f.name, context, default=default)
+
+
 def _parse_source(raw, index: int) -> tuple[SourceModel, dict]:
     context = f"sources[{index}]"
     if isinstance(raw, str):
@@ -229,29 +225,13 @@ def _parse_source(raw, index: int) -> tuple[SourceModel, dict]:
     if not isinstance(raw, dict):
         raise ConfigError(f"{context}: expected an object or source name, got {raw!r}")
     kind = raw.get("kind")
+    cls = SOURCE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"{context}.kind: unknown source kind {kind!r}")
     try:
-        if kind == "vacuum":
-            return Vacuum(), raw
-        if kind == "single_photon":
-            return MixedSinglePhoton(
-                mu=_require_number(raw, "mu", context),
-                eta_b=_require_number(raw, "eta_b", context, default=1.0),
-            ), raw
-        if kind == "coherent":
-            amp = raw.get("amplitude")
-            if not (isinstance(amp, (list, tuple)) and len(amp) == 2):
-                raise ConfigError(f"{context}.amplitude: expected [re, im]")
-            return Coherent(amplitude=complex(float(amp[0]), float(amp[1]))), raw
-        if kind == "thermal":
-            return Thermal(mean_photons=_require_number(raw, "mean_photons", context)), raw
-        if kind == "spdc":
-            return SpdcPair(
-                r=_require_number(raw, "r", context),
-                eta_bl=_require_number(raw, "eta_bl", context, default=1.0),
-            ), raw
+        return cls(*(_parse_field(raw, f, context) for f in fields(cls))), raw
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
-    raise ConfigError(f"{context}.kind: unknown source kind {kind!r}")
 
 
 def _assign_ports(parsed, modes: int) -> list[PortSource]:
@@ -268,18 +248,16 @@ def _assign_ports(parsed, modes: int) -> list[PortSource]:
 
     entries: list[tuple[int, SourceModel, tuple[int, ...] | None]] = []
     for index, (source, raw) in enumerate(parsed):
-        if isinstance(source, SpdcPair):
-            if "herald" not in raw or "signal" not in raw:
-                raise ConfigError(
-                    f"sources[{index}]: spdc entries must name herald and signal ports"
-                )
-            herald, signal = raw["herald"], raw["signal"]
-            claim(herald, index, f"sources[{index}].herald")
-            claim(signal, index, f"sources[{index}].signal")
-            entries.append((index, source, (herald, signal)))
-        elif "port" in raw:
-            claim(raw["port"], index, f"sources[{index}].port")
-            entries.append((index, source, (raw["port"],)))
+        names = source.port_names
+        if all(name in raw for name in names):
+            for name in names:
+                claim(raw[name], index, f"sources[{index}].{name}")
+            entries.append((index, source, tuple(raw[name] for name in names)))
+        elif len(names) > 1:
+            raise ConfigError(
+                f"sources[{index}]: {source.kind} entries must name "
+                f"{' and '.join(names)} ports"
+            )
         else:
             entries.append((index, source, None))
 

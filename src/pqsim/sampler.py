@@ -32,7 +32,7 @@ from .linalg import psd_factor_real
 from .processes import propagate_gaussian, sample_transition, transition_factor
 from .rng import RngStream
 from .simulability import check_second_condition, s_bar_vector
-from .states import GaussianPQDState, Vacuum, sample_source_pqd, wigner_moments
+from .states import GaussianPQDState, Vacuum, sample_source_pqd
 
 # Not called here; perfbench's tracer wraps these names and stops if one is missing.
 from .linalg import psd_factor_complex, standard_complex_normal  # noqa: F401
@@ -213,7 +213,7 @@ def output_gaussian(config: ExperimentConfig) -> GaussianPQDState:
     mean = np.zeros(2 * k)
     cov = np.zeros((2 * k, 2 * k))
     for entry in config.sources:
-        block_mean, block_cov = wigner_moments(entry.source)
+        block_mean, block_cov = entry.source.wigner_moments()
         idx = np.array([2 * p + q for p in entry.ports for q in (0, 1)])
         mean[idx] = block_mean
         cov[np.ix_(idx, idx)] = block_cov

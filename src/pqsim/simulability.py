@@ -25,7 +25,7 @@ from .errors import UndefinedOperatingPointError
 from .experiment import SCHEME_SINGLE_PHOTON, SCHEME_SPDC, ExperimentConfig
 from .linalg import PSD_TOL
 from .processes import nonclassical_rows
-from .states import SpdcPair, t_bar
+from .states import SpdcPair
 
 # Not called here; perfbench's tracer wraps this name and stops if it is missing.
 from .processes import sigma_matrix  # noqa: F401
@@ -35,7 +35,7 @@ def t_bar_vector(config: ExperimentConfig) -> np.ndarray:
     """Per-mode input nonnegativity bounds t_bar."""
     out = np.empty(config.modes)
     for entry in config.sources:
-        bound = t_bar(entry.source)
+        bound = entry.source.t_bar
         for port in entry.ports:
             out[port] = bound
     return out
@@ -161,7 +161,7 @@ def mode_mismatch_pd(
 def threshold_spdc(r: float, eta_b: float, eta_l: float, eta_d: float) -> float:
     """Random-count threshold for the SPDC scheme, eta_d (1 - t_bar) / 2
     with t_bar the pair's nonnegativity bound at transmissivity eta_b*eta_l."""
-    return eta_d * (1.0 - t_bar(SpdcPair(r=r, eta_bl=eta_b * eta_l))) / 2.0
+    return eta_d * (1.0 - SpdcPair(r=r, eta_bl=eta_b * eta_l).t_bar) / 2.0
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -32,19 +31,57 @@ from .linalg import PSD_TOL, psd_factor_real, standard_complex_normal
 ORDERING_TOL = 1e-12
 
 
+class SourceModel:
+    """Base of the source kinds.  Each kind is one frozen dataclass that
+    declares everything the package needs from it:
+
+    * ``kind``, its JSON name; its dataclass fields are its JSON fields;
+    * ``port_names``, the JSON names of the ports it occupies, in order;
+    * ``t_bar``, the largest ordering at which its PQD is nonnegative;
+    * ``wigner_moments()``, the quadrature mean and Wigner covariance of a
+      Gaussian kind (the PQD draw and route 1 are built from them).
+
+    The defaults describe a classical one-port kind: it allows every
+    ordering up to the normal-ordered bound t = 1.
+    """
+
+    port_names = ("port",)
+    t_bar = 1.0
+
+    def wigner_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature mean and Wigner covariance of the source block.
+
+        Raises :class:`UnsupportedSourceError` for non-Gaussian sources.
+        """
+        raise UnsupportedSourceError(
+            f"{type(self).__name__} has no Gaussian phase-space description"
+        )
+
+    def _sample_pqd(self, t_block: np.ndarray, gen, size: int) -> np.ndarray:
+        # Called by sample_source_pqd once it has checked t_block.
+        return _sample_gaussian_pqd(*self.wigner_moments(), t_block, gen, size)
+
+
 @dataclass(frozen=True)
-class Vacuum:
+class Vacuum(SourceModel):
     """Vacuum input port."""
 
+    kind = "vacuum"
+
+    def wigner_moments(self):
+        return np.zeros(2), np.eye(2)
+
 
 @dataclass(frozen=True)
-class MixedSinglePhoton:
+class MixedSinglePhoton(SourceModel):
     """Statistical mixture of vacuum and one photon.
 
     ``mu`` is the source purity (one-photon weight before mode matching) and
     ``eta_b`` the mode-match transmissivity into the network; only their
-    product enters the PQDs.
+    product enters the PQDs, and t_bar = 1 - 2 mu eta_b.
     """
+
+    kind = "single_photon"
 
     mu: float
     eta_b: float = 1.0
@@ -60,10 +97,28 @@ class MixedSinglePhoton:
         """Effective one-photon weight mu * eta_b."""
         return self.mu * self.eta_b
 
+    @property
+    def t_bar(self) -> float:
+        return 1.0 - 2.0 * self.eta_bar
+
+    def _sample_pqd(self, t_block, gen, size):
+        omt = 1.0 - t_block[0]
+        # Two-component mixture: a circular Gaussian (weight w0) plus a
+        # ring-shaped |alpha|^2-weighted Gaussian (weight w1 = 2 eta_bar/(1-t)).
+        w1 = 0.0 if omt <= 0.0 else 2.0 * self.eta_bar / omt
+        pick = gen.random(size)
+        gauss = _sample_circular(gen, size, 0.0, omt / 2.0)
+        radii_sq = gen.gamma(2.0, scale=omt / 2.0 if omt > 0.0 else 0.0, size=size)
+        phases = gen.random(size) * (2.0 * math.pi)
+        ring = np.sqrt(radii_sq) * np.exp(1j * phases)
+        return np.where(pick < w1, ring, gauss)[:, None]
+
 
 @dataclass(frozen=True)
-class Coherent:
+class Coherent(SourceModel):
     """Coherent state with the given complex amplitude."""
+
+    kind = "coherent"
 
     amplitude: complex
 
@@ -72,25 +127,39 @@ class Coherent:
                 and math.isfinite(complex(self.amplitude).imag)):
             raise ValueError("coherent amplitude must be finite")
 
+    def wigner_moments(self):
+        amp = complex(self.amplitude)
+        return np.array([2.0 * amp.real, 2.0 * amp.imag]), np.eye(2)
+
 
 @dataclass(frozen=True)
-class Thermal:
+class Thermal(SourceModel):
     """Thermal state with the given mean photon number."""
+
+    kind = "thermal"
 
     mean_photons: float
 
     def __post_init__(self):
         if not self.mean_photons >= 0.0:
             raise ValueError(f"mean photon number must be >= 0, got {self.mean_photons}")
+        if not math.isfinite(self.mean_photons):
+            raise ValueError(f"mean photon number must be finite, got {self.mean_photons}")
+
+    def wigner_moments(self):
+        return np.zeros(2), (2.0 * self.mean_photons + 1.0) * np.eye(2)
 
 
 @dataclass(frozen=True)
-class SpdcPair:
+class SpdcPair(SourceModel):
     """Two-mode squeezed vacuum occupying a (herald, signal) port pair.
 
     ``r`` is the squeezing parameter and ``eta_bl`` the combined mode-match
     and network transmissivity referred to the signal input.
     """
+
+    kind = "spdc"
+    port_names = ("herald", "signal")
 
     r: float
     eta_bl: float = 1.0
@@ -98,16 +167,39 @@ class SpdcPair:
     def __post_init__(self):
         if not self.r >= 0.0:
             raise ValueError(f"squeezing r must be >= 0, got {self.r}")
+        if not math.isfinite(self.r):
+            raise ValueError(f"squeezing r must be finite, got {self.r}")
         if not 0.0 <= self.eta_bl <= 1.0:
             raise ValueError(f"eta_bl must be in [0, 1], got {self.eta_bl}")
 
+    @property
+    def t_bar(self) -> float:
+        """Smallest eigenvalue of the Wigner covariance, in closed form; it
+        bounds both ports of the pair."""
+        sh2 = math.sinh(self.r) ** 2
+        eta = self.eta_bl
+        return (
+            1.0
+            + (1.0 + eta) * sh2
+            - math.sinh(self.r) * math.sqrt((1.0 + eta) ** 2 * sh2 + 4.0 * eta)
+        )
 
-SourceModel = Union[Vacuum, MixedSinglePhoton, Coherent, Thermal, SpdcPair]
+    def wigner_moments(self):
+        """Quadrature order (x_h, p_h, x_s, p_s); the herald arm is lossless
+        and the signal arm has passed a transmissivity-eta_bl beamsplitter."""
+        ch, sh = math.cosh(2.0 * self.r), math.sinh(2.0 * self.r)
+        off = math.sqrt(self.eta_bl) * sh * np.diag([1.0, -1.0])
+        cov = np.block([
+            [ch * np.eye(2), off],
+            [off, (1.0 + self.eta_bl * (ch - 1.0)) * np.eye(2)],
+        ])
+        return np.zeros(4), cov
 
 
-def n_ports(source: SourceModel) -> int:
-    """Number of input ports the source occupies."""
-    return 2 if isinstance(source, SpdcPair) else 1
+#: The source kinds by JSON name.
+SOURCE_KINDS = {
+    cls.kind: cls for cls in (Vacuum, MixedSinglePhoton, Coherent, Thermal, SpdcPair)
+}
 
 
 @dataclass(frozen=True)
@@ -155,75 +247,23 @@ def pqd_single_photon_mixture(alpha: complex, t: float, eta_bar: float) -> float
     return (2.0 / math.pi) * bracket * math.exp(-2.0 * u / omt) / omt**3
 
 
-def t_bar(source: SourceModel) -> float:
-    """Largest ordering at which the source PQD is everywhere nonnegative.
-
-    Classical sources (vacuum, coherent, thermal) allow the full range up to
-    the normal-ordered bound t = 1.  The one-photon mixture gives
-    1 - 2 mu eta_b.  For the lossy two-mode squeezed vacuum the bound is the
-    smallest eigenvalue of its Wigner covariance, in closed form; it applies
-    to both ports of the pair.
-    """
-    if isinstance(source, (Vacuum, Coherent, Thermal)):
-        return 1.0
-    if isinstance(source, MixedSinglePhoton):
-        return 1.0 - 2.0 * source.eta_bar
-    if isinstance(source, SpdcPair):
-        sh2 = math.sinh(source.r) ** 2
-        eta = source.eta_bl
-        return (
-            1.0
-            + (1.0 + eta) * sh2
-            - math.sinh(source.r) * math.sqrt((1.0 + eta) ** 2 * sh2 + 4.0 * eta)
-        )
-    raise UnsupportedSourceError(f"unknown source model {source!r}")
-
-
-def spdc_covariance(r: float, eta_bl: float) -> GaussianPQDState:
-    """Wigner-function Gaussian of a two-mode squeezed vacuum whose signal
-    arm has passed a transmissivity-eta_bl beamsplitter.
-
-    Quadrature order is (x_h, p_h, x_s, p_s); the herald arm is lossless.
-    """
-    if r < 0.0:
-        raise ValueError(f"squeezing r must be >= 0, got {r}")
-    if not 0.0 <= eta_bl <= 1.0:
-        raise ValueError(f"eta_bl must be in [0, 1], got {eta_bl}")
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    z2 = np.diag([1.0, -1.0])
-    off = math.sqrt(eta_bl) * sh * z2
-    cov = np.block([
-        [ch * np.eye(2), off],
-        [off, (1.0 + eta_bl * (ch - 1.0)) * np.eye(2)],
-    ])
-    return GaussianPQDState(ordering=np.zeros(2), mean=np.zeros(4), cov=cov)
-
-
-def wigner_moments(source: SourceModel) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature mean and Wigner covariance of a Gaussian source block.
-
-    Raises :class:`UnsupportedSourceError` for non-Gaussian sources.
-    """
-    if isinstance(source, Vacuum):
-        return np.zeros(2), np.eye(2)
-    if isinstance(source, Coherent):
-        amp = complex(source.amplitude)
-        return np.array([2.0 * amp.real, 2.0 * amp.imag]), np.eye(2)
-    if isinstance(source, Thermal):
-        return np.zeros(2), (2.0 * source.mean_photons + 1.0) * np.eye(2)
-    if isinstance(source, SpdcPair):
-        state = spdc_covariance(source.r, source.eta_bl)
-        return state.mean, state.cov
-    raise UnsupportedSourceError(
-        f"{type(source).__name__} has no Gaussian phase-space description"
-    )
-
-
 def _sample_circular(gen, n, mean: complex, var: float) -> np.ndarray:
     # Zero variance is a point mass; consuming no draws keeps it exact.
     if var <= 0.0:
         return np.full(n, mean, dtype=complex)
     return mean + math.sqrt(var) * standard_complex_normal(gen, n)
+
+
+def _sample_gaussian_pqd(mean, cov, t_block, gen, size: int) -> np.ndarray:
+    """Draw from the ordering-t PQD of a Gaussian block: mean ``mean`` and
+    covariance ``cov`` minus t on both quadratures of each mode."""
+    if cov.shape == (2, 2) and cov[0, 1] == 0.0 and cov[0, 0] == cov[1, 1]:
+        # Isotropic one-mode block: a circular complex Gaussian.
+        centre = complex(mean[0] / 2.0, mean[1] / 2.0)
+        return _sample_circular(gen, size, centre, (cov[0, 0] - t_block[0]) / 2.0)[:, None]
+    factor = psd_factor_real(cov - np.diag(np.repeat(t_block, 2)))
+    z = mean + gen.standard_normal((size, cov.shape[0])) @ factor
+    return (z[:, 0::2] + 1j * z[:, 1::2]) / 2.0
 
 
 def sample_source_pqd(
@@ -243,48 +283,18 @@ def sample_source_pqd(
     batches are exactly reproducible.
     """
     t_block = np.atleast_1d(np.asarray(t_block, dtype=float))
-    if t_block.size != n_ports(source):
+    n_ports = len(source.port_names)
+    if t_block.size != n_ports:
         raise DimensionError(
-            f"{type(source).__name__} occupies {n_ports(source)} port(s), "
+            f"{type(source).__name__} occupies {n_ports} port(s), "
             f"got {t_block.size} ordering value(s)"
         )
     # Every source has t_bar <= 1, so this also refuses t > 1.
-    bound = t_bar(source)
+    bound = source.t_bar
     for k, tk in enumerate(t_block):
         if tk > bound + ORDERING_TOL:
             raise NegativityError(
                 f"ordering t={tk:g} on mode {k} of the {type(source).__name__} "
                 f"block exceeds its nonnegativity bound t_bar={bound:g}"
             )
-
-    if isinstance(source, Vacuum):
-        return _sample_circular(gen, size, 0.0, (1.0 - t_block[0]) / 2.0)[:, None]
-    if isinstance(source, Coherent):
-        return _sample_circular(
-            gen, size, complex(source.amplitude), (1.0 - t_block[0]) / 2.0
-        )[:, None]
-    if isinstance(source, Thermal):
-        var = (2.0 * source.mean_photons + 1.0 - t_block[0]) / 2.0
-        return _sample_circular(gen, size, 0.0, var)[:, None]
-
-    if isinstance(source, MixedSinglePhoton):
-        t = t_block[0]
-        omt = 1.0 - t
-        # Two-component mixture: a circular Gaussian (weight w0) plus a
-        # ring-shaped |alpha|^2-weighted Gaussian (weight w1 = 2 eta_bar/(1-t)).
-        w1 = 0.0 if omt <= 0.0 else 2.0 * source.eta_bar / omt
-        pick = gen.random(size)
-        gauss = _sample_circular(gen, size, 0.0, omt / 2.0)
-        radii_sq = gen.gamma(2.0, scale=omt / 2.0 if omt > 0.0 else 0.0, size=size)
-        phases = gen.random(size) * (2.0 * math.pi)
-        ring = np.sqrt(radii_sq) * np.exp(1j * phases)
-        return np.where(pick < w1, ring, gauss)[:, None]
-
-    if isinstance(source, SpdcPair):
-        state = spdc_covariance(source.r, source.eta_bl)
-        cov = state.cov - np.diag(np.repeat(t_block, 2))
-        factor = psd_factor_real(cov)
-        z = gen.standard_normal((size, 4)) @ factor
-        return (z[:, 0::2] + 1j * z[:, 1::2]) / 2.0
-
-    raise UnsupportedSourceError(f"unknown source model {source!r}")
+    return source._sample_pqd(t_block, gen, size)

@@ -10,7 +10,7 @@ import numpy as np
 from pqsim import DetectorModel, RngStream
 from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import haar_unitary
-from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum, t_bar
+from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
 
 def naive_permanent(matrix) -> complex:
@@ -208,7 +208,7 @@ def random_mixed_config(seed: int, modes: int, dark_modes: int = 0,
     transfer[:, dark] = 0.0
     tbar = np.array([1.0] * modes)
     for entry in sources:
-        tbar[list(entry.ports)] = t_bar(entry.source)
+        tbar[list(entry.ports)] = entry.source.t_bar
     needed = transfer.conj().T @ ((1.0 - tbar)[:, None] * transfer)
     lam_max = max(np.linalg.eigvalsh(needed)[-1], 0.0)
     detectors = []

@@ -20,7 +20,7 @@ from pqsim.presets import ScenarioParams, single_photon_config
 from pqsim.processes import LossModel, uniform_loss_eta
 from pqsim.sampler import run_condition2, run_experiment
 from pqsim.simulability import check_second_condition, threshold_single_photon, threshold_spdc
-from pqsim.states import SpdcPair, pqd_single_photon_mixture, spdc_covariance, t_bar
+from pqsim.states import SpdcPair, pqd_single_photon_mixture
 
 from conftest import naive_permanent, oracle_suite, random_contraction
 
@@ -77,8 +77,9 @@ def test_criterion_2_spdc_closed_form_consistency(capsys):
     worst_eig, worst_thr = 0.0, 0.0
     for r in np.linspace(0.0, 2.0, 20):
         for eta_bl in np.linspace(0.0, 1.0, 20):
-            bound = t_bar(SpdcPair(r, eta_bl))
-            lam_min = np.linalg.eigvalsh(spdc_covariance(r, eta_bl).cov)[0]
+            pair = SpdcPair(r, eta_bl)
+            bound = pair.t_bar
+            lam_min = np.linalg.eigvalsh(pair.wigner_moments()[1])[0]
             worst_eig = max(worst_eig, abs(lam_min - bound))
             for eta_d in (0.5, 0.95):
                 closed = threshold_spdc(r, eta_bl, 1.0, eta_d)

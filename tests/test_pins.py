@@ -14,7 +14,7 @@ from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import haar_unitary
 from pqsim.presets import single_photon_config, spdc_config
 from pqsim.sampler import run_condition1, run_condition2
-from pqsim.states import Coherent, MixedSinglePhoton, Thermal, Vacuum
+from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
 DRAWS = 5000
 
@@ -50,3 +50,40 @@ def test_route2_classical_and_photon_mix():
 def test_preset_config_hash():
     config = single_photon_config(4, 2, p_d=0.06)
     assert config.config_hash() == "513f443f17f373de13e8ba65f26a189645b4f8388334093188468a8e2fbcfee3"
+
+
+def test_route2_spdc():
+    # kappa = 0.50: the SPDC preset passes the Sigma_bar test as well.
+    batch = run_condition2(spdc_config(3, 0.05, p_d=0.09), DRAWS, RngStream(2026))
+    assert csv_sha256(batch) == "a09ccdde0f8817bc62d918def130ee991068e64553ae909a858c20cc972ceb1f"
+
+
+def test_route1_gaussian_mix():
+    config = ExperimentConfig(
+        modes=5,
+        sources=(PortSource(Vacuum(), (0,)),
+                 PortSource(Coherent(0.3 - 0.4j), (1,)),
+                 PortSource(Thermal(0.2), (2,)),
+                 PortSource(SpdcPair(0.35, 0.8), (3, 4))),
+        transfer=np.sqrt(0.9) * haar_unitary(5, RngStream(11)),
+        detectors=(DetectorModel(0.9, 0.3),) * 5,
+    )
+    batch = run_condition1(config, DRAWS, RngStream(2026))
+    assert csv_sha256(batch) == "8d505ccd00e645906e5df74ad29fcf503c52e39930103517a90ae8af41833dee"
+
+
+def test_all_kinds_config_hash():
+    # Explicit ports, the SPDC eta_bl left to its default, and an integer mu.
+    config = ExperimentConfig.from_dict({
+        "modes": 6,
+        "sources": [
+            {"kind": "thermal", "mean_photons": 0.25, "port": 5},
+            {"kind": "spdc", "r": 0.3, "herald": 2, "signal": 0},
+            {"kind": "single_photon", "mu": 1, "eta_b": 0.5, "port": 1},
+            {"kind": "coherent", "amplitude": [0.5, -0.25], "port": 4},
+            {"kind": "vacuum", "port": 3},
+        ],
+        "lon": {"kind": "uniform-loss", "eta0": 0.98, "ell": 2, "M": 6, "unitary_seed": 4},
+        "detectors": {"eta_d": 0.9, "p_d": 0.1},
+    })
+    assert config.config_hash() == "aa1572ca1947606c0ae6783fad9fdc2babd739839506014b6439a4ab4e4f2d9e"

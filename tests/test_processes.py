@@ -15,7 +15,7 @@ from pqsim.processes import (
     uniform_loss_eta,
 )
 from pqsim.simulability import check_second_condition, s_bar_vector, t_bar_vector
-from pqsim.states import GaussianPQDState, spdc_covariance
+from pqsim.states import GaussianPQDState, SpdcPair
 
 from conftest import random_contraction, random_mixed_config
 
@@ -207,11 +207,11 @@ class TestPropagateGaussian:
 
     def test_spdc_loss_composition(self):
         r, eta_b, eta_l = 0.7, 0.4, 0.6
-        state = spdc_covariance(r, eta_b)
+        state = GaussianPQDState(np.zeros(2), *SpdcPair(r, eta_b).wigner_moments())
         transfer = np.diag([1.0, math.sqrt(eta_l)]).astype(complex)
         out = propagate_gaussian(state, transfer)
-        expected = spdc_covariance(r, eta_b * eta_l)
-        assert np.allclose(out.cov, expected.cov, atol=1e-12)
+        _, expected = SpdcPair(r, eta_b * eta_l).wigner_moments()
+        assert np.allclose(out.cov, expected, atol=1e-12)
 
     def test_composition_equals_product(self):
         l1 = random_contraction(3, 20, scale=0.9)

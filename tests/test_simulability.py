@@ -23,7 +23,7 @@ from pqsim.simulability import (
     threshold_single_photon,
     threshold_spdc,
 )
-from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum, t_bar
+from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
 from conftest import random_mixed_config
 
@@ -141,7 +141,7 @@ class TestCheckSecondCondition:
         config = spdc_config(2, 0.5, 0.1, PARAMS)
         tbar = t_bar_vector(config)
         sbar = s_bar_vector(config)
-        pair_bound = t_bar(config.sources[0].source)
+        pair_bound = config.sources[0].source.t_bar
         assert np.allclose(tbar, pair_bound)
         assert np.allclose(sbar, 1.0 - 2.0 * 0.1 / PARAMS.eta_d)
 
@@ -288,7 +288,7 @@ class TestClosedFormThresholds:
         for r in np.linspace(0.05, 2.0, 10):
             for eta_bl in np.linspace(0.05, 1.0, 10):
                 closed = threshold_spdc(r, eta_bl, 1.0, 0.95)
-                gap = 0.95 * (1.0 - t_bar(SpdcPair(r, eta_bl))) / 2.0
+                gap = 0.95 * (1.0 - SpdcPair(r, eta_bl).t_bar) / 2.0
                 assert abs(closed - gap) <= 1e-12
 
 

@@ -1,22 +1,24 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from pqsim import RngStream
 from pqsim.errors import DimensionError, NegativityError, SingularOrderingError
 from pqsim.states import (
+    SOURCE_KINDS,
     Coherent,
     MixedSinglePhoton,
     SpdcPair,
     Thermal,
     Vacuum,
+    SourceModel,
     pqd_single_photon_mixture,
-    n_ports,
     sample_source_pqd,
-    spdc_covariance,
-    t_bar,
 )
 
 
@@ -68,43 +70,103 @@ class TestSinglePhotonPqd:
 
 class TestTBar:
     def test_classical_sources(self):
-        assert t_bar(Vacuum()) == 1.0
-        assert t_bar(Coherent(2.0 + 1.0j)) == 1.0
-        assert t_bar(Thermal(0.7)) == 1.0
+        assert Vacuum().t_bar == 1.0
+        assert Coherent(2.0 + 1.0j).t_bar == 1.0
+        assert Thermal(0.7).t_bar == 1.0
 
     def test_single_photon_mixture(self):
-        assert t_bar(MixedSinglePhoton(0.5, 0.1)) == pytest.approx(0.9)
+        assert MixedSinglePhoton(0.5, 0.1).t_bar == pytest.approx(0.9)
 
     def test_spdc_vacuum_limits(self):
-        assert t_bar(SpdcPair(1.3, 0.0)) == pytest.approx(1.0)
-        assert t_bar(SpdcPair(0.0, 0.5)) == pytest.approx(1.0)
+        assert SpdcPair(1.3, 0.0).t_bar == pytest.approx(1.0)
+        assert SpdcPair(0.0, 0.5).t_bar == pytest.approx(1.0)
 
     def test_single_photon_bound_decreases_with_eta_bar(self):
-        values = [t_bar(MixedSinglePhoton(mu, 1.0)) for mu in np.linspace(0, 1, 11)]
+        values = [MixedSinglePhoton(mu, 1.0).t_bar for mu in np.linspace(0, 1, 11)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_spdc_bound_decreases_with_squeezing(self):
         for eta in [0.2, 0.7, 1.0]:
-            values = [t_bar(SpdcPair(r, eta)) for r in np.linspace(0.05, 2.0, 15)]
+            values = [SpdcPair(r, eta).t_bar for r in np.linspace(0.05, 2.0, 15)]
             assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class TestKindDeclarations:
+    def test_every_kind_is_registered(self):
+        assert set(SOURCE_KINDS.values()) == {Vacuum, MixedSinglePhoton, Coherent, Thermal,
+                                              SpdcPair}
+
+    @pytest.mark.parametrize("make", [lambda v: SpdcPair(v, 0.5), Thermal])
+    def test_infinite_parameter_is_refused(self, make):
+        # An infinite squeezing used to give t_bar = nan, which the verdict
+        # read as simulatable.
+        with pytest.raises(ValueError, match="must be finite"):
+            make(math.inf)
+
+
+@dataclass(frozen=True)
+class SqueezedVacuum(SourceModel):
+    """A one-mode squeezed vacuum, declared only here: a Gaussian kind whose
+    one-mode block is not isotropic, so it draws through the real factor."""
+
+    kind = "squeezed"
+
+    r: float
+
+    @property
+    def t_bar(self):
+        return math.exp(-2.0 * self.r)
+
+    def wigner_moments(self):
+        return np.zeros(2), np.diag([math.exp(-2.0 * self.r), math.exp(2.0 * self.r)])
+
+
+GAUSSIAN_SOURCES = st.one_of(
+    st.just(Vacuum()),
+    st.builds(Coherent, st.complex_numbers(max_magnitude=20.0)),
+    st.builds(Thermal, st.floats(0.0, 5.0)),
+    st.builds(SpdcPair, st.floats(0.0, 1.5), st.floats(0.0, 1.0)),
+    st.builds(SqueezedVacuum, st.floats(0.0, 1.0)),
+)
+
+
+class TestGaussianKindProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(GAUSSIAN_SOURCES, st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_draw_moments_are_wigner_moments_minus_t(self, source, u, seed):
+        draws = 20_000
+        mean, cov = source.wigner_moments()
+        assert source.t_bar == pytest.approx(min(1.0, np.linalg.eigvalsh(cov)[0]), abs=1e-12)
+        t = min(u, source.t_bar)
+        alpha = sample_source_pqd(source, [t] * len(source.port_names),
+                                  RngStream(seed).generator(), draws)
+        quad = np.empty((draws, mean.size))
+        quad[:, 0::2], quad[:, 1::2] = 2.0 * alpha.real, 2.0 * alpha.imag
+        expected = cov - t * np.eye(mean.size)
+        var = np.diag(expected)
+        # 6 sigma of the sample mean and of each sample covariance entry.
+        assert np.all(np.abs(quad.mean(axis=0) - mean) <= 6.0 * np.sqrt(var / draws) + 1e-9)
+        spread = np.sqrt((np.outer(var, var) + expected**2) / draws)
+        assert np.all(np.abs(np.cov(quad.T) - expected) <= 6.0 * spread + 1e-9)
 
 
 class TestSpdcCovariance:
     def test_no_squeezing_is_two_vacua(self):
-        assert np.allclose(spdc_covariance(0.0, 0.7).cov, np.eye(4), atol=1e-15)
+        assert np.allclose(SpdcPair(0.0, 0.7).wigner_moments()[1], np.eye(4), atol=1e-15)
 
     def test_unit_transmissivity_textbook_form(self):
-        state = spdc_covariance(1.0, 1.0)
+        mean, cov = SpdcPair(1.0, 1.0).wigner_moments()
         ch, sh = math.cosh(2.0), math.sinh(2.0)
-        assert np.allclose(np.diagonal(state.cov), ch)
-        assert state.cov[0, 2] == pytest.approx(sh)
-        assert state.cov[1, 3] == pytest.approx(-sh)
+        assert np.array_equal(mean, np.zeros(4))
+        assert np.allclose(np.diagonal(cov), ch)
+        assert cov[0, 2] == pytest.approx(sh)
+        assert cov[1, 3] == pytest.approx(-sh)
 
     def test_minimum_eigenvalue_equals_closed_form_bound(self):
         for r in np.linspace(0.0, 2.0, 20):
             for eta in np.linspace(0.0, 1.0, 20):
-                lam_min = np.linalg.eigvalsh(spdc_covariance(r, eta).cov)[0]
-                assert abs(lam_min - t_bar(SpdcPair(r, eta))) <= 1e-12
+                lam_min = np.linalg.eigvalsh(SpdcPair(r, eta).wigner_moments()[1])[0]
+                assert abs(lam_min - SpdcPair(r, eta).t_bar) <= 1e-12
 
 
 class TestSampleInputPqd:
@@ -148,7 +210,7 @@ class TestSampleInputPqd:
 
     def test_spdc_pair_moments(self):
         r, eta, t, draws = 0.6, 0.8, 0.1, 200_000
-        cov = spdc_covariance(r, eta).cov - t * np.eye(4)
+        cov = SpdcPair(r, eta).wigner_moments()[1] - t * np.eye(4)
         alpha = sample_source_pqd(SpdcPair(r, eta), [t, t], RngStream(6).generator(), draws)
         for mode in (0, 1):
             target = (cov[2 * mode, 2 * mode] + cov[2 * mode + 1, 2 * mode + 1]) / 4.0
@@ -164,7 +226,7 @@ class TestSampleInputPqd:
             sample_source_pqd(MixedSinglePhoton(0.9, 1.0), [0.5], RngStream(7).generator(), 1)
         pair = SpdcPair(0.3, 0.9)
         with pytest.raises(NegativityError, match="mode 1 of the SpdcPair block"):
-            sample_source_pqd(pair, [t_bar(pair), 1.0], RngStream(7).generator(), 1)
+            sample_source_pqd(pair, [pair.t_bar, 1.0], RngStream(7).generator(), 1)
 
     def test_ordering_above_one_is_refused_for_classical_sources(self):
         with pytest.raises(NegativityError):
@@ -174,7 +236,7 @@ class TestSampleInputPqd:
         gen = RngStream(8).generator()
         for source, t in ((Vacuum(), [0.0]), (SpdcPair(0.3, 0.9), [0.0, 0.0]),
                           (Coherent(1.0), [0.5])):
-            assert sample_source_pqd(source, t, gen, 10).shape == (10, n_ports(source))
+            assert sample_source_pqd(source, t, gen, 10).shape == (10, len(source.port_names))
         with pytest.raises(DimensionError):
             sample_source_pqd(SpdcPair(0.3, 0.9), [0.0], gen, 10)
 
