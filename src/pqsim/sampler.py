@@ -14,8 +14,12 @@ Each draw has one implementation, which both routes and the public API
 share: :func:`~pqsim.states.sample_source_pqd` (input),
 :func:`~pqsim.processes.sample_transition` (network) and
 :func:`~pqsim.detectors.sample_clicks` (detectors).  Sampling is batched;
-batch b draws from ``rng.child(b)``, so the outcome stream depends only on
-(config, seed), never on the worker count.
+batch b draws from ``rng.child(b)``: first its input draws, then its dense
+stages (mixing, transition noise, detector coins) tile by tile over row
+blocks of at most :data:`TILE_ELEMENTS` rows x modes, each tile drawing
+in order from that batch's stream.  The outcome bytes depend only on
+(config, seed), never on the worker count, and the dense stages' float
+temporaries scale with the tile, not with ``BATCH_SIZE`` x M.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ from .processes import sigma_matrix  # noqa: F401
 
 #: Fixed batch granularity; part of the reproducibility contract.
 BATCH_SIZE = 16384
+
+#: Rows x modes per tile of a batch's dense stages; part of the
+#: reproducibility contract.  A batch fits one tile whenever M <= 16.
+TILE_ELEMENTS = 1 << 18
 
 #: Histograms are materialized only up to this many modes (2^M keys).
 HISTOGRAM_MODE_LIMIT = 24
@@ -133,6 +141,8 @@ def _run_batched(draw_batch, modes, n_samples, rng, workers):
     n_samples = int(n_samples)
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     out = np.empty((n_samples, modes), dtype=np.uint8)
     splits = [
         (b, start, min(start + BATCH_SIZE, n_samples))
@@ -150,6 +160,23 @@ def _run_batched(draw_batch, modes, n_samples, rng, workers):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_one, splits))
+    return out
+
+
+def _click_tiles(amplitudes, clicks, n, gen):
+    """Outcomes (n, M) of one batch, built tile by tile.
+
+    ``amplitudes(rows)`` draws the complex output amplitudes of the batch
+    rows ``rows`` (a slice) from ``gen``; each tile's detector coins are
+    drawn right after its amplitudes, so a batch of one tile consumes its
+    stream exactly as an untiled batch would.
+    """
+    modes = clicks[0].size
+    out = np.empty((n, modes), dtype=np.uint8)
+    step = max(1, TILE_ELEMENTS // modes)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        out[rows] = sample_clicks(amplitudes(rows), clicks, gen)
     return out
 
 
@@ -200,7 +227,8 @@ def run_condition2(
             draw = sample_source_pqd(source, t_block, gen, n)
             if cols is not None:
                 alpha[:, cols] = draw
-        return sample_clicks(sample_transition(alpha, mixing, factor, gen), clicks, gen)
+        return _click_tiles(
+            lambda rows: sample_transition(alpha[rows], mixing, factor, gen), clicks, n, gen)
 
     outcomes = _run_batched(draw_batch, config.modes, n_samples, rng, workers)
     return _make_batch(config, outcomes, rng)
@@ -248,9 +276,12 @@ def run_condition1(
     half_mean, half_factor = out_state.mean / 2.0, factor / 2.0
 
     def draw_batch(gen, n):
-        quad = gen.standard_normal((n, 2 * config.modes)) @ half_factor
-        quad += half_mean
-        return sample_clicks(quad.view(complex), clicks, gen)
+        def amplitudes(rows):
+            quad = gen.standard_normal((rows.stop - rows.start, 2 * config.modes)) @ half_factor
+            quad += half_mean
+            return quad.view(complex)
+
+        return _click_tiles(amplitudes, clicks, n, gen)
 
     outcomes = _run_batched(draw_batch, config.modes, n_samples, rng, workers)
     return _make_batch(config, outcomes, rng)

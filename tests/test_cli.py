@@ -105,6 +105,15 @@ class TestSample:
             outputs.append((out / "samples.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_exits_usage(self, photon_config_path, tmp_path,
+                                                workers, capsys):
+        rc = main(["sample", "--config", str(photon_config_path), "--samples", "10",
+                   "--workers", workers, "--out", str(tmp_path / "run"), "--quiet"])
+        assert rc == EXIT_USAGE
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "samples.csv").exists()
+
     def test_jsonl_format(self, photon_config_path, tmp_path):
         out = tmp_path / "run"
         main(["sample", "--config", str(photon_config_path), "--samples", "10",

@@ -118,13 +118,33 @@ class TestCondition1:
             run_condition1(config, 10, RngStream(6))
 
     def test_spdc_above_threshold_heralds_correlate(self):
-        config = spdc_config(10, 1.0, p_d=0.08)
-        batch = run_condition1(config, 100_000, RngStream(7))
-        herald = batch.outcomes[:, :10].astype(float)
-        signal = batch.outcomes[:, 10:].astype(float)
-        paired = (herald * signal).mean(axis=0)
-        independent = herald.mean(axis=0) * signal.mean(axis=0)
-        assert np.all(paired > independent)
+        pairs, draws = 10, 100_000
+        config = spdc_config(pairs, 1.0, p_d=0.08)
+        batch = run_condition1(config, draws, RngStream(7))
+        source = config.sources[0].source
+        det = config.detectors[0]
+        # Herald k and signal output pairs + k, after the detectors' loss
+        # eta_d: thermal marginals, correlated only through pair k's own
+        # signal, which reaches output pairs + k with amplitude U_kk.
+        ch, sh = math.cosh(2.0 * source.r), math.sinh(2.0 * source.r)
+        herald_var = 1.0 + det.eta_d * (ch - 1.0)
+        signal_var = 1.0 + det.eta_d * source.eta_bl * (ch - 1.0)
+        z_max = NormalDist().inv_cdf(1.0 - 1e-6 / (2 * pairs))
+        for k in range(pairs):
+            u = config.transfer[pairs + k, pairs + k]
+            turn = np.array([[u.real, u.imag], [-u.imag, u.real]])
+            cross = det.eta_d * math.sqrt(source.eta_bl) * sh * np.diag([1.0, -1.0]) @ turn
+            cov = np.block([[herald_var * np.eye(2), cross],
+                            [cross.T, signal_var * np.eye(2)]])
+            dark = 1.0 - det.p_d
+            p_none = dark**2 / math.sqrt(np.linalg.det((cov + np.eye(4)) / 2.0))
+            p_herald_off = dark / ((herald_var + 1.0) / 2.0)
+            p_signal_off = dark / ((signal_var + 1.0) / 2.0)
+            # P(both) - P(h) P(s) = P(neither) - P(h off) P(s off) > 0.
+            assert p_none > p_herald_off * p_signal_off
+            off = batch.outcomes[:, [k, pairs + k]] == 0
+            freq = off.all(axis=1).mean()
+            assert abs(freq - p_none) <= z_max * math.sqrt(p_none * (1.0 - p_none) / draws)
 
     def test_agrees_with_condition2_on_gaussian_config(self):
         draws = 1_000_000
@@ -200,6 +220,14 @@ class TestReproducibility:
         a = run_condition2(config, 10_000, RngStream(13))
         b = run_condition2(config, 10_000, RngStream(14))
         assert not np.array_equal(a.outcomes, b.outcomes)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_is_refused(self, workers):
+        gaussian, photons = certain_count_configs(0.9)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_condition1(gaussian, 10, RngStream(18), workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_condition2(photons, 10, RngStream(18), workers=workers)
 
     def test_condition1_worker_independence(self):
         config = spdc_config(3, 0.2, p_d=0.09)
