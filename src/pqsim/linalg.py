@@ -151,9 +151,8 @@ def permanent_batch(mats: np.ndarray) -> np.ndarray:
 def psd_factor_complex(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """Factor A with A^dag A = cov for Hermitian PSD cov (row convention).
 
-    Eigenvalues in [-tol, 0] are clamped to zero, which makes singular
-    directions exactly deterministic; below -tol raises.  Standard complex
-    normals left-multiplied into A then have covariance cov.
+    Standard complex normals left-multiplied into A have covariance cov;
+    :func:`_psd_factor` chooses the factor and refuses.
     """
     return _psd_factor(np.asarray(cov, dtype=complex), tol)
 
@@ -164,13 +163,23 @@ def psd_factor_real(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
 
 
 def _psd_factor(c: np.ndarray, tol: float) -> np.ndarray:
+    """The Cholesky factor when it completes: it is backward-stable, so it
+    certifies lambda_min >= -O(n eps |cov|), far inside ``tol``.  Otherwise
+    the eigen-factor decides, as :func:`validate_transfer` does: eigenvalues
+    in [-tol, 0] are clamped to zero (singular directions become exactly
+    deterministic) and below -tol the covariance is refused."""
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionError(f"covariance must be square, got shape {c.shape}")
-    if c.size and np.max(np.abs(c - c.conj().T)) > tol:
-        raise NotPsdError("covariance is not Hermitian within tolerance")
-    c = (c + c.conj().T) / 2.0
+    if not np.array_equal(c, c.conj().T):
+        if np.max(np.abs(c - c.conj().T)) > tol:
+            raise NotPsdError("covariance is not Hermitian within tolerance")
+        c = (c + c.conj().T) / 2.0
     if c.size == 0:
         return c
+    try:
+        return np.linalg.cholesky(c).conj().T
+    except np.linalg.LinAlgError:
+        pass
     vals, vecs = np.linalg.eigh(c)
     if vals[0] < -tol:
         raise NotPsdError(f"covariance eigenvalue {vals[0]:.3e} below -{tol:g}")

@@ -88,7 +88,8 @@ def nonclassical_rows(transfer: np.ndarray, t) -> np.ndarray:
     return np.sqrt(1.0 - t[ports])[:, None] * matrix[ports]
 
 
-def transition_factor(transfer: np.ndarray, s, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def transition_factor(transfer: np.ndarray, s, t,
+                      dead=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor of the transition covariance Sigma/2 for orderings s, t <= 1
     whose Sigma passed the PSD test, from one |S| x |S| eigenproblem.
 
@@ -106,9 +107,15 @@ def transition_factor(transfer: np.ndarray, s, t) -> tuple[np.ndarray, np.ndarra
     D is tiny, and C would amplify that excess; the factor is then built
     for Sigma + PSD_TOL * I, which is PSD, so the covariance is off by at
     most the tolerance, as with the clamp of :func:`psd_factor_complex`.
+
+    ``dead`` masks modes whose detector ignores light (eta_d = 0): their
+    columns of B are set to 0, which is exact on the other modes, and a
+    dead mode's own noise is irrelevant, its click being a p_d coin.
     """
     d = 1.0 - np.asarray(s, dtype=float)
     b = nonclassical_rows(transfer, t)
+    if dead is not None:
+        b[:, dead] = 0.0
     c, lam, u = _whiten(b, d)
     if np.any(b[:, d <= 0.0]) or (lam.size and lam[-1] > 1.0 + WHITENED_ROUNDOFF):
         d = d + PSD_TOL
@@ -145,12 +152,11 @@ def sample_transition(alpha: np.ndarray, rows: np.ndarray, factor,
 
 
 def quadrature_rep(matrix: np.ndarray) -> np.ndarray:
-    """Real 2K x 2K representation of a complex K x K matrix on interleaved
+    """Real 2K x 2N representation of a complex K x N matrix on interleaved
     (x, p) quadratures, such that row-vector transport alpha -> alpha A maps
     to (x, p) -> (x, p) quadrature_rep(A)."""
     a = np.asarray(matrix, dtype=complex)
-    k = a.shape[0]
-    out = np.zeros((2 * k, 2 * k))
+    out = np.empty((2 * a.shape[0], 2 * a.shape[1]))
     out[0::2, 0::2] = a.real
     out[0::2, 1::2] = a.imag
     out[1::2, 0::2] = -a.imag
@@ -158,16 +164,48 @@ def quadrature_rep(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def propagate_blocks(blocks, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wigner mean and covariance at the output of the network ``transfer``
+    (taken as validated) for an input given as (ports, mean, cov) blocks;
+    ports in no block carry vacuum.
+
+    Dilating L with vacuum environment modes gives B^T cov B + B(I - L^dag L)
+    with B the quadrature representation of L; since B^T B = B(L^dag L) the
+    vacuum part cancels, leaving mean' = sum_b mean_b Q_b and
+    cov' = I + sum_b Q_b^T Delta_b Q_b, with Q_b the quadrature rows of L
+    for block b's ports and Delta_b = cov_b - I.  Splitting each
+    Delta_b = U diag(lam) U^T into rows R_b = sqrt|lam| U^T Q_b gives
+    cov' = I + R_+^T R_+ - R_-^T R_- over the rows with lam > 0 and
+    lam < 0: two symmetric rank-k products, one row per nonzero eigenvalue,
+    exactly symmetric.  Blocks of one size share one batched eigenproblem.
+    """
+    m = transfer.shape[0]
+    mean = np.zeros(2 * m)
+    gain, damp = [np.empty((0, 2 * m))], [np.empty((0, 2 * m))]
+    by_size = {}
+    for block in blocks:
+        by_size.setdefault(len(block[0]), []).append(block)
+    for size, group in by_size.items():
+        ports = np.array([block[0] for block in group]).ravel()
+        q = quadrature_rep(transfer[ports]).reshape(len(group), 2 * size, 2 * m)
+        mean += np.einsum("bi,bij->j", np.array([block[1] for block in group]), q)
+        excess = np.array([block[2] for block in group]) - np.eye(2 * size)
+        lam, u = np.linalg.eigh(excess)
+        rows = (np.sqrt(np.abs(lam))[..., None] * (u.transpose(0, 2, 1) @ q)).reshape(-1, 2 * m)
+        lam = lam.ravel()
+        gain.append(rows[lam > 0.0])
+        damp.append(rows[lam < 0.0])
+    gain, damp = np.vstack(gain), np.vstack(damp)
+    cov = gain.T @ gain
+    cov -= damp.T @ damp
+    cov.flat[:: 2 * m + 1] += 1.0
+    return mean, cov
+
+
 def propagate_gaussian(state: GaussianPQDState, transfer: np.ndarray) -> GaussianPQDState:
-    """Send a Gaussian Wigner state through a (possibly lossy) network.
-
-    The contraction is dilated with vacuum environment modes and those modes
-    are traced back out, which lands on the closed form
-
-        mean' = mean B(L),   cov' = B(L)^T cov B(L) + B(I - L^dag L)
-
-    with B the quadrature representation.  The input must be at Wigner
-    ordering (t = 0).
+    """Send a Gaussian Wigner state through a (possibly lossy) network:
+    :func:`propagate_blocks` with the whole state as one block.  The input
+    must be at Wigner ordering (t = 0).
     """
     if np.max(np.abs(state.ordering), initial=0.0) > 1e-12:
         raise ValueError("propagate_gaussian expects a Wigner-ordered (t = 0) state")
@@ -176,11 +214,5 @@ def propagate_gaussian(state: GaussianPQDState, transfer: np.ndarray) -> Gaussia
         raise DimensionError(
             f"state has {state.modes} modes but transfer matrix is {matrix.shape[0]} x {matrix.shape[1]}"
         )
-    b = quadrature_rep(matrix)
-    noise = np.eye(matrix.shape[0]) - matrix.conj().T @ matrix
-    cov = b.T @ state.cov @ b + quadrature_rep(noise)
-    return GaussianPQDState(
-        ordering=np.zeros(state.modes),
-        mean=state.mean @ b,
-        cov=(cov + cov.T) / 2.0,
-    )
+    mean, cov = propagate_blocks([(range(state.modes), state.mean, state.cov)], matrix)
+    return GaussianPQDState(ordering=np.zeros(state.modes), mean=mean, cov=cov)

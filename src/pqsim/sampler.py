@@ -8,7 +8,11 @@ Two routes, mirroring the two positivity conditions:
 * :func:`run_condition1` propagates an all-Gaussian input through the
   network exactly and samples the output-state PQD directly; it applies
   whenever the output covariance stays above the s_bar floor, which is a
-  weaker requirement than the Sigma_bar test.
+  weaker requirement than the Sigma_bar test.  Its set-up builds the
+  output covariance from the sources' blocks
+  (:func:`~pqsim.processes.propagate_blocks`, no dense 2M x 2M
+  propagation) and factors it minus the floor by Cholesky, falling back
+  to the eigen-factor only to clamp roundoff or refuse.
 
 Each draw has one implementation, which both routes and the public API
 share: :func:`~pqsim.states.sample_source_pqd` (input),
@@ -33,14 +37,14 @@ from .detectors import click_coefficients, sample_clicks
 from .errors import NotPsdError, SimulabilityError
 from .experiment import ExperimentConfig
 from .linalg import psd_factor_real
-from .processes import propagate_gaussian, sample_transition, transition_factor
+from .processes import propagate_blocks, sample_transition, transition_factor
 from .rng import RngStream
-from .simulability import check_second_condition, s_bar_vector
+from .simulability import check_second_condition, dead_modes, s_bar_vector
 from .states import GaussianPQDState, Vacuum, sample_source_pqd
 
 # Not called here; perfbench's tracer wraps these names and stops if one is missing.
 from .linalg import psd_factor_complex, standard_complex_normal  # noqa: F401
-from .processes import sigma_matrix  # noqa: F401
+from .processes import propagate_gaussian, sigma_matrix  # noqa: F401
 
 #: Fixed batch granularity; part of the reproducibility contract.
 BATCH_SIZE = 16384
@@ -111,6 +115,10 @@ def _row_keys(outcomes: np.ndarray) -> np.ndarray:
 
 
 def _histogram(outcomes: np.ndarray) -> dict:
+    """Count of each distinct outcome row, keyed by its bit string (mode 0
+    first), in increasing key order.  Above 20 modes the rows are sorted
+    packed 8 modes to a byte, and only the distinct rows are unpacked to
+    ASCII, each key decoded straight from its row's bytes."""
     m = outcomes.shape[1]
     if m <= 20:
         weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
@@ -118,8 +126,15 @@ def _histogram(outcomes: np.ndarray) -> dict:
         counts = np.bincount(codes, minlength=1 << m)
         indices = np.flatnonzero(counts)
         return {format(i, f"0{m}b"): int(counts[i]) for i in indices}
-    keys, counts = np.unique(_row_keys(outcomes), return_counts=True)
-    return dict(zip(keys.astype(str).tolist(), counts.tolist()))
+    packed = np.packbits(outcomes, axis=1)
+    width = packed.shape[1]
+    keys, counts = np.unique(packed.view(f"S{width}")[:, 0], return_counts=True)
+    del packed
+    chars = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=m)
+    chars += np.uint8(ord("0"))
+    text = memoryview(chars.reshape(-1))
+    return {str(text[start:start + m], "ascii"): count
+            for start, count in zip(range(0, chars.size, m), counts.tolist())}
 
 
 def _make_batch(config, outcomes, rng) -> SampleBatch:
@@ -206,7 +221,7 @@ def run_condition2(
             report=report,
         )
     tbar, sbar = report.ordering_t, report.ordering_s
-    factor = transition_factor(config.transfer, sbar, tbar)
+    factor = transition_factor(config.transfer, sbar, tbar, dead=dead_modes(config))
     clicks = click_coefficients(sbar, config.detectors)
 
     # Every source draws through sample_source_pqd, which owns the stream;
@@ -236,17 +251,11 @@ def run_condition2(
 
 def output_gaussian(config: ExperimentConfig) -> GaussianPQDState:
     """Exact Wigner-ordered Gaussian of the network output for all-Gaussian
-    sources; raises :class:`UnsupportedSourceError` otherwise."""
-    k = config.modes
-    mean = np.zeros(2 * k)
-    cov = np.zeros((2 * k, 2 * k))
-    for entry in config.sources:
-        block_mean, block_cov = entry.source.wigner_moments()
-        idx = np.array([2 * p + q for p in entry.ports for q in (0, 1)])
-        mean[idx] = block_mean
-        cov[np.ix_(idx, idx)] = block_cov
-    state = GaussianPQDState(ordering=np.zeros(k), mean=mean, cov=cov)
-    return propagate_gaussian(state, config.transfer)
+    sources, built from each source's block of Wigner moments; raises
+    :class:`UnsupportedSourceError` otherwise."""
+    blocks = [(entry.ports, *entry.source.wigner_moments()) for entry in config.sources]
+    mean, cov = propagate_blocks(blocks, config.transfer)
+    return GaussianPQDState(ordering=np.zeros(config.modes), mean=mean, cov=cov)
 
 
 def run_condition1(

@@ -45,12 +45,19 @@ def s_bar_vector(config: ExperimentConfig) -> np.ndarray:
     """Per-mode output nonnegativity bounds s_bar.
 
     A dead detector (eta_d = 0) has a flat, everywhere-nonnegative PQD at
-    every ordering; -1 is always a sufficient stand-in for its bound.
+    every ordering, so its bound is s -> -infinity; -1 stands in for it
+    here, which keeps the report finite, and both the verdict and the
+    transition factor drop its column (:func:`dead_modes`).
     """
     out = np.empty(config.modes)
     for k, det in enumerate(config.detectors):
         out[k] = -1.0 if det.eta_d == 0.0 else detector_s_bar(det)
     return out
+
+
+def dead_modes(config: ExperimentConfig) -> np.ndarray:
+    """Mask of the modes whose detector ignores light (eta_d = 0)."""
+    return np.array([det.eta_d == 0.0 for det in config.detectors])
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,9 @@ def check_second_condition(config: ExperimentConfig) -> SimulabilityReport:
     B = diag(sqrt(1 - t_bar_S)) L_S from :func:`nonclassical_rows`.  With
     E = D + PSD_TOL > 0 and C = B diag(E^-1/2), the Schur complement gives
     lambda_min(Sigma_bar) >= -PSD_TOL iff kappa = lambda_max(C C^dag) <= 1,
-    for every detector set (p_d = 0 and dead detectors included; kappa = 0
-    when S is empty).
+    for every detector set (p_d = 0 included; kappa = 0 when S is empty).
+    A dead detector's bound is s -> -infinity, so its column of C is 0:
+    the test is that of the live modes' principal submatrix of Sigma_bar.
 
     Always returns a report.  With identical detectors the report also
     carries the exact scalar threshold on the random-count probability,
@@ -105,6 +113,7 @@ def check_second_condition(config: ExperimentConfig) -> SimulabilityReport:
     sbar = s_bar_vector(config)
     scale = 1.0 - sbar + PSD_TOL
     c = nonclassical_rows(config.transfer, tbar) / np.sqrt(scale)
+    c[:, dead_modes(config)] = 0.0
     kappa = float(np.linalg.eigvalsh(c @ c.conj().T)[-1]) if c.size else 0.0
     simulatable = kappa <= 1.0
 

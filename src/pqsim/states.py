@@ -175,23 +175,28 @@ class SpdcPair(SourceModel):
     @property
     def t_bar(self) -> float:
         """Smallest eigenvalue of the Wigner covariance, in closed form; it
-        bounds both ports of the pair."""
-        sh2 = math.sinh(self.r) ** 2
-        eta = self.eta_bl
-        return (
-            1.0
-            + (1.0 + eta) * sh2
-            - math.sinh(self.r) * math.sqrt((1.0 + eta) ** 2 * sh2 + 4.0 * eta)
-        )
+        bounds both ports of the pair.  With s = sinh r and a = (1 + eta) s^2
+        it is 1 + a - sqrt(a^2 + 4 eta s^2), evaluated as
+        1 - 4 eta s^2 / (a + sqrt(a^2 + 4 eta s^2)) divided through by s,
+        which neither cancels nor overflows as r grows and it tends to
+        (1 - eta) / (1 + eta)."""
+        s, eta = math.sinh(self.r), self.eta_bl
+        if s == 0.0:
+            return 1.0
+        a = (1.0 + eta) * s
+        return 1.0 - 4.0 * eta * s / (a + math.hypot(a, 2.0 * math.sqrt(eta)))
 
     def wigner_moments(self):
         """Quadrature order (x_h, p_h, x_s, p_s); the herald arm is lossless
         and the signal arm has passed a transmissivity-eta_bl beamsplitter."""
         ch, sh = math.cosh(2.0 * self.r), math.sinh(2.0 * self.r)
-        off = math.sqrt(self.eta_bl) * sh * np.diag([1.0, -1.0])
-        cov = np.block([
-            [ch * np.eye(2), off],
-            [off, (1.0 + self.eta_bl * (ch - 1.0)) * np.eye(2)],
+        off = math.sqrt(self.eta_bl) * sh
+        signal = 1.0 + self.eta_bl * (ch - 1.0)
+        cov = np.array([
+            [ch, 0.0, off, 0.0],
+            [0.0, ch, 0.0, -off],
+            [off, 0.0, signal, 0.0],
+            [0.0, -off, 0.0, signal],
         ])
         return np.zeros(4), cov
 
@@ -213,16 +218,18 @@ class GaussianPQDState:
     def __post_init__(self):
         ordering = np.atleast_1d(np.asarray(self.ordering, dtype=float))
         mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
+        cov = np.array(self.cov, dtype=float)
         if mean.ndim != 1 or mean.size != 2 * ordering.size:
             raise DimensionError("mean must have length 2 * (number of modes)")
         if cov.shape != (mean.size, mean.size):
             raise DimensionError("covariance must be 2K x 2K")
-        if np.max(np.abs(cov - cov.T), initial=0.0) > PSD_TOL:
-            raise DimensionError("covariance must be symmetric")
+        if not np.array_equal(cov, cov.T):
+            if np.max(np.abs(cov - cov.T)) > PSD_TOL:
+                raise DimensionError("covariance must be symmetric")
+            cov = (cov + cov.T) / 2.0
         object.__setattr__(self, "ordering", ordering)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", (cov + cov.T) / 2.0)
+        object.__setattr__(self, "cov", cov)
 
     @property
     def modes(self) -> int:

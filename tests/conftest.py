@@ -34,6 +34,19 @@ def beamsplitter_50_50() -> np.ndarray:
     return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
+def dead_detector_beamsplitter(p_d: float) -> ExperimentConfig:
+    """One pure photon into a 50:50 beamsplitter, a live eta_d = 1
+    detector on mode 0 and a dead (eta_d = 0) one on mode 1, both with
+    random-count probability p_d.  Simulatable iff p_d >= 1/2; keeping the
+    dead mode's column in Sigma_bar would demand p_d >= 1."""
+    return ExperimentConfig(
+        modes=2,
+        sources=(PortSource(MixedSinglePhoton(1.0, 1.0), (0,)), PortSource(Vacuum(), (1,))),
+        transfer=beamsplitter_50_50(),
+        detectors=(DetectorModel(1.0, p_d), DetectorModel(0.0, p_d)),
+    )
+
+
 def single_photon_click_marginals(config) -> np.ndarray:
     """Exact per-mode click probabilities for vacuum and one-photon-mixture
     inputs, at any mode count.

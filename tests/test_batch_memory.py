@@ -8,7 +8,14 @@ import pytest
 
 from pqsim import RngStream
 from pqsim.presets import single_photon_config, spdc_config
-from pqsim.sampler import BATCH_SIZE, TILE_ELEMENTS, run_condition1, run_condition2
+from pqsim.sampler import (
+    BATCH_SIZE,
+    TILE_ELEMENTS,
+    SampleBatch,
+    empirical_stats,
+    run_condition1,
+    run_condition2,
+)
 
 from conftest import single_photon_click_marginals
 
@@ -39,6 +46,23 @@ class TestBatchMemory:
         alpha_bytes = 16 * n * amplitude_ports
         bound = 2 * outcome_bytes + alpha_bytes + 4 * TILE_BYTES
         assert traced_peak(run, config, n) <= bound
+
+
+class TestHistogramMemory:
+    def test_peak_is_half_of_a_unicode_key_array(self):
+        # 16384 distinct rows of 1024 modes: a numpy 'U' array of the keys
+        # alone is 64 MiB, and building the histogram through one peaked at
+        # 97 MiB.  The keys themselves, as Python strings, take 17.6 MiB.
+        outcomes = (RngStream(90).generator().random((16384, 1024)) < 0.06).astype(np.uint8)
+        batch = SampleBatch(outcomes, RngStream(0), "x", None)
+        tracemalloc.start()
+        try:
+            stats = empirical_stats(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stats.histogram) == 16384
+        assert peak <= 97 * 2**20 // 2
 
 
 # M = 100 tiles a batch into 2621-row blocks: BATCH_SIZE + 7 shots give a

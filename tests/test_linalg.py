@@ -11,6 +11,7 @@ from pqsim.linalg import (
     permanent,
     permanent_batch,
     psd_factor_complex,
+    psd_factor_real,
     standard_complex_normal,
     validate_transfer,
 )
@@ -225,3 +226,62 @@ class TestComplexGaussian:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotPsdError):
             psd_factor_complex(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+class TestPsdFactor:
+    """Cholesky first; the eigen-factor clamps or refuses only when the
+    Cholesky factorization fails."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        calls = []
+        cholesky, eigh = np.linalg.cholesky, np.linalg.eigh
+
+        def spy_cholesky(a, *args, **kwargs):
+            try:
+                return cholesky(a, *args, **kwargs)
+            except np.linalg.LinAlgError:
+                calls.append("cholesky failed")
+                raise
+
+        def spy_eigh(a, *args, **kwargs):
+            calls.append("eigh")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy_cholesky)
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        return calls
+
+    @staticmethod
+    def rotated(eigenvalues, seed=8):
+        q = np.linalg.qr(RngStream(seed).generator().standard_normal((3, 3)))[0]
+        return (q * eigenvalues) @ q.T
+
+    @pytest.mark.parametrize("factor_of,dtype", [(psd_factor_real, float),
+                                                 (psd_factor_complex, complex)])
+    def test_positive_definite_takes_the_cholesky_factor(self, monkeypatch, factor_of, dtype):
+        gen = RngStream(7).generator()
+        raw = gen.standard_normal((5, 5)).astype(dtype)
+        if dtype is complex:
+            raw += 1j * gen.standard_normal((5, 5))
+        cov = raw.conj().T @ raw + np.eye(5)
+        calls = self.spy(monkeypatch)
+        factor = factor_of(cov)
+        assert calls == []
+        assert np.array_equal(factor, np.triu(factor))
+        assert np.max(np.abs(factor.conj().T @ factor - cov)) <= 1e-12
+
+    def test_failed_cholesky_clamps_roundoff(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        cov = self.rotated(np.array([-1e-12, 0.5, 1.0]))
+        factor = psd_factor_real(cov)
+        assert calls == ["cholesky failed", "eigh"]
+        assert np.array_equal(factor[0], np.zeros(3))
+        assert np.max(np.abs(factor.T @ factor - cov)) <= 1e-11
+
+    def test_failed_cholesky_refuses_below_tolerance(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        with pytest.raises(NotPsdError,
+                           match=r"^covariance eigenvalue -1\.000e-06 below -1e-10$"):
+            psd_factor_real(self.rotated(np.array([-1e-6, 0.5, 1.0])))
+        assert calls == ["cholesky failed", "eigh"]

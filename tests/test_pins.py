@@ -25,7 +25,7 @@ def csv_sha256(batch) -> str:
 
 def test_route1_spdc():
     batch = run_condition1(spdc_config(3, 0.05, p_d=0.09), DRAWS, RngStream(2026))
-    assert csv_sha256(batch) == "fc0a2428d3d8b55f0a49bc9bce87bb900b4f0297932c9c79c8cb22c63690b78c"
+    assert csv_sha256(batch) == "3df2dd007e43ed43c23b3c040edbc4122c9ed6a43a867c6aa8871f218dedbc74"
 
 
 def test_route2_single_photons():
@@ -55,7 +55,7 @@ def test_preset_config_hash():
 def test_route2_spdc():
     # kappa = 0.50: the SPDC preset passes the Sigma_bar test as well.
     batch = run_condition2(spdc_config(3, 0.05, p_d=0.09), DRAWS, RngStream(2026))
-    assert csv_sha256(batch) == "a09ccdde0f8817bc62d918def130ee991068e64553ae909a858c20cc972ceb1f"
+    assert csv_sha256(batch) == "4d851bce90530f8f5ad04fce941bcf8e373da078a90a77540a61ddacfc3f7bc5"
 
 
 def test_route1_gaussian_mix():
@@ -69,7 +69,7 @@ def test_route1_gaussian_mix():
         detectors=(DetectorModel(0.9, 0.3),) * 5,
     )
     batch = run_condition1(config, DRAWS, RngStream(2026))
-    assert csv_sha256(batch) == "8d505ccd00e645906e5df74ad29fcf503c52e39930103517a90ae8af41833dee"
+    assert csv_sha256(batch) == "be950af7687f1fc4b2207ecc29e4534e1806661d8dc04a179c2fd80ee88a213b"
 
 
 def test_all_kinds_config_hash():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pqsim import RngStream
+from pqsim import DetectorModel, RngStream
+from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import haar_unitary
 from pqsim.processes import (
     LossModel,
@@ -14,10 +15,11 @@ from pqsim.processes import (
     transition_factor,
     uniform_loss_eta,
 )
-from pqsim.simulability import check_second_condition, s_bar_vector, t_bar_vector
-from pqsim.states import GaussianPQDState, SpdcPair
+from pqsim.simulability import check_second_condition, dead_modes, s_bar_vector, t_bar_vector
+from pqsim.sampler import output_gaussian
+from pqsim.states import Coherent, GaussianPQDState, SpdcPair, Thermal, Vacuum
 
-from conftest import random_contraction, random_mixed_config
+from conftest import dead_detector_beamsplitter, random_contraction, random_mixed_config
 
 
 def dense_sigma(transfer, s, t):
@@ -93,6 +95,20 @@ class TestTransitionFactor:
         factor = dense_factor(config.transfer, s, t)
         sigma = sigma_matrix(config.transfer, s, t)
         assert np.max(np.abs(factor.conj().T @ factor - sigma / 2.0)) <= 1e-12
+
+    @pytest.mark.parametrize("config", [dead_detector_beamsplitter(0.5)] + [
+        random_mixed_config(340 + seed, 3 + seed, dead_modes=1 + seed % 2) for seed in range(6)])
+    def test_dead_modes_leave_the_factor(self, config):
+        # Exact on the live modes' block of Sigma_bar, which is all the
+        # verdict asks to be PSD; a dead mode only gets noise of its own.
+        s, t, dead = s_bar_vector(config), t_bar_vector(config), dead_modes(config)
+        assert check_second_condition(config).simulatable and dead.any()
+        c_h, g, scale = transition_factor(config.transfer, s, t, dead=dead)
+        factor = (np.eye(config.modes) - c_h @ g) * scale
+        cov = factor.conj().T @ factor
+        live = np.ix_(~dead, ~dead)
+        assert np.max(np.abs(cov[live] - sigma_matrix(config.transfer, s, t)[live] / 2.0)) <= 1e-12
+        assert np.allclose(cov[np.ix_(dead, dead)], np.diag(scale[dead] ** 2), atol=1e-12)
 
     def test_rank_of_the_correction_is_the_nonclassical_port_count(self):
         config = random_mixed_config(320, 9)
@@ -248,3 +264,65 @@ class TestPropagateGaussian:
         state = GaussianPQDState(np.full(2, 0.5), np.zeros(4), np.eye(4))
         with pytest.raises(ValueError):
             propagate_gaussian(state, np.eye(2, dtype=complex))
+
+
+def random_gaussian_config(seed: int) -> ExperimentConfig:
+    """All-Gaussian sources (port 0 always vacuum) on a network with
+    non-uniform loss L = U1 diag(sqrt(eta)) U2."""
+    gen = RngStream(900 + seed).generator()
+    modes = int(gen.integers(2, 9))
+    transfer = (haar_unitary(modes, RngStream(2 * seed))
+                * np.sqrt(gen.uniform(0.2, 1.0, modes))) @ haar_unitary(modes, RngStream(2 * seed + 1))
+    ports = [int(p) for p in gen.permutation(modes)]
+    sources = [PortSource(Vacuum(), (ports.pop(0),))]
+    while ports:
+        kind = int(gen.integers(4)) if len(ports) > 1 else int(gen.integers(3))
+        if kind == 3:
+            pair = SpdcPair(gen.uniform(0.05, 1.2), gen.uniform(0.0, 1.0))
+            sources.append(PortSource(pair, (ports.pop(), ports.pop())))
+            continue
+        source = (Vacuum(), Coherent(complex(*gen.normal(size=2))),
+                  Thermal(gen.uniform(0.0, 1.5)))[kind]
+        sources.append(PortSource(source, (ports.pop(),)))
+    return ExperimentConfig(modes=modes, sources=tuple(sources), transfer=transfer,
+                            detectors=(DetectorModel(0.9, 0.1),) * modes)
+
+
+def dense_output_moments(config):
+    """The unstructured route-1 formula: the block-diagonal input moments
+    sent through B^T cov B + B(I - L^dag L), all dense 2M x 2M."""
+    modes = config.modes
+    mean, cov = np.zeros(2 * modes), np.zeros((2 * modes, 2 * modes))
+    for entry in config.sources:
+        block_mean, block_cov = entry.source.wigner_moments()
+        idx = np.array([2 * p + q for p in entry.ports for q in (0, 1)])
+        mean[idx] = block_mean
+        cov[np.ix_(idx, idx)] = block_cov
+    b = quadrature_rep(config.transfer)
+    loss = np.eye(modes) - config.transfer.conj().T @ config.transfer
+    return mean @ b, b.T @ cov @ b + quadrature_rep(loss)
+
+
+class TestOutputFromBlocks:
+    def test_blocks_match_the_dense_formula(self):
+        kinds = set()
+        for seed in range(40):
+            config = random_gaussian_config(seed)
+            kinds |= {type(entry.source).__name__ for entry in config.sources}
+            state = output_gaussian(config)
+            mean, cov = dense_output_moments(config)
+            assert np.max(np.abs(state.cov - cov)) <= 1e-12, seed
+            assert np.max(np.abs(state.mean - mean)) <= 1e-12, seed
+            assert np.array_equal(state.cov, state.cov.T)
+        assert kinds == {"Vacuum", "Coherent", "Thermal", "SpdcPair"}
+
+    def test_all_vacuum_input_is_the_vacuum(self):
+        transfer = 0.7 * haar_unitary(3, RngStream(5))
+        config = ExperimentConfig(modes=3, sources=tuple(PortSource(Vacuum(), (k,)) for k in range(3)),
+                                  transfer=transfer, detectors=(DetectorModel(0.9, 0.1),) * 3)
+        state = output_gaussian(config)
+        assert np.array_equal(state.cov, np.eye(6)) and not np.any(state.mean)
+
+    def test_rectangular_quadrature_rows_are_rows_of_the_square_rep(self):
+        a = random_contraction(4, 42)
+        assert np.array_equal(quadrature_rep(a[[2, 0]]), quadrature_rep(a)[[4, 5, 0, 1]])

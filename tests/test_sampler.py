@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -20,7 +21,7 @@ from pqsim.sampler import (
 )
 from pqsim.states import Coherent, MixedSinglePhoton, Thermal, Vacuum
 
-from conftest import oracle_suite, single_photon_click_marginals
+from conftest import dead_detector_beamsplitter, oracle_suite, single_photon_click_marginals
 
 
 def old_bitstrings(outcomes):
@@ -200,6 +201,19 @@ class TestCertainRandomCounts:
             assert tv_distance(table, batch) <= bound
 
 
+class TestDeadDetectors:
+    def test_dead_detector_config_matches_oracle(self):
+        # Refused while the dead mode's column stayed in Sigma_bar
+        # (kappa = 1.21 at p_d = 0.7); its clicks are p_d coins.
+        draws = 200_000
+        config = dead_detector_beamsplitter(0.7)
+        table = exact_distribution(config, n_max=1)
+        batch = run_condition2(config, draws, RngStream(74))
+        assert abs(batch.outcomes[:, 1].mean() - 0.7) <= 5 * math.sqrt(0.21 / draws)
+        bound = max(0.01, 3 * math.sqrt(len(table.outcomes) / draws))
+        assert tv_distance(table, batch) <= bound
+
+
 class TestReproducibility:
     def test_same_seed_is_bitwise_identical(self):
         config = single_photon_config(4, 2, p_d=0.06)
@@ -283,6 +297,22 @@ class TestBatchAndStats:
         expected = {"".join(map(str, row)): int(c) for row, c in zip(rows, counts)}
         stats = empirical_stats(SampleBatch(outcomes, RngStream(0), "x", None))
         assert stats.histogram == expected
+
+    @pytest.mark.parametrize("modes", [21, 24, 33])
+    def test_histogram_keys_are_sorted_bit_strings(self, modes):
+        # All-0 and all-1 rows and long zero runs pack to bytes 0x00 and 0xff.
+        gen = RngStream(80 + modes).generator()
+        outcomes = (gen.random((3000, modes)) < 0.1).astype(np.uint8)
+        outcomes[::5], outcomes[1::7] = 0, 1
+        outcomes[2::9, : modes // 2] = 0
+        expected = Counter("".join(map(str, row)) for row in outcomes.tolist())
+        histogram = empirical_stats(SampleBatch(outcomes, RngStream(0), "x", None)).histogram
+        assert histogram == expected
+        assert list(histogram) == sorted(expected)
+
+    def test_empty_batch_above_twenty_modes_has_an_empty_histogram(self):
+        batch = run_condition2(single_photon_config(22, 2, p_d=0.06), 0, RngStream(1))
+        assert batch.counts == {}
 
     @pytest.mark.parametrize("n", [0, 1, 1000])
     def test_outputs_match_row_by_row_formatting(self, n):

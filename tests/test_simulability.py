@@ -25,7 +25,7 @@ from pqsim.simulability import (
 )
 from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
-from conftest import random_mixed_config
+from conftest import dead_detector_beamsplitter, random_mixed_config
 
 PARAMS = ScenarioParams()  # mu=0.5, eta_b=0.1, eta0=0.98, ell=2, eta_d=0.95
 
@@ -158,6 +158,28 @@ class TestCheckSecondCondition:
         assert np.allclose(report.s_bar, -1.0)
 
 
+class TestDeadDetectors:
+    """A dead detector's bound is s -> -infinity, so its column leaves
+    Sigma_bar; s_bar = -1 stays in the report."""
+
+    def test_dead_column_is_dropped_from_the_verdict(self):
+        config = dead_detector_beamsplitter(0.5)
+        report = check_second_condition(config)
+        assert report.simulatable
+        assert report.noise_ratio == pytest.approx(1.0)
+        assert np.array_equal(report.s_bar, [0.0, -1.0])
+        # With the dead column kept at s_bar = -1 (D = 2), kappa was 1.5.
+        sigma = sigma_matrix(config.transfer, report.s_bar, report.t_bar)
+        assert np.linalg.eigvalsh(sigma)[0] < -0.1
+        assert sigma[0, 0].real >= -PSD_TOL
+
+    @pytest.mark.parametrize("p_d", [0.3, 0.49])
+    def test_the_live_detector_still_decides(self, p_d):
+        report = check_second_condition(dead_detector_beamsplitter(p_d))
+        assert not report.simulatable
+        assert report.noise_ratio == pytest.approx(0.5 / p_d)
+
+
 def verdict_case(seed: int) -> ExperimentConfig:
     """A random config for the verdict-equivalence test.
 
@@ -203,8 +225,9 @@ def verdict_case(seed: int) -> ExperimentConfig:
 
 
 class TestVerdictEquivalence:
-    """The |S| x |S| verdict kappa <= 1 against the dense M x M test
-    lambda_min(Sigma_bar) >= -PSD_TOL, which lives only here."""
+    """The |S| x |S| verdict kappa <= 1 against the dense test
+    lambda_min(Sigma_bar) >= -PSD_TOL on the live modes' principal
+    submatrix (dead detectors dropped), which lives only here."""
 
     def test_matches_dense_eigenvalue_test(self):
         verdicts = {True: 0, False: 0}
@@ -213,7 +236,9 @@ class TestVerdictEquivalence:
             config = verdict_case(seed)
             report = check_second_condition(config)
             sigma = sigma_matrix(config.transfer, s_bar_vector(config), t_bar_vector(config))
-            lam_min = np.linalg.eigvalsh(sigma)[0]
+            live = np.flatnonzero([det.eta_d > 0.0 for det in config.detectors])
+            sigma = sigma[np.ix_(live, live)]
+            lam_min = np.linalg.eigvalsh(sigma)[0] if live.size else 0.0
             assert report.simulatable == (report.noise_ratio <= 1.0), seed
             if abs(lam_min + PSD_TOL) > 1e-12:
                 assert report.simulatable == (lam_min >= -PSD_TOL), (seed, lam_min)

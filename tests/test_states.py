@@ -90,6 +90,26 @@ class TestTBar:
             values = [SpdcPair(r, eta).t_bar for r in np.linspace(0.05, 2.0, 15)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("r", [15.0, 20.0, 50.0, 300.0])
+    def test_spdc_bound_reaches_its_large_squeezing_limit(self, r, eta):
+        # The closed form 1 + a - sqrt(a^2 + 4 eta s^2) used to cancel here
+        # (0.0 at r = 20, eta = 0.5, where the limit is 1/3).
+        assert SpdcPair(r, eta).t_bar == pytest.approx((1.0 - eta) / (1.0 + eta),
+                                                       rel=1e-12, abs=1e-12)
+
+    def test_spdc_bound_agrees_with_the_cancelling_form_where_it_holds(self):
+        # The old form loses about (1 + a) / t_bar in relative precision:
+        # 1e-14 at small r, and up to 1.3e-11 at r = 3, eta = 1 (checked at
+        # 50 digits, where the stable form is within 6e-14).
+        for r in np.linspace(0.0, 3.0, 61):
+            for eta in np.linspace(0.0, 1.0, 21):
+                s2 = math.sinh(r) ** 2
+                a = (1.0 + eta) * s2
+                old = 1.0 + a - math.sinh(r) * math.sqrt((1.0 + eta) ** 2 * s2 + 4.0 * eta)
+                new = SpdcPair(r, eta).t_bar
+                assert abs(new - old) <= 1e-14 * max(1.0, (1.0 + a) / old) * old, (r, eta)
+
 
 class TestKindDeclarations:
     def test_every_kind_is_registered(self):

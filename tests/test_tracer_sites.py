@@ -1,0 +1,53 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) wraps functions at the
+names the program's callers look them up by.  Installing it on the program
+stops with ``SystemExit`` if one of those names is gone, so a change that
+drops one fails here, not only in a traced benchmark run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pqsim
+import pqsim.cli
+import pqsim.oracle
+import pqsim.presets
+from pqsim import RngStream
+from pqsim.experiment import ExperimentConfig
+from pqsim.sampler import SampleBatch
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+OWNERS = (pqsim.presets, pqsim.experiment, pqsim.simulability, pqsim.processes,
+          pqsim.states, pqsim.linalg, pqsim.sampler, pqsim.oracle, pqsim.rng, pqsim.cli,
+          ExperimentConfig, SampleBatch, RngStream)
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_on_the_program_and_restores_it():
+    tracing = load_tracing()
+    before = [dict(vars(owner)) for owner in OWNERS]
+    tracer = tracing.Tracer()
+    tracing.install(tracer, pqsim)
+    try:
+        route1 = pqsim.presets.spdc_config(2, 0.05, p_d=0.09)
+        route2 = pqsim.presets.single_photon_config(4, 2, p_d=0.06)
+        pqsim.sampler.run_experiment(route1, 16, RngStream(1))
+        pqsim.sampler.run_experiment(route2, 16, RngStream(2))
+    finally:
+        tracer.restore()
+
+    for name in ("presets.build", "sampler.run_condition1", "sampler.output_gaussian",
+                 "linalg.psd_factor", "sampler.run_condition2",
+                 "simulability.check_second_condition", "states.sample_source_pqd",
+                 "sampler.batch"):
+        assert tracer.calls(name) >= 1, name
+    for owner, attrs in zip(OWNERS, before):
+        now = vars(owner)
+        assert all(now.get(attr) is value for attr, value in attrs.items()), owner
