@@ -78,13 +78,14 @@ from .simulability import (
 )
 from .states import (
     Coherent,
-    GaussianPQDState,
     MixedSinglePhoton,
     SourceModel,
     SpdcPair,
     Thermal,
     Vacuum,
+    gaussian_pqd_factor,
     pqd_single_photon_mixture,
+    sample_gaussian_pqd,
     sample_source_pqd,
 )
 

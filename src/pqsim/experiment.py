@@ -364,21 +364,13 @@ def _config_from_dict(data: dict, base_dir=None) -> ExperimentConfig:
             f_b=_require_number(raw_mm, "f_b", "mismatch", default=0.0),
             f_l=_require_number(raw_mm, "f_l", "mismatch", default=0.0),
         )
-    scheme = data.get("scheme")
-    if scheme is not None and scheme not in (SCHEME_SINGLE_PHOTON, SCHEME_SPDC):
-        raise ConfigError(f"scheme: unknown scheme {scheme!r}")
-    if scheme == SCHEME_SPDC and modes % 2 != 0:
-        raise ConfigError(
-            "scheme: the spdc scheme pairs every herald with a signal, "
-            f"which needs an even mode count (got {modes}); port pairing failed"
-        )
     return ExperimentConfig(
         modes=modes,
         sources=tuple(port_sources),
         transfer=transfer,
         detectors=detectors,
         mismatch=mismatch,
-        scheme=scheme,
+        scheme=data.get("scheme"),
         lon_spec=lon_spec,
     )
 

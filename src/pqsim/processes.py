@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import PSD_TOL, validate_transfer
-from .states import GaussianPQDState
 
 #: Ordering preset realizing classical (heterodyne-like) measurements:
 #: s = t = -1 keeps the transition Gaussian proper for every contraction.
@@ -202,17 +201,20 @@ def propagate_blocks(blocks, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return mean, cov
 
 
-def propagate_gaussian(state: GaussianPQDState, transfer: np.ndarray) -> GaussianPQDState:
-    """Send a Gaussian Wigner state through a (possibly lossy) network:
-    :func:`propagate_blocks` with the whole state as one block.  The input
-    must be at Wigner ordering (t = 0).
+def propagate_gaussian(mean, cov, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Send Gaussian Wigner moments, a quadrature mean of length 2M and a
+    symmetric 2M x 2M covariance, through a (possibly lossy) M-mode network:
+    :func:`propagate_blocks` with the whole input as one block.  Returns the
+    output (mean, cov).
     """
-    if np.max(np.abs(state.ordering), initial=0.0) > 1e-12:
-        raise ValueError("propagate_gaussian expects a Wigner-ordered (t = 0) state")
     matrix = validate_transfer(transfer)
-    if matrix.shape[0] != state.modes:
+    m = matrix.shape[0]
+    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+    if mean.shape != (2 * m,) or cov.shape != (2 * m, 2 * m):
         raise DimensionError(
-            f"state has {state.modes} modes but transfer matrix is {matrix.shape[0]} x {matrix.shape[1]}"
+            f"a {m}-mode network needs a mean of length {2 * m} and a {2 * m} x {2 * m} "
+            f"covariance, got shapes {mean.shape} and {cov.shape}"
         )
-    mean, cov = propagate_blocks([(range(state.modes), state.mean, state.cov)], matrix)
-    return GaussianPQDState(ordering=np.zeros(state.modes), mean=mean, cov=cov)
+    if np.max(np.abs(cov - cov.T), initial=0.0) > PSD_TOL:
+        raise DimensionError("covariance must be symmetric")
+    return propagate_blocks([(range(m), mean, (cov + cov.T) / 2.0)], matrix)

@@ -11,11 +11,14 @@ Two routes, mirroring the two positivity conditions:
   weaker requirement than the Sigma_bar test.  Its set-up builds the
   output covariance from the sources' blocks
   (:func:`~pqsim.processes.propagate_blocks`, no dense 2M x 2M
-  propagation) and factors it minus the floor by Cholesky, falling back
-  to the eigen-factor only to clamp roundoff or refuse.
+  propagation), drops the covariance between dead and live modes, and
+  factors it minus the floor with
+  :func:`~pqsim.states.gaussian_pqd_factor`.
 
 Each draw has one implementation, which both routes and the public API
 share: :func:`~pqsim.states.sample_source_pqd` (input),
+:func:`~pqsim.states.sample_gaussian_pqd` (a Gaussian PQD: an SPDC
+pair's block, or route 1's whole output state),
 :func:`~pqsim.processes.sample_transition` (network) and
 :func:`~pqsim.detectors.sample_clicks` (detectors).  Sampling is batched;
 batch b draws from ``rng.child(b)``: first its input draws, then its dense
@@ -36,14 +39,13 @@ import numpy as np
 from .detectors import click_coefficients, sample_clicks
 from .errors import NotPsdError, SimulabilityError
 from .experiment import ExperimentConfig
-from .linalg import psd_factor_real
 from .processes import propagate_blocks, sample_transition, transition_factor
 from .rng import RngStream
 from .simulability import check_second_condition, dead_modes, s_bar_vector
-from .states import GaussianPQDState, Vacuum, sample_source_pqd
+from .states import Vacuum, gaussian_pqd_factor, sample_gaussian_pqd, sample_source_pqd
 
 # Not called here; perfbench's tracer wraps these names and stops if one is missing.
-from .linalg import psd_factor_complex, standard_complex_normal  # noqa: F401
+from .linalg import psd_factor_complex, psd_factor_real, standard_complex_normal  # noqa: F401
 from .processes import propagate_gaussian, sigma_matrix  # noqa: F401
 
 #: Fixed batch granularity; part of the reproducibility contract.
@@ -249,13 +251,12 @@ def run_condition2(
     return _make_batch(config, outcomes, rng)
 
 
-def output_gaussian(config: ExperimentConfig) -> GaussianPQDState:
-    """Exact Wigner-ordered Gaussian of the network output for all-Gaussian
+def output_gaussian(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Wigner mean and covariance of the network output for all-Gaussian
     sources, built from each source's block of Wigner moments; raises
     :class:`UnsupportedSourceError` otherwise."""
     blocks = [(entry.ports, *entry.source.wigner_moments()) for entry in config.sources]
-    mean, cov = propagate_blocks(blocks, config.transfer)
-    return GaussianPQDState(ordering=np.zeros(config.modes), mean=mean, cov=cov)
+    return propagate_blocks(blocks, config.transfer)
 
 
 def run_condition1(
@@ -267,13 +268,19 @@ def run_condition1(
     """Sample outcomes by drawing from the output-state PQD directly.
 
     Requires every source to be Gaussian and the output covariance minus the
-    s_bar floor to be positive semidefinite; refuses otherwise.
+    s_bar floor to be positive semidefinite on the live modes; refuses
+    otherwise.  A dead detector's click is a p_d coin whatever its
+    amplitude, so the covariance between its mode and the live modes is
+    dropped before the factor: its row at s_bar = -1 would otherwise
+    couple to theirs and can refuse an experiment whose live modes pass.
     """
-    out_state = output_gaussian(config)
+    mean, cov = output_gaussian(config)
     sbar = s_bar_vector(config)
-    pqd_cov = out_state.cov - np.diag(np.repeat(sbar, 2))
+    dead = np.repeat(dead_modes(config), 2)
+    cov[np.ix_(dead, ~dead)] = 0.0
+    cov[np.ix_(~dead, dead)] = 0.0
     try:
-        factor = psd_factor_real(pqd_cov)
+        factor = gaussian_pqd_factor(mean, cov, sbar)
     except NotPsdError as exc:
         raise SimulabilityError(
             "output-state PQD is negative at the detectors' ordering bound: "
@@ -281,16 +288,10 @@ def run_condition1(
             report=check_second_condition(config),
         ) from exc
     clicks = click_coefficients(sbar, config.detectors)
-    # beta = (x + i p) / 2; halving is exact, so it is folded into the moments.
-    half_mean, half_factor = out_state.mean / 2.0, factor / 2.0
 
     def draw_batch(gen, n):
-        def amplitudes(rows):
-            quad = gen.standard_normal((rows.stop - rows.start, 2 * config.modes)) @ half_factor
-            quad += half_mean
-            return quad.view(complex)
-
-        return _click_tiles(amplitudes, clicks, n, gen)
+        return _click_tiles(lambda rows: sample_gaussian_pqd(factor, gen, rows.stop - rows.start),
+                            clicks, n, gen)
 
     outcomes = _run_batched(draw_batch, config.modes, n_samples, rng, workers)
     return _make_batch(config, outcomes, rng)

@@ -24,7 +24,7 @@ from .errors import (
     SingularOrderingError,
     UnsupportedSourceError,
 )
-from .linalg import PSD_TOL, psd_factor_real, standard_complex_normal
+from .linalg import psd_factor_real, standard_complex_normal
 
 #: Slack used when checking ordering bounds, so exact-boundary orderings
 #: produced by closed-form thresholds are accepted despite roundoff.
@@ -207,35 +207,6 @@ SOURCE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class GaussianPQDState:
-    """Gaussian PQD: per-mode ordering, quadrature mean, and covariance."""
-
-    ordering: np.ndarray
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        ordering = np.atleast_1d(np.asarray(self.ordering, dtype=float))
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float)
-        if mean.ndim != 1 or mean.size != 2 * ordering.size:
-            raise DimensionError("mean must have length 2 * (number of modes)")
-        if cov.shape != (mean.size, mean.size):
-            raise DimensionError("covariance must be 2K x 2K")
-        if not np.array_equal(cov, cov.T):
-            if np.max(np.abs(cov - cov.T)) > PSD_TOL:
-                raise DimensionError("covariance must be symmetric")
-            cov = (cov + cov.T) / 2.0
-        object.__setattr__(self, "ordering", ordering)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def modes(self) -> int:
-        return self.ordering.size
-
-
 def pqd_single_photon_mixture(alpha: complex, t: float, eta_bar: float) -> float:
     """Ordering-t PQD of the vacuum/one-photon mixture at amplitude alpha.
 
@@ -261,16 +232,38 @@ def _sample_circular(gen, n, mean: complex, var: float) -> np.ndarray:
     return mean + math.sqrt(var) * standard_complex_normal(gen, n)
 
 
+def gaussian_pqd_factor(mean, cov, t) -> tuple[np.ndarray, np.ndarray]:
+    """Set-up half of a Gaussian PQD draw.  The ordering-t PQD of a Gaussian
+    with quadrature mean ``mean`` and Wigner covariance ``cov`` (2K x 2K) is
+    N(mean, cov - t) with t_k on both quadratures of mode k.  Returns
+    (mean / 2, A / 2) with A^T A = cov - diag(repeat(t, 2)) from
+    :func:`psd_factor_real`, which raises :class:`NotPsdError` if the PQD is
+    negative; halving maps quadratures to amplitudes (x + i p) / 2 exactly.
+    """
+    pqd_cov = np.array(cov, dtype=float)
+    pqd_cov.flat[:: pqd_cov.shape[0] + 1] -= np.repeat(t, 2)
+    half_factor = psd_factor_real(pqd_cov)
+    half_factor /= 2.0
+    return np.asarray(mean, dtype=float) / 2.0, half_factor
+
+
+def sample_gaussian_pqd(factor, gen: np.random.Generator, n: int) -> np.ndarray:
+    """Per-batch half of a Gaussian PQD draw: ``n`` amplitudes, shape (n, K),
+    from ``factor`` = :func:`gaussian_pqd_factor`.  Consumes 2 n K standard
+    normals from ``gen``, read as (x, p) pairs per mode."""
+    half_mean, half_factor = factor
+    quad = gen.standard_normal((n, half_factor.shape[0])) @ half_factor
+    quad += half_mean
+    return quad.view(complex)
+
+
 def _sample_gaussian_pqd(mean, cov, t_block, gen, size: int) -> np.ndarray:
-    """Draw from the ordering-t PQD of a Gaussian block: mean ``mean`` and
-    covariance ``cov`` minus t on both quadratures of each mode."""
+    """Draw from the ordering-t PQD of a Gaussian source block."""
     if cov.shape == (2, 2) and cov[0, 1] == 0.0 and cov[0, 0] == cov[1, 1]:
         # Isotropic one-mode block: a circular complex Gaussian.
         centre = complex(mean[0] / 2.0, mean[1] / 2.0)
         return _sample_circular(gen, size, centre, (cov[0, 0] - t_block[0]) / 2.0)[:, None]
-    factor = psd_factor_real(cov - np.diag(np.repeat(t_block, 2)))
-    z = mean + gen.standard_normal((size, cov.shape[0])) @ factor
-    return (z[:, 0::2] + 1j * z[:, 1::2]) / 2.0
+    return sample_gaussian_pqd(gaussian_pqd_factor(mean, cov, t_block), gen, size)
 
 
 def sample_source_pqd(

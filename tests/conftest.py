@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 
@@ -11,6 +14,18 @@ from pqsim import DetectorModel, RngStream
 from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import haar_unitary
 from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
+
+#: The benchmark's tracer, which wraps functions at their callers' names.
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    """``perfbench/tracing.py``, loaded by path (perfbench is no package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def naive_permanent(matrix) -> complex:

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import pqsim.sampler
 from pqsim.cli import EXIT_FAIL, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, main
 from pqsim.presets import single_photon_config
+from pqsim.rng import RngStream
 
 
 @pytest.fixture
@@ -121,6 +123,23 @@ class TestSample:
         rows = (out / "samples.jsonl").read_text().splitlines()
         assert len(rows) == 10
         assert set(json.loads(rows[0]).keys()) == {"n"}
+
+    def test_prints_click_rates_without_a_histogram(self, tmp_path, monkeypatch, capsys):
+        # Above the histogram limit only the click rates are printed, so
+        # no histogram is built for them.
+        config = single_photon_config(32, 4, p_d=0.06)
+        path = tmp_path / "wide.json"
+        path.write_text(config.to_json())
+        rates = pqsim.sampler.run_experiment(config, 3000, RngStream(5)).outcomes.mean(axis=0)
+
+        def no_histogram(outcomes):
+            raise AssertionError("histogram built")
+
+        monkeypatch.setattr(pqsim.sampler, "_histogram", no_histogram)
+        rc = main(["sample", "--config", str(path), "--samples", "3000", "--seed", "5"])
+        assert rc == EXIT_OK
+        expected = ", ".join(f"{r:.4f}" for r in rates)
+        assert f"drew 3000 samples; per-mode click rates: [{expected}]" in capsys.readouterr().out
 
     def test_refusal_exit_code(self, tmp_path):
         config = single_photon_config(3, 1, p_d=0.0005, unitary_seed=12)

@@ -48,7 +48,8 @@ class TestParsing:
         with pytest.raises(ConfigError, match="detectors.*p_d"):
             parse_config(write_config(tmp_path, data))
 
-    def test_spdc_odd_mode_count_is_port_pairing_error(self, tmp_path):
+    def test_spdc_scheme_on_an_odd_mode_count_parses_and_round_trips(self, tmp_path):
+        # Neither route pairs modes, so an spdc experiment with a spare port is valid.
         data = {
             "modes": 3,
             "scheme": "spdc",
@@ -59,8 +60,14 @@ class TestParsing:
             "lon": "identity",
             "detectors": {"eta_d": 0.9, "p_d": 0.05},
         }
-        with pytest.raises(ConfigError, match="pairing"):
-            parse_config(write_config(tmp_path, data))
+        config = parse_config(write_config(tmp_path, data))
+        assert config.modes == 3 and config.scheme == SCHEME_SPDC
+        again = ExperimentConfig.from_dict(json.loads(config.to_json()))
+        assert again == config and again.config_hash() == config.config_hash()
+
+    def test_unknown_scheme_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="scheme: unknown scheme 'boson'"):
+            parse_config(write_config(tmp_path, dict(MINIMAL, scheme="boson")))
 
     def test_double_booked_port_rejected(self, tmp_path):
         data = {
@@ -238,13 +245,6 @@ class TestRoundTripProperty:
     def test_dict_round_trip_keeps_config_and_hash(self, config):
         data = json.loads(config.to_json())
         assert data == config.to_dict()
-        if config.scheme == SCHEME_SPDC and config.modes % 2:
-            # Known gap: a config built in code infers the spdc scheme from
-            # any SPDC source, but the parser refuses that scheme on an odd
-            # mode count, so such a config does not survive its own JSON.
-            with pytest.raises(ConfigError, match="pairing"):
-                ExperimentConfig.from_dict(data)
-            return
         again = ExperimentConfig.from_dict(data)
         assert again == config
         assert again.config_hash() == config.config_hash()

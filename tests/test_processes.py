@@ -17,7 +17,8 @@ from pqsim.processes import (
 )
 from pqsim.simulability import check_second_condition, dead_modes, s_bar_vector, t_bar_vector
 from pqsim.sampler import output_gaussian
-from pqsim.states import Coherent, GaussianPQDState, SpdcPair, Thermal, Vacuum
+from pqsim.errors import DimensionError
+from pqsim.states import Coherent, SpdcPair, Thermal, Vacuum
 
 from conftest import dead_detector_beamsplitter, random_contraction, random_mixed_config
 
@@ -205,29 +206,27 @@ class TestUniformLoss:
 class TestPropagateGaussian:
     def test_vacuum_invariance_under_unitary(self):
         u = haar_unitary(3, RngStream(11))
-        state = GaussianPQDState(np.zeros(3), np.zeros(6), np.eye(6))
-        out = propagate_gaussian(state, u)
-        assert np.allclose(out.cov, np.eye(6), atol=1e-12)
-        assert np.allclose(out.mean, 0.0)
+        mean, cov = propagate_gaussian(np.zeros(6), np.eye(6), u)
+        assert np.allclose(cov, np.eye(6), atol=1e-12)
+        assert np.allclose(mean, 0.0)
 
     def test_coherent_transport(self):
         u = haar_unitary(2, RngStream(12))
         amp = np.array([1.0 + 0.5j, -0.3j])
         mean = np.empty(4)
         mean[0::2], mean[1::2] = 2 * amp.real, 2 * amp.imag
-        out = propagate_gaussian(GaussianPQDState(np.zeros(2), mean, np.eye(4)), u)
+        out_mean, out_cov = propagate_gaussian(mean, np.eye(4), u)
         moved = amp @ u
-        assert np.allclose(out.mean[0::2], 2 * moved.real, atol=1e-12)
-        assert np.allclose(out.mean[1::2], 2 * moved.imag, atol=1e-12)
-        assert np.allclose(out.cov, np.eye(4), atol=1e-12)
+        assert np.allclose(out_mean[0::2], 2 * moved.real, atol=1e-12)
+        assert np.allclose(out_mean[1::2], 2 * moved.imag, atol=1e-12)
+        assert np.allclose(out_cov, np.eye(4), atol=1e-12)
 
     def test_spdc_loss_composition(self):
         r, eta_b, eta_l = 0.7, 0.4, 0.6
-        state = GaussianPQDState(np.zeros(2), *SpdcPair(r, eta_b).wigner_moments())
         transfer = np.diag([1.0, math.sqrt(eta_l)]).astype(complex)
-        out = propagate_gaussian(state, transfer)
+        _, cov = propagate_gaussian(*SpdcPair(r, eta_b).wigner_moments(), transfer)
         _, expected = SpdcPair(r, eta_b * eta_l).wigner_moments()
-        assert np.allclose(out.cov, expected, atol=1e-12)
+        assert np.allclose(cov, expected, atol=1e-12)
 
     def test_composition_equals_product(self):
         l1 = random_contraction(3, 20, scale=0.9)
@@ -235,11 +234,11 @@ class TestPropagateGaussian:
         gen = RngStream(22).generator()
         raw = gen.standard_normal((6, 6))
         cov = raw @ raw.T / 6 + np.eye(6)
-        state = GaussianPQDState(np.zeros(3), gen.standard_normal(6), cov)
-        a = propagate_gaussian(propagate_gaussian(state, l1), l2)
-        b = propagate_gaussian(state, l1 @ l2)
-        assert np.max(np.abs(a.cov - b.cov)) <= 1e-10
-        assert np.max(np.abs(a.mean - b.mean)) <= 1e-10
+        state = (gen.standard_normal(6), cov)
+        a_mean, a_cov = propagate_gaussian(*propagate_gaussian(*state, l1), l2)
+        b_mean, b_cov = propagate_gaussian(*state, l1 @ l2)
+        assert np.max(np.abs(a_cov - b_cov)) <= 1e-10
+        assert np.max(np.abs(a_mean - b_mean)) <= 1e-10
 
     def test_passive_network_never_creates_photons(self):
         gen = RngStream(23).generator()
@@ -247,10 +246,9 @@ class TestPropagateGaussian:
             transfer = random_contraction(3, 30 + seed, scale=np.sqrt(0.8))
             raw = gen.standard_normal((6, 6))
             cov = raw @ raw.T / 3 + np.eye(6)
-            state = GaussianPQDState(np.zeros(3), np.zeros(6), cov)
-            out = propagate_gaussian(state, transfer)
-            photons_in = np.trace(state.cov - np.eye(6)) / 4
-            photons_out = np.trace(out.cov - np.eye(6)) / 4
+            _, out_cov = propagate_gaussian(np.zeros(6), cov, transfer)
+            photons_in = np.trace(cov - np.eye(6)) / 4
+            photons_out = np.trace(out_cov - np.eye(6)) / 4
             assert photons_out <= photons_in + 1e-12
 
     def test_quadrature_rep_is_a_homomorphism(self):
@@ -260,10 +258,27 @@ class TestPropagateGaussian:
                            quadrature_rep(a) @ quadrature_rep(b), atol=1e-13)
         assert np.allclose(quadrature_rep(a.conj().T), quadrature_rep(a).T, atol=1e-13)
 
-    def test_rejects_non_wigner_input(self):
-        state = GaussianPQDState(np.full(2, 0.5), np.zeros(4), np.eye(4))
-        with pytest.raises(ValueError):
-            propagate_gaussian(state, np.eye(2, dtype=complex))
+    @pytest.mark.parametrize("mean,cov", [
+        (np.zeros(6), np.eye(4)),        # three modes' mean on two modes
+        (np.zeros(4), np.eye(6)),        # three modes' covariance
+        (np.zeros((2, 2)), np.eye(4)),   # mean not a vector
+        (np.zeros(4), np.eye(4)[:, :3]),  # covariance not square
+    ])
+    def test_rejects_mismatched_shapes(self, mean, cov):
+        with pytest.raises(DimensionError, match="2-mode network"):
+            propagate_gaussian(mean, cov, np.eye(2, dtype=complex))
+
+    def test_rejects_an_asymmetric_covariance(self):
+        cov = np.eye(4)
+        cov[0, 2] = 0.1
+        with pytest.raises(DimensionError, match="symmetric"):
+            propagate_gaussian(np.zeros(4), cov, np.eye(2, dtype=complex))
+
+    def test_symmetrizes_roundoff(self):
+        cov = np.eye(4)
+        cov[0, 2] = 1e-13
+        _, out = propagate_gaussian(np.zeros(4), cov, np.eye(2, dtype=complex))
+        assert np.array_equal(out, out.T) and out[0, 2] == pytest.approx(5e-14, abs=1e-15)
 
 
 def random_gaussian_config(seed: int) -> ExperimentConfig:
@@ -309,19 +324,19 @@ class TestOutputFromBlocks:
         for seed in range(40):
             config = random_gaussian_config(seed)
             kinds |= {type(entry.source).__name__ for entry in config.sources}
-            state = output_gaussian(config)
+            out_mean, out_cov = output_gaussian(config)
             mean, cov = dense_output_moments(config)
-            assert np.max(np.abs(state.cov - cov)) <= 1e-12, seed
-            assert np.max(np.abs(state.mean - mean)) <= 1e-12, seed
-            assert np.array_equal(state.cov, state.cov.T)
+            assert np.max(np.abs(out_cov - cov)) <= 1e-12, seed
+            assert np.max(np.abs(out_mean - mean)) <= 1e-12, seed
+            assert np.array_equal(out_cov, out_cov.T)
         assert kinds == {"Vacuum", "Coherent", "Thermal", "SpdcPair"}
 
     def test_all_vacuum_input_is_the_vacuum(self):
         transfer = 0.7 * haar_unitary(3, RngStream(5))
         config = ExperimentConfig(modes=3, sources=tuple(PortSource(Vacuum(), (k,)) for k in range(3)),
                                   transfer=transfer, detectors=(DetectorModel(0.9, 0.1),) * 3)
-        state = output_gaussian(config)
-        assert np.array_equal(state.cov, np.eye(6)) and not np.any(state.mean)
+        mean, cov = output_gaussian(config)
+        assert np.array_equal(cov, np.eye(6)) and not np.any(mean)
 
     def test_rectangular_quadrature_rows_are_rows_of_the_square_rep(self):
         a = random_contraction(4, 42)

@@ -15,11 +15,13 @@ from pqsim.presets import spdc_config, single_photon_config
 from pqsim.sampler import (
     SampleBatch,
     empirical_stats,
+    output_gaussian,
     run_condition1,
     run_condition2,
     run_experiment,
 )
-from pqsim.states import Coherent, MixedSinglePhoton, Thermal, Vacuum
+from pqsim.simulability import dead_modes, s_bar_vector
+from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
 from conftest import dead_detector_beamsplitter, oracle_suite, single_photon_click_marginals
 
@@ -210,6 +212,30 @@ class TestDeadDetectors:
         table = exact_distribution(config, n_max=1)
         batch = run_condition2(config, draws, RngStream(74))
         assert abs(batch.outcomes[:, 1].mean() - 0.7) <= 5 * math.sqrt(0.21 / draws)
+        bound = max(0.01, 3 * math.sqrt(len(table.outcomes) / draws))
+        assert tv_distance(table, batch) <= bound
+
+    def test_route1_dead_detector_config_matches_oracle(self):
+        # An SPDC pair on (0, 1), vacuum on 2 and 3, a Haar unitary on modes
+        # 1-3 and a dead detector on mode 3.  Refused (eigenvalue -2.6e-2)
+        # while the dead mode's row at s_bar = -1 stayed coupled to the
+        # live modes, whose own block passes.
+        transfer = np.eye(4, dtype=complex)
+        transfer[1:, 1:] = haar_unitary(3, RngStream(2))
+        sources = (PortSource(SpdcPair(0.3, 1.0), (0, 1)),
+                   PortSource(Vacuum(), (2,)), PortSource(Vacuum(), (3,)))
+        config = ExperimentConfig(modes=4, sources=sources, transfer=transfer,
+                                  detectors=(DetectorModel(0.9, 0.1174),) * 3
+                                  + (DetectorModel(0.0, 0.0),))
+        _, cov = output_gaussian(config)
+        live = np.repeat(~dead_modes(config), 2)
+        floor = np.repeat(s_bar_vector(config), 2)
+        assert np.linalg.eigvalsh(cov - np.diag(floor))[0] < -0.02
+        assert np.linalg.eigvalsh((cov - np.diag(floor))[np.ix_(live, live)])[0] > 0.01
+        draws = 200_000
+        table = exact_distribution(config, n_max=6)
+        batch = run_condition1(config, draws, RngStream(75))
+        assert not batch.outcomes[:, 3].any()
         bound = max(0.01, 3 * math.sqrt(len(table.outcomes) / draws))
         assert tv_distance(table, batch) <= bound
 

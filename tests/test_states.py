@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from pqsim import RngStream
-from pqsim.errors import DimensionError, NegativityError, SingularOrderingError
+from pqsim.errors import DimensionError, NegativityError, NotPsdError, SingularOrderingError
+from pqsim.linalg import psd_factor_real
 from pqsim.states import (
     SOURCE_KINDS,
     Coherent,
@@ -17,7 +18,9 @@ from pqsim.states import (
     Thermal,
     Vacuum,
     SourceModel,
+    gaussian_pqd_factor,
     pqd_single_photon_mixture,
+    sample_gaussian_pqd,
     sample_source_pqd,
 )
 
@@ -264,3 +267,41 @@ class TestSampleInputPqd:
         # One draw is one row with a column per port of the source.
         alpha = sample_source_pqd(SpdcPair(0.3, 0.9), [0.0, 0.0], RngStream(9).generator(), 1)
         assert alpha.shape == (1, 2)
+
+
+class TestGaussianPqdKernel:
+    """One draw for a source block and for route 1's output state."""
+
+    @staticmethod
+    def blocks():
+        gen = RngStream(600).generator()
+        for _ in range(4):
+            pair = SpdcPair(gen.uniform(0.05, 1.5), gen.uniform(0.0, 1.0))
+            _, cov = pair.wigner_moments()
+            for t in (pair.t_bar, pair.t_bar - gen.uniform(0.0, 2.0)):
+                yield gen.normal(size=4), cov, np.full(2, t)
+
+    @pytest.mark.parametrize("n", [1, 7, 16384])
+    def test_bytes_match_the_two_inline_draws_it_replaces(self, n):
+        for k, (mean, cov, t) in enumerate(self.blocks()):
+            a = psd_factor_real(cov - np.diag(np.repeat(t, 2)))
+            # The source-block draw: quadratures first, then halved to amplitudes.
+            z = mean + RngStream(k).generator().standard_normal((n, 4)) @ a
+            block = (z[:, 0::2] + 1j * z[:, 1::2]) / 2.0
+            # Route 1's draw: halving folded into the moments.
+            quad = RngStream(k).generator().standard_normal((n, 4)) @ (a / 2.0)
+            quad += mean / 2.0
+            route1 = quad.view(complex)
+            kernel = sample_gaussian_pqd(gaussian_pqd_factor(mean, cov, t),
+                                         RngStream(k).generator(), n)
+            assert kernel.shape == (n, 2)
+            assert kernel.tobytes() == block.tobytes() == route1.tobytes(), k
+
+    def test_factor_leaves_its_input_alone_and_refuses_negative_pqds(self):
+        mean, cov = SpdcPair(0.4, 0.8).wigner_moments()
+        before = cov.copy()
+        half_mean, half_factor = gaussian_pqd_factor(mean, cov, np.zeros(2))
+        assert np.array_equal(cov, before) and np.array_equal(half_mean, mean / 2.0)
+        assert np.allclose(4.0 * half_factor.T @ half_factor, cov, atol=1e-12)
+        with pytest.raises(NotPsdError):
+            gaussian_pqd_factor(mean, cov, np.full(2, SpdcPair(0.4, 0.8).t_bar + 1e-3))

@@ -3,10 +3,6 @@ names the program's callers look them up by.  Installing it on the program
 stops with ``SystemExit`` if one of those names is gone, so a change that
 drops one fails here, not only in a traced benchmark run."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pqsim
 import pqsim.cli
 import pqsim.oracle
@@ -15,19 +11,11 @@ from pqsim import RngStream
 from pqsim.experiment import ExperimentConfig
 from pqsim.sampler import SampleBatch
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from conftest import load_tracing
 
 OWNERS = (pqsim.presets, pqsim.experiment, pqsim.simulability, pqsim.processes,
           pqsim.states, pqsim.linalg, pqsim.sampler, pqsim.oracle, pqsim.rng, pqsim.cli,
           ExperimentConfig, SampleBatch, RngStream)
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_tracer_installs_on_the_program_and_restores_it():
