@@ -8,7 +8,8 @@ distribution), ``compare`` (sampler vs oracle with a pass/fail verdict), and
 Exit codes: 0 success/pass, 1 quantitative fail, 2 usage or size guard,
 3 simulability refusal.  Every run with ``--out`` writes a manifest
 recording the config hash, seed, and runtime, which is enough to reproduce
-the outputs byte for byte.
+the outputs byte for byte; ``sample`` also records the worker threads its
+tiles ran on.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .experiment import SCHEME_SINGLE_PHOTON, SCHEME_SPDC, parse_config
 from .oracle import exact_distribution, tv_distance
 from .presets import ScenarioParams, threshold_table
 from .rng import RngStream
-from .sampler import run_experiment
+from .sampler import run_experiment, tile_workers
 from .simulability import check_second_condition
 
 # Not called here; perfbench's tracer wraps this name and stops if it is missing.
@@ -49,6 +50,7 @@ class RunManifest:
     seed: int | None
     wall_time_s: float
     outputs: list[str]
+    workers: int | None = None
 
     def write(self, path) -> None:
         payload = {
@@ -59,6 +61,8 @@ class RunManifest:
             "wall_time_s": self.wall_time_s,
             "outputs": self.outputs,
         }
+        if self.workers is not None:
+            payload["workers"] = self.workers
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -75,7 +79,7 @@ def _out_dir(args) -> Path | None:
     return path
 
 
-def _finish(args, started, config_hash, outputs) -> None:
+def _finish(args, started, config_hash, outputs, workers=None) -> None:
     out = _out_dir(args)
     if out is None:
         return
@@ -86,6 +90,7 @@ def _finish(args, started, config_hash, outputs) -> None:
         seed=getattr(args, "seed", None),
         wall_time_s=time.perf_counter() - started,
         outputs=[str(p) for p in outputs],
+        workers=workers,
     )
     manifest.write(out / "manifest.json")
 
@@ -135,7 +140,9 @@ def cmd_sample(args) -> int:
         batch.write(sample_path, fmt=args.format)
         outputs.append(sample_path)
         _say(args, f"wrote {sample_path}")
-    _finish(args, started, batch.config_hash, outputs)
+    # The threads the run's tiles ran on: 1 when every batch is one tile.
+    workers = tile_workers(config.modes, args.samples, args.workers)
+    _finish(args, started, batch.config_hash, outputs, workers)
     return EXIT_OK
 
 
@@ -262,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--condition", type=int, choices=(1, 2), default=None,
                           help="force a sampling route (default: auto)")
     p_sample.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_sample.add_argument("--workers", type=int, default=1)
+    p_sample.add_argument("--workers", type=int, default=None,
+                          help="threads for each batch's row tiles "
+                               "(default: the CPUs this process may use)")
     p_sample.set_defaults(func=cmd_sample)
 
     p_oracle = sub.add_parser("oracle", parents=[common],

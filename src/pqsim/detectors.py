@@ -108,7 +108,8 @@ def click_coefficients(s, dets) -> tuple[np.ndarray, np.ndarray]:
     return -eta / denom, (1.0 - p_d) / denom
 
 
-def sample_clicks(beta: np.ndarray, coefficients, gen: np.random.Generator) -> np.ndarray:
+def sample_clicks(beta: np.ndarray, coefficients, gen: np.random.Generator,
+                  out=None, work=None) -> np.ndarray:
     """Per-batch half of the click stage: one uint8 outcome per shot and mode.
 
     ``beta`` is a C-contiguous complex (n, M) batch of output amplitudes and
@@ -116,13 +117,29 @@ def sample_clicks(beta: np.ndarray, coefficients, gen: np.random.Generator) -> n
     Each mode clicks independently with probability pi * W_on(beta_k),
     which is a proper probability because the two outcome PQDs sum to 1/pi
     per mode.  Consumes one uniform per shot and mode from ``gen``.
+
+    The outcomes go to ``out``, a uint8 (n, M) array, which is allocated
+    when omitted.  With ``work``, a C-contiguous float array of at least
+    n M entries, the click probabilities go to its leading entries and the
+    uniforms to ``beta``'s storage, and nothing of size n M is allocated.
     """
     decay, keep = coefficients
+    n, m = beta.shape
     parts = beta.view(float)
     np.square(parts, out=parts)
-    p_click = parts[:, 0::2] + parts[:, 1::2]
+    if work is None:
+        p_click = parts[:, 0::2] + parts[:, 1::2]
+        uniforms = gen.random(p_click.shape)
+    else:
+        p_click = np.add(parts[:, 0::2], parts[:, 1::2],
+                         out=work.reshape(-1)[:n * m].reshape(n, m))
+        # The amplitudes are spent, so their storage takes the uniforms.
+        uniforms = gen.random(out=parts.reshape(-1)[:n * m].reshape(n, m))
     p_click *= decay
     np.exp(p_click, out=p_click)
     p_click *= keep
     np.subtract(1.0, p_click, out=p_click)
-    return (gen.random(p_click.shape) < p_click).view(np.uint8)
+    if out is None:
+        out = np.empty((n, m), dtype=np.uint8)
+    np.less(uniforms, p_click, out=out.view(bool))
+    return out

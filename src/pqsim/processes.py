@@ -134,19 +134,23 @@ def _whiten(b: np.ndarray, d: np.ndarray):
 
 
 def sample_transition(alpha: np.ndarray, rows: np.ndarray, factor,
-                      gen: np.random.Generator) -> np.ndarray:
+                      gen: np.random.Generator, out=None, work=None) -> np.ndarray:
     """Draw beta = alpha @ rows + delta for input amplitudes alpha (n, K),
     where ``rows`` (K, M) are those K ports' rows of L and delta is a
     circular complex Gaussian of covariance Sigma/2 from ``factor`` =
     :func:`transition_factor`; delta is exactly 0 when Sigma = 0.
     Consumes 2 n M standard normals from ``gen``, read as (re, im) pairs.
+
+    ``out`` and ``work``, C-contiguous float (n, 2M) arrays, receive the
+    result and hold the matrix products; each is allocated when omitted.
     """
     c_h, g, scale = factor
-    delta = gen.standard_normal((alpha.shape[0], 2 * scale.size)).view(complex)
-    delta -= (delta @ c_h) @ g
+    delta = gen.standard_normal((alpha.shape[0], 2 * scale.size), out=out).view(complex)
+    product = np.matmul(delta @ c_h, g, out=None if work is None else work.view(complex))
+    delta -= product
     # delta = re + i im has E|delta|^2 = 2; the 1/sqrt(2) of a unit normal goes here.
     delta *= scale / np.sqrt(2.0)
-    delta += alpha @ rows
+    delta += np.matmul(alpha, rows, out=product)
     return delta
 
 

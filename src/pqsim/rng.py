@@ -3,8 +3,9 @@
 A stream is identified by a ``(seed, stream_id)`` pair fed directly into the
 key of a Philox counter-based generator, so the same pair always reproduces
 the same draw sequence and distinct pairs give statistically independent
-sequences.  Batched samplers derive one child stream per batch, which makes
-results independent of how batches are scheduled across workers.
+sequences.  Batched samplers derive one child stream per batch and one
+grandchild per row tile after the first, which makes results independent
+of how tiles are scheduled across workers.
 """
 
 from __future__ import annotations

@@ -21,17 +21,26 @@ share: :func:`~pqsim.states.sample_source_pqd` (input),
 pair's block, or route 1's whole output state),
 :func:`~pqsim.processes.sample_transition` (network) and
 :func:`~pqsim.detectors.sample_clicks` (detectors).  Sampling is batched;
-batch b draws from ``rng.child(b)``: first its input draws, then its dense
-stages (mixing, transition noise, detector coins) tile by tile over row
-blocks of at most :data:`TILE_ELEMENTS` rows x modes, each tile drawing
-in order from that batch's stream.  The outcome bytes depend only on
-(config, seed), never on the worker count, and the dense stages' float
-temporaries scale with the tile, not with ``BATCH_SIZE`` x M.
+batch b makes its input draws from ``rng.child(b)`` on the caller's
+thread, then runs its dense stages (mixing, transition noise, detector
+coins) over row tiles of at most :data:`TILE_ELEMENTS` rows x modes.
+Tile 0 goes on drawing from ``rng.child(b)``, tile j >= 1 draws from
+``rng.child(b).child(j)``, and each tile writes its rows straight into
+the run's output.  The tiles of a batch run on ``workers`` threads
+(default: the CPUs this process may use, :func:`usable_cpus`), each
+thread reusing one workspace of two float (tile rows, 2M) buffers; a run
+whose batches are single tiles (M <= 16) starts no thread.  The outcome
+bytes depend only on (config, seed), never on the worker count, and the
+dense stages' float temporaries scale with the tile, not with
+``BATCH_SIZE`` x M.
 """
 
 from __future__ import annotations
 
+import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,19 +93,22 @@ class SampleBatch:
     def bitstrings(self) -> list[str]:
         return _row_keys(self.outcomes).astype(str).tolist()
 
-    def to_csv_bytes(self) -> bytes:
-        body = np.empty((len(self), self.modes + 1), dtype=np.uint8)
-        body[:, :-1] = _row_chars(self.outcomes)
-        body[:, -1] = ord("\n")
-        return body.tobytes()
+    def to_csv_bytes(self) -> bytearray:
+        return self._lines(b"", b"\n")
 
-    def to_jsonl_bytes(self) -> bytes:
-        head, tail = b'{"n":"', b'"}\n'
-        body = np.empty((len(self), len(head) + self.modes + len(tail)), dtype=np.uint8)
-        body[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
-        body[:, len(head):-len(tail)] = _row_chars(self.outcomes)
-        body[:, -len(tail):] = np.frombuffer(tail, dtype=np.uint8)
-        return body.tobytes()
+    def to_jsonl_bytes(self) -> bytearray:
+        return self._lines(b'{"n":"', b'"}\n')
+
+    def _lines(self, head: bytes, tail: bytes) -> bytearray:
+        """One line per shot: ``head``, the outcome as ASCII '0'/'1' (mode 0
+        first), ``tail``; written through a numpy view of the result."""
+        width = len(head) + self.modes + len(tail)
+        data = bytearray(len(self) * width)
+        lines = np.frombuffer(data, dtype=np.uint8).reshape(len(self), width)
+        lines[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
+        np.add(self.outcomes, np.uint8(ord("0")), out=lines[:, len(head):width - len(tail)])
+        lines[:, width - len(tail):] = np.frombuffer(tail, dtype=np.uint8)
+        return data
 
     def write(self, path, fmt: str = "csv") -> None:
         if fmt not in ("csv", "jsonl"):
@@ -106,14 +118,10 @@ class SampleBatch:
             fh.write(data)
 
 
-def _row_chars(outcomes: np.ndarray) -> np.ndarray:
-    """Outcomes as ASCII '0'/'1' characters, C-contiguous, one row per shot."""
-    return np.ascontiguousarray(outcomes + np.uint8(ord("0")))
-
-
 def _row_keys(outcomes: np.ndarray) -> np.ndarray:
     """One M-byte string per row, mode 0 first: the bit-string key of a shot."""
-    return _row_chars(outcomes).view(f"S{outcomes.shape[1]}")[:, 0]
+    chars = np.ascontiguousarray(outcomes + np.uint8(ord("0")))
+    return chars.view(f"S{outcomes.shape[1]}")[:, 0]
 
 
 def _histogram(outcomes: np.ndarray) -> dict:
@@ -149,51 +157,74 @@ def _make_batch(config, outcomes, rng) -> SampleBatch:
     )
 
 
-def _run_batched(draw_batch, modes, n_samples, rng, workers):
-    """Fill (n_samples, modes) by running ``draw_batch(gen, n)`` per batch.
+def usable_cpus() -> int:
+    """CPUs this process may run on, the default worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    Batch boundaries and per-batch streams are fixed by (n_samples, rng)
-    alone; workers only change scheduling.
-    """
-    n_samples = int(n_samples)
+
+def tile_rows(modes: int) -> int:
+    """Rows of one full tile: at most :data:`TILE_ELEMENTS` rows x modes."""
+    return max(1, TILE_ELEMENTS // modes)
+
+
+def tile_workers(modes: int, n_samples: int, workers: int | None = None) -> int:
+    """Threads a run of ``n_samples`` shots over ``modes`` modes works on:
+    ``workers`` (default :func:`usable_cpus`) capped at the tiles of its
+    largest batch, so 1 when every batch is a single tile."""
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
+    workers = usable_cpus() if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    out = np.empty((n_samples, modes), dtype=np.uint8)
-    splits = [
-        (b, start, min(start + BATCH_SIZE, n_samples))
-        for b, start in enumerate(range(0, n_samples, BATCH_SIZE))
-    ]
-
-    def run_one(task):
-        b, start, stop = task
-        gen = rng.child(b).generator()
-        out[start:stop] = draw_batch(gen, stop - start)
-
-    if workers <= 1 or len(splits) <= 1:
-        for task in splits:
-            run_one(task)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, splits))
-    return out
+    tiles = -(-min(int(n_samples), BATCH_SIZE) // tile_rows(modes))
+    return max(1, min(workers, tiles))
 
 
-def _click_tiles(amplitudes, clicks, n, gen):
-    """Outcomes (n, M) of one batch, built tile by tile.
+def _run_batched(draw_batch, modes, n_samples, rng, workers):
+    """Outcomes (n_samples, modes), batch by batch, each batch's row tiles
+    on :func:`tile_workers` threads.
 
-    ``amplitudes(rows)`` draws the complex output amplitudes of the batch
-    rows ``rows`` (a slice) from ``gen``; each tile's detector coins are
-    drawn right after its amplitudes, so a batch of one tile consumes its
-    stream exactly as an untiled batch would.
+    For batch b, ``draw_batch(gen, n)`` makes the batch's input draws from
+    ``gen = rng.child(b).generator()`` on the caller's thread and returns
+    ``tile(rows, gen, out, work)``, which writes the outcomes of the batch
+    rows ``rows`` (a slice) into ``out``, drawing from ``gen`` and using
+    ``work``, two C-contiguous float (len(rows), 2 modes) buffers.  Tile 0
+    goes on drawing from the batch's ``gen``; tile j >= 1 draws from
+    ``rng.child(b).child(j)``.  Every generator is made on the caller's
+    thread, so the bytes depend on (n_samples, rng) alone, never on
+    ``workers``.  The run allocates one workspace per thread, and each
+    tile borrows a free one.
     """
-    modes = clicks[0].size
-    out = np.empty((n, modes), dtype=np.uint8)
-    step = max(1, TILE_ELEMENTS // modes)
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
-        out[rows] = sample_clicks(amplitudes(rows), clicks, gen)
+    threads = tile_workers(modes, n_samples, workers)
+    n_samples = int(n_samples)
+    out = np.empty((n_samples, modes), dtype=np.uint8)
+    step = tile_rows(modes)
+    idle = queue.SimpleQueue()
+    for _ in range(threads):
+        idle.put(np.empty((2, min(step, n_samples, BATCH_SIZE), 2 * modes)))
+
+    def run_tile(job):
+        tile, rows, gen, dest = job
+        work = idle.get()
+        try:
+            tile(rows, gen, dest, work[:, :len(dest)])
+        finally:
+            idle.put(work)
+
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        run_all = map if pool is None else pool.map
+        for b, start in enumerate(range(0, n_samples, BATCH_SIZE)):
+            n = min(BATCH_SIZE, n_samples - start)
+            stream = rng.child(b)
+            gen = stream.generator()
+            tile = draw_batch(gen, n)
+            rows = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+            gens = [gen] + [stream.child(j).generator() for j in range(1, len(rows))]
+            dest = out[start:start + n]
+            list(run_all(run_tile, [(tile, r, g, dest[r]) for r, g in zip(rows, gens)]))
     return out
 
 
@@ -201,7 +232,7 @@ def run_condition2(
     config: ExperimentConfig,
     n_samples: int,
     rng: RngStream,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> SampleBatch:
     """Sample outcomes through input PQDs + transition Gaussian + measurement.
 
@@ -244,8 +275,12 @@ def run_condition2(
             draw = sample_source_pqd(source, t_block, gen, n)
             if cols is not None:
                 alpha[:, cols] = draw
-        return _click_tiles(
-            lambda rows: sample_transition(alpha[rows], mixing, factor, gen), clicks, n, gen)
+
+        def tile(rows, tile_gen, out, work):
+            beta = sample_transition(alpha[rows], mixing, factor, tile_gen, out=work[0],
+                                     work=work[1])
+            sample_clicks(beta, clicks, tile_gen, out=out, work=work[1])
+        return tile
 
     outcomes = _run_batched(draw_batch, config.modes, n_samples, rng, workers)
     return _make_batch(config, outcomes, rng)
@@ -263,7 +298,7 @@ def run_condition1(
     config: ExperimentConfig,
     n_samples: int,
     rng: RngStream,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> SampleBatch:
     """Sample outcomes by drawing from the output-state PQD directly.
 
@@ -289,9 +324,12 @@ def run_condition1(
         ) from exc
     clicks = click_coefficients(sbar, config.detectors)
 
+    def tile(rows, gen, out, work):
+        beta = sample_gaussian_pqd(factor, gen, len(out), out=work[1], work=work[0])
+        sample_clicks(beta, clicks, gen, out=out, work=work[0])
+
     def draw_batch(gen, n):
-        return _click_tiles(lambda rows: sample_gaussian_pqd(factor, gen, rows.stop - rows.start),
-                            clicks, n, gen)
+        return tile
 
     outcomes = _run_batched(draw_batch, config.modes, n_samples, rng, workers)
     return _make_batch(config, outcomes, rng)
@@ -302,7 +340,7 @@ def run_experiment(
     n_samples: int,
     rng: RngStream,
     condition: int | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> SampleBatch:
     """Dispatch to a sampling engine.
 

@@ -247,12 +247,18 @@ def gaussian_pqd_factor(mean, cov, t) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(mean, dtype=float) / 2.0, half_factor
 
 
-def sample_gaussian_pqd(factor, gen: np.random.Generator, n: int) -> np.ndarray:
+def sample_gaussian_pqd(factor, gen: np.random.Generator, n: int,
+                        out=None, work=None) -> np.ndarray:
     """Per-batch half of a Gaussian PQD draw: ``n`` amplitudes, shape (n, K),
     from ``factor`` = :func:`gaussian_pqd_factor`.  Consumes 2 n K standard
-    normals from ``gen``, read as (x, p) pairs per mode."""
+    normals from ``gen``, read as (x, p) pairs per mode.
+
+    ``work`` and ``out``, C-contiguous float (n, 2K) arrays, receive the
+    normals and the quadratures (the result's storage); each is allocated
+    when omitted."""
     half_mean, half_factor = factor
-    quad = gen.standard_normal((n, half_factor.shape[0])) @ half_factor
+    normals = gen.standard_normal((n, half_factor.shape[0]), out=work)
+    quad = np.matmul(normals, half_factor, out=out)
     quad += half_mean
     return quad.view(complex)
 

@@ -1,51 +1,83 @@
-"""A batch's dense stages run over row tiles: memory and stream layout."""
+"""A batch's dense stages run over row tiles, on a thread pool: memory,
+stream layout and scheduling."""
 
+import math
+import os
 import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+import pqsim.sampler
 from pqsim import RngStream
+from pqsim.detectors import click_coefficients
 from pqsim.presets import single_photon_config, spdc_config
+from pqsim.processes import transition_factor
 from pqsim.sampler import (
     BATCH_SIZE,
     TILE_ELEMENTS,
     SampleBatch,
     empirical_stats,
+    output_gaussian,
     run_condition1,
     run_condition2,
+    tile_rows,
+    tile_workers,
+    usable_cpus,
 )
+from pqsim.simulability import check_second_condition, s_bar_vector
+from pqsim.states import Vacuum, gaussian_pqd_factor, sample_source_pqd
 
 from conftest import single_photon_click_marginals
 
 #: Every complex (rows, M) temporary of one full tile is 16 * TILE_ELEMENTS bytes.
 TILE_BYTES = 16 * TILE_ELEMENTS
 
+#: One worker's workspace: two float (tile rows, 2M) buffers.
+WORKSPACE_BYTES = 2 * TILE_BYTES
 
-def traced_peak(run, config, n_samples):
+#: One source's draw temporaries over a batch: 1.5 MiB for a single-photon
+#: draw of 16384 shots.
+DRAW_BYTES = 2 * 2**20
+
+
+def traced_peak(run, config, n_samples, workers=2):
     tracemalloc.start()
     try:
-        run(config, n_samples, RngStream(1))
+        run(config, n_samples, RngStream(1), workers=workers)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def peak_bound(config, n, amplitude_ports, workers):
+    """The output once, route 2's input amplitudes (n, |A|) and set-up rows
+    (the mixing rows and the noise factor's C^dag and G, |A| x M each on
+    the single-photon presets), one workspace per worker and DRAW_BYTES:
+    no batch copy of the output, nothing of size BATCH_SIZE x M in floats
+    and no per-tile temporary of tile size."""
+    amplitudes = 16 * n * amplitude_ports + 3 * 16 * amplitude_ports * config.modes
+    return n * config.modes + amplitudes + workers * WORKSPACE_BYTES + DRAW_BYTES
+
+
 class TestBatchMemory:
-    # The output and the batch's copy of it, plus route 2's input
-    # amplitudes (n, |A|), plus a few tile-sized temporaries; nothing of
-    # size BATCH_SIZE x M in floats.
     @pytest.mark.parametrize("run,config,amplitude_ports", [
         (run_condition2, single_photon_config(256, 12, p_d=0.06), 12),
         (run_condition1, spdc_config(64, 0.05, p_d=0.06), 0),
     ])
     def test_peak_is_bounded_by_output_and_tiles(self, run, config, amplitude_ports):
         n = 16384
-        outcome_bytes = n * config.modes
-        alpha_bytes = 16 * n * amplitude_ports
-        bound = 2 * outcome_bytes + alpha_bytes + 4 * TILE_BYTES
-        assert traced_peak(run, config, n) <= bound
+        assert traced_peak(run, config, n) <= peak_bound(config, n, amplitude_ports, 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_paper_size_batch_holds_its_outcomes_once(self, workers):
+        # 16 MiB of outcomes, 8 MiB of input amplitudes and 8 MiB per
+        # workspace; a second copy of the outcomes would add 16 MiB.
+        config = single_photon_config(1024, 32, p_d=0.06)
+        n = 16384
+        peak = traced_peak(run_condition2, config, n, workers)
+        assert peak <= peak_bound(config, n, 32, workers)
 
 
 class TestHistogramMemory:
@@ -66,7 +98,8 @@ class TestHistogramMemory:
 
 
 # M = 100 tiles a batch into 2621-row blocks: BATCH_SIZE + 7 shots give a
-# full batch ending in a partial tile, then a 7-row batch of one tile.
+# full batch ending in a partial tile, then a 7-row batch of one tile.  At
+# M = 1024 and M = 256 the full batch is 64 or 16 whole tiles.
 MODES, SHOTS = 100, BATCH_SIZE + 7
 
 
@@ -74,12 +107,15 @@ class TestTiling:
     @pytest.mark.parametrize("run,config", [
         (run_condition2, single_photon_config(MODES, 10, p_d=0.06)),
         (run_condition1, spdc_config(MODES // 2, 0.05, p_d=0.06)),
+        (run_condition2, single_photon_config(1024, 32, p_d=0.06)),
+        (run_condition1, spdc_config(128, 0.05, p_d=0.06)),
     ])
     def test_partial_tiles_are_identical_across_workers(self, run, config):
         serial = run(config, SHOTS, RngStream(81), workers=1).outcomes
-        parallel = run(config, SHOTS, RngStream(81), workers=2).outcomes
-        assert serial.shape == (SHOTS, MODES)
-        assert np.array_equal(serial, parallel)
+        assert serial.shape == (SHOTS, config.modes)
+        for workers in (2, 3):
+            parallel = run(config, SHOTS, RngStream(81), workers=workers).outcomes
+            assert np.array_equal(serial, parallel)
 
     def test_tiled_click_rates_match_exact_marginals(self):
         config = single_photon_config(MODES, 10, p_d=0.06)
@@ -98,3 +134,104 @@ class TestTiling:
         longer = run_condition1(config, 2 * step + 5, RngStream(83)).outcomes
         assert np.array_equal(short, longer[:step])
         assert not np.array_equal(longer[:step], longer[step:2 * step])
+
+
+def serial_first_tile_route2(config, n, gen):
+    """Route 2's outcomes for the first tile of an n-row batch drawn from
+    ``gen``, computed as the serial engine before the thread pool computed
+    them: every source over the batch, then the tile's normals and
+    uniforms, all from ``gen``."""
+    report = check_second_condition(config)
+    tbar, sbar = report.ordering_t, report.ordering_s
+    c_h, g, scale = transition_factor(config.transfer, sbar, tbar)
+    decay, keep = click_coefficients(sbar, config.detectors)
+    active, draws = [], []
+    for entry in config.sources:
+        draw = sample_source_pqd(entry.source, tbar[list(entry.ports)], gen, n)
+        if not isinstance(entry.source, Vacuum):
+            active.extend(entry.ports)
+            draws.append(draw)
+    rows = min(n, tile_rows(config.modes))
+    alpha = np.hstack(draws)[:rows]
+    delta = gen.standard_normal((rows, 2 * config.modes)).view(complex)
+    delta -= (delta @ c_h) @ g
+    delta *= scale / np.sqrt(2.0)
+    delta += alpha @ config.transfer[active]
+    return serial_clicks(delta, decay, keep, gen)
+
+
+def serial_first_tile_route1(config, n, gen):
+    """Route 1's outcomes for the first tile of an n-row batch drawn from
+    ``gen``, for a config without dead detectors."""
+    sbar = s_bar_vector(config)
+    half_mean, half_factor = gaussian_pqd_factor(*output_gaussian(config), sbar)
+    decay, keep = click_coefficients(sbar, config.detectors)
+    rows = min(n, tile_rows(config.modes))
+    quad = gen.standard_normal((rows, 2 * config.modes)) @ half_factor
+    quad += half_mean
+    return serial_clicks(quad.view(complex), decay, keep, gen)
+
+
+def serial_clicks(beta, decay, keep, gen):
+    parts = beta.view(float)
+    np.square(parts, out=parts)
+    p_click = parts[:, 0::2] + parts[:, 1::2]
+    p_click *= decay
+    np.exp(p_click, out=p_click)
+    p_click *= keep
+    np.subtract(1.0, p_click, out=p_click)
+    return (gen.random(p_click.shape) < p_click).view(np.uint8)
+
+
+class TestParallelTiles:
+    @pytest.mark.parametrize("run,serial,config", [
+        (run_condition2, serial_first_tile_route2, single_photon_config(MODES, 10, p_d=0.06)),
+        (run_condition1, serial_first_tile_route1, spdc_config(MODES // 2, 0.05, p_d=0.06)),
+    ], ids=["route2", "route1"])
+    def test_each_batch_first_tile_keeps_the_batch_stream(self, run, serial, config):
+        rng = RngStream(85)
+        outcomes = run(config, SHOTS, rng, workers=2).outcomes
+        step = tile_rows(MODES)
+        for b, start in enumerate(range(0, SHOTS, BATCH_SIZE)):
+            n = min(BATCH_SIZE, SHOTS - start)
+            expected = serial(config, n, rng.child(b).generator())
+            assert np.array_equal(outcomes[start:start + min(n, step)], expected)
+
+    def test_later_tiles_draw_from_their_own_streams(self):
+        # Tile 1 of batch 0 starts rng.child(0).child(1); route 1 draws
+        # nothing before its tiles, so its first row is that stream's.
+        config = spdc_config(MODES // 2, 0.05, p_d=0.06)
+        step = tile_rows(MODES)
+        rng = RngStream(86)
+        tiled = run_condition1(config, 2 * step, rng, workers=2).outcomes
+        expected = serial_first_tile_route1(config, step, rng.child(0).child(1).generator())
+        assert np.array_equal(tiled[step:], expected)
+
+    @pytest.mark.parametrize("modes,shots", [(16, 2 * BATCH_SIZE + 5), (MODES, 0)])
+    def test_no_pool_when_no_batch_has_two_tiles(self, monkeypatch, modes, shots):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(pqsim.sampler, "ThreadPoolExecutor", refuse)
+        config = single_photon_config(modes, 4, p_d=0.06)
+        assert len(run_condition2(config, shots, RngStream(87), workers=4)) == shots
+        with pytest.raises(AssertionError, match="thread pool"):
+            run_condition2(single_photon_config(MODES, 4, p_d=0.06), 3 * tile_rows(MODES),
+                           RngStream(87), workers=4)
+
+    def test_workers_default_to_the_usable_cpus(self):
+        expected = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count())
+        assert usable_cpus() == expected
+        assert tile_workers(1024, BATCH_SIZE) == min(expected, BATCH_SIZE // 256)
+
+    @pytest.mark.parametrize("modes,shots,workers,threads", [
+        (16, 10**6, 8, 1),                                  # one tile per batch
+        (MODES, 0, 8, 1),                                   # nothing to draw
+        (MODES, SHOTS, 64, math.ceil(BATCH_SIZE / 2621)),   # capped at the tiles
+        (MODES, 2621 + 1, 8, 2),
+        (1024, BATCH_SIZE, 3, 3),
+    ])
+    def test_threads_are_capped_at_the_tiles_of_the_largest_batch(self, modes, shots,
+                                                                   workers, threads):
+        assert tile_workers(modes, shots, workers) == threads

@@ -107,6 +107,20 @@ class TestSample:
             outputs.append((out / "samples.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_manifest_records_the_threads_the_run_used(self, photon_config_path, tmp_path):
+        wide = tmp_path / "wide.json"
+        wide.write_text(single_photon_config(100, 4, p_d=0.06).to_json())
+        shots = str(3 * pqsim.sampler.tile_rows(100))  # one batch of three tiles
+        runs = [(photon_config_path, "10", ["--workers", "4"], 1),  # one tile: serial
+                (wide, shots, ["--workers", "4"], 3),
+                (wide, shots, ["--workers", "2"], 2),
+                (wide, shots, [], min(pqsim.sampler.usable_cpus(), 3))]
+        for k, (path, samples, flags, threads) in enumerate(runs):
+            out = tmp_path / f"run{k}"
+            assert main(["sample", "--config", str(path), "--samples", samples, *flags,
+                         "--out", str(out), "--quiet"]) == EXIT_OK
+            assert json.loads((out / "manifest.json").read_text())["workers"] == threads
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_exits_usage(self, photon_config_path, tmp_path,
                                                 workers, capsys):

@@ -13,7 +13,7 @@ from pqsim import DetectorModel, RngStream
 from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import haar_unitary
 from pqsim.presets import single_photon_config, spdc_config
-from pqsim.sampler import run_condition1, run_condition2
+from pqsim.sampler import BATCH_SIZE, run_condition1, run_condition2
 from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
 DRAWS = 5000
@@ -87,3 +87,21 @@ def test_all_kinds_config_hash():
         "detectors": {"eta_d": 0.9, "p_d": 0.1},
     })
     assert config.config_hash() == "aa1572ca1947606c0ae6783fad9fdc2babd739839506014b6439a4ab4e4f2d9e"
+
+
+# At M = 48 a batch is three 5461-row tiles and a 1-row one, and the 7
+# further shots make a second batch: these pin the tile streams
+# rng.child(b).child(j), which no pin at M <= 16 reaches.
+MULTI_TILE_DRAWS = BATCH_SIZE + 7
+
+
+def test_route2_multi_tile_single_photons():
+    batch = run_condition2(single_photon_config(48, 6, p_d=0.06), MULTI_TILE_DRAWS,
+                           RngStream(2026), workers=2)
+    assert csv_sha256(batch) == "d938b6cd7dedd9397906e8cc94ae277c2ceebe1b326312833d5b15d6c3123da3"
+
+
+def test_route1_multi_tile_spdc():
+    batch = run_condition1(spdc_config(24, 0.05, p_d=0.09), MULTI_TILE_DRAWS,
+                           RngStream(2026), workers=2)
+    assert csv_sha256(batch) == "c066d74107ce424f14e2b4fb6a57ceadbcf92bbbc220ac8784f4004abc336bbd"
