@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -40,32 +39,6 @@ EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
 
-@dataclass
-class RunManifest:
-    """Provenance sidecar emitted next to every file-producing run."""
-
-    subcommand: str
-    version: str
-    config_hash: str | None
-    seed: int | None
-    wall_time_s: float
-    outputs: list[str]
-    workers: int | None = None
-
-    def write(self, path) -> None:
-        payload = {
-            "subcommand": self.subcommand,
-            "version": self.version,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "wall_time_s": self.wall_time_s,
-            "outputs": self.outputs,
-        }
-        if self.workers is not None:
-            payload["workers"] = self.workers
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -80,19 +53,33 @@ def _out_dir(args) -> Path | None:
 
 
 def _finish(args, started, config_hash, outputs, workers=None) -> None:
+    """With ``--out``, write the run's provenance sidecar, manifest.json."""
     out = _out_dir(args)
     if out is None:
         return
-    manifest = RunManifest(
-        subcommand=args.command,
-        version=__version__,
-        config_hash=config_hash,
-        seed=getattr(args, "seed", None),
-        wall_time_s=time.perf_counter() - started,
-        outputs=[str(p) for p in outputs],
-        workers=workers,
-    )
-    manifest.write(out / "manifest.json")
+    manifest = {
+        "subcommand": args.command,
+        "version": __version__,
+        "config_hash": config_hash,
+        "seed": getattr(args, "seed", None),
+        "wall_time_s": time.perf_counter() - started,
+        "outputs": [str(p) for p in outputs],
+    }
+    if workers is not None:
+        manifest["workers"] = workers
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _report(args, started, config_hash, payload, name) -> None:
+    """Print ``payload`` as JSON; with ``--out``, write it (keys sorted) to ``name``."""
+    print(json.dumps(payload, indent=2))
+    outputs = []
+    out = _out_dir(args)
+    if out is not None:
+        path = out / name
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        outputs.append(path)
+    _finish(args, started, config_hash, outputs)
 
 
 def cmd_check(args) -> int:
@@ -108,14 +95,7 @@ def cmd_check(args) -> int:
         _say(args, f"  margin (p_d - threshold): {report.margin:.6g}")
     else:
         _say(args, f"  {report.threshold_note}")
-    print(json.dumps(payload, indent=2))
-    outputs = []
-    out = _out_dir(args)
-    if out is not None:
-        report_path = out / "report.json"
-        report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        outputs.append(report_path)
-    _finish(args, started, config.config_hash(), outputs)
+    _report(args, started, config.config_hash(), payload, "report.json")
     return EXIT_OK
 
 
@@ -123,13 +103,10 @@ def cmd_sample(args) -> int:
     started = time.perf_counter()
     config = parse_config(args.config)
     rng = RngStream(args.seed)
-    batch = run_experiment(
-        config,
-        args.samples,
-        rng,
-        condition=args.condition,
-        workers=args.workers,
-    )
+    # The threads the run's tiles run on: 1 when every batch is one tile.
+    workers = tile_workers(config.modes, args.samples, args.workers)
+    batch = run_experiment(config, args.samples, rng, condition=args.condition,
+                           workers=workers)
     if len(batch):
         rates = ", ".join(f"{r:.4f}" for r in batch.outcomes.mean(axis=0))
         _say(args, f"drew {len(batch)} samples; per-mode click rates: [{rates}]")
@@ -140,8 +117,6 @@ def cmd_sample(args) -> int:
         batch.write(sample_path, fmt=args.format)
         outputs.append(sample_path)
         _say(args, f"wrote {sample_path}")
-    # The threads the run's tiles ran on: 1 when every batch is one tile.
-    workers = tile_workers(config.modes, args.samples, args.workers)
     _finish(args, started, batch.config_hash, outputs, workers)
     return EXIT_OK
 
@@ -150,15 +125,7 @@ def cmd_oracle(args) -> int:
     started = time.perf_counter()
     config = parse_config(args.config)
     table = exact_distribution(config, n_max=args.n_max)
-    payload = table.to_dict()
-    print(json.dumps(payload, indent=2))
-    outputs = []
-    out = _out_dir(args)
-    if out is not None:
-        table_path = out / "distribution.json"
-        table_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        outputs.append(table_path)
-    _finish(args, started, config.config_hash(), outputs)
+    _report(args, started, config.config_hash(), table.to_dict(), "distribution.json")
     return EXIT_OK
 
 
@@ -175,14 +142,7 @@ def cmd_compare(args) -> int:
                f"(tolerance {args.tolerance:g}): {'PASS' if passed else 'FAIL'}")
     payload = {"tv_distance": tv, "tolerance": args.tolerance, "pass": passed,
                "samples": args.samples}
-    print(json.dumps(payload, indent=2))
-    outputs = []
-    out = _out_dir(args)
-    if out is not None:
-        path = out / "compare.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        outputs.append(path)
-    _finish(args, started, config.config_hash(), outputs)
+    _report(args, started, config.config_hash(), payload, "compare.json")
     return EXIT_OK if passed else EXIT_FAIL
 
 
@@ -221,16 +181,16 @@ def cmd_thresholds(args) -> int:
         for row in rows[-len(modes_list):]:
             _say(args, _format_row(row))
         _say(args, "")
-    print(json.dumps([r.to_dict() for r in rows], indent=2))
+    table = [r.to_dict() for r in rows]
+    print(json.dumps(table, indent=2))
     outputs = []
     out = _out_dir(args)
     if out is not None:
         json_path = out / "thresholds.json"
-        json_path.write_text(json.dumps([r.to_dict() for r in rows], indent=2) + "\n")
+        json_path.write_text(json.dumps(table, indent=2) + "\n")
         csv_path = out / "thresholds.csv"
         lines = [",".join(_THRESHOLD_COLUMNS)]
-        for r in rows:
-            d = r.to_dict()
+        for d in table:
             lines.append(",".join("" if d[c] is None else str(d[c])
                                   for c in _THRESHOLD_COLUMNS))
         csv_path.write_text("\n".join(lines) + "\n")

@@ -384,25 +384,29 @@ def ideal_probability_permanent(unitary: np.ndarray, input_ports, output_ports) 
 
 
 def _empirical_probs(table: ProbabilityTable, batch: SampleBatch) -> np.ndarray:
-    if batch.modes != len(table.outcomes[0]):
+    """Frequencies of the batch's rows in the table's outcome order, counted
+    here by each row's binary code (mode 0 first), never from ``counts``."""
+    outcomes = batch.outcomes
+    modes = len(table.outcomes[0])
+    if outcomes.shape[1] != modes:
         raise DimensionError(
-            f"batch has {batch.modes} modes but the table covers "
-            f"{len(table.outcomes[0])}-mode outcomes"
+            f"batch has {outcomes.shape[1]} modes but the table covers "
+            f"{modes}-mode outcomes"
         )
-    index = {bits: k for k, bits in enumerate(table.outcomes)}
-    if batch.counts is not None:
-        counts = batch.counts
-    else:
-        uniq, n = np.unique(batch.outcomes, axis=0, return_counts=True)
-        counts = {
-            "".join("1" if b else "0" for b in row): int(c)
-            for row, c in zip(uniq, n)
-        }
-    freqs = np.zeros(len(table.outcomes))
-    for bits, c in counts.items():
-        if bits not in index:
-            raise DimensionError(f"outcome {bits} not in the table's outcome space")
-        freqs[index[bits]] = c
+    if outcomes.size and outcomes.max() > 1:
+        raise DimensionError("outcome rows must hold 0/1 clicks only")
+    codes = np.zeros(len(outcomes), dtype=np.int64)
+    for column in outcomes.T:
+        codes <<= 1
+        codes |= column
+    order = np.array([int(bits, 2) for bits in table.outcomes])
+    counts = np.bincount(codes, minlength=order.max() + 1)
+    outside = np.setdiff1d(np.flatnonzero(counts), order)
+    if outside.size:
+        raise DimensionError(
+            f"outcome {int(outside[0]):0{modes}b} not in the table's outcome space"
+        )
+    freqs = counts[order]
     return freqs / freqs.sum()
 
 

@@ -9,7 +9,7 @@ thresholds have closed forms that the ``thresholds`` command tabulates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -119,18 +119,7 @@ class ThresholdRow:
     p_d_mismatch: float
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "modes": self.modes,
-            "eta_l": self.eta_l,
-            "eta": self.eta,
-            "sqrt_m_over_eta": self.sqrt_m_over_eta,
-            "n_photons": self.n_photons,
-            "n_eta": self.n_eta,
-            "sinh2_r": self.sinh2_r,
-            "p_d_threshold": self.p_d_threshold,
-            "p_d_mismatch": self.p_d_mismatch,
-        }
+        return asdict(self)
 
 
 def threshold_row(scheme: str, modes: int, params: ScenarioParams = ScenarioParams()) -> ThresholdRow:

@@ -33,6 +33,10 @@ whose batches are single tiles (M <= 16) starts no thread.  The outcome
 bytes depend only on (config, seed), never on the worker count, and the
 dense stages' float temporaries scale with the tile, not with
 ``BATCH_SIZE`` x M.
+
+A run returns only its outcomes: the engines leave ``SampleBatch.counts``
+``None``, :func:`empirical_stats` builds the histogram on request, and
+:func:`~pqsim.oracle.tv_distance` counts the rows itself.
 """
 
 from __future__ import annotations
@@ -64,13 +68,11 @@ BATCH_SIZE = 16384
 #: reproducibility contract.  A batch fits one tile whenever M <= 16.
 TILE_ELEMENTS = 1 << 18
 
-#: Histograms are materialized only up to this many modes (2^M keys).
-HISTOGRAM_MODE_LIMIT = 24
-
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Outcome samples plus the provenance needed to reproduce them."""
+    """Outcome samples plus the provenance needed to reproduce them;
+    ``counts`` is a histogram the caller supplies (the engines leave it None)."""
 
     outcomes: np.ndarray
     seed: RngStream
@@ -131,8 +133,10 @@ def _histogram(outcomes: np.ndarray) -> dict:
     ASCII, each key decoded straight from its row's bytes."""
     m = outcomes.shape[1]
     if m <= 20:
-        weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
-        codes = outcomes.astype(np.int64) @ weights
+        codes = np.zeros(len(outcomes), dtype=np.int64)
+        for column in outcomes.T:
+            codes <<= 1
+            codes |= column
         counts = np.bincount(codes, minlength=1 << m)
         indices = np.flatnonzero(counts)
         return {format(i, f"0{m}b"): int(counts[i]) for i in indices}
@@ -145,16 +149,6 @@ def _histogram(outcomes: np.ndarray) -> dict:
     text = memoryview(chars.reshape(-1))
     return {str(text[start:start + m], "ascii"): count
             for start, count in zip(range(0, chars.size, m), counts.tolist())}
-
-
-def _make_batch(config, outcomes, rng) -> SampleBatch:
-    counts = _histogram(outcomes) if config.modes <= HISTOGRAM_MODE_LIMIT else None
-    return SampleBatch(
-        outcomes=outcomes,
-        seed=rng,
-        config_hash=config.config_hash(),
-        counts=counts,
-    )
 
 
 def usable_cpus() -> int:
@@ -283,7 +277,7 @@ def run_condition2(
         return tile
 
     outcomes = _run_batched(draw_batch, config.modes, n_samples, rng, workers)
-    return _make_batch(config, outcomes, rng)
+    return SampleBatch(outcomes, rng, config.config_hash(), None)
 
 
 def output_gaussian(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -332,7 +326,7 @@ def run_condition1(
         return tile
 
     outcomes = _run_batched(draw_batch, config.modes, n_samples, rng, workers)
-    return _make_batch(config, outcomes, rng)
+    return SampleBatch(outcomes, rng, config.config_hash(), None)
 
 
 def run_experiment(
@@ -367,6 +361,8 @@ class EmpiricalStats:
 
 
 def empirical_stats(batch: SampleBatch) -> EmpiricalStats:
+    """Click rates, mean click count and histogram of a non-empty batch; the
+    histogram is the caller-supplied ``counts``, else counted here."""
     if len(batch) == 0:
         raise ValueError("cannot summarize an empty sample batch")
     outcomes = batch.outcomes

@@ -85,6 +85,48 @@ def single_photon_click_marginals(config) -> np.ndarray:
     return 1.0 - (1.0 - p_d) * no_photon
 
 
+def spdc_total_click_variance(config) -> float:
+    """Exact Var(total clicks) of an experiment fed only by SPDC pairs.
+
+    After the network and the detectors' efficiency the state is a
+    zero-mean Gaussian with N_jk = <a_j^dag a_k> and M_jk = <a_j a_k>; an
+    output mode k is b_k = sum_j L_jk a_j, so N -> L^dag N L, M -> L^T M L.
+    A set S of detectors is silent with probability
+    prod_S (1 - p_d) / sqrt(det Q_S), Q_S = [[N_S^T + I, M_S], [M_S^*, N_S + I]]
+    (Quesada, Arrazola and Killoran, PRA 98, 062322 (2018)).  The variance
+    needs every single mode and pair of modes: 2 x 2 and 4 x 4 determinants.
+    """
+    modes = config.modes
+    n = np.zeros((modes, modes), dtype=complex)
+    m = np.zeros((modes, modes), dtype=complex)
+    for entry in config.sources:
+        if not isinstance(entry.source, SpdcPair):
+            raise TypeError(f"no variance formula for {entry.source!r}")
+        herald, signal = entry.ports
+        s, c, eta = math.sinh(entry.source.r), math.cosh(entry.source.r), entry.source.eta_bl
+        n[herald, herald], n[signal, signal] = s * s, eta * s * s
+        m[herald, signal] = m[signal, herald] = math.sqrt(eta) * s * c
+    transfer = config.transfer
+    root = np.sqrt([d.eta_d for d in config.detectors])
+    n = root[:, None] * (transfer.conj().T @ n @ transfer) * root
+    m = root[:, None] * (transfer.T @ m @ transfer) * root
+    dark = 1.0 - np.array([d.p_d for d in config.detectors])
+    diag = np.diag(n).real
+    silent = dark / np.sqrt((diag + 1.0) ** 2 - np.abs(np.diag(m)) ** 2)
+    j, k = np.triu_indices(modes, 1)
+    pair = np.stack([j, k], axis=1)
+    n_s = n[pair[:, :, None], pair[:, None, :]]
+    m_s = m[pair[:, :, None], pair[:, None, :]]
+    q = np.empty((len(j), 4, 4), dtype=complex)
+    q[:, :2, :2] = n_s.transpose(0, 2, 1) + np.eye(2)
+    q[:, :2, 2:] = m_s
+    q[:, 2:, :2] = m_s.conj()
+    q[:, 2:, 2:] = n_s + np.eye(2)
+    both_silent = dark[j] * dark[k] / np.sqrt(np.linalg.det(q).real)
+    covariance = both_silent - silent[j] * silent[k]
+    return float(np.sum(silent * (1.0 - silent)) + 2.0 * np.sum(covariance))
+
+
 def _cfg(modes, sources, transfer, det):
     dets = (det,) * modes if isinstance(det, DetectorModel) else tuple(det)
     return ExperimentConfig(

@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 import pqsim.sampler
 from pqsim.cli import EXIT_FAIL, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, main
-from pqsim.presets import single_photon_config
+from pqsim.presets import single_photon_config, spdc_config
 from pqsim.rng import RngStream
 
 
@@ -139,21 +140,24 @@ class TestSample:
         assert set(json.loads(rows[0]).keys()) == {"n"}
 
     def test_prints_click_rates_without_a_histogram(self, tmp_path, monkeypatch, capsys):
-        # Above the histogram limit only the click rates are printed, so
-        # no histogram is built for them.
-        config = single_photon_config(32, 4, p_d=0.06)
-        path = tmp_path / "wide.json"
-        path.write_text(config.to_json())
-        rates = pqsim.sampler.run_experiment(config, 3000, RngStream(5)).outcomes.mean(axis=0)
-
+        # Only the click rates are printed, and neither the engine nor the
+        # command builds a histogram, at any mode count.
         def no_histogram(outcomes):
             raise AssertionError("histogram built")
 
         monkeypatch.setattr(pqsim.sampler, "_histogram", no_histogram)
-        rc = main(["sample", "--config", str(path), "--samples", "3000", "--seed", "5"])
-        assert rc == EXIT_OK
-        expected = ", ".join(f"{r:.4f}" for r in rates)
-        assert f"drew 3000 samples; per-mode click rates: [{expected}]" in capsys.readouterr().out
+        for modes in (3, 16, 32):
+            config = single_photon_config(modes, 2, p_d=0.06)
+            path = tmp_path / f"m{modes}.json"
+            path.write_text(config.to_json())
+            batch = pqsim.sampler.run_experiment(config, 3000, RngStream(5))
+            assert batch.counts is None
+            rc = main(["sample", "--config", str(path), "--samples", "3000", "--seed", "5",
+                       "--out", str(tmp_path / f"run{modes}")])
+            assert rc == EXIT_OK
+            expected = ", ".join(f"{r:.4f}" for r in batch.outcomes.mean(axis=0))
+            assert (f"drew 3000 samples; per-mode click rates: [{expected}]"
+                    in capsys.readouterr().out)
 
     def test_refusal_exit_code(self, tmp_path):
         config = single_photon_config(3, 1, p_d=0.0005, unitary_seed=12)
@@ -221,3 +225,74 @@ class TestThresholds:
                                         lon="identity",
                                         detectors={"eta_d": 2.0, "p_d": 0.0})))
         assert main(["check", "--config", str(path), "--quiet"]) == EXIT_USAGE
+
+
+#: Golden runs: argv (``{name}`` is a config path), then the sha256 of its
+#: stdout and of each file it writes next to the manifest.  A digest that
+#: moves means an output's bytes changed; a change that moves one on
+#: purpose says so in CHANGES.md and updates it here.
+GOLDEN_RUNS = [
+    pytest.param(["check", "--config", "{photon}"], {
+        "stdout": "562e1df3db865cf242330f70dc04ed6f37b4aff015d071b2b6f7e0f6689be8ba",
+        "report.json": "36d1abc19fabfb3ae33181d91c09f6a5b010012e09ee584584da8f32628356c8",
+    }, id="check-photon"),
+    pytest.param(["check", "--config", "{spdc}"], {
+        "stdout": "57da879a658d21df94a7d09200cf0224dce8bee95e71ec8fd4f8113b754d55cc",
+        "report.json": "400137e72aec2c8b865d4eabfd5a222762f18e9de33fa72425456d8d4e5a288c",
+    }, id="check-spdc"),
+    pytest.param(["oracle", "--config", "{hom}"], {
+        "stdout": "7ed3764f99fb2bb1fbf1b3be23312079adce094fec2182af78cbefa0559e8dd9",
+        "distribution.json": "7ed3764f99fb2bb1fbf1b3be23312079adce094fec2182af78cbefa0559e8dd9",
+    }, id="oracle"),
+    pytest.param(["compare", "--config", "{hom}", "--samples", "20000", "--tolerance", "0.05",
+      "--seed", "5"], {
+        "stdout": "53cdd4ecb8ae252e915a10f0513e8a5194e31668bff28ba89e4590d3c3067cbd",
+        "compare.json": "11d684a8f52e443010940cce0236f73e22f181fd27c117013e6acf3dd43b66c2",
+    }, id="compare"),
+    pytest.param(["thresholds", "--modes", "10,100"], {
+        "stdout": "434350c82d3ea5ddcddeb36e6c3e2fc31e3d2d4916fec930618e1ef50c5b745a",
+        "thresholds.json": "434350c82d3ea5ddcddeb36e6c3e2fc31e3d2d4916fec930618e1ef50c5b745a",
+        "thresholds.csv": "3d9190e8ba3941f446d2bf42bab70e2f2aa97987307f6abf08ac33657f6d357b",
+    }, id="thresholds"),
+    pytest.param(["sample", "--config", "{photon}", "--samples", "3000", "--seed", "9"], {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "samples.csv": "0c37ffd1391a203e2b02c4bfd7d21f7087d3a256c758b7d195f8b4a96ddae7dd",
+    }, id="sample-csv"),
+    pytest.param(["sample", "--config", "{spdc}", "--samples", "3000", "--seed", "9",
+      "--format", "jsonl"], {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "samples.jsonl": "00d68d59604726752f19359b012a1751285b0f2b8c555bf8e6742a2d14055a05",
+    }, id="sample-jsonl"),
+]
+
+MANIFEST_KEYS = {"subcommand", "version", "config_hash", "seed", "wall_time_s", "outputs"}
+
+
+def golden_digests(argv, out, capsys):
+    """Run ``pqsim`` with ``--out out --quiet``; the sha256 of its stdout
+    and of each file it wrote besides the manifest."""
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out), "--quiet"]) == EXIT_OK
+    digests = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for path in sorted(out.iterdir()):
+        if path.name != "manifest.json":
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("argv, expected", GOLDEN_RUNS)
+    def test_output_bytes_and_manifest(self, argv, expected, tmp_path, photon_config_path,
+                                       hom_config_path, capsys):
+        spdc = tmp_path / "spdc.json"
+        spdc.write_text(spdc_config(2, 0.05, p_d=0.09).to_json())
+        paths = {"photon": photon_config_path, "spdc": spdc, "hom": hom_config_path}
+        argv = [arg.format(**paths) for arg in argv]
+        out = tmp_path / "run"
+        assert golden_digests(argv, out, capsys) == expected
+        manifest = json.loads((out / "manifest.json").read_text())
+        keys = MANIFEST_KEYS | ({"workers"} if argv[0] == "sample" else set())
+        assert set(manifest) == keys
+        assert manifest["subcommand"] == argv[0]
+        written = [name for name in expected if name != "stdout"]
+        assert manifest["outputs"] == [str(out / name) for name in written]

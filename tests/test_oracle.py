@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -221,6 +223,44 @@ class TestTvDistance:
                             {"0": 2})
         with pytest.raises(DimensionError):
             tv_distance(p, batch)
+
+    def test_counts_rows_itself_at_twelve_modes(self):
+        # A table in shuffled outcome order, a batch whose ``counts`` lie,
+        # and a count made row by row as the reference.
+        gen = RngStream(120).generator()
+        outcomes = (gen.random((20_000, 12)) < 0.3).astype(np.uint8)
+        keys = list(np.array(all_bitstrings(12))[gen.permutation(1 << 12)])
+        table = ProbabilityTable(keys, gen.dirichlet(np.ones(1 << 12)))
+        batch = SampleBatch(outcomes, RngStream(0), "h", {"0" * 12: 1})
+        seen = Counter("".join(map(str, row)) for row in outcomes.tolist())
+        expected = 0.5 * sum(abs(p - seen[key] / len(outcomes))
+                             for key, p in zip(keys, table.probs))
+        called = set()
+
+        def record(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code.co_filename)
+
+        sys.setprofile(record)
+        try:
+            tv = tv_distance(table, batch)
+        finally:
+            sys.setprofile(None)
+        assert tv == pytest.approx(expected, rel=0, abs=1e-12)
+        assert not any(name.endswith("sampler.py") for name in called)
+
+    @pytest.mark.parametrize("value", [2, 255])
+    def test_rows_that_are_not_clicks_are_refused(self, value):
+        p = ProbabilityTable(all_bitstrings(2), np.full(4, 0.25))
+        outcomes = np.array([[0, 1], [value, 0]], dtype=np.uint8)
+        with pytest.raises(DimensionError, match="0/1"):
+            tv_distance(p, SampleBatch(outcomes, RngStream(0), "h", None))
+
+    def test_row_outside_the_table_is_refused(self):
+        p = ProbabilityTable(("00", "01"), np.array([0.5, 0.5]))
+        outcomes = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        with pytest.raises(DimensionError, match="outcome 10 not in"):
+            tv_distance(p, SampleBatch(outcomes, RngStream(0), "h", None))
 
     def test_probability_table_validation(self):
         with pytest.raises(ValueError):
