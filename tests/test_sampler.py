@@ -359,6 +359,19 @@ class TestBatchAndStats:
         assert histogram == expected
         assert list(histogram) == sorted(expected)
 
+    def test_histogram_suppressed_beyond_mode_limit(self):
+        modes = 25
+        config = ExperimentConfig(
+            modes=modes,
+            sources=tuple(PortSource(Vacuum(), (k,)) for k in range(modes)),
+            transfer=np.eye(modes, dtype=complex),
+            detectors=(DetectorModel(0.9, 0.02),) * modes,
+        )
+        batch = run_condition2(config, 500, RngStream(30))
+        assert batch.counts is None
+        stats = empirical_stats(batch)  # falls back to counting on demand
+        assert sum(stats.histogram.values()) == 500
+
     def test_empty_batch_above_twenty_modes_has_an_empty_histogram(self):
         batch = run_condition2(single_photon_config(22, 2, p_d=0.06), 0, RngStream(1))
         assert _histogram(batch.outcomes) == {}
