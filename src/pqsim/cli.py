@@ -73,13 +73,10 @@ def _finish(args, started, config_hash, outputs, workers=None) -> None:
 def _report(args, started, config_hash, payload, name) -> None:
     """Print ``payload`` as JSON; with ``--out``, write it (keys sorted) to ``name``."""
     print(json.dumps(payload, indent=2))
-    outputs = []
     out = _out_dir(args)
     if out is not None:
-        path = out / name
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        outputs.append(path)
-    _finish(args, started, config_hash, outputs)
+        (out / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _finish(args, started, config_hash, [] if out is None else [out / name])
 
 
 def cmd_check(args) -> int:
@@ -103,10 +100,8 @@ def cmd_sample(args) -> int:
     started = time.perf_counter()
     config = parse_config(args.config)
     rng = RngStream(args.seed)
-    # The threads the run's tiles run on: 1 when every batch is one tile.
-    workers = tile_workers(config.modes, args.samples, args.workers)
     batch = run_experiment(config, args.samples, rng, condition=args.condition,
-                           workers=workers)
+                           workers=args.workers)
     if len(batch):
         rates = ", ".join(f"{r:.4f}" for r in batch.outcomes.mean(axis=0))
         _say(args, f"drew {len(batch)} samples; per-mode click rates: [{rates}]")
@@ -117,6 +112,8 @@ def cmd_sample(args) -> int:
         batch.write(sample_path, fmt=args.format)
         outputs.append(sample_path)
         _say(args, f"wrote {sample_path}")
+    # The threads the run's tiles ran on: 1 when every batch is one tile.
+    workers = tile_workers(config.modes, args.samples, args.workers)
     _finish(args, started, batch.config_hash, outputs, workers)
     return EXIT_OK
 

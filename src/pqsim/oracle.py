@@ -385,7 +385,9 @@ def ideal_probability_permanent(unitary: np.ndarray, input_ports, output_ports) 
 
 def _empirical_probs(table: ProbabilityTable, batch: SampleBatch) -> np.ndarray:
     """Frequencies of the batch's rows in the table's outcome order, counted
-    here by each row's binary code (mode 0 first), never from ``counts``."""
+    here by each row's binary code (mode 0 first), never from ``counts``;
+    each distinct code is looked up among the table's, so nothing scales
+    with 2^M."""
     outcomes = batch.outcomes
     modes = len(table.outcomes[0])
     if outcomes.shape[1] != modes:
@@ -393,20 +395,24 @@ def _empirical_probs(table: ProbabilityTable, batch: SampleBatch) -> np.ndarray:
             f"batch has {outcomes.shape[1]} modes but the table covers "
             f"{modes}-mode outcomes"
         )
+    if modes > 62:
+        raise DimensionError(f"an int64 code holds at most 62 modes, not {modes}")
     if outcomes.size and outcomes.max() > 1:
         raise DimensionError("outcome rows must hold 0/1 clicks only")
     codes = np.zeros(len(outcomes), dtype=np.int64)
     for column in outcomes.T:
         codes <<= 1
         codes |= column
-    order = np.array([int(bits, 2) for bits in table.outcomes])
-    counts = np.bincount(codes, minlength=order.max() + 1)
-    outside = np.setdiff1d(np.flatnonzero(counts), order)
-    if outside.size:
+    seen, counts = np.unique(codes, return_counts=True)
+    table_codes = np.array([int(bits, 2) for bits in table.outcomes], dtype=np.int64)
+    order = np.argsort(table_codes)
+    slot = order[np.searchsorted(table_codes[order], seen).clip(max=len(order) - 1)]
+    outside = table_codes[slot] != seen
+    if outside.any():
         raise DimensionError(
-            f"outcome {int(outside[0]):0{modes}b} not in the table's outcome space"
+            f"outcome {int(seen[outside][0]):0{modes}b} not in the table's outcome space"
         )
-    freqs = counts[order]
+    freqs = np.bincount(slot, weights=counts, minlength=len(order))
     return freqs / freqs.sum()
 
 

@@ -35,8 +35,8 @@ dense stages' float temporaries scale with the tile, not with
 ``BATCH_SIZE`` x M.
 
 A run returns only its outcomes: the engines leave ``SampleBatch.counts``
-``None``, :func:`empirical_stats` builds the histogram on request, and
-:func:`~pqsim.oracle.tv_distance` counts the rows itself.
+``None`` and nothing reads it; :func:`empirical_stats` builds the histogram
+on request, and :func:`~pqsim.oracle.tv_distance` counts the rows itself.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ TILE_ELEMENTS = 1 << 18
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Outcome samples plus the provenance needed to reproduce them;
-    ``counts`` is a histogram the caller supplies (the engines leave it None)."""
+    """Outcome samples plus the provenance needed to reproduce them; ``counts``
+    is a positional slot nothing reads (the engines leave it None)."""
 
     outcomes: np.ndarray
     seed: RngStream
@@ -93,7 +93,8 @@ class SampleBatch:
         return self.outcomes.shape[1]
 
     def bitstrings(self) -> list[str]:
-        return _row_keys(self.outcomes).astype(str).tolist()
+        chars = np.ascontiguousarray(self.outcomes + np.uint8(ord("0")))
+        return chars.view(f"S{self.modes}")[:, 0].astype(str).tolist()
 
     def to_csv_bytes(self) -> bytearray:
         return self._lines(b"", b"\n")
@@ -118,12 +119,6 @@ class SampleBatch:
         data = self.to_csv_bytes() if fmt == "csv" else self.to_jsonl_bytes()
         with open(path, "wb") as fh:
             fh.write(data)
-
-
-def _row_keys(outcomes: np.ndarray) -> np.ndarray:
-    """One M-byte string per row, mode 0 first: the bit-string key of a shot."""
-    chars = np.ascontiguousarray(outcomes + np.uint8(ord("0")))
-    return chars.view(f"S{outcomes.shape[1]}")[:, 0]
 
 
 def _histogram(outcomes: np.ndarray) -> dict:
@@ -361,14 +356,13 @@ class EmpiricalStats:
 
 
 def empirical_stats(batch: SampleBatch) -> EmpiricalStats:
-    """Click rates, mean click count and histogram of a non-empty batch; the
-    histogram is the caller-supplied ``counts``, else counted here."""
+    """Click rates, mean click count and histogram of a non-empty batch, all
+    counted from its outcomes."""
     if len(batch) == 0:
         raise ValueError("cannot summarize an empty sample batch")
     outcomes = batch.outcomes
-    counts = batch.counts if batch.counts is not None else _histogram(outcomes)
     return EmpiricalStats(
         click_rate=outcomes.mean(axis=0),
         mean_total_clicks=float(outcomes.sum(axis=1).mean()),
-        histogram=counts,
+        histogram=_histogram(outcomes),
     )

@@ -165,6 +165,10 @@ class TestSample:
         path.write_text(config.to_json())
         rc = main(["sample", "--config", str(path), "--samples", "10", "--quiet"])
         assert rc == EXIT_REFUSED
+        # The refusal wins over a bad worker count, which the run never reaches.
+        rc = main(["sample", "--config", str(path), "--samples", "10", "--workers", "0",
+                   "--quiet"])
+        assert rc == EXIT_REFUSED
 
 
 class TestOracleCommand:

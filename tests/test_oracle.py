@@ -262,6 +262,21 @@ class TestTvDistance:
         with pytest.raises(DimensionError, match="outcome 10 not in"):
             tv_distance(p, SampleBatch(outcomes, RngStream(0), "h", None))
 
+    def test_wide_table_counts_without_a_dense_array(self):
+        # Two 40-mode outcomes: a count over all 2^40 codes would not fit.
+        keys = ("0" * 40, "1" + "0" * 38 + "1")
+        p = ProbabilityTable(keys, np.array([0.5, 0.5]))
+        outcomes = np.zeros((4, 40), dtype=np.uint8)
+        outcomes[:3, [0, 39]] = 1
+        assert tv_distance(p, SampleBatch(outcomes, RngStream(0), "h", None)) == 0.25
+
+    def test_table_wider_than_a_code_is_refused(self):
+        # At 64 modes the leading click would be shifted out of the code.
+        p = ProbabilityTable(("0" * 64, "1" + "0" * 63), np.array([0.5, 0.5]))
+        outcomes = np.zeros((1, 64), dtype=np.uint8)
+        with pytest.raises(DimensionError, match="at most 62 modes"):
+            tv_distance(p, SampleBatch(outcomes, RngStream(0), "h", None))
+
     def test_probability_table_validation(self):
         with pytest.raises(ValueError):
             ProbabilityTable(all_bitstrings(1), np.array([0.6, 0.6]))

@@ -115,7 +115,22 @@ class TestClickMarginals:
         assert abs(z_total) <= NormalDist().inv_cdf(1.0 - 1e-6 / 2)
 
 
+def _spdc_desk_configs():
+    suite = [pytest.param(config, n_max, id=name)
+             for name, config, n_max, _ in oracle_suite() if name.startswith("spdc")]
+    return suite + [pytest.param(spdc_config(2, 0.01, p_d=0.06), 3, id="spdc_config_2")]
+
+
 class TestTotalClickVariance:
+    @pytest.mark.parametrize("config, n_max", _spdc_desk_configs())
+    def test_reference_matches_the_oracle(self, config, n_max):
+        # The M = 256 check below trusts this reference; pin it where the
+        # exact distribution is small enough to enumerate.
+        table = exact_distribution(config, n_max=n_max)
+        totals = np.array([bits.count("1") for bits in table.outcomes])
+        exact = table.probs @ totals**2 - (table.probs @ totals) ** 2
+        assert spdc_total_click_variance(config) == pytest.approx(exact, rel=0, abs=1e-7)
+
     # Var(total clicks) holds every pairwise click covariance: 0.84 of the
     # 20.28 at M = 256 comes from heralds and their signals.
     @pytest.mark.parametrize("condition", [1, 2])
@@ -319,6 +334,13 @@ class TestBatchAndStats:
         stats = empirical_stats(two)
         assert np.array_equal(stats.click_rate, [0.5, 0.5])
         assert stats.mean_total_clicks == 1.0
+        assert stats.histogram == {"01": 1, "10": 1}
+
+    def test_empirical_stats_ignores_supplied_counts(self):
+        # The histogram describes the outcomes, whatever ``counts`` says.
+        batch = SampleBatch(np.zeros((1, 3), dtype=np.uint8), RngStream(0), "x",
+                            {"111": 9})
+        assert empirical_stats(batch).histogram == {"000": 1}
 
     def test_empty_batch_rejected(self):
         empty = SampleBatch(np.zeros((0, 2), dtype=np.uint8), RngStream(0), "x", {})
