@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +77,8 @@ class ExperimentConfig:
     mismatch: Mismatch | None = None
     scheme: str | None = None
     lon_spec: dict | None = None
+    #: Whether L^dag L is diagonal within PSD_TOL, from the contraction test.
+    diagonal_gram: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if self.modes < 1:
@@ -88,7 +90,7 @@ class ExperimentConfig:
                 f"0..{self.modes - 1} exactly once, got {sorted(covered)}"
             )
         try:
-            transfer = validate_transfer(self.transfer)
+            transfer, diagonal_gram = validate_transfer(self.transfer, diagonal_gram=True)
         except (ContractionError, DimensionError) as exc:
             raise ConfigError(f"lon: {exc}") from exc
         if transfer.shape[0] != self.modes:
@@ -107,6 +109,7 @@ class ExperimentConfig:
         if scheme not in (SCHEME_SINGLE_PHOTON, SCHEME_SPDC):
             raise ConfigError(f"scheme: unknown scheme {scheme!r}")
         object.__setattr__(self, "transfer", transfer)
+        object.__setattr__(self, "diagonal_gram", diagonal_gram)
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "detectors", tuple(self.detectors))
         object.__setattr__(self, "scheme", scheme)

@@ -39,13 +39,16 @@ def haar_unitary(m: int, rng: RngStream) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def validate_transfer(matrix: np.ndarray, tol: float = CONTRACTION_TOL) -> np.ndarray:
+def validate_transfer(matrix: np.ndarray, tol: float = CONTRACTION_TOL,
+                      diagonal_gram: bool = False):
     """Check that a square complex matrix is a physical transfer matrix.
 
     All singular values must be <= 1 + tol.  A Cholesky factorization of
     (1 + tol)^2 I - L^dag L accepts a contraction at a fraction of the cost
     of an SVD; only when it fails does the 2-norm decide, and word the
-    refusal.  Returns the matrix as a complex128 array.
+    refusal.  Returns the matrix as a complex128 array, and with
+    ``diagonal_gram`` also whether that Gram L^dag L is diagonal: its
+    off-diagonal part has Frobenius norm <= PSD_TOL.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -64,7 +67,10 @@ def validate_transfer(matrix: np.ndarray, tol: float = CONTRACTION_TOL) -> np.nd
                 f"largest singular value {smax:.12g} exceeds 1 + {tol:g}; "
                 "the network would amplify light"
             ) from None
-    return a
+    if not diagonal_gram:
+        return a
+    gap.flat[:: a.shape[0] + 1] = 0.0
+    return a, bool(np.vdot(gap, gap).real <= PSD_TOL**2)
 
 
 def dilate_to_unitary(transfer: np.ndarray) -> np.ndarray:

@@ -167,24 +167,19 @@ def quadrature_rep(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def propagate_blocks(blocks, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Wigner mean and covariance at the output of the network ``transfer``
-    (taken as validated) for an input given as (ports, mean, cov) blocks;
-    ports in no block carry vacuum.
+def block_rows(blocks, transfer: np.ndarray, t: float = 1.0):
+    """Output moments of the network ``transfer`` (taken as validated) for an
+    input given as (ports, mean, cov) blocks, as rows at input ordering t.
 
-    Dilating L with vacuum environment modes gives B^T cov B + B(I - L^dag L)
-    with B the quadrature representation of L; since B^T B = B(L^dag L) the
-    vacuum part cancels, leaving mean' = sum_b mean_b Q_b and
-    cov' = I + sum_b Q_b^T Delta_b Q_b, with Q_b the quadrature rows of L
-    for block b's ports and Delta_b = cov_b - I.  Splitting each
-    Delta_b = U diag(lam) U^T into rows R_b = sqrt|lam| U^T Q_b gives
-    cov' = I + R_+^T R_+ - R_-^T R_- over the rows with lam > 0 and
-    lam < 0: two symmetric rank-k products, one row per nonzero eigenvalue,
-    exactly symmetric.  Blocks of one size share one batched eigenproblem.
+    Returns (mean', rows, lam): mean' = sum_b mean_b Q_b, Q_b the quadrature
+    rows of L for block b's ports, and one row sqrt|lam| U^T Q_b per
+    eigenvalue of cov_b - t I = U diag(lam) U^T (one batched eigenproblem
+    per block size), so sum_b Q_b^T (cov_b - t I) Q_b = R_+^T R_+ - R_-^T R_-
+    over the rows with lam > 0 and lam < 0.
     """
     m = transfer.shape[0]
     mean = np.zeros(2 * m)
-    gain, damp = [np.empty((0, 2 * m))], [np.empty((0, 2 * m))]
+    rows, lams = [np.empty((0, 2 * m))], [np.empty(0)]
     by_size = {}
     for block in blocks:
         by_size.setdefault(len(block[0]), []).append(block)
@@ -192,16 +187,30 @@ def propagate_blocks(blocks, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarr
         ports = np.array([block[0] for block in group]).ravel()
         q = quadrature_rep(transfer[ports]).reshape(len(group), 2 * size, 2 * m)
         mean += np.einsum("bi,bij->j", np.array([block[1] for block in group]), q)
-        excess = np.array([block[2] for block in group]) - np.eye(2 * size)
+        excess = np.array([block[2] for block in group]) - t * np.eye(2 * size)
         lam, u = np.linalg.eigh(excess)
-        rows = (np.sqrt(np.abs(lam))[..., None] * (u.transpose(0, 2, 1) @ q)).reshape(-1, 2 * m)
-        lam = lam.ravel()
-        gain.append(rows[lam > 0.0])
-        damp.append(rows[lam < 0.0])
-    gain, damp = np.vstack(gain), np.vstack(damp)
+        rows.append((np.sqrt(np.abs(lam))[..., None] * (u.transpose(0, 2, 1) @ q))
+                    .reshape(-1, 2 * m))
+        lams.append(lam.ravel())
+    return mean, np.vstack(rows), np.concatenate(lams)
+
+
+def propagate_blocks(blocks, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wigner mean and covariance at the output of the network ``transfer``
+    (taken as validated) for an input given as (ports, mean, cov) blocks;
+    ports in no block carry vacuum.
+
+    Dilating L with vacuum environment modes gives B^T cov B + B(I - L^dag L)
+    with B the quadrature representation of L; since B^T B = B(L^dag L) the
+    vacuum part cancels, leaving cov' = I + sum_b Q_b^T (cov_b - I) Q_b:
+    :func:`block_rows` at t = 1, then two symmetric rank-k products, exactly
+    symmetric.
+    """
+    mean, rows, lam = block_rows(blocks, transfer)
+    gain, damp = rows[lam > 0.0], rows[lam < 0.0]
     cov = gain.T @ gain
     cov -= damp.T @ damp
-    cov.flat[:: 2 * m + 1] += 1.0
+    cov.flat[:: 2 * transfer.shape[0] + 1] += 1.0
     return mean, cov
 
 

@@ -5,15 +5,15 @@ Two routes, mirroring the two positivity conditions:
 * :func:`run_condition2` chains input PQD draws, the network's transition
   Gaussian, and the measurement PQDs at the extreme orderings (s_bar, t_bar).
   It works for any source mix that passes the Sigma_bar test.
-* :func:`run_condition1` propagates an all-Gaussian input through the
-  network exactly and samples the output-state PQD directly; it applies
-  whenever the output covariance stays above the s_bar floor, which is a
-  weaker requirement than the Sigma_bar test.  Its set-up builds the
-  output covariance from the sources' blocks
-  (:func:`~pqsim.processes.propagate_blocks`, no dense 2M x 2M
-  propagation), drops the covariance between dead and live modes, and
-  factors it minus the floor with
-  :func:`~pqsim.states.gaussian_pqd_factor`.
+* :func:`run_condition1` samples the output-state PQD of an all-Gaussian
+  input directly; it applies whenever that PQD and the click PQDs are
+  nonnegative at one output ordering, which is weaker than the Sigma_bar
+  test.  When L^dag L is diagonal and s0 = 1 - (1 - t0) diag(L^dag L) at
+  t0 = min t_bar reaches s_bar, the transition vanishes and its factor is
+  the sources' blocks at t0 mapped through L
+  (:func:`~pqsim.processes.block_rows`: r <= 2M rows, one per rank).
+  Otherwise it factors the output covariance
+  (:func:`~pqsim.processes.propagate_blocks`) minus the s_bar floor.
 
 Each draw has one implementation, which both routes and the public API
 share: :func:`~pqsim.states.sample_source_pqd` (input),
@@ -52,7 +52,8 @@ import numpy as np
 from .detectors import click_coefficients, sample_clicks
 from .errors import NotPsdError, SimulabilityError
 from .experiment import ExperimentConfig
-from .processes import propagate_blocks, sample_transition, transition_factor
+from .linalg import PSD_TOL
+from .processes import block_rows, propagate_blocks, sample_transition, transition_factor
 from .rng import RngStream
 from .simulability import check_second_condition, dead_modes, s_bar_vector
 from .states import Vacuum, gaussian_pqd_factor, sample_gaussian_pqd, sample_source_pqd
@@ -275,12 +276,16 @@ def run_condition2(
     return SampleBatch(outcomes, rng, config.config_hash(), None)
 
 
+def _blocks(config: ExperimentConfig) -> list:
+    """(ports, mean, cov) per source, for all-Gaussian sources."""
+    return [(entry.ports, *entry.source.wigner_moments()) for entry in config.sources]
+
+
 def output_gaussian(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Wigner mean and covariance of the network output for all-Gaussian
     sources, built from each source's block of Wigner moments; raises
     :class:`UnsupportedSourceError` otherwise."""
-    blocks = [(entry.ports, *entry.source.wigner_moments()) for entry in config.sources]
-    return propagate_blocks(blocks, config.transfer)
+    return propagate_blocks(_blocks(config), config.transfer)
 
 
 def run_condition1(
@@ -291,36 +296,51 @@ def run_condition1(
 ) -> SampleBatch:
     """Sample outcomes by drawing from the output-state PQD directly.
 
-    Requires every source to be Gaussian and the output covariance minus the
-    s_bar floor to be positive semidefinite on the live modes; refuses
-    otherwise.  A dead detector's click is a p_d coin whatever its
-    amplitude, so the covariance between its mode and the live modes is
-    dropped before the factor: its row at s_bar = -1 would otherwise
-    couple to theirs and can refuse an experiment whose live modes pass.
+    Requires every source to be Gaussian and the output-state and click
+    PQDs to be nonnegative at one output ordering s >= s_bar on the live
+    modes; refuses otherwise.  When L^dag L = diag(k), every port takes
+    t0 = min t_bar and s0 = 1 - (1 - t0) k, where the transition vanishes:
+    V_out - diag(s0) = R^T R, R the rows of
+    :func:`~pqsim.processes.block_rows` at t0 with lam > PSD_TOL, r <= 2M
+    of them; the off-diagonal Gram and the dropped rows each move it by at
+    most PSD_TOL.  If s0 >= s_bar on the live modes (which implies the test
+    below), a shot costs r normals and an r x 2M product.  Otherwise
+    V_out - diag(s_bar) is factored at s_bar (2M normals and a 2M x 2M
+    product per shot), with the covariance between dead and live modes
+    dropped: a dead detector's click is a p_d coin, and its row at
+    s_bar = -1 could refuse live modes that pass.
     """
-    mean, cov = output_gaussian(config)
     sbar = s_bar_vector(config)
-    dead = np.repeat(dead_modes(config), 2)
-    cov[np.ix_(dead, ~dead)] = 0.0
-    cov[np.ix_(~dead, dead)] = 0.0
-    try:
-        factor = gaussian_pqd_factor(mean, cov, sbar)
-    except NotPsdError as exc:
-        raise SimulabilityError(
-            "output-state PQD is negative at the detectors' ordering bound: "
-            f"{exc}",
-            report=check_second_condition(config),
-        ) from exc
-    clicks = click_coefficients(sbar, config.detectors)
+    live = ~dead_modes(config)
+    t0 = min(entry.source.t_bar for entry in config.sources)
+    lr, li = config.transfer.real, config.transfer.imag
+    s = 1.0 - (1.0 - t0) * (np.einsum("ij,ij->j", lr, lr) + np.einsum("ij,ij->j", li, li))
+    if config.diagonal_gram and np.all(s[live] >= sbar[live]):
+        mean, rows, lam = block_rows(_blocks(config), config.transfer, t0)
+        factor = mean / 2.0, rows[lam > PSD_TOL] / 2.0
+    else:
+        s = sbar
+        mean, cov = output_gaussian(config)
+        dead = np.repeat(~live, 2)
+        cov[np.ix_(dead, ~dead)] = 0.0
+        cov[np.ix_(~dead, dead)] = 0.0
+        try:
+            factor = gaussian_pqd_factor(mean, cov, sbar)
+        except NotPsdError as exc:
+            raise SimulabilityError(
+                "output-state PQD is negative at the detectors' ordering bound: "
+                f"{exc}",
+                report=check_second_condition(config),
+            ) from exc
+    clicks = click_coefficients(s, config.detectors)
+    rank = factor[1].shape[0]
 
     def tile(rows, gen, out, work):
-        beta = sample_gaussian_pqd(factor, gen, len(out), out=work[1], work=work[0])
+        normals = work[0].reshape(-1)[:len(out) * rank].reshape(len(out), rank)
+        beta = sample_gaussian_pqd(factor, gen, len(out), out=work[1], work=normals)
         sample_clicks(beta, clicks, gen, out=out, work=work[0])
 
-    def draw_batch(gen, n):
-        return tile
-
-    outcomes = _run_batched(draw_batch, config.modes, n_samples, rng, workers)
+    outcomes = _run_batched(lambda gen, n: tile, config.modes, n_samples, rng, workers)
     return SampleBatch(outcomes, rng, config.config_hash(), None)
 
 

@@ -250,12 +250,13 @@ def gaussian_pqd_factor(mean, cov, t) -> tuple[np.ndarray, np.ndarray]:
 def sample_gaussian_pqd(factor, gen: np.random.Generator, n: int,
                         out=None, work=None) -> np.ndarray:
     """Per-batch half of a Gaussian PQD draw: ``n`` amplitudes, shape (n, K),
-    from ``factor`` = :func:`gaussian_pqd_factor`.  Consumes 2 n K standard
-    normals from ``gen``, read as (x, p) pairs per mode.
+    from ``factor`` = (mean / 2, A / 2), A^T A the PQD covariance, as from
+    :func:`gaussian_pqd_factor`; A is r x 2K, and r = 2K there.  Consumes
+    n r standard normals from ``gen``.
 
-    ``work`` and ``out``, C-contiguous float (n, 2K) arrays, receive the
-    normals and the quadratures (the result's storage); each is allocated
-    when omitted."""
+    ``work`` (n, r) and ``out`` (n, 2K), C-contiguous float arrays, receive
+    the normals and the quadratures (the result's storage); each is
+    allocated when omitted."""
     half_mean, half_factor = factor
     normals = gen.standard_normal((n, half_factor.shape[0]), out=work)
     quad = np.matmul(normals, half_factor, out=out)

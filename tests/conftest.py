@@ -62,6 +62,17 @@ def dead_detector_beamsplitter(p_d: float) -> ExperimentConfig:
     )
 
 
+def route1_dead_detector_config(p_d: float) -> ExperimentConfig:
+    """An SPDC pair on (0, 1), vacuum on 2 and 3, a Haar unitary on modes
+    1-3, detectors (0.9, p_d) on modes 0-2 and a dead one on mode 3."""
+    transfer = np.eye(4, dtype=complex)
+    transfer[1:, 1:] = haar_unitary(3, RngStream(2))
+    sources = (PortSource(SpdcPair(0.3, 1.0), (0, 1)),
+               PortSource(Vacuum(), (2,)), PortSource(Vacuum(), (3,)))
+    return ExperimentConfig(modes=4, sources=sources, transfer=transfer,
+                            detectors=(DetectorModel(0.9, p_d),) * 3 + (DetectorModel(0.0, 0.0),))
+
+
 def single_photon_click_marginals(config) -> np.ndarray:
     """Exact per-mode click probabilities for vacuum and one-photon-mixture
     inputs, at any mode count.

@@ -13,13 +13,13 @@ import pqsim.sampler
 from pqsim import RngStream
 from pqsim.detectors import click_coefficients
 from pqsim.presets import single_photon_config, spdc_config
-from pqsim.processes import transition_factor
+from pqsim.linalg import PSD_TOL
+from pqsim.processes import block_rows, transition_factor
 from pqsim.sampler import (
     BATCH_SIZE,
     TILE_ELEMENTS,
     SampleBatch,
     empirical_stats,
-    output_gaussian,
     run_condition1,
     run_condition2,
     tile_rows,
@@ -27,7 +27,7 @@ from pqsim.sampler import (
     usable_cpus,
 )
 from pqsim.simulability import check_second_condition, s_bar_vector
-from pqsim.states import Vacuum, gaussian_pqd_factor, sample_source_pqd
+from pqsim.states import Vacuum, sample_source_pqd
 
 from conftest import single_photon_click_marginals
 
@@ -162,13 +162,20 @@ def serial_first_tile_route2(config, n, gen):
 
 def serial_first_tile_route1(config, n, gen):
     """Route 1's outcomes for the first tile of an n-row batch drawn from
-    ``gen``, for a config without dead detectors."""
-    sbar = s_bar_vector(config)
-    half_mean, half_factor = gaussian_pqd_factor(*output_gaussian(config), sbar)
-    decay, keep = click_coefficients(sbar, config.detectors)
+    ``gen``, for an SPDC preset: its Gram matrix is diagonal and s0 >= s_bar,
+    so the engine draws the sources' rows at t0 = min t_bar and clicks at
+    s0 = 1 - (1 - t0) diag(L^dag L)."""
+    t0 = min(entry.source.t_bar for entry in config.sources)
+    lr, li = config.transfer.real, config.transfer.imag
+    s0 = 1.0 - (1.0 - t0) * (np.einsum("ij,ij->j", lr, lr) + np.einsum("ij,ij->j", li, li))
+    assert config.diagonal_gram and np.all(s0 >= s_bar_vector(config))
+    blocks = [(entry.ports, *entry.source.wigner_moments()) for entry in config.sources]
+    mean, block, lam = block_rows(blocks, config.transfer, t0)
+    half_factor = block[lam > PSD_TOL] / 2.0
+    decay, keep = click_coefficients(s0, config.detectors)
     rows = min(n, tile_rows(config.modes))
-    quad = gen.standard_normal((rows, 2 * config.modes)) @ half_factor
-    quad += half_mean
+    quad = gen.standard_normal((rows, half_factor.shape[0])) @ half_factor
+    quad += mean / 2.0
     return serial_clicks(quad.view(complex), decay, keep, gen)
 
 

@@ -265,7 +265,7 @@ GOLDEN_RUNS = [
     pytest.param(["sample", "--config", "{spdc}", "--samples", "3000", "--seed", "9",
       "--format", "jsonl"], {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "samples.jsonl": "00d68d59604726752f19359b012a1751285b0f2b8c555bf8e6742a2d14055a05",
+        "samples.jsonl": "8ad7a78f65ff1481c4986547ac01211db4fe4b211899633b25005b5b8ee74c01",
     }, id="sample-jsonl"),
 ]
 

@@ -25,7 +25,7 @@ def csv_sha256(batch) -> str:
 
 def test_route1_spdc():
     batch = run_condition1(spdc_config(3, 0.05, p_d=0.09), DRAWS, RngStream(2026))
-    assert csv_sha256(batch) == "3df2dd007e43ed43c23b3c040edbc4122c9ed6a43a867c6aa8871f218dedbc74"
+    assert csv_sha256(batch) == "a5beeaa0cb8066e69d37a6731d192ced8d8ef386be2b9ca640683ab43e511c91"
 
 
 def test_route2_single_photons():
@@ -69,7 +69,7 @@ def test_route1_gaussian_mix():
         detectors=(DetectorModel(0.9, 0.3),) * 5,
     )
     batch = run_condition1(config, DRAWS, RngStream(2026))
-    assert csv_sha256(batch) == "be950af7687f1fc4b2207ecc29e4534e1806661d8dc04a179c2fd80ee88a213b"
+    assert csv_sha256(batch) == "85304095b55fc04ca45a0f24b2f22497f9137bfecfc853850ff4383e6d3db21d"
 
 
 def test_all_kinds_config_hash():
@@ -104,4 +104,4 @@ def test_route2_multi_tile_single_photons():
 def test_route1_multi_tile_spdc():
     batch = run_condition1(spdc_config(24, 0.05, p_d=0.09), MULTI_TILE_DRAWS,
                            RngStream(2026), workers=2)
-    assert csv_sha256(batch) == "c066d74107ce424f14e2b4fb6a57ceadbcf92bbbc220ac8784f4004abc336bbd"
+    assert csv_sha256(batch) == "949a67c6704a416a0c880893e81e35548c2787ec596116d171cef2dd8ac282fa"

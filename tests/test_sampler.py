@@ -27,6 +27,7 @@ from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 from conftest import (
     dead_detector_beamsplitter,
     oracle_suite,
+    route1_dead_detector_config,
     single_photon_click_marginals,
     spdc_total_click_variance,
 )
@@ -258,13 +259,7 @@ class TestDeadDetectors:
         # 1-3 and a dead detector on mode 3.  Refused (eigenvalue -2.6e-2)
         # while the dead mode's row at s_bar = -1 stayed coupled to the
         # live modes, whose own block passes.
-        transfer = np.eye(4, dtype=complex)
-        transfer[1:, 1:] = haar_unitary(3, RngStream(2))
-        sources = (PortSource(SpdcPair(0.3, 1.0), (0, 1)),
-                   PortSource(Vacuum(), (2,)), PortSource(Vacuum(), (3,)))
-        config = ExperimentConfig(modes=4, sources=sources, transfer=transfer,
-                                  detectors=(DetectorModel(0.9, 0.1174),) * 3
-                                  + (DetectorModel(0.0, 0.0),))
+        config = route1_dead_detector_config(0.1174)
         _, cov = output_gaussian(config)
         live = np.repeat(~dead_modes(config), 2)
         floor = np.repeat(s_bar_vector(config), 2)

@@ -2,10 +2,10 @@
 
 Route 2: building a config with few non-classical ports, checking it and
 paying the engine's fixed cost solve no eigen- or singular-value problem
-larger than |S| x |S|.  Route 1: the output covariance is built from the
-sources' blocks and factored by Cholesky, so no such problem is larger
-than one source's block, and the transfer matrix is validated only when
-the config is built.
+larger than |S| x |S|.  Route 1: the factor is built from the sources'
+blocks (on the SPDC preset, with no covariance to factor at all), so no
+such problem is larger than one source's block, and the transfer matrix is
+validated only when the config is built.
 """
 
 import numpy as np

@@ -3,6 +3,10 @@ names the program's callers look them up by.  Installing it on the program
 stops with ``SystemExit`` if one of those names is gone, so a change that
 drops one fails here, not only in a traced benchmark run."""
 
+from dataclasses import replace
+
+import numpy as np
+
 import pqsim
 import pqsim.cli
 import pqsim.oracle
@@ -28,6 +32,11 @@ def test_tracer_installs_on_the_program_and_restores_it():
         route2 = pqsim.presets.single_photon_config(4, 2, p_d=0.06)
         pqsim.sampler.run_experiment(route1, 16, RngStream(1))
         pqsim.sampler.run_experiment(route2, 16, RngStream(2))
+        # Rows scaled unequally: L^dag L is not diagonal, so route 1 factors
+        # the output covariance (output_gaussian, psd_factor).
+        cholesky = replace(route1, transfer=np.diag([1.0, 0.9, 0.8, 0.7]) @ route1.transfer,
+                           lon_spec=None)
+        pqsim.sampler.run_experiment(cholesky, 16, RngStream(3), condition=1)
     finally:
         tracer.restore()
 
