@@ -127,8 +127,11 @@ def permanent_batch(mats: np.ndarray) -> np.ndarray:
     """Permanents of a stack of equally sized square matrices, shape (B, n, n),
     by Ryser's formula, O(2^n n) each.
 
-    Column subsets are visited in Gray-code order so each step updates the
-    running row sums with a single column, vectorized over the batch axis.
+    Column subsets are visited in Gray-code order, one column added or
+    removed per step, over the stack read column-major as a C-contiguous
+    (n, n, B) array [column, row, batch] (a transposed view of one, as the
+    oracle passes, is not copied): each step updates one (n, B) block of
+    row sums and multiplies its rows together in place.
     """
     arr = np.asarray(mats, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -138,20 +141,27 @@ def permanent_batch(mats: np.ndarray) -> np.ndarray:
         return np.ones(b, dtype=complex)
     if n > 30:
         raise DimensionError("permanent limited to n <= 30 (cost 2^n)")
-    row_sums = np.zeros((b, n), dtype=complex)
-    total = np.zeros(b, dtype=complex)
-    gray = 0
+    columns = np.ascontiguousarray(arr.transpose(2, 1, 0))
+    row_sums = np.zeros((n, b), dtype=complex)
+    first, rest = row_sums[0], list(row_sums[1:])
+    product, total = np.empty(b, dtype=complex), np.zeros(b, dtype=complex)
+    # Step k flips bit j = ctz(k) of the Gray code k ^ (k >> 1), whose
+    # popcount has the parity of k.
+    bit_index = {1 << j: j for j in range(n)}
     for k in range(1, 1 << n):
-        bit = k & -k
-        j = bit.bit_length() - 1
-        if gray & bit:
-            row_sums -= arr[:, :, j]
+        j = bit_index[k & -k]
+        if (k ^ (k >> 1)) >> j & 1:
+            row_sums += columns[j]
         else:
-            row_sums += arr[:, :, j]
-        gray ^= bit
-        sign = -1.0 if (gray.bit_count() & 1) else 1.0
-        total += sign * np.prod(row_sums, axis=1)
-    return total * (-1) ** n
+            row_sums -= columns[j]
+        product[:] = first
+        for row in rest:
+            product *= row
+        if k & 1:
+            total -= product
+        else:
+            total += product
+    return total if n % 2 == 0 else -total
 
 
 def psd_factor_complex(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:

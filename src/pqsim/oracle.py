@@ -6,9 +6,13 @@ dilated with vacuum environment modes, and each lossy SPDC source gets a
 virtual beamsplitter mode ahead of the network.  The enlarged network is
 then photon-number conserving, its matrix elements between occupation states
 are permanents of repeated-row/column submatrices, and the environment is
-traced by marginalizing occupations.  Exponential cost is accepted; this
-module exists to verify the samplers at desk scale, not to compete with
-them.
+traced by marginalizing occupations: per photon-number sector, its tables
+(built once) gather each ket's permanents in the column-major layout
+:func:`~pqsim.linalg.permanent_batch` walks and code each output state by
+its system occupation, so the trace is one ``bincount`` and the on-off POVM
+one product with a click table built mode by mode.  Exponential cost is
+accepted; this module exists to verify the samplers at desk scale, not to
+compete with them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -32,17 +35,32 @@ MAX_ORACLE_MODES = 12
 #: Neglected-probability budget; beyond this the oracle refuses.
 TRUNCATION_BUDGET = 1e-6
 
+#: Largest click-probability table the POVM fold holds at once, in entries.
+_FOLD_ENTRIES = 1 << 18
+
+_FACTORIALS = np.array([math.factorial(k) for k in range(171)], dtype=float)
+
+
+def _sector(modes: int, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """States of `modes` modes with `total` photons, in lexicographic order of
+    their occupations ``occ`` (count, modes); column k of ``photons``
+    (total, count) lists state k's photons by mode.  Reversed multisets of
+    ``combinations_with_replacement`` are in exactly that order."""
+    count = math.comb(modes + total - 1, total)
+    multisets = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(modes), total))
+    flat = np.fromiter(multisets, dtype=np.intp, count=count * total)
+    photons = np.ascontiguousarray(flat.reshape(count, total)[::-1].T)
+    occ = np.zeros((count, modes), dtype=np.intp)
+    for photon in photons:
+        occ[np.arange(count), photon] += 1
+    return photons, occ
+
 
 def fock_states(modes: int, total: int) -> list[tuple[int, ...]]:
     """All occupation vectors of `modes` modes with exactly `total` photons,
     in lexicographic order."""
-    if modes == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in fock_states(modes - 1, total - first):
-            out.append((first,) + rest)
-    return out
+    return [tuple(state) for state in _sector(modes, total)[1].tolist()]
 
 
 @dataclass(frozen=True)
@@ -54,10 +72,7 @@ class FockBasis:
 
     @property
     def states(self) -> list[tuple[int, ...]]:
-        out = []
-        for total in range(self.n_max + 1):
-            out.extend(fock_states(self.modes, total))
-        return out
+        return [s for total in range(self.n_max + 1) for s in fock_states(self.modes, total)]
 
     def __len__(self) -> int:
         return sum(math.comb(self.modes + t - 1, t) for t in range(self.n_max + 1))
@@ -103,47 +118,43 @@ class _Propagator:
 
     Matrix elements between occupations n (input) and m (output) with equal
     totals are perm(T[rows repeated per n, cols repeated per m]) divided by
-    sqrt(prod n_i! prod m_j!); permanents are evaluated batched over all
-    output states of a photon-number sector.
+    sqrt(prod n_i! prod m_j!), batched over a photon-number sector.
     """
 
-    def __init__(self, transfer: np.ndarray):
+    def __init__(self, transfer: np.ndarray, system_modes: int):
         self.transfer = np.asarray(transfer, dtype=complex)
         self.modes = self.transfer.shape[0]
+        self.system_modes = system_modes
         self._sectors: dict[int, tuple] = {}
         self._cache: dict[tuple, np.ndarray] = {}
 
     def sector(self, total: int):
-        """Output states of one photon-number sector plus index/norm tables."""
+        """``(photons, norms, codes, system)`` of one sector: ``codes`` gives
+        each output state's row in ``system``, its distinct system parts."""
         if total not in self._sectors:
-            states = fock_states(self.modes, total)
-            cols = np.array(
-                [[j for j, occ in enumerate(m) for _ in range(occ)] for m in states],
-                dtype=int,
-            ).reshape(len(states), total)
-            norms = np.array(
-                [math.sqrt(math.prod(math.factorial(o) for o in m)) for m in states]
-            )
-            self._sectors[total] = (states, cols, norms)
+            photons, occ = _sector(self.modes, total)
+            norms = np.sqrt(np.prod(_FACTORIALS[occ], axis=1))
+            # Lexicographic order keeps equal system parts (a prefix) together.
+            system = occ[:, : self.system_modes]
+            starts = np.r_[True, np.any(system[1:] != system[:-1], axis=1)]
+            self._sectors[total] = (photons, norms, np.cumsum(starts) - 1, system[starts])
         return self._sectors[total]
 
-    def apply(self, ket: tuple[int, ...]) -> tuple[list, np.ndarray]:
+    def apply(self, ket: tuple[int, ...]) -> np.ndarray:
         """Amplitudes of U|ket> over the ket's photon-number sector."""
-        if ket in self._cache:
-            states, _, _ = self.sector(sum(ket))
-            return states, self._cache[ket]
-        total = sum(ket)
-        states, cols, out_norms = self.sector(total)
-        if total == 0:
-            amps = np.ones(1, dtype=complex)
-        else:
-            rows = [k for k, occ in enumerate(ket) for _ in range(occ)]
-            a = self.transfer[rows, :]
-            mats = a[:, cols].transpose(1, 0, 2)
-            in_norm = math.sqrt(math.prod(math.factorial(o) for o in ket))
-            amps = permanent_batch(mats) / (in_norm * out_norms)
-        self._cache[ket] = amps
-        return states, amps
+        if ket not in self._cache:
+            total = sum(ket)
+            photons, out_norms, _, _ = self.sector(total)
+            if total == 0:
+                amps = np.ones(1, dtype=complex)
+            else:
+                rows = np.repeat(np.arange(self.modes), ket)
+                # stack[c, r, b] = T[rows[r], photons[c, b]], column-major
+                stack = self.transfer[rows[None, :, None], photons[:, None, :]]
+                in_norm = math.sqrt(np.prod(_FACTORIALS[list(ket)]))
+                amps = permanent_batch(stack.transpose(2, 1, 0)) / (in_norm * out_norms)
+            self._cache[ket] = amps
+        return self._cache[ket]
 
 
 def _beamsplitter_embedding(modes: int, port_a: int, port_b: int, eta: float) -> np.ndarray:
@@ -156,71 +167,39 @@ def _beamsplitter_embedding(modes: int, port_a: int, port_b: int, eta: float) ->
     return out
 
 
-def _coherent_block(amplitude: complex, n_max: int):
-    x = abs(amplitude) ** 2
-    amps = np.array(
-        [amplitude**n / math.sqrt(math.factorial(n)) for n in range(n_max + 1)],
-        dtype=complex,
-    ) * math.exp(-x / 2.0)
-    kept = float(np.sum(np.abs(amps) ** 2))
-    tail = max(0.0, 1.0 - kept)
-    amps /= math.sqrt(kept)
-    kets = [(amps[n], (n,)) for n in range(n_max + 1)]
-    return [(1.0, kets)], tail
-
-
-def _thermal_block(mean_photons: float, n_max: int):
-    if mean_photons == 0.0:
-        return [(1.0, [(1.0, (0,))])], 0.0
-    q = mean_photons / (1.0 + mean_photons)
-    weights = np.array([(1.0 - q) * q**n for n in range(n_max + 1)])
-    tail = max(0.0, 1.0 - float(weights.sum()))
-    weights /= weights.sum()
-    return [(float(w), [(1.0, (n,))]) for n, w in enumerate(weights)], tail
-
-
-def _spdc_block(r: float, n_max: int):
-    if r == 0.0:
-        return [(1.0, [(1.0, (0, 0))])], 0.0
-    th = math.tanh(r)
-    amps = np.array([th**n / math.cosh(r) for n in range(n_max + 1)])
-    kept = float(np.sum(amps**2))
-    tail = th ** (2 * (n_max + 1))  # exact Schmidt tail mass
-    amps /= math.sqrt(kept)
-    kets = [(amps[n], (n, n)) for n in range(n_max + 1)]
-    return [(1.0, kets)], tail
-
-
 def _source_block(source, n_max: int):
-    """Mixture decomposition of one source block.
-
-    Returns ``(alternatives, tail)`` where alternatives is a list of
-    ``(weight, kets)`` and kets is a list of ``(amplitude, occupations)``
-    over the block's ports (plus its virtual mode for lossy SPDC, appended
-    last).
-    """
-    if isinstance(source, Vacuum):
-        return [(1.0, [(1.0, (0,))])], 0.0
+    """Mixture decomposition of one source block: ``(alternatives, tail)``,
+    each alternative ``(weight, amplitudes, occupations)`` with one row of
+    occupations over the block's ports per ket."""
+    n = np.arange(n_max + 1)
     if isinstance(source, MixedSinglePhoton):
         eta = source.eta_bar
-        return [(1.0 - eta, [(1.0, (0,))]), (eta, [(1.0, (1,))])], 0.0
+        return [(1.0 - eta, [1.0], [[0]]), (eta, [1.0], [[1]])], 0.0
     if isinstance(source, Coherent):
-        return _coherent_block(complex(source.amplitude), n_max)
-    if isinstance(source, Thermal):
-        return _thermal_block(source.mean_photons, n_max)
-    if isinstance(source, SpdcPair):
-        return _spdc_block(source.r, n_max)
+        a = complex(source.amplitude)
+        amps = np.array([a**k / math.sqrt(math.factorial(k)) for k in n.tolist()],
+                        dtype=complex) * math.exp(-abs(a) ** 2 / 2.0)
+        kept = float(np.sum(np.abs(amps) ** 2))
+        return [(1.0, amps / math.sqrt(kept), n[:, None])], max(0.0, 1.0 - kept)
+    if isinstance(source, Thermal) and source.mean_photons != 0.0:
+        q = source.mean_photons / (1.0 + source.mean_photons)
+        weights = np.array([(1.0 - q) * q**k for k in n.tolist()])
+        tail = max(0.0, 1.0 - float(weights.sum()))
+        return [(float(w), [1.0], [[k]]) for k, w in enumerate(weights / weights.sum())], tail
+    if isinstance(source, SpdcPair) and source.r != 0.0:
+        th = math.tanh(source.r)
+        amps = np.array([th**k / math.cosh(source.r) for k in n.tolist()])
+        amps /= math.sqrt(float(np.sum(amps**2)))
+        # The Schmidt tail mass is exact.
+        return [(1.0, amps, np.stack([n, n], axis=1))], th ** (2 * (n_max + 1))
+    if isinstance(source, (Vacuum, Thermal, SpdcPair)):
+        return [(1.0, [1.0], [[0] * len(source.port_names)])], 0.0
     raise TypeError(f"oracle cannot expand source {source!r}")
-
-
-def _source_tail(source, n_max: int) -> float:
-    _, tail = _source_block(source, n_max)
-    return tail
 
 
 def _suggest_n_max(sources, budget: float) -> int | None:
     for candidate in range(1, 64):
-        combined = 1.0 - math.prod(1.0 - _source_tail(s, candidate) for s in sources)
+        combined = 1.0 - math.prod(1.0 - _source_block(s, candidate)[1] for s in sources)
         if combined <= budget:
             return candidate
     return None
@@ -271,25 +250,20 @@ def exact_distribution(
     network[: m_sys + n_env, : m_sys + n_env] = lon_ext
     couplers = np.eye(k_total, dtype=complex)
     for v, (signal, eta) in enumerate(virtual_couplers):
-        couplers = couplers @ _beamsplitter_embedding(
-            k_total, signal, m_sys + n_env + v, eta
-        )
+        couplers = couplers @ _beamsplitter_embedding(k_total, signal, m_sys + n_env + v, eta)
     transfer = couplers @ network
 
-    # Per-block mixture decompositions and the truncation ledger.
-    blocks = []
-    tails = []
-    virtual_index = {signal: m_sys + n_env + v
-                     for v, (signal, _) in enumerate(virtual_couplers)}
+    # Per-block mixtures, each alternative as (weight, amplitudes, occupations
+    # of all k_total modes, virtual ones empty), and the truncation ledger.
+    blocks, tails = [], []
     for entry in config.sources:
         alternatives, tail = _source_block(entry.source, n_max)
-        ports = list(entry.ports)
-        if isinstance(entry.source, SpdcPair) and entry.ports[1] in virtual_index:
-            ports = ports + [virtual_index[entry.ports[1]]]
-            alternatives = [
-                (w, [(a, occ + (0,)) for a, occ in kets]) for w, kets in alternatives
-            ]
-        blocks.append((ports, alternatives))
+        options = []
+        for w, amps, occ in alternatives:
+            full = np.zeros((len(amps), k_total), dtype=np.intp)
+            full[:, list(entry.ports)] = occ
+            options.append((w, np.asarray(amps, dtype=complex), full))
+        blocks.append(options)
         tails.append(tail)
     truncation = 1.0 - math.prod(1.0 - t for t in tails)
     if truncation > TRUNCATION_BUDGET:
@@ -301,50 +275,37 @@ def exact_distribution(
             suggested_n_max=suggestion,
         )
 
-    propagator = _Propagator(transfer)
-    sys_probs: dict[tuple[int, ...], float] = {}
+    propagator = _Propagator(transfer, m_sys)
+    sector_weights: dict[int, np.ndarray] = {}
     dropped = 0.0
 
-    for combo in itertools.product(*[alts for _, alts in blocks]):
-        weight = math.prod(w for w, _ in combo)
+    for combo in itertools.product(*blocks):
+        weight = math.prod(w for w, _, _ in combo)
         if weight == 0.0:
             continue
-        # Tensor the block kets into full-network occupation kets.
-        kets = [(1.0 + 0.0j, [0] * k_total)]
-        for (ports, _), (_, block_kets) in zip(blocks, combo):
-            new = []
-            for amp, occ in kets:
-                for b_amp, b_occ in block_kets:
-                    merged = occ.copy()
-                    for port, o in zip(ports, b_occ):
-                        merged[port] = o
-                    new.append((amp * b_amp, merged))
-            kets = new
-        amps = np.array([a for a, _ in kets])
+        # Tensor the block kets into full-network kets, the last block fastest.
+        amps = np.ones(1, dtype=complex)
+        occs = np.zeros((1, k_total), dtype=np.intp)
+        for _, b_amps, b_occ in combo:
+            amps = (amps[:, None] * b_amps).ravel()
+            occs = (occs[:, None, :] + b_occ).reshape(-1, k_total)
         keep = np.abs(amps) ** 2 >= ket_floor
         lost = float(np.sum(np.abs(amps[~keep]) ** 2))
         dropped += weight * lost
         if lost > 0.0:
             amps = amps / math.sqrt(max(1.0 - lost, 1e-300))
+        amps, occs = amps[keep], occs[keep]
         # Propagate sector by sector; the network conserves photon number,
         # so cross-sector coherences never reach the diagonal POVM.
-        by_total: dict[int, dict[tuple, complex]] = {}
-        for keep_it, amp, (_, occ) in zip(keep, amps, kets):
-            if not keep_it:
-                continue
-            by_total.setdefault(sum(occ), {})[tuple(occ)] = amp
-        for total, sector_kets in by_total.items():
-            states, _, _ = propagator.sector(total)
-            out = np.zeros(len(states), dtype=complex)
-            for ket, amp in sector_kets.items():
-                _, ket_amps = propagator.apply(ket)
-                out += amp * ket_amps
-            probs = np.abs(out) ** 2
-            for state, p in zip(states, probs):
-                if p == 0.0:
-                    continue
-                sys_occ = state[:m_sys]
-                sys_probs[sys_occ] = sys_probs.get(sys_occ, 0.0) + weight * p
+        totals = occs.sum(axis=1)
+        for total in dict.fromkeys(totals.tolist()):
+            in_sector = totals == total
+            _, norms, codes, system = propagator.sector(total)
+            out = np.zeros(len(norms), dtype=complex)
+            for amp, ket in zip(amps[in_sector].tolist(), occs[in_sector].tolist()):
+                out += amp * propagator.apply(tuple(ket))
+            marginal = np.bincount(codes, weights=np.abs(out) ** 2, minlength=len(system))
+            sector_weights[total] = sector_weights.get(total, 0.0) + weight * marginal
 
     if truncation + dropped > TRUNCATION_BUDGET:
         raise TruncationError(
@@ -357,10 +318,8 @@ def exact_distribution(
     eta = np.array([d.eta_d for d in config.detectors])
     p_d = np.array([d.p_d for d in config.detectors])
     probs = np.zeros(1 << m_sys)
-    for occ, p in sys_probs.items():
-        w_off = (1.0 - p_d) * (1.0 - eta) ** np.array(occ)
-        per_mode = [np.array([w0, 1.0 - w0]) for w0 in w_off]
-        probs += p * reduce(np.kron, per_mode)
+    for total, weights in sector_weights.items():
+        probs += _povm_fold(weights, propagator.sector(total)[3], eta, p_d)
     probs /= probs.sum()
     return ProbabilityTable(
         outcomes=all_bitstrings(m_sys),
@@ -369,9 +328,32 @@ def exact_distribution(
     )
 
 
+def _povm_fold(weights: np.ndarray, occ: np.ndarray, eta: np.ndarray,
+               p_d: np.ndarray) -> np.ndarray:
+    """Click-pattern probabilities (mode 0 the leading bit) of occupations
+    ``occ`` (n, M) held with ``weights``: ``weights @ table``, row k the
+    Kronecker product over modes j of (w0, 1 - w0), w0 = (1 - p_d_j)
+    (1 - eta_j)^occ[k, j], built mode by mode in chunks of _FOLD_ENTRIES."""
+    off = (1.0 - p_d) * (1.0 - eta) ** occ
+    chunk = max(1, _FOLD_ENTRIES >> occ.shape[1])
+    probs = np.zeros(1 << occ.shape[1])
+    for start in range(0, len(occ), chunk):
+        rows = off[start : start + chunk]
+        table = np.ones((len(rows), 1))
+        for w0 in rows.T:
+            pair = np.empty(table.shape + (2,))
+            pair[..., 0] = table * w0[:, None]
+            pair[..., 1] = table * (1.0 - w0)[:, None]
+            table = pair.reshape(len(table), -1)
+        probs += weights[start : start + chunk] @ table
+    return probs
+
+
 def ideal_probability_permanent(unitary: np.ndarray, input_ports, output_ports) -> float:
-    """|perm(U[S, T])|^2: the collision-free outcome probability for single
-    photons on ports S of a lossless network measured on ports T."""
+    """|perm(U[S, T])|^2 / (prod n_i! prod m_j!): the probability that a
+    lossless network U takes one photon per entry of S to one photon per
+    entry of T.  A port listed k times holds k photons (n_i or m_j = k),
+    so S and T are occupations written as lists of ports."""
     s = sorted(input_ports)
     t = sorted(output_ports)
     if len(s) != len(t):
@@ -380,7 +362,9 @@ def ideal_probability_permanent(unitary: np.ndarray, input_ports, output_ports) 
         )
     u = np.asarray(unitary, dtype=complex)
     sub = u[np.ix_(s, t)]
-    return abs(permanent(sub)) ** 2
+    repeats = [math.factorial(k) for ports in (s, t)
+               for k in np.unique(ports, return_counts=True)[1].tolist()]
+    return abs(permanent(sub)) ** 2 / math.prod(repeats)
 
 
 def _empirical_probs(table: ProbabilityTable, batch: SampleBatch) -> np.ndarray:

@@ -175,24 +175,29 @@ def block_rows(blocks, transfer: np.ndarray, t: float = 1.0):
     rows of L for block b's ports, and one row sqrt|lam| U^T Q_b per
     eigenvalue of cov_b - t I = U diag(lam) U^T (one batched eigenproblem
     per block size), so sum_b Q_b^T (cov_b - t I) Q_b = R_+^T R_+ - R_-^T R_-
-    over the rows with lam > 0 and lam < 0.
+    over the rows with lam > 0 and lam < 0.  Each group's rows are written
+    straight into the returned array.
     """
     m = transfer.shape[0]
     mean = np.zeros(2 * m)
-    rows, lams = [np.empty((0, 2 * m))], [np.empty(0)]
     by_size = {}
     for block in blocks:
         by_size.setdefault(len(block[0]), []).append(block)
+    rows, lams, start = np.empty((0, 2 * m)), [np.empty(0)], 0
     for size, group in by_size.items():
         ports = np.array([block[0] for block in group]).ravel()
         q = quadrature_rep(transfer[ports]).reshape(len(group), 2 * size, 2 * m)
+        if not start:  # allocated after q, once L's complex row copy is freed
+            rows = np.empty((2 * sum(len(block[0]) for block in blocks), 2 * m))
+        stop = start + 2 * ports.size
         mean += np.einsum("bi,bij->j", np.array([block[1] for block in group]), q)
         excess = np.array([block[2] for block in group]) - t * np.eye(2 * size)
         lam, u = np.linalg.eigh(excess)
-        rows.append((np.sqrt(np.abs(lam))[..., None] * (u.transpose(0, 2, 1) @ q))
-                    .reshape(-1, 2 * m))
+        np.matmul(u.transpose(0, 2, 1), q, out=rows[start:stop].reshape(q.shape))
+        rows[start:stop] *= np.sqrt(np.abs(lam)).reshape(-1, 1)
         lams.append(lam.ravel())
-    return mean, np.vstack(rows), np.concatenate(lams)
+        start = stop
+    return mean, rows, np.concatenate(lams)
 
 
 def propagate_blocks(blocks, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -79,6 +79,23 @@ class TestBatchMemory:
         peak = traced_peak(run_condition2, config, n, workers)
         assert peak <= peak_bound(config, n, 32, workers)
 
+    def test_block_rows_holds_a_groups_rows_at_most_twice(self):
+        # Route 1's set-up at t0 on the SPDC preset: one size group of 64
+        # pairs, so its quadrature rows q and the returned rows (0.5 MiB
+        # each).  Holding the group's product, its scaled copy and a stacked
+        # copy as well peaked at 1.59 MiB.
+        config = spdc_config(64, 0.05, p_d=0.06)
+        blocks = [(entry.ports, *entry.source.wigner_moments()) for entry in config.sources]
+        t0 = min(entry.source.t_bar for entry in config.sources)
+        tracemalloc.start()
+        try:
+            _, rows, _ = block_rows(blocks, config.transfer, t0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (256, 256)
+        assert peak <= 2.5 * rows.nbytes
+
 
 class TestHistogramMemory:
     def test_peak_is_half_of_a_unicode_key_array(self):

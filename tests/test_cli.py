@@ -245,13 +245,13 @@ GOLDEN_RUNS = [
         "report.json": "400137e72aec2c8b865d4eabfd5a222762f18e9de33fa72425456d8d4e5a288c",
     }, id="check-spdc"),
     pytest.param(["oracle", "--config", "{hom}"], {
-        "stdout": "7ed3764f99fb2bb1fbf1b3be23312079adce094fec2182af78cbefa0559e8dd9",
-        "distribution.json": "7ed3764f99fb2bb1fbf1b3be23312079adce094fec2182af78cbefa0559e8dd9",
+        "stdout": "b684739db5d71a5468bfe086d4a3873e1c465e51bec8794c1b192a089b375f5b",
+        "distribution.json": "b684739db5d71a5468bfe086d4a3873e1c465e51bec8794c1b192a089b375f5b",
     }, id="oracle"),
     pytest.param(["compare", "--config", "{hom}", "--samples", "20000", "--tolerance", "0.05",
       "--seed", "5"], {
-        "stdout": "53cdd4ecb8ae252e915a10f0513e8a5194e31668bff28ba89e4590d3c3067cbd",
-        "compare.json": "11d684a8f52e443010940cce0236f73e22f181fd27c117013e6acf3dd43b66c2",
+        "stdout": "8fd7feb331055bfe7e13bed79f6a3c2fcb55c93e0095fcf68b0be91ecfdb906f",
+        "compare.json": "21418cd7beabd1e23bb4fb73c3e8de6915683950ff2d984380180f4a4ad026e5",
     }, id="compare"),
     pytest.param(["thresholds", "--modes", "10,100"], {
         "stdout": "434350c82d3ea5ddcddeb36e6c3e2fc31e3d2d4916fec930618e1ef50c5b745a",

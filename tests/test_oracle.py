@@ -2,17 +2,20 @@ import itertools
 import math
 import sys
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
 
+import pqsim.oracle
 from pqsim import DetectorModel, RngStream
 from pqsim.errors import DimensionError, OracleSizeError, TruncationError
 from pqsim.experiment import ExperimentConfig, PortSource
-from pqsim.linalg import dilate_to_unitary, haar_unitary
+from pqsim.linalg import dilate_to_unitary, haar_unitary, permanent_batch
 from pqsim.oracle import (
     FockBasis,
     ProbabilityTable,
+    _povm_fold,
     all_bitstrings,
     exact_distribution,
     fock_states,
@@ -35,6 +38,57 @@ def ideal_detectors(modes):
     return (DetectorModel(1.0, 0.0),) * modes
 
 
+def one_click(modes, port):
+    return "".join("1" if k == port else "0" for k in range(modes))
+
+
+# Reference copies of the per-state loops the array code replaced.
+
+def recursive_fock_states(modes, total):
+    if modes == 1:
+        return [(total,)]
+    out = []
+    for first in range(total + 1):
+        for rest in recursive_fock_states(modes - 1, total - first):
+            out.append((first,) + rest)
+    return out
+
+
+def ryser_prod_loop(mats):
+    """Ryser's formula in Gray-code order on a (B, n, n) stack, one
+    ``np.prod`` over each strided row-sum block; returns the permanents and
+    the sum of the terms' magnitudes, the scale of either loop's roundoff."""
+    arr = np.asarray(mats, dtype=complex)
+    b, n, _ = arr.shape
+    if n == 0:
+        return np.ones(b, dtype=complex), np.ones(b)
+    row_sums = np.zeros((b, n), dtype=complex)
+    total = np.zeros(b, dtype=complex)
+    scale = np.zeros(b)
+    gray = 0
+    for k in range(1, 1 << n):
+        bit = k & -k
+        j = bit.bit_length() - 1
+        if gray & bit:
+            row_sums -= arr[:, :, j]
+        else:
+            row_sums += arr[:, :, j]
+        gray ^= bit
+        sign = -1.0 if (gray.bit_count() & 1) else 1.0
+        term = np.prod(row_sums, axis=1)
+        total += sign * term
+        scale += np.abs(term)
+    return total * (-1) ** n, scale
+
+
+def kron_fold(weights, occ, eta, p_d):
+    probs = np.zeros(1 << occ.shape[1])
+    for row, p in zip(occ, weights):
+        w_off = (1.0 - p_d) * (1.0 - eta) ** row
+        probs += p * reduce(np.kron, [np.array([w0, 1.0 - w0]) for w0 in w_off])
+    return probs
+
+
 class TestFockBasis:
     def test_states_are_lexicographic_and_complete(self):
         states = fock_states(3, 2)
@@ -46,6 +100,52 @@ class TestFockBasis:
         basis = FockBasis(modes=4, n_max=3)
         assert len(basis) == sum(math.comb(4 + t - 1, t) for t in range(4))
         assert len(basis.states) == len(basis)
+        assert basis.states == [state for t in range(4)
+                                for state in recursive_fock_states(4, t)]
+
+    @pytest.mark.parametrize("modes", range(1, 7))
+    def test_states_match_the_recursive_builder(self, modes):
+        for total in range(6):
+            assert fock_states(modes, total) == recursive_fock_states(modes, total)
+
+
+class TestReferenceLoops:
+    @pytest.mark.parametrize("n", range(11))
+    @pytest.mark.parametrize("batch", [0, 1, 37])
+    def test_permanents_match_the_prod_loop(self, n, batch):
+        gen = RngStream(130 + n).generator()
+        ginibre = gen.standard_normal((batch, n, n)) + 1j * gen.standard_normal((batch, n, n))
+        new = permanent_batch(ginibre)
+        old, scale = ryser_prod_loop(ginibre)
+        assert new.shape == (batch,)
+        # Cancelling terms make |perm| small against them; the roundoff of
+        # either loop is relative to the terms' magnitudes.
+        assert np.all(np.abs(new - old) <= 1e-13 * scale)
+        positive = gen.random((batch, n, n))
+        old, _ = ryser_prod_loop(positive)
+        np.testing.assert_allclose(permanent_batch(positive), old, rtol=1e-13, atol=0)
+
+    def test_column_major_view_gives_the_same_permanents(self):
+        # The oracle passes a (B, n, n) view of a C-contiguous (n, n, B)
+        # stack, indexed [column, row, batch].
+        stack = RngStream(140).generator().standard_normal((4, 4, 9)) + 0j
+        mats = stack.transpose(2, 1, 0)
+        np.testing.assert_allclose(permanent_batch(mats), ryser_prod_loop(mats)[0],
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("fold_entries", [pqsim.oracle._FOLD_ENTRIES, 64])
+    def test_povm_fold_matches_the_kron_fold(self, monkeypatch, fold_entries):
+        # fold_entries = 64 folds 2 occupations at a time over 5 modes.
+        monkeypatch.setattr(pqsim.oracle, "_FOLD_ENTRIES", fold_entries)
+        gen = RngStream(150).generator()
+        occ = gen.integers(0, 5, size=(40, 5))
+        weights = gen.dirichlet(np.ones(40))
+        eta = np.array([0.9, 0.0, 0.7, 0.5, 0.95])  # mode 1 is dead
+        p_d = np.array([0.05, 0.1, 1.0, 0.0, 0.2])  # mode 2 always clicks
+        new = _povm_fold(weights, occ, eta, p_d)
+        old = kron_fold(weights, occ, eta, p_d)
+        assert np.max(np.abs(new - old)) <= 1e-15
+        assert new.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 class TestExactDistribution:
@@ -189,6 +289,29 @@ class TestIdealProbabilityPermanent:
     def test_hom_dip_via_permanent(self):
         assert ideal_probability_permanent(beamsplitter_50_50(), [0, 1], [0, 1]) \
             == pytest.approx(0.0, abs=1e-12)
+
+    def test_hom_bunching_on_repeated_ports(self):
+        bs = beamsplitter_50_50()
+        assert ideal_probability_permanent(bs, [0, 1], [0, 0]) == pytest.approx(0.5, abs=1e-12)
+        assert ideal_probability_permanent(bs, [0, 0], [0, 1]) == pytest.approx(0.5, abs=1e-12)
+
+    def test_repeated_ports_match_the_oracle(self):
+        # Two photons in three lossless modes: one click means both photons
+        # sit on that port.  The oracle cannot prepare two photons on one
+        # port, so repeated inputs use <m|U|n> = <n|U^T|m>.
+        unitary = haar_unitary(3, RngStream(56))
+        tables = [
+            exact_distribution(ExperimentConfig(
+                modes=3, sources=pure_photons([0, 1], 3),
+                transfer=transfer, detectors=ideal_detectors(3),
+            )).as_dict()
+            for transfer in (unitary, unitary.T)
+        ]
+        for port in range(3):
+            assert ideal_probability_permanent(unitary, [0, 1], [port, port]) \
+                == pytest.approx(tables[0][one_click(3, port)], abs=1e-12)
+            assert ideal_probability_permanent(unitary, [port, port], [0, 1]) \
+                == pytest.approx(tables[1][one_click(3, port)], abs=1e-12)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(DimensionError):
