@@ -39,16 +39,15 @@ def haar_unitary(m: int, rng: RngStream) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def validate_transfer(matrix: np.ndarray, tol: float = CONTRACTION_TOL,
-                      diagonal_gram: bool = False):
+def validate_transfer(matrix: np.ndarray, diagonal_gram: bool = False):
     """Check that a square complex matrix is a physical transfer matrix.
 
-    All singular values must be <= 1 + tol.  A Cholesky factorization of
-    (1 + tol)^2 I - L^dag L accepts a contraction at a fraction of the cost
-    of an SVD; only when it fails does the 2-norm decide, and word the
-    refusal.  Returns the matrix as a complex128 array, and with
-    ``diagonal_gram`` also whether that Gram L^dag L is diagonal: its
-    off-diagonal part has Frobenius norm <= PSD_TOL.
+    All singular values must be <= 1 + CONTRACTION_TOL.  A Cholesky
+    factorization of (1 + CONTRACTION_TOL)^2 I - L^dag L accepts a
+    contraction at a fraction of the cost of an SVD; only when it fails does
+    the 2-norm decide, and word the refusal.  Returns the matrix as a
+    complex128 array, and with ``diagonal_gram`` also whether that Gram
+    L^dag L is diagonal: its off-diagonal part has Frobenius norm <= PSD_TOL.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -57,14 +56,14 @@ def validate_transfer(matrix: np.ndarray, tol: float = CONTRACTION_TOL,
         raise DimensionError("transfer matrix entries must be finite")
     gap = a.conj().T @ a
     gap *= -1.0
-    gap.flat[:: a.shape[0] + 1] += (1.0 + tol) ** 2
+    gap.flat[:: a.shape[0] + 1] += (1.0 + CONTRACTION_TOL) ** 2
     try:
         np.linalg.cholesky(gap)
     except np.linalg.LinAlgError:
         smax = np.linalg.norm(a, ord=2)
-        if smax > 1.0 + tol:
+        if smax > 1.0 + CONTRACTION_TOL:
             raise ContractionError(
-                f"largest singular value {smax:.12g} exceeds 1 + {tol:g}; "
+                f"largest singular value {smax:.12g} exceeds 1 + {CONTRACTION_TOL:g}; "
                 "the network would amplify light"
             ) from None
     if not diagonal_gram:
@@ -164,30 +163,31 @@ def permanent_batch(mats: np.ndarray) -> np.ndarray:
     return total if n % 2 == 0 else -total
 
 
-def psd_factor_complex(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+def psd_factor_complex(cov: np.ndarray) -> np.ndarray:
     """Factor A with A^dag A = cov for Hermitian PSD cov (row convention).
 
     Standard complex normals left-multiplied into A have covariance cov;
     :func:`_psd_factor` chooses the factor and refuses.
     """
-    return _psd_factor(np.asarray(cov, dtype=complex), tol)
+    return _psd_factor(np.asarray(cov, dtype=complex))
 
 
-def psd_factor_real(cov: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+def psd_factor_real(cov: np.ndarray) -> np.ndarray:
     """Real symmetric analogue of :func:`psd_factor_complex` (A^T A = cov)."""
-    return _psd_factor(np.asarray(cov, dtype=float), tol)
+    return _psd_factor(np.asarray(cov, dtype=float))
 
 
-def _psd_factor(c: np.ndarray, tol: float) -> np.ndarray:
+def _psd_factor(c: np.ndarray) -> np.ndarray:
     """The Cholesky factor when it completes: it is backward-stable, so it
-    certifies lambda_min >= -O(n eps |cov|), far inside ``tol``.  Otherwise
+    certifies lambda_min >= -O(n eps |cov|), far inside PSD_TOL.  Otherwise
     the eigen-factor decides, as :func:`validate_transfer` does: eigenvalues
-    in [-tol, 0] are clamped to zero (singular directions become exactly
-    deterministic) and below -tol the covariance is refused."""
+    in [-PSD_TOL, 0] are clamped to zero (singular directions become exactly
+    deterministic) and below -PSD_TOL the covariance is refused; so is a
+    Hermitian defect above PSD_TOL."""
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionError(f"covariance must be square, got shape {c.shape}")
     if not np.array_equal(c, c.conj().T):
-        if np.max(np.abs(c - c.conj().T)) > tol:
+        if np.max(np.abs(c - c.conj().T)) > PSD_TOL:
             raise NotPsdError("covariance is not Hermitian within tolerance")
         c = (c + c.conj().T) / 2.0
     if c.size == 0:
@@ -197,8 +197,8 @@ def _psd_factor(c: np.ndarray, tol: float) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     vals, vecs = np.linalg.eigh(c)
-    if vals[0] < -tol:
-        raise NotPsdError(f"covariance eigenvalue {vals[0]:.3e} below -{tol:g}")
+    if vals[0] < -PSD_TOL:
+        raise NotPsdError(f"covariance eigenvalue {vals[0]:.3e} below -{PSD_TOL:g}")
     return np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.conj().T
 
 

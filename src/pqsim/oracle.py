@@ -1,12 +1,12 @@
 """Exact brute-force reference distribution by truncated Fock-space
 propagation.
 
-Losses are made unitary before propagating: the network contraction is
-dilated with vacuum environment modes, and each lossy SPDC source gets a
-virtual beamsplitter mode ahead of the network.  The enlarged network is
-then photon-number conserving, its matrix elements between occupation states
-are permanents of repeated-row/column submatrices, and the environment is
-traced by marginalizing occupations: per photon-number sector, its tables
+Losses are made unitary before propagating: a lossy SPDC signal arm
+scales its row of the network contraction, and the result is dilated with
+vacuum environment modes.  The enlarged network is then photon-number
+conserving, its matrix elements between occupation states are permanents
+of repeated-row/column submatrices, and the environment is traced by
+marginalizing occupations: per photon-number sector, its tables
 (built once) gather each ket's permanents in the column-major layout
 :func:`~pqsim.linalg.permanent_batch` walks and code each output state by
 its system occupation, so the trace is one ``bincount`` and the on-off POVM
@@ -26,10 +26,9 @@ import numpy as np
 from .errors import DimensionError, OracleSizeError, TruncationError
 from .experiment import ExperimentConfig
 from .linalg import economy_dilation, permanent, permanent_batch
-from .sampler import SampleBatch
 from .states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
-#: Largest mode count (system + environment + virtual) the oracle accepts.
+#: Largest mode count (system + environment) the oracle accepts.
 MAX_ORACLE_MODES = 12
 
 #: Neglected-probability budget; beyond this the oracle refuses.
@@ -157,16 +156,6 @@ class _Propagator:
         return self._cache[ket]
 
 
-def _beamsplitter_embedding(modes: int, port_a: int, port_b: int, eta: float) -> np.ndarray:
-    out = np.eye(modes, dtype=complex)
-    t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
-    out[port_a, port_a] = t
-    out[port_b, port_a] = r
-    out[port_a, port_b] = -r
-    out[port_b, port_b] = t
-    return out
-
-
 def _source_block(source, n_max: int):
     """Mixture decomposition of one source block: ``(alternatives, tail)``,
     each alternative ``(weight, amplitudes, occupations)`` with one row of
@@ -229,32 +218,23 @@ def exact_distribution(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
 
-    lon_ext, n_env = economy_dilation(config.transfer)
-
-    # Lossy SPDC sources get one virtual pre-network mode each.
-    virtual_couplers = []  # (signal_port, eta_bl); virtual index assigned below
+    # A lossy SPDC signal arm ahead of the network is the contraction D L,
+    # row `signal` of L scaled by sqrt(eta_bl); its dilation holds both losses.
+    transfer = np.array(config.transfer, dtype=complex)
     for entry in config.sources:
-        if isinstance(entry.source, SpdcPair) and entry.source.eta_bl < 1.0 - 1e-12:
-            virtual_couplers.append((entry.ports[1], entry.source.eta_bl))
-    n_virtual = len(virtual_couplers)
+        if isinstance(entry.source, SpdcPair):
+            transfer[entry.ports[1]] *= math.sqrt(entry.source.eta_bl)
+    transfer, n_env = economy_dilation(transfer)
 
-    k_total = m_sys + n_env + n_virtual
+    k_total = m_sys + n_env
     if k_total > MAX_ORACLE_MODES:
         raise OracleSizeError(
-            f"enlarged network needs {k_total} modes "
-            f"({m_sys} system + {n_env} loss + {n_virtual} virtual), "
+            f"enlarged network needs {k_total} modes ({m_sys} system + {n_env} loss), "
             f"above the oracle limit of {MAX_ORACLE_MODES}"
         )
 
-    network = np.eye(k_total, dtype=complex)
-    network[: m_sys + n_env, : m_sys + n_env] = lon_ext
-    couplers = np.eye(k_total, dtype=complex)
-    for v, (signal, eta) in enumerate(virtual_couplers):
-        couplers = couplers @ _beamsplitter_embedding(k_total, signal, m_sys + n_env + v, eta)
-    transfer = couplers @ network
-
     # Per-block mixtures, each alternative as (weight, amplitudes, occupations
-    # of all k_total modes, virtual ones empty), and the truncation ledger.
+    # of all k_total modes, environment ones empty), and the truncation ledger.
     blocks, tails = [], []
     for entry in config.sources:
         alternatives, tail = _source_block(entry.source, n_max)
@@ -367,12 +347,13 @@ def ideal_probability_permanent(unitary: np.ndarray, input_ports, output_ports) 
     return abs(permanent(sub)) ** 2 / math.prod(repeats)
 
 
-def _empirical_probs(table: ProbabilityTable, batch: SampleBatch) -> np.ndarray:
-    """Frequencies of the batch's rows in the table's outcome order, counted
-    here by each row's binary code (mode 0 first), never from ``counts``;
+def _empirical_probs(table: ProbabilityTable, outcomes: np.ndarray) -> np.ndarray:
+    """Frequencies of the rows of a non-empty (n, M) 0/1 array in the
+    table's outcome order, counted by each row's binary code (mode 0 first);
     each distinct code is looked up among the table's, so nothing scales
     with 2^M."""
-    outcomes = batch.outcomes
+    if len(outcomes) == 0:
+        raise ValueError("cannot compare against an empty sample batch")
     modes = len(table.outcomes[0])
     if outcomes.shape[1] != modes:
         raise DimensionError(
@@ -401,14 +382,15 @@ def _empirical_probs(table: ProbabilityTable, batch: SampleBatch) -> np.ndarray:
 
 
 def tv_distance(p: ProbabilityTable, q) -> float:
-    """Total variation distance between a table and a table or sample batch."""
-    if isinstance(q, SampleBatch):
-        q_probs = _empirical_probs(p, q)
-    elif isinstance(q, ProbabilityTable):
+    """Total variation distance between a table and a table or a non-empty
+    sample batch (anything with an (n, M) ``outcomes`` array)."""
+    if isinstance(q, ProbabilityTable):
         if set(q.outcomes) != set(p.outcomes):
             raise DimensionError("probability tables cover different outcome spaces")
         lookup = q.as_dict()
         q_probs = np.array([lookup[o] for o in p.outcomes])
+    elif hasattr(q, "outcomes"):
+        q_probs = _empirical_probs(p, q.outcomes)
     else:
         raise TypeError(f"cannot compare against {type(q).__name__}")
     return 0.5 * float(np.abs(p.probs - q_probs).sum())

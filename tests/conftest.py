@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -96,23 +96,18 @@ def single_photon_click_marginals(config) -> np.ndarray:
     return 1.0 - (1.0 - p_d) * no_photon
 
 
-def spdc_total_click_variance(config) -> float:
-    """Exact Var(total clicks) of an experiment fed only by SPDC pairs.
-
-    After the network and the detectors' efficiency the state is a
-    zero-mean Gaussian with N_jk = <a_j^dag a_k> and M_jk = <a_j a_k>; an
-    output mode k is b_k = sum_j L_jk a_j, so N -> L^dag N L, M -> L^T M L.
-    A set S of detectors is silent with probability
-    prod_S (1 - p_d) / sqrt(det Q_S), Q_S = [[N_S^T + I, M_S], [M_S^*, N_S + I]]
-    (Quesada, Arrazola and Killoran, PRA 98, 062322 (2018)).  The variance
-    needs every single mode and pair of modes: 2 x 2 and 4 x 4 determinants.
-    """
+def spdc_output_moments(config) -> tuple[np.ndarray, np.ndarray]:
+    """(N, M) of an experiment fed only by SPDC pairs, after the network and
+    the detectors' efficiency: the zero-mean Gaussian output state's
+    N_jk = <a_j^dag a_k> and M_jk = <a_j a_k>.  A pair's signal arm carries
+    its eta_bl loss in the input moments; an output mode k is
+    b_k = sum_j L_jk a_j, so N -> L^dag N L, M -> L^T M L."""
     modes = config.modes
     n = np.zeros((modes, modes), dtype=complex)
     m = np.zeros((modes, modes), dtype=complex)
     for entry in config.sources:
         if not isinstance(entry.source, SpdcPair):
-            raise TypeError(f"no variance formula for {entry.source!r}")
+            raise TypeError(f"no Gaussian moments for {entry.source!r}")
         herald, signal = entry.ports
         s, c, eta = math.sinh(entry.source.r), math.cosh(entry.source.r), entry.source.eta_bl
         n[herald, herald], n[signal, signal] = s * s, eta * s * s
@@ -121,10 +116,23 @@ def spdc_total_click_variance(config) -> float:
     root = np.sqrt([d.eta_d for d in config.detectors])
     n = root[:, None] * (transfer.conj().T @ n @ transfer) * root
     m = root[:, None] * (transfer.T @ m @ transfer) * root
+    return n, m
+
+
+def spdc_total_click_variance(config) -> float:
+    """Exact Var(total clicks) of an experiment fed only by SPDC pairs.
+
+    With (N, M) from :func:`spdc_output_moments`, a set S of detectors is
+    silent with probability prod_S (1 - p_d) / sqrt(det Q_S),
+    Q_S = [[N_S^T + I, M_S], [M_S^*, N_S + I]] (Quesada, Arrazola and
+    Killoran, PRA 98, 062322 (2018)).  The variance needs every single mode
+    and pair of modes: 2 x 2 and 4 x 4 determinants.
+    """
+    n, m = spdc_output_moments(config)
     dark = 1.0 - np.array([d.p_d for d in config.detectors])
     diag = np.diag(n).real
     silent = dark / np.sqrt((diag + 1.0) ** 2 - np.abs(np.diag(m)) ** 2)
-    j, k = np.triu_indices(modes, 1)
+    j, k = np.triu_indices(config.modes, 1)
     pair = np.stack([j, k], axis=1)
     n_s = n[pair[:, :, None], pair[:, None, :]]
     m_s = m[pair[:, :, None], pair[:, None, :]]
@@ -136,6 +144,32 @@ def spdc_total_click_variance(config) -> float:
     both_silent = dark[j] * dark[k] / np.sqrt(np.linalg.det(q).real)
     covariance = both_silent - silent[j] * silent[k]
     return float(np.sum(silent * (1.0 - silent)) + 2.0 * np.sum(covariance))
+
+
+def spdc_click_table(config) -> np.ndarray:
+    """Exact probabilities of all 2^M click patterns (mode 0 the leading
+    bit) of an experiment fed only by SPDC pairs, shared with no oracle code.
+
+    Every subset S of detectors is silent with probability
+    prod_S (1 - p_d) / sqrt(det Q_S), as in :func:`spdc_total_click_variance`.
+    Indexed by S, one bit per mode, that table becomes the outcome table by
+    Moebius inversion, mode by mode: "silent" reads the entry with the mode
+    in S, "click" the entry without it minus the entry with it.
+    """
+    n, m = spdc_output_moments(config)
+    dark = 1.0 - np.array([d.p_d for d in config.detectors])
+    modes = config.modes
+    silent = np.empty((2,) * modes)
+    for members in product((0, 1), repeat=modes):
+        s = np.flatnonzero(members)
+        n_s, m_s = n[np.ix_(s, s)], m[np.ix_(s, s)]
+        eye = np.eye(s.size)
+        q = np.block([[n_s.T + eye, m_s], [m_s.conj(), n_s + eye]])
+        silent[members] = np.prod(dark[s]) / math.sqrt(np.linalg.det(q).real)
+    for axis in range(modes):
+        without, within = np.moveaxis(silent, axis, 0)
+        silent = np.moveaxis(np.stack([within, without - within]), 0, axis)
+    return silent.ravel()
 
 
 def _cfg(modes, sources, transfer, det):

@@ -197,6 +197,11 @@ class TestCompare:
                    "--samples", "50000", "--tolerance", "0.02", "--quiet"])
         assert rc == EXIT_FAIL
 
+    def test_empty_sample_is_refused(self, hom_config_path, capsys):
+        rc = main(["compare", "--config", str(hom_config_path), "--samples", "0", "--quiet"])
+        assert rc == EXIT_USAGE
+        assert "empty sample batch" in capsys.readouterr().err
+
     def test_oversized_config_is_guarded(self, tmp_path):
         data = {
             "modes": 20,

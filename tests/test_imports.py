@@ -66,3 +66,18 @@ def test_imports_are_used_or_name_a_tracer_site(module, tracer_sites):
         else:
             assert name in used, f"{module}.{name} is imported but never used"
 
+
+def test_oracle_shares_no_module_with_the_sampler():
+    """The oracle checks the samplers, so it imports none of their modules."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    forbidden = {"sampler", "processes", "detectors", "simulability"}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            imported.update(module)
+            if module == [""] or module == ["pqsim"]:
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert not imported & forbidden

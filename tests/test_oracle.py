@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pqsim.oracle
-from pqsim import DetectorModel, RngStream
+from pqsim import DetectorModel, RngStream, run_experiment
 from pqsim.errors import DimensionError, OracleSizeError, TruncationError
 from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import dilate_to_unitary, haar_unitary, permanent_batch
@@ -25,7 +25,7 @@ from pqsim.oracle import (
 from pqsim.sampler import SampleBatch
 from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Vacuum
 
-from conftest import beamsplitter_50_50, oracle_suite
+from conftest import beamsplitter_50_50, oracle_suite, spdc_click_table
 
 
 def pure_photons(ports, modes):
@@ -281,6 +281,64 @@ class TestExactDistribution:
             exact_distribution(config)
 
 
+def lossy_pairs_on_lossy_signals(pairs: int) -> ExperimentConfig:
+    """``pairs`` SpdcPair(0.05, 0.8) sources, heralds on the identity and
+    signals on sqrt(0.9) times a Haar unitary."""
+    modes = 2 * pairs
+    transfer = np.eye(modes, dtype=complex)
+    transfer[pairs:, pairs:] = math.sqrt(0.9) * haar_unitary(pairs, RngStream(5))
+    return ExperimentConfig(
+        modes=modes,
+        sources=tuple(PortSource(SpdcPair(0.05, 0.8), (k, pairs + k)) for k in range(pairs)),
+        transfer=transfer,
+        detectors=(DetectorModel(0.9, 0.08),) * modes,
+    )
+
+
+def two_pairs_on_scaled_rows() -> ExperimentConfig:
+    """Two pairs (eta_bl 0.8 and 1.0) on a Haar unitary whose rows are scaled
+    by sqrt(linspace(0.7, 1, 4)), with a dead detector and a p_d = 0 one."""
+    transfer = np.sqrt(np.linspace(0.7, 1.0, 4))[:, None] * haar_unitary(4, RngStream(31))
+    return ExperimentConfig(
+        modes=4,
+        sources=(PortSource(SpdcPair(math.asinh(0.1), 0.8), (0, 2)),
+                 PortSource(SpdcPair(math.asinh(0.1), 1.0), (1, 3))),
+        transfer=transfer,
+        detectors=(DetectorModel(0.9, 0.05), DetectorModel(0.0, 0.1),
+                   DetectorModel(0.8, 0.0), DetectorModel(0.7, 0.03)),
+    )
+
+
+class TestLossySpdcFold:
+    """A lossy signal arm is folded into the network contraction before it
+    is dilated; the Gaussian silent-set formula is the reference."""
+
+    @pytest.mark.parametrize("build,n_max", [
+        pytest.param(lambda: next(c for name, c, _, _ in oracle_suite()
+                                  if name == "spdc_pair_lossy_net"), 3, id="spdc_pair_lossy_net"),
+        pytest.param(two_pairs_on_scaled_rows, 3, id="two_pairs_scaled_rows"),
+        pytest.param(lambda: lossy_pairs_on_lossy_signals(3), 2, id="three_lossy_pairs"),
+    ])
+    def test_matches_the_gaussian_click_table(self, build, n_max):
+        config = build()
+        table = exact_distribution(config, n_max=n_max)
+        assert np.max(np.abs(table.probs - spdc_click_table(config))) <= (
+            table.truncation_error + 1e-12)
+
+    def test_no_mode_beyond_the_dilation(self, monkeypatch):
+        # Signal loss and network loss share one environment mode per signal.
+        built = []
+
+        class Spy(pqsim.oracle._Propagator):
+            def __init__(self, transfer, system_modes):
+                super().__init__(transfer, system_modes)
+                built.append(self.modes)
+
+        monkeypatch.setattr(pqsim.oracle, "_Propagator", Spy)
+        exact_distribution(lossy_pairs_on_lossy_signals(3), n_max=2)
+        assert built == [9]
+
+
 class TestIdealProbabilityPermanent:
     def test_identity_routes_photons_straight_through(self):
         assert ideal_probability_permanent(np.eye(2), [0], [0]) == 1.0
@@ -339,6 +397,16 @@ class TestTvDistance:
         outcomes = np.array([[0], [1], [1], [1]], dtype=np.uint8)
         batch = SampleBatch(outcomes, RngStream(0), "h", {"0": 1, "1": 3})
         assert tv_distance(p, batch) == pytest.approx(0.25)
+
+    def test_empty_batch_is_refused(self):
+        _, config, n_max, _ = oracle_suite()[0]
+        table = exact_distribution(config, n_max=n_max)
+        with pytest.raises(ValueError, match="empty"):
+            tv_distance(table, run_experiment(config, 0, RngStream(1)))
+
+    def test_anything_else_is_refused(self):
+        with pytest.raises(TypeError, match="cannot compare against dict"):
+            tv_distance(self.table([0.5, 0.5]), {"0": 0.5, "1": 0.5})
 
     def test_mode_mismatch_rejected(self):
         p = ProbabilityTable(all_bitstrings(2), np.full(4, 0.25))
