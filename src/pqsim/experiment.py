@@ -210,6 +210,13 @@ def _require_number(data: dict, field: str, context: str, default=None):
     return value
 
 
+def _require_integer(data: dict, field: str, context: str, default=None) -> int:
+    value = _require_number(data, field, context, default=default)
+    if not isinstance(value, int):
+        raise ConfigError(f"{context}.{field}: expected an integer, got {value!r}")
+    return value
+
+
 def _parse_field(raw: dict, f, context: str):
     if f.type == _COMPLEX:
         value = raw.get(f.name)
@@ -241,7 +248,9 @@ def _assign_ports(parsed, modes: int) -> list[PortSource]:
     claimed: dict[int, int] = {}
 
     def claim(port, index, context):
-        if not isinstance(port, int) or not 0 <= port < modes:
+        if isinstance(port, bool) or not isinstance(port, int):
+            raise ConfigError(f"{context}: expected an integer port, got {port!r}")
+        if not 0 <= port < modes:
             raise ConfigError(f"{context}: port {port!r} outside 0..{modes - 1}")
         if port in claimed:
             raise ConfigError(
@@ -305,14 +314,13 @@ def _parse_lon(raw, modes: int, base_dir) -> tuple[np.ndarray, dict]:
         except DimensionError as exc:
             raise ConfigError(f"lon: {exc}") from exc
     if kind == "uniform-loss":
-        m = int(_require_number(raw, "M", "lon"))
-        model = LossModel(
-            eta0=_require_number(raw, "eta0", "lon"),
-            ell=int(_require_number(raw, "ell", "lon")),
-            modes=m,
-        )
-        seed = int(_require_number(raw, "unitary_seed", "lon", default=0))
-        eta_l = uniform_loss_eta(model)
+        m = _require_integer(raw, "M", "lon")
+        eta0, ell = _require_number(raw, "eta0", "lon"), _require_integer(raw, "ell", "lon")
+        seed = _require_integer(raw, "unitary_seed", "lon", default=0)
+        try:
+            eta_l = uniform_loss_eta(LossModel(eta0=eta0, ell=ell, modes=m))
+        except ValueError as exc:
+            raise ConfigError(f"lon: {exc}") from exc
         unitary = haar_unitary(m, RngStream(seed))
         return np.sqrt(eta_l) * unitary, dict(raw)
     raise ConfigError(f"lon.kind: unknown network kind {kind!r}")
@@ -345,7 +353,7 @@ def _config_from_dict(data: dict, base_dir=None) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config: expected a JSON object, got {type(data).__name__}")
     modes = data.get("modes")
-    if not isinstance(modes, int) or modes < 1:
+    if isinstance(modes, bool) or not isinstance(modes, int) or modes < 1:
         raise ConfigError(f"modes: expected a positive integer, got {modes!r}")
     raw_sources = data.get("sources")
     if not isinstance(raw_sources, list) or not raw_sources:

@@ -32,11 +32,14 @@ def matrix_to_dict(matrix: np.ndarray) -> dict:
 
 def matrix_from_dict(data: dict) -> np.ndarray:
     try:
-        rows, cols = int(data["rows"]), int(data["cols"])
+        rows, cols = data["rows"], data["cols"]
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise DimensionError(f"matrix dict missing or malformed field: {exc}") from exc
+    for name, value in (("rows", rows), ("cols", cols)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DimensionError(f"matrix dict {name}: expected an integer, got {value!r}")
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise DimensionError(
             f"matrix dict declares {rows}x{cols} but carries "

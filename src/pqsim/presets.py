@@ -70,7 +70,6 @@ def single_photon_config(
         transfer=transfer,
         detectors=(DetectorModel(params.eta_d, p_d),) * modes,
         mismatch=Mismatch(params.f_b, params.f_l),
-        scheme=SCHEME_SINGLE_PHOTON,
     )
 
 
@@ -99,7 +98,6 @@ def spdc_config(
         transfer=transfer,
         detectors=(DetectorModel(params.eta_d, p_d),) * (2 * pairs),
         mismatch=Mismatch(params.f_b, params.f_l),
-        scheme=SCHEME_SPDC,
     )
 
 

@@ -1,6 +1,7 @@
 """Monte Carlo engines that draw detector outcomes from an experiment.
 
-Two routes, mirroring the two positivity conditions:
+Two routes, one per sufficient condition; unless told otherwise, a run
+takes the one its sources pick (:func:`default_route`):
 
 * :func:`run_condition2` chains input PQD draws, the network's transition
   Gaussian, and the measurement PQDs at the extreme orderings (s_bar, t_bar).
@@ -8,12 +9,9 @@ Two routes, mirroring the two positivity conditions:
 * :func:`run_condition1` samples the output-state PQD of an all-Gaussian
   input directly; it applies whenever that PQD and the click PQDs are
   nonnegative at one output ordering, which is weaker than the Sigma_bar
-  test.  When L^dag L is diagonal and s0 = 1 - (1 - t0) diag(L^dag L) at
-  t0 = min t_bar reaches s_bar, the transition vanishes and its factor is
-  the sources' blocks at t0 mapped through L
-  (:func:`~pqsim.processes.block_rows`: r <= 2M rows, one per rank).
-  Otherwise it factors the output covariance
-  (:func:`~pqsim.processes.propagate_blocks`) minus the s_bar floor.
+  test.  Its factor is the sources' blocks mapped through L when L^dag L
+  is diagonal (:func:`~pqsim.processes.block_rows`), else that of the
+  output covariance (:func:`~pqsim.processes.propagate_blocks`).
 
 Each draw has one implementation, which both routes and the public API
 share: :func:`~pqsim.states.sample_source_pqd` (input),
@@ -56,7 +54,8 @@ from .linalg import PSD_TOL
 from .processes import block_rows, propagate_blocks, sample_transition, transition_factor
 from .rng import RngStream
 from .simulability import check_second_condition, dead_modes, s_bar_vector
-from .states import Vacuum, gaussian_pqd_factor, sample_gaussian_pqd, sample_source_pqd
+from .states import (SourceModel, Vacuum, gaussian_pqd_factor, sample_gaussian_pqd,
+                     sample_source_pqd)
 
 # Not called here; perfbench's tracer wraps these names and stops if one is missing.
 from .linalg import psd_factor_complex, psd_factor_real, standard_complex_normal  # noqa: F401
@@ -243,7 +242,7 @@ def run_condition2(
             f"Sigma_bar is not PSD (noise ratio kappa = {report.noise_ratio:.6g} > 1)",
             report=report,
         )
-    tbar, sbar = report.ordering_t, report.ordering_s
+    tbar, sbar = report.t_bar, report.s_bar
     factor = transition_factor(config.transfer, sbar, tbar, dead=dead_modes(config))
     clicks = click_coefficients(sbar, config.detectors)
 
@@ -328,9 +327,7 @@ def run_condition1(
             factor = gaussian_pqd_factor(mean, cov, sbar)
         except NotPsdError as exc:
             raise SimulabilityError(
-                "output-state PQD is negative at the detectors' ordering bound: "
-                f"{exc}",
-                report=check_second_condition(config),
+                f"output-state PQD is negative at the detectors' ordering bound: {exc}"
             ) from exc
     clicks = click_coefficients(s, config.detectors)
     rank = factor[1].shape[0]
@@ -344,6 +341,15 @@ def run_condition1(
     return SampleBatch(outcomes, rng, config.config_hash(), None)
 
 
+def default_route(config: ExperimentConfig) -> int:
+    """Route 1 when every source kind is Gaussian (declares ``wigner_moments``)
+    and one has t_bar < 1, where condition 1 is never stricter than condition
+    2; else route 2, which adds no noise and never refuses on classical inputs."""
+    gaussian = all(type(entry.source).wigner_moments is not SourceModel.wigner_moments
+                   for entry in config.sources)
+    return 1 if gaussian and any(entry.source.t_bar < 1.0 for entry in config.sources) else 2
+
+
 def run_experiment(
     config: ExperimentConfig,
     n_samples: int,
@@ -351,14 +357,11 @@ def run_experiment(
     condition: int | None = None,
     workers: int | None = None,
 ) -> SampleBatch:
-    """Dispatch to a sampling engine.
-
-    ``condition=None`` picks route 1 for SPDC-scheme experiments (the
-    output-state route is never more restrictive there and usually strictly
-    less) and route 2 otherwise.
-    """
+    """Dispatch to a sampling engine: route ``condition``, by default the
+    sources' :func:`default_route`.  ``config.scheme`` is a recorded label
+    and selects nothing."""
     if condition is None:
-        condition = 1 if config.scheme == "spdc" else 2
+        condition = default_route(config)
     if condition == 1:
         return run_condition1(config, n_samples, rng, workers)
     if condition == 2:

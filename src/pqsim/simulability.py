@@ -63,16 +63,14 @@ def dead_modes(config: ExperimentConfig) -> np.ndarray:
 @dataclass(frozen=True)
 class SimulabilityReport:
     """Outcome of the positivity test (``noise_ratio`` is kappa of
-    :func:`check_second_condition`; simulatable iff kappa <= 1), plus the
-    working orderings when it passes and the scalar random-count threshold
+    :func:`check_second_condition`; simulatable iff kappa <= 1, and route 2
+    then works at (s_bar, t_bar)), plus the scalar random-count threshold
     when one is well defined."""
 
     t_bar: np.ndarray
     s_bar: np.ndarray
     noise_ratio: float
     simulatable: bool
-    ordering_s: np.ndarray | None = None
-    ordering_t: np.ndarray | None = None
     threshold_p_d: float = math.nan
     margin: float = math.nan
     threshold_note: str = ""
@@ -83,8 +81,6 @@ class SimulabilityReport:
             "t_bar": self.t_bar.tolist(),
             "s_bar": self.s_bar.tolist(),
             "noise_ratio": self.noise_ratio,
-            "ordering_s": None if self.ordering_s is None else self.ordering_s.tolist(),
-            "ordering_t": None if self.ordering_t is None else self.ordering_t.tolist(),
             "threshold_p_d": None if math.isnan(self.threshold_p_d) else self.threshold_p_d,
             "margin": None if math.isnan(self.margin) else self.margin,
             "threshold_note": self.threshold_note,
@@ -115,14 +111,13 @@ def check_second_condition(config: ExperimentConfig) -> SimulabilityReport:
     c = nonclassical_rows(config.transfer, tbar) / np.sqrt(scale)
     c[:, dead_modes(config)] = 0.0
     kappa = float(np.linalg.eigvalsh(c @ c.conj().T)[-1]) if c.size else 0.0
-    simulatable = kappa <= 1.0
 
     threshold = margin = math.nan
     det = config.identical_detectors()
     if det is not None and det.eta_d > 0.0:
         threshold = det.eta_d * kappa * scale[0] / 2.0
         margin = det.p_d - threshold
-        note = "exact for identical detectors: simulatable iff p_d >= threshold"
+        note = "exact for identical detectors: Sigma_bar test passes iff p_d >= threshold"
     else:
         note = "no scalar threshold: detectors are heterogeneous or dead"
 
@@ -130,9 +125,7 @@ def check_second_condition(config: ExperimentConfig) -> SimulabilityReport:
         t_bar=tbar,
         s_bar=sbar,
         noise_ratio=kappa,
-        simulatable=simulatable,
-        ordering_s=sbar if simulatable else None,
-        ordering_t=tbar if simulatable else None,
+        simulatable=kappa <= 1.0,
         threshold_p_d=threshold,
         margin=margin,
         threshold_note=note,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
+from dataclasses import replace
 from itertools import permutations, product
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 from pqsim import DetectorModel, RngStream
 from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import haar_unitary
+from pqsim.presets import spdc_config
 from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
 #: The benchmark's tracer, which wraps functions at their callers' names.
@@ -71,6 +73,27 @@ def route1_dead_detector_config(p_d: float) -> ExperimentConfig:
                PortSource(Vacuum(), (2,)), PortSource(Vacuum(), (3,)))
     return ExperimentConfig(modes=4, sources=sources, transfer=transfer,
                             detectors=(DetectorModel(0.9, p_d),) * 3 + (DetectorModel(0.0, 0.0),))
+
+
+def spdc_lossy_network_config(p_d: float = 0.05) -> ExperimentConfig:
+    """Three SPDC pairs (sinh^2 r = 0.2) on a network with loss inside it,
+    L = U diag(sqrt(d)) V with d in [0.3, 1), so L^dag L is not diagonal.
+    At p_d = 0.05 the Sigma_bar test fails (kappa = 1.104, threshold 0.0552)
+    while route 1 samples: its own threshold is about 0.0456."""
+    d = np.random.default_rng(3).uniform(0.3, 1.0, 6)
+    transfer = haar_unitary(6, RngStream(0)) @ np.diag(np.sqrt(d)) @ haar_unitary(6, RngStream(100))
+    return replace(spdc_config(3, 0.2, p_d=p_d), transfer=transfer, lon_spec=None)
+
+
+def spdc_and_photon_config() -> ExperimentConfig:
+    """An SPDC pair on ports (0, 1) and a one-photon mixture on port 2, on a
+    lossy Haar unitary; the photon is not Gaussian, so route 1 cannot run
+    it, and the Sigma_bar test passes (kappa = 0.81)."""
+    return _cfg(3,
+                [PortSource(SpdcPair(R001, 0.9), (0, 1)),
+                 PortSource(MixedSinglePhoton(0.5, 0.3), (2,))],
+                math.sqrt(0.9) * haar_unitary(3, RngStream(17)),
+                DetectorModel(0.9, 0.15))
 
 
 def single_photon_click_marginals(config) -> np.ndarray:

@@ -159,7 +159,7 @@ def serial_first_tile_route2(config, n, gen):
     them: every source over the batch, then the tile's normals and
     uniforms, all from ``gen``."""
     report = check_second_condition(config)
-    tbar, sbar = report.ordering_t, report.ordering_s
+    tbar, sbar = report.t_bar, report.s_bar
     c_h, g, scale = transition_factor(config.transfer, sbar, tbar)
     decay, keep = click_coefficients(sbar, config.detectors)
     active, draws = [], []

@@ -1,12 +1,16 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 import pqsim.sampler
 from pqsim.cli import EXIT_FAIL, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, main
+from pqsim.errors import SimulabilityError
 from pqsim.presets import single_photon_config, spdc_config
 from pqsim.rng import RngStream
+
+from conftest import oracle_suite, spdc_and_photon_config, spdc_lossy_network_config
 
 
 @pytest.fixture
@@ -79,6 +83,83 @@ class TestCheck:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "check"
         assert manifest["config_hash"]
+
+
+class TestCheckRoute:
+    """``check`` reports the verdict of the route ``sample`` runs."""
+
+    @staticmethod
+    def check(config, tmp_path, capsys, quiet=True):
+        path = tmp_path / "config.json"
+        path.write_text(config.to_json())
+        capsys.readouterr()
+        assert main(["check", "--config", str(path)] + ["--quiet"] * quiet) == EXIT_OK
+        out = capsys.readouterr().out
+        return path, json.loads(out[out.index("{"):]), out
+
+    def test_route_is_null_exactly_when_the_run_refuses(self, tmp_path, capsys):
+        cases = [(name, config, route) for name, config, _, route in oracle_suite()]
+        for p_d in (0.0005, 0.06):
+            cases.append(("photon", single_photon_config(3, 1, p_d=p_d, unitary_seed=12), 2))
+            cases.append(("spdc", spdc_config(2, 0.05, p_d=p_d), 1))
+        refusals = 0
+        for name, config, route in cases:
+            _, payload, _ = self.check(config, tmp_path, capsys)
+            try:
+                pqsim.sampler.run_experiment(config, 0, RngStream(0))
+                assert payload["route"] == route and payload["refusal"] is None, name
+            except SimulabilityError as exc:
+                refusals += 1
+                assert payload["route"] is None and payload["refusal"] == str(exc), name
+        assert refusals == 2
+
+    def test_lossy_network_checks_and_samples_on_route1(self, tmp_path, capsys):
+        path, payload, out = self.check(spdc_lossy_network_config(), tmp_path, capsys,
+                                        quiet=False)
+        assert payload["route"] == 1 and payload["refusal"] is None
+        # The Sigma_bar test fails; its lines say so without reading as the verdict.
+        assert payload["simulatable"] is False
+        assert payload["noise_ratio"] == pytest.approx(1.1044, abs=1e-4)
+        assert payload["threshold_p_d"] == pytest.approx(0.05522, abs=1e-5)
+        assert out.startswith("experiment with 6 modes is simulatable on route 1\n")
+        assert "  Sigma_bar noise ratio kappa: 1.10437 (passes iff <= 1)" in out
+        assert "Sigma_bar test passes iff p_d >= threshold" in out
+        assert main(["sample", "--config", str(path), "--samples", "1000",
+                     "--quiet"]) == EXIT_OK
+
+    def test_spdc_and_photon_sample_on_route2_by_default(self, tmp_path, capsys):
+        path, payload, _ = self.check(spdc_and_photon_config(), tmp_path, capsys)
+        assert payload["route"] == 2 and payload["simulatable"] is True
+        assert main(["sample", "--config", str(path), "--samples", "1000",
+                     "--quiet"]) == EXIT_OK
+
+    def test_refusal_names_the_route(self, tmp_path, capsys):
+        config = spdc_lossy_network_config(p_d=0.04)
+        _, payload, out = self.check(config, tmp_path, capsys, quiet=False)
+        assert payload["route"] is None
+        assert payload["refusal"].startswith("output-state PQD is negative")
+        assert out.startswith(f"experiment with 6 modes is NOT simulatable on route 1: "
+                              f"{payload['refusal']}\n")
+
+    def test_each_route_builds_its_factor_once(self, tmp_path, monkeypatch, capsys):
+        calls = Counter()
+        for name in ("transition_factor", "block_rows", "gaussian_pqd_factor"):
+            def spy(*args, _name=name, _real=getattr(pqsim.sampler, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(pqsim.sampler, name, spy)
+        cases = [(single_photon_config(4, 2, p_d=0.06), "transition_factor"),
+                 (spdc_config(2, 0.05, p_d=0.09), "block_rows"),
+                 (spdc_lossy_network_config(), "gaussian_pqd_factor")]
+        for config, factor in cases:
+            path, _, _ = self.check(config, tmp_path, capsys)
+            assert calls == Counter({factor: 1}), "check"
+            calls.clear()
+            assert main(["sample", "--config", str(path), "--samples", "100",
+                         "--quiet"]) == EXIT_OK
+            assert calls == Counter({factor: 1}), "sample"
+            calls.clear()
 
 
 class TestSample:
@@ -242,12 +323,12 @@ class TestThresholds:
 #: purpose says so in CHANGES.md and updates it here.
 GOLDEN_RUNS = [
     pytest.param(["check", "--config", "{photon}"], {
-        "stdout": "562e1df3db865cf242330f70dc04ed6f37b4aff015d071b2b6f7e0f6689be8ba",
-        "report.json": "36d1abc19fabfb3ae33181d91c09f6a5b010012e09ee584584da8f32628356c8",
+        "stdout": "955eedc9d0df37588e63db68551ac8d5f2957ac10595d01dcc3e7ab49354e616",
+        "report.json": "ac21c3a2913af16061dc0d3da54ca9cc86f5734d471a9dcfc4f679bdfe592371",
     }, id="check-photon"),
     pytest.param(["check", "--config", "{spdc}"], {
-        "stdout": "57da879a658d21df94a7d09200cf0224dce8bee95e71ec8fd4f8113b754d55cc",
-        "report.json": "400137e72aec2c8b865d4eabfd5a222762f18e9de33fa72425456d8d4e5a288c",
+        "stdout": "40356e8812f9fdead3369a85f5bba23c12f94778e34172b7876b278d12b6286c",
+        "report.json": "15a891314e6c061430df20876fd632e7eca5b5e00a053f6ec3b02d799b57f441",
     }, id="check-spdc"),
     pytest.param(["oracle", "--config", "{hom}"], {
         "stdout": "b684739db5d71a5468bfe086d4a3873e1c465e51bec8794c1b192a089b375f5b",

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -159,6 +160,27 @@ class TestParsing:
 
 SCHEMA_PATH = Path(__file__).parent.parent / "docs" / "config_schema.json"
 
+UNIFORM_LOSS = dict(MINIMAL, lon={"kind": "uniform-loss", "eta0": 0.98, "ell": 2, "M": 2,
+                                  "unitary_seed": 1})
+
+
+def non_integer_counts():
+    """(field, JSON literal, config with "@" where the literal goes) for
+    each count the schema declares an integer; each config is valid with
+    "@" set to 2 on the uniform-loss network and to 1 elsewhere."""
+    yield "modes", "true", dict(MINIMAL, modes="@", sources=["vacuum"])
+    for key in ("M", "ell", "unitary_seed"):
+        for literal in ("1e400", "2.7"):
+            lon = dict(UNIFORM_LOSS["lon"], **{key: "@"})
+            yield f"lon.{key}", literal, dict(UNIFORM_LOSS, lon=lon)
+    for key in ("rows", "cols"):
+        for literal in ("true", "1e400", "2.7"):
+            lon = {"kind": "matrix", "rows": 1, "cols": 1, "re": [1.0], "im": [0.0], key: "@"}
+            yield f"lon: matrix dict {key}", literal, dict(MINIMAL, modes=1, sources=["vacuum"],
+                                                          lon=lon)
+    yield "sources[1].port", "true", dict(MINIMAL, sources=["vacuum", {"kind": "vacuum",
+                                                                       "port": "@"}])
+
 
 class TestSchemaFile:
     def test_documented_schema_accepts_real_configs(self):
@@ -179,6 +201,30 @@ class TestSchemaFile:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, schema)
 
+
+    @pytest.mark.parametrize("field, literal, data", [
+        pytest.param(*case, id=f"{case[0]}={case[1]}") for case in non_integer_counts()])
+    def test_schema_and_parser_refuse_non_integer_counts(self, field, literal, data,
+                                                         tmp_path, capsys):
+        import jsonschema
+
+        from pqsim.cli import EXIT_USAGE, main
+
+        schema = json.loads(SCHEMA_PATH.read_text())
+        path = tmp_path / "config.json"
+        valid = json.dumps(data).replace('"@"', "2" if field.startswith("lon.") else "1")
+        path.write_text(valid)
+        jsonschema.validate(json.loads(valid), schema)
+        parse_config(path)
+        text = json.dumps(data).replace('"@"', literal)
+        path.write_text(text)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(json.loads(text), schema)
+        with pytest.raises(ConfigError, match=re.escape(f"{field}: expected")):
+            parse_config(path)
+        assert main(["check", "--config", str(path), "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: expected") and "Traceback" not in err
 
     def test_source_kinds_match_the_parser(self):
         """The schema documents exactly the kinds the parser accepts, and each

@@ -81,3 +81,15 @@ def test_oracle_shares_no_module_with_the_sampler():
         elif isinstance(node, ast.Import):
             imported.update(part for alias in node.names for part in alias.name.split("."))
     assert not imported & forbidden
+
+
+def test_only_the_config_reads_the_scheme_label():
+    """The sources pick the sampling route (``sampler.default_route``);
+    ``scheme`` is a recorded label, so no module but experiment.py reads an
+    attribute of that name."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "experiment":
+            continue
+        reads = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr == "scheme"]
+        assert not reads, f"{path.name} reads .scheme on lines {reads}"

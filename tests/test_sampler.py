@@ -10,18 +10,19 @@ from pqsim import DetectorModel, RngStream
 from pqsim.errors import SimulabilityError, UnsupportedSourceError
 from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import haar_unitary
-from pqsim.oracle import exact_distribution, tv_distance
+from pqsim.oracle import ProbabilityTable, all_bitstrings, exact_distribution, tv_distance
 from pqsim.presets import spdc_config, single_photon_config
 from pqsim.sampler import (
     SampleBatch,
     _histogram,
+    default_route,
     empirical_stats,
     output_gaussian,
     run_condition1,
     run_condition2,
     run_experiment,
 )
-from pqsim.simulability import dead_modes, s_bar_vector
+from pqsim.simulability import check_second_condition, dead_modes, s_bar_vector
 from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
 from conftest import (
@@ -29,6 +30,9 @@ from conftest import (
     oracle_suite,
     route1_dead_detector_config,
     single_photon_click_marginals,
+    spdc_and_photon_config,
+    spdc_click_table,
+    spdc_lossy_network_config,
     spdc_total_click_variance,
 )
 
@@ -56,6 +60,60 @@ def coherent_config(p_d=0.0, eta_d=1.0, seed=31):
         transfer=unitary,
         detectors=(DetectorModel(eta_d, p_d),) * 3,
     ), amps @ unitary
+
+
+def exact_sampler_tv(probs, draws: int) -> float:
+    """Expected TV distance between ``draws`` exact samples and ``probs``:
+    each frequency is normal with variance p (1 - p) / draws, so its
+    expected absolute deviation is sqrt(2 p (1 - p) / (pi draws))."""
+    probs = np.asarray(probs)
+    return 0.5 * float(np.sum(np.sqrt(2.0 * probs * (1.0 - probs) / (math.pi * draws))))
+
+
+class TestRouteDecision:
+    def test_sources_pick_the_route_not_the_scheme_label(self):
+        spdc = spdc_config(2, 0.05, p_d=0.09)
+        photon = single_photon_config(3, 1, p_d=0.06)
+        assert default_route(spdc) == default_route(replace(spdc, scheme="single-photon")) == 1
+        assert default_route(photon) == default_route(replace(photon, scheme="spdc")) == 2
+        # Pairs with r = 0 are classical, and a photon is not Gaussian.
+        assert default_route(spdc_config(2, 0.0, p_d=0.09)) == 2
+        assert default_route(spdc_and_photon_config()) == 2
+
+    def test_spdc_preset_route1_refuses_exactly_where_sigma_bar_fails(self):
+        # Loss referred to the inputs and a unitary on the signals: the two
+        # conditions coincide, on a grid and at 0.999 and 1.001 x threshold.
+        threshold = check_second_condition(spdc_config(8, 0.05, p_d=0.05)).threshold_p_d
+        assert threshold == pytest.approx(0.04417, abs=5e-6)
+        verdicts = []
+        for p_d in [*np.linspace(0.005, 0.06, 56), 0.999 * threshold, 1.001 * threshold]:
+            config = spdc_config(8, 0.05, p_d=p_d)
+            assert default_route(config) == 1
+            try:
+                run_experiment(config, 0, RngStream(0))
+                refused = False
+            except SimulabilityError:
+                refused = True
+            verdicts.append(refused)
+            assert refused == (check_second_condition(config).noise_ratio > 1.0), p_d
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_route1_samples_a_lossy_network_that_fails_sigma_bar(self):
+        config = spdc_lossy_network_config()
+        assert not check_second_condition(config).simulatable
+        assert default_route(config) == 1
+        draws = 200_000
+        probs = spdc_click_table(config)
+        table = ProbabilityTable(all_bitstrings(config.modes), probs)
+        tv = tv_distance(table, run_experiment(config, draws, RngStream(7)))
+        assert tv <= 2.0 * exact_sampler_tv(table.probs, draws)
+
+    def test_spdc_and_photon_sample_on_the_default_route(self):
+        config = spdc_and_photon_config()
+        table = exact_distribution(config, n_max=3)
+        draws = 200_000
+        tv = tv_distance(table, run_experiment(config, draws, RngStream(8)))
+        assert tv <= 2.0 * exact_sampler_tv(table.probs, draws)
 
 
 class TestCondition2:
