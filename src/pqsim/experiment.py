@@ -199,6 +199,13 @@ def _source_to_dict(entry: PortSource) -> dict:
     return out | dict(zip(src.port_names, entry.ports))
 
 
+def _refuse_unknown(raw: dict, known, context: str) -> None:
+    unknown = raw.keys() - known
+    if unknown:
+        raise ConfigError(f"{context}.{min(map(str, unknown))}: unknown key; "
+                          f"expected one of {sorted(known)}")
+
+
 def _require_number(data: dict, field: str, context: str, default=None):
     if field not in data:
         if default is not None:
@@ -238,6 +245,7 @@ def _parse_source(raw, index: int) -> tuple[SourceModel, dict]:
     cls = SOURCE_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"{context}.kind: unknown source kind {kind!r}")
+    _refuse_unknown(raw, {"kind", *cls.port_names, *(f.name for f in fields(cls))}, context)
     try:
         return cls(*(_parse_field(raw, f, context) for f in fields(cls))), raw
     except ValueError as exc:
@@ -298,9 +306,11 @@ def _parse_lon(raw, modes: int, base_dir) -> tuple[np.ndarray, dict]:
         raise ConfigError(f"lon: expected an object or 'identity', got {raw!r}")
     kind = raw.get("kind")
     if kind == "identity":
+        _refuse_unknown(raw, {"kind"}, "lon")
         return np.eye(modes, dtype=complex), {"kind": "identity"}
     if kind == "matrix":
         if "file" in raw:
+            _refuse_unknown(raw, {"kind", "file"}, "lon")
             path = Path(raw["file"])
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
@@ -309,11 +319,13 @@ def _parse_lon(raw, modes: int, base_dir) -> tuple[np.ndarray, dict]:
             except (OSError, DimensionError) as exc:
                 raise ConfigError(f"lon.file: {exc}") from exc
             return matrix, dict(raw)
+        _refuse_unknown(raw, {"kind", "rows", "cols", "re", "im"}, "lon")
         try:
             return matrix_from_dict(raw), dict(raw)
         except DimensionError as exc:
             raise ConfigError(f"lon: {exc}") from exc
     if kind == "uniform-loss":
+        _refuse_unknown(raw, {"kind", "eta0", "ell", "M", "unitary_seed"}, "lon")
         m = _require_integer(raw, "M", "lon")
         eta0, ell = _require_number(raw, "eta0", "lon"), _require_integer(raw, "ell", "lon")
         seed = _require_integer(raw, "unitary_seed", "lon", default=0)
@@ -330,6 +342,7 @@ def _parse_detectors(raw, modes: int) -> tuple[DetectorModel, ...]:
     def one(d, context):
         if not isinstance(d, dict):
             raise ConfigError(f"{context}: expected an object, got {d!r}")
+        _refuse_unknown(d, {"eta_d", "p_d"}, context)
         try:
             return DetectorModel(
                 eta_d=_require_number(d, "eta_d", context),
@@ -352,6 +365,8 @@ def _parse_detectors(raw, modes: int) -> tuple[DetectorModel, ...]:
 def _config_from_dict(data: dict, base_dir=None) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config: expected a JSON object, got {type(data).__name__}")
+    _refuse_unknown(data, {"modes", "scheme", "sources", "lon", "detectors", "mismatch"},
+                    "config")
     modes = data.get("modes")
     if isinstance(modes, bool) or not isinstance(modes, int) or modes < 1:
         raise ConfigError(f"modes: expected a positive integer, got {modes!r}")
@@ -371,6 +386,7 @@ def _config_from_dict(data: dict, base_dir=None) -> ExperimentConfig:
         raw_mm = data["mismatch"]
         if not isinstance(raw_mm, dict):
             raise ConfigError(f"mismatch: expected an object, got {raw_mm!r}")
+        _refuse_unknown(raw_mm, {"f_b", "f_l"}, "mismatch")
         mismatch = Mismatch(
             f_b=_require_number(raw_mm, "f_b", "mismatch", default=0.0),
             f_l=_require_number(raw_mm, "f_l", "mismatch", default=0.0),

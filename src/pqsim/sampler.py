@@ -5,7 +5,8 @@ takes the one its sources pick (:func:`default_route`):
 
 * :func:`run_condition2` chains input PQD draws, the network's transition
   Gaussian, and the measurement PQDs at the extreme orderings (s_bar, t_bar).
-  It works for any source mix that passes the Sigma_bar test.
+  It works for any source mix that passes the Sigma_bar test.  Vacuum ports
+  are neither drawn nor mixed: at t_bar = 1 their PQD is a point mass at 0.
 * :func:`run_condition1` samples the output-state PQD of an all-Gaussian
   input directly; it applies whenever that PQD and the click PQDs are
   nonnegative at one output ordering, which is weaker than the Sigma_bar
@@ -246,24 +247,20 @@ def run_condition2(
     factor = transition_factor(config.transfer, sbar, tbar, dead=dead_modes(config))
     clicks = click_coefficients(sbar, config.detectors)
 
-    # Every source draws through sample_source_pqd, which owns the stream;
-    # a vacuum port's amplitude is 0 at t_bar = 1, so it is left out of
-    # the mixing.
-    active, assignments = [], []
+    # Vacuum ports are neither drawn nor mixed: at t_bar = 1 their PQD is a
+    # point mass at 0, which consumes no random numbers.
+    active, draws = [], []
     for entry in config.sources:
-        cols = None
         if not isinstance(entry.source, Vacuum):
             cols = slice(len(active), len(active) + len(entry.ports))
+            draws.append((entry.source, cols, tbar[list(entry.ports)]))
             active.extend(entry.ports)
-        assignments.append((entry.source, cols, tbar[list(entry.ports)]))
     mixing = config.transfer[active]
 
     def draw_batch(gen, n):
         alpha = np.empty((n, len(active)), dtype=complex)
-        for source, cols, t_block in assignments:
-            draw = sample_source_pqd(source, t_block, gen, n)
-            if cols is not None:
-                alpha[:, cols] = draw
+        for source, cols, t_block in draws:
+            alpha[:, cols] = sample_source_pqd(source, t_block, gen, n)
 
         def tile(rows, tile_gen, out, work):
             beta = sample_transition(alpha[rows], mixing, factor, tile_gen, out=work[0],

@@ -96,6 +96,18 @@ def spdc_and_photon_config() -> ExperimentConfig:
                 DetectorModel(0.9, 0.15))
 
 
+def sparse_mixed_config(modes: int) -> ExperimentConfig:
+    """One source of each non-vacuum kind (an SPDC pair on ports (4, 1), a
+    one-photon mixture, a coherent and a thermal source) listed among vacuum
+    ports, on a lossy Haar unitary; the Sigma_bar test passes."""
+    sources = [PortSource(Vacuum(), (k,)) for k in range(5, modes)]
+    sources[3:3] = [PortSource(SpdcPair(R001, 0.9), (4, 1)),
+                    PortSource(MixedSinglePhoton(0.5, 0.3), (0,))]
+    sources[9:9] = [PortSource(Coherent(0.4 + 0.2j), (3,)), PortSource(Thermal(0.1), (2,))]
+    return _cfg(modes, sources, math.sqrt(0.9) * haar_unitary(modes, RngStream(19)),
+                DetectorModel(0.9, 0.15))
+
+
 def single_photon_click_marginals(config) -> np.ndarray:
     """Exact per-mode click probabilities for vacuum and one-photon-mixture
     inputs, at any mode count.

@@ -27,9 +27,9 @@ from pqsim.sampler import (
     usable_cpus,
 )
 from pqsim.simulability import check_second_condition, s_bar_vector
-from pqsim.states import Vacuum, sample_source_pqd
+from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum, sample_source_pqd
 
-from conftest import single_photon_click_marginals
+from conftest import single_photon_click_marginals, sparse_mixed_config
 
 #: Every complex (rows, M) temporary of one full tile is 16 * TILE_ELEMENTS bytes.
 TILE_BYTES = 16 * TILE_ELEMENTS
@@ -211,7 +211,8 @@ class TestParallelTiles:
     @pytest.mark.parametrize("run,serial,config", [
         (run_condition2, serial_first_tile_route2, single_photon_config(MODES, 10, p_d=0.06)),
         (run_condition1, serial_first_tile_route1, spdc_config(MODES // 2, 0.05, p_d=0.06)),
-    ], ids=["route2", "route1"])
+        (run_condition2, serial_first_tile_route2, sparse_mixed_config(MODES)),
+    ], ids=["route2", "route1", "route2-mixed"])
     def test_each_batch_first_tile_keeps_the_batch_stream(self, run, serial, config):
         rng = RngStream(85)
         outcomes = run(config, SHOTS, rng, workers=2).outcomes
@@ -220,6 +221,25 @@ class TestParallelTiles:
             n = min(BATCH_SIZE, SHOTS - start)
             expected = serial(config, n, rng.child(b).generator())
             assert np.array_equal(outcomes[start:start + min(n, step)], expected)
+
+    def test_route2_batches_draw_only_the_non_vacuum_sources(self, monkeypatch):
+        # A vacuum port's PQD at t_bar = 1 is a point mass that draws
+        # nothing, so leaving it out keeps the stream (see the byte test).
+        config = sparse_mixed_config(MODES)
+        drawn = [entry.source for entry in config.sources if not isinstance(entry.source, Vacuum)]
+        assert {type(source) for source in drawn} == {SpdcPair, MixedSinglePhoton, Coherent,
+                                                      Thermal}
+        assert len(config.sources) > len(drawn)
+        calls = []
+
+        def spy(source, t_block, gen, size):
+            calls.append((source, size))
+            return sample_source_pqd(source, t_block, gen, size)
+
+        monkeypatch.setattr(pqsim.sampler, "sample_source_pqd", spy)
+        run_condition2(config, SHOTS, RngStream(88), workers=2)
+        assert not any(isinstance(source, Vacuum) for source, _ in calls)
+        assert calls == [(source, n) for n in (BATCH_SIZE, 7) for source in drawn]
 
     def test_later_tiles_draw_from_their_own_streams(self):
         # Tile 1 of batch 0 starts rng.child(0).child(1); route 1 draws

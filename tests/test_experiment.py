@@ -19,7 +19,10 @@ from pqsim.experiment import (
 )
 from pqsim.linalg import haar_unitary
 from pqsim.matrixio import save_matrix_csv, save_matrix_json
+from pqsim.presets import single_photon_config, spdc_config
 from pqsim.states import SOURCE_KINDS, Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
+
+from conftest import oracle_suite
 
 
 MINIMAL = {
@@ -182,6 +185,27 @@ def non_integer_counts():
                                                                        "port": "@"}])
 
 
+def unknown_keys():
+    """(the refused key as the error names it, config) for an unknown key
+    in each kind of object the format has."""
+    photon = {"kind": "single_photon", "mu": 0.5}
+    pair = {"kind": "spdc", "r": 0.1, "herald": 0, "signal": 1}
+    yield "config.mismtach", dict(MINIMAL, mismtach={"f_b": 0.1})
+    yield "detectors.pd", dict(MINIMAL, detectors={"eta_d": 0.9, "pd": 0.3})
+    yield "detectors[1].pd", dict(MINIMAL, detectors=[{"eta_d": 0.9}, {"eta_d": 0.9, "pd": 0.3}])
+    yield "sources[0].eta", dict(MINIMAL, sources=[dict(photon, eta=0.1), "vacuum"])
+    yield "sources[0].port", dict(MINIMAL, sources=[dict(pair, port=0)])
+    yield "sources[1].herald", dict(MINIMAL, sources=["vacuum", {"kind": "vacuum", "herald": 1}])
+    yield "lon.M", dict(MINIMAL, lon={"kind": "identity", "M": 2})
+    yield "lon.transpose", dict(MINIMAL, lon={"kind": "matrix", "file": "lon.json",
+                                              "transpose": True})
+    yield "lon.scale", dict(MINIMAL, modes=1, sources=["vacuum"],
+                            lon={"kind": "matrix", "rows": 1, "cols": 1, "re": [1.0],
+                                 "im": [0.0], "scale": 0.5})
+    yield "lon.seed", dict(UNIFORM_LOSS, lon=dict(UNIFORM_LOSS["lon"], seed=3))
+    yield "mismatch.fb", dict(MINIMAL, mismatch={"fb": 0.1})
+
+
 class TestSchemaFile:
     def test_documented_schema_accepts_real_configs(self):
         import jsonschema
@@ -225,6 +249,53 @@ class TestSchemaFile:
         assert main(["check", "--config", str(path), "--quiet"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: expected") and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, data", [
+        pytest.param(field, data, id=field)
+        for field, _, data in {case[0]: case for case in non_integer_counts()}.values()])
+    def test_only_the_parser_refuses_a_float_count(self, field, data, tmp_path):
+        # JSON Schema counts 2.0 as an integer; the README and the schema's
+        # descriptions document that the parser alone refuses it.
+        import jsonschema
+
+        schema = json.loads(SCHEMA_PATH.read_text())
+        text = json.dumps(data).replace('"@"', "2.0")
+        jsonschema.validate(json.loads(text), schema)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{field}: expected")):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key, data", [
+        pytest.param(*case, id=case[0]) for case in unknown_keys()])
+    def test_schema_and_parser_refuse_unknown_keys(self, key, data, tmp_path, capsys):
+        import jsonschema
+
+        from pqsim.cli import EXIT_USAGE, main
+
+        schema = json.loads(SCHEMA_PATH.read_text())
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(data, schema)
+        path = write_config(tmp_path, data)
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: unknown key")):
+            parse_config(path)
+        assert main(["check", "--config", str(path), "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: unknown key") and "Traceback" not in err
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(config, id=name) for name, config in
+        [("single_photon", single_photon_config(6, 2, p_d=0.06)),
+         ("spdc", spdc_config(3, 0.05, p_d=0.06)),
+         *((name, config) for name, config, _, _ in oracle_suite())]])
+    def test_written_configs_pass_both(self, config, tmp_path):
+        import jsonschema
+
+        text = config.to_json()
+        jsonschema.validate(json.loads(text), json.loads(SCHEMA_PATH.read_text()))
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert parse_config(path) == config
 
     def test_source_kinds_match_the_parser(self):
         """The schema documents exactly the kinds the parser accepts, and each
