@@ -118,7 +118,7 @@ def cmd_sample(args) -> int:
         batch.write(sample_path, fmt=args.format)
         outputs.append(sample_path)
         _say(args, f"wrote {sample_path}")
-    # The threads the run's tiles ran on: 1 when every batch is one tile.
+    # The threads the run's tiles ran on: 1 when the whole run is one tile.
     workers = tile_workers(config.modes, args.samples, args.workers)
     _finish(args, started, batch.config_hash, outputs, workers)
     return EXIT_OK

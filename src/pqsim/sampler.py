@@ -25,13 +25,13 @@ thread, then runs its dense stages (mixing, transition noise, detector
 coins) over row tiles of at most :data:`TILE_ELEMENTS` rows x modes.
 Tile 0 goes on drawing from ``rng.child(b)``, tile j >= 1 draws from
 ``rng.child(b).child(j)``, and each tile writes its rows straight into
-the run's output.  The tiles of a batch run on ``workers`` threads
+the run's output.  All tiles queue on one pool of ``workers`` threads
 (default: the CPUs this process may use, :func:`usable_cpus`), each
-thread reusing one workspace of two float (tile rows, 2M) buffers; a run
-whose batches are single tiles (M <= 16) starts no thread.  The outcome
-bytes depend only on (config, seed), never on the worker count, and the
-dense stages' float temporaries scale with the tile, not with
-``BATCH_SIZE`` x M.
+reusing one workspace of two float (tile rows, 2M) buffers, and the
+caller draws batch b + 1 while b's tiles run, so a run of single-tile
+batches (M <= 16) uses every worker too.  The outcome bytes depend only
+on (config, seed), never on the worker count, and the dense stages'
+float temporaries scale with the tile, not with ``BATCH_SIZE`` x M.
 
 A run returns only its outcomes: the engines leave ``SampleBatch.counts``
 ``None`` and nothing reads it; :func:`empirical_stats` builds the histogram
@@ -43,7 +43,6 @@ from __future__ import annotations
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,20 +161,21 @@ def tile_rows(modes: int) -> int:
 
 def tile_workers(modes: int, n_samples: int, workers: int | None = None) -> int:
     """Threads a run of ``n_samples`` shots over ``modes`` modes works on:
-    ``workers`` (default :func:`usable_cpus`) capped at the tiles of its
-    largest batch, so 1 when every batch is a single tile."""
+    ``workers`` (default :func:`usable_cpus`) capped at the run's row tiles,
+    counted over all its batches, so 1 when the whole run is one tile."""
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
     workers = usable_cpus() if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tiles = -(-min(int(n_samples), BATCH_SIZE) // tile_rows(modes))
+    full, rest = divmod(int(n_samples), BATCH_SIZE)
+    tiles = full * -(-BATCH_SIZE // tile_rows(modes)) + -(-rest // tile_rows(modes))
     return max(1, min(workers, tiles))
 
 
 def _run_batched(draw_batch, modes, n_samples, rng, workers):
-    """Outcomes (n_samples, modes), batch by batch, each batch's row tiles
-    on :func:`tile_workers` threads.
+    """Outcomes (n_samples, modes), batch by batch, the row tiles of all
+    batches queued on one pool of :func:`tile_workers` threads.
 
     For batch b, ``draw_batch(gen, n)`` makes the batch's input draws from
     ``gen = rng.child(b).generator()`` on the caller's thread and returns
@@ -185,8 +185,9 @@ def _run_batched(draw_batch, modes, n_samples, rng, workers):
     goes on drawing from the batch's ``gen``; tile j >= 1 draws from
     ``rng.child(b).child(j)``.  Every generator is made on the caller's
     thread, so the bytes depend on (n_samples, rng) alone, never on
-    ``workers``.  The run allocates one workspace per thread, and each
-    tile borrows a free one.
+    ``workers``.  Tiles borrow the run's per-thread workspaces.  Batch b + 1
+    is drawn once at most ``threads`` tiles are unfinished; a batch's draws
+    are freed with its last tile, so at most threads + 1 batches' are alive.
     """
     threads = tile_workers(modes, n_samples, workers)
     n_samples = int(n_samples)
@@ -196,25 +197,34 @@ def _run_batched(draw_batch, modes, n_samples, rng, workers):
     for _ in range(threads):
         idle.put(np.empty((2, min(step, n_samples, BATCH_SIZE), 2 * modes)))
 
-    def run_tile(job):
-        tile, rows, gen, dest = job
+    def run_tile(tile, rows, gen, dest):
         work = idle.get()
         try:
             tile(rows, gen, dest, work[:, :len(dest)])
         finally:
             idle.put(work)
 
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        run_all = map if pool is None else pool.map
+    pool, pending = ThreadPoolExecutor(threads) if threads > 1 else None, []
+    try:
         for b, start in enumerate(range(0, n_samples, BATCH_SIZE)):
+            while len(pending) > threads:
+                pending.pop(0).result()
             n = min(BATCH_SIZE, n_samples - start)
             stream = rng.child(b)
             gen = stream.generator()
             tile = draw_batch(gen, n)
-            rows = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-            gens = [gen] + [stream.child(j).generator() for j in range(1, len(rows))]
-            dest = out[start:start + n]
-            list(run_all(run_tile, [(tile, r, g, dest[r]) for r, g in zip(rows, gens)]))
+            for j, lo in enumerate(range(0, n, step)):
+                rows = slice(lo, min(lo + step, n))
+                job = (tile, rows, stream.child(j).generator() if j else gen, out[start:][rows])
+                if pool is None:
+                    run_tile(*job)
+                else:
+                    pending.append(pool.submit(run_tile, *job))
+        for future in pending:
+            future.result()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return out
 
 

@@ -1,8 +1,10 @@
-"""A batch's dense stages run over row tiles, on a thread pool: memory,
+"""A run's dense stages run over row tiles, on one thread pool: memory,
 stream layout and scheduling."""
 
 import math
 import os
+import sys
+import threading
 import tracemalloc
 from statistics import NormalDist
 
@@ -31,12 +33,6 @@ from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum,
 
 from conftest import single_photon_click_marginals, sparse_mixed_config
 
-#: Every complex (rows, M) temporary of one full tile is 16 * TILE_ELEMENTS bytes.
-TILE_BYTES = 16 * TILE_ELEMENTS
-
-#: One worker's workspace: two float (tile rows, 2M) buffers.
-WORKSPACE_BYTES = 2 * TILE_BYTES
-
 #: One source's draw temporaries over a batch: 1.5 MiB for a single-photon
 #: draw of 16384 shots.
 DRAW_BYTES = 2 * 2**20
@@ -52,13 +48,28 @@ def traced_peak(run, config, n_samples, workers=2):
 
 
 def peak_bound(config, n, amplitude_ports, workers):
-    """The output once, route 2's input amplitudes (n, |A|) and set-up rows
-    (the mixing rows and the noise factor's C^dag and G, |A| x M each on
-    the single-photon presets), one workspace per worker and DRAW_BYTES:
-    no batch copy of the output, nothing of size BATCH_SIZE x M in floats
+    """What a run may hold at its peak, with |S| = |A| = ``amplitude_ports``
+    (route 2's photon ports on the single-photon presets, 0 on route 1):
+
+    * the output once, and DRAW_BYTES of one batch's draw temporaries;
+    * one workspace per thread, two float (tile rows, 2M) buffers, and each
+      thread's (tile rows, |S|) product with the noise factor's C^dag;
+    * route 2's set-up rows (the mixing rows and the noise factor's C^dag
+      and G, |A| x M each) and the input amplitudes (batch rows, |A|) of
+      the batches alive at once.  A batch is drawn once at most
+      ``threads`` tiles are unfinished, so threads + 1 batches are alive
+      when each is one tile, and 2 when a batch has ``threads`` tiles or
+      more.
+
+    No batch copy of the output, nothing of size BATCH_SIZE x M in floats
     and no per-tile temporary of tile size."""
-    amplitudes = 16 * n * amplitude_ports + 3 * 16 * amplitude_ports * config.modes
-    return n * config.modes + amplitudes + workers * WORKSPACE_BYTES + DRAW_BYTES
+    m = config.modes
+    threads = tile_workers(m, n, workers)
+    rows, step = min(n, BATCH_SIZE), min(n, BATCH_SIZE, tile_rows(m))
+    alive = min(-(-n // BATCH_SIZE), 1 + -(-threads // -(-rows // step)))
+    per_thread = 32 * step * m + 16 * step * amplitude_ports
+    amplitudes = 16 * (alive * rows + 3 * m) * amplitude_ports
+    return n * m + DRAW_BYTES + threads * per_thread + amplitudes
 
 
 class TestBatchMemory:
@@ -69,6 +80,20 @@ class TestBatchMemory:
     def test_peak_is_bounded_by_output_and_tiles(self, run, config, amplitude_ports):
         n = 16384
         assert traced_peak(run, config, n) <= peak_bound(config, n, amplitude_ports, 2)
+
+    @pytest.mark.parametrize("run,config,amplitude_ports,shots", [
+        (run_condition2, single_photon_config(16, 4, p_d=0.06), 4, 12 * BATCH_SIZE),
+        (run_condition2, single_photon_config(256, 12, p_d=0.06), 12, 4 * BATCH_SIZE),
+        (run_condition1, spdc_config(2, 0.01, p_d=0.06), 0, 12 * BATCH_SIZE),
+    ], ids=["route2-one-tile-batches", "route2-16-tile-batches", "route1-one-tile-batches"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_multi_batch_peak_holds_only_the_batches_in_flight(self, run, config,
+                                                               amplitude_ports, shots, workers):
+        # Every batch's input amplitudes together take 12 MiB at M = 16 and
+        # at M = 256; the bound allows those of 2-4 batches (2-4 MiB) and of
+        # 2 batches (6 MiB).
+        peak = traced_peak(run, config, shots, workers)
+        assert peak <= peak_bound(config, shots, amplitude_ports, workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_paper_size_batch_holds_its_outcomes_once(self, workers):
@@ -126,12 +151,17 @@ class TestTiling:
         (run_condition1, spdc_config(MODES // 2, 0.05, p_d=0.06)),
         (run_condition2, single_photon_config(1024, 32, p_d=0.06)),
         (run_condition1, spdc_config(128, 0.05, p_d=0.06)),
+        (run_condition2, single_photon_config(16, 4, p_d=0.06)),
+        (run_condition1, spdc_config(2, 0.01, p_d=0.06)),
     ])
     def test_partial_tiles_are_identical_across_workers(self, run, config):
-        serial = run(config, SHOTS, RngStream(81), workers=1).outcomes
-        assert serial.shape == (SHOTS, config.modes)
+        # At M <= 16 a batch is one tile: three batches, the last partial,
+        # give each of 3 workers a tile while the caller draws ahead.
+        shots = SHOTS if tile_rows(config.modes) < BATCH_SIZE else 2 * BATCH_SIZE + 5
+        serial = run(config, shots, RngStream(81), workers=1).outcomes
+        assert serial.shape == (shots, config.modes)
         for workers in (2, 3):
-            parallel = run(config, SHOTS, RngStream(81), workers=workers).outcomes
+            parallel = run(config, shots, RngStream(81), workers=workers).outcomes
             assert np.array_equal(serial, parallel)
 
     def test_tiled_click_rates_match_exact_marginals(self):
@@ -251,17 +281,86 @@ class TestParallelTiles:
         expected = serial_first_tile_route1(config, step, rng.child(0).child(1).generator())
         assert np.array_equal(tiled[step:], expected)
 
-    @pytest.mark.parametrize("modes,shots", [(16, 2 * BATCH_SIZE + 5), (MODES, 0)])
-    def test_no_pool_when_no_batch_has_two_tiles(self, monkeypatch, modes, shots):
+    @pytest.mark.parametrize("modes,shots", [(16, BATCH_SIZE), (MODES, 0)])
+    def test_no_pool_when_the_run_is_one_tile(self, monkeypatch, modes, shots):
         def refuse(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
         monkeypatch.setattr(pqsim.sampler, "ThreadPoolExecutor", refuse)
         config = single_photon_config(modes, 4, p_d=0.06)
         assert len(run_condition2(config, shots, RngStream(87), workers=4)) == shots
-        with pytest.raises(AssertionError, match="thread pool"):
-            run_condition2(single_photon_config(MODES, 4, p_d=0.06), 3 * tile_rows(MODES),
-                           RngStream(87), workers=4)
+        for wide, tiled in [(MODES, 3 * tile_rows(MODES)), (16, BATCH_SIZE + 1)]:
+            with pytest.raises(AssertionError, match="thread pool"):
+                run_condition2(single_photon_config(wide, 4, p_d=0.06), tiled,
+                               RngStream(87), workers=4)
+
+    def test_batches_are_drawn_in_order_on_the_calling_thread(self, monkeypatch):
+        # Single-tile batches at 3 workers: the caller draws ahead while
+        # earlier batches' tiles run on the pool.  A Philox key is (seed,
+        # stream id), so it names the batch stream each draw came from.
+        config = single_photon_config(16, 4, p_d=0.06)
+        calls = []
+
+        def spy(source, t_block, gen, size):
+            calls.append((threading.get_ident(), int(gen.bit_generator.state["state"]["key"][1]),
+                          size))
+            return sample_source_pqd(source, t_block, gen, size)
+
+        monkeypatch.setattr(pqsim.sampler, "sample_source_pqd", spy)
+        rng = RngStream(89)
+        shots = 5 * BATCH_SIZE + 5
+        run_condition2(config, shots, rng, workers=3)
+        photons = [entry for entry in config.sources if not isinstance(entry.source, Vacuum)]
+        assert len(photons) == 4
+        assert calls == [(threading.get_ident(), rng.child(b).stream_id,
+                          min(BATCH_SIZE, shots - start))
+                         for b, start in enumerate(range(0, shots, BATCH_SIZE))
+                         for _ in photons]
+
+    def test_bytes_hold_with_more_workers_than_cores_and_short_switches(self):
+        # Tiles of consecutive batches share the run's workspaces and
+        # output; two tiles on one workspace would corrupt the bytes.
+        config = single_photon_config(16, 4, p_d=0.06)
+        shots = 6 * BATCH_SIZE + 5
+        serial = run_condition2(config, shots, RngStream(91), workers=1).outcomes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = run_condition2(config, shots, RngStream(91),
+                                      workers=2 * usable_cpus() + 1).outcomes
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial, parallel)
+
+    def test_a_failing_tile_stops_the_run(self, monkeypatch):
+        # Six single-tile batches at 2 workers, batch 1's tile raising: the
+        # caller draws batch b + 1 once at most 2 tiles are unfinished, so it
+        # meets the error while waiting to draw batch 4.
+        class TileFailed(RuntimeError):
+            pass
+
+        run_batched = pqsim.sampler._run_batched
+        drawn = []
+
+        def failing_batch_1(draw_batch, *args):
+            def draw(gen, n):
+                drawn.append(len(drawn))
+                tile = draw_batch(gen, n)
+                if drawn[-1] != 1:
+                    return tile
+
+                def fail(*tile_args):
+                    raise TileFailed("batch 1")
+                return fail
+            return run_batched(draw, *args)
+
+        monkeypatch.setattr(pqsim.sampler, "_run_batched", failing_batch_1)
+        before = set(threading.enumerate())
+        with pytest.raises(TileFailed, match="batch 1"):
+            pqsim.sampler.run_experiment(single_photon_config(16, 4, p_d=0.06),
+                                         6 * BATCH_SIZE, RngStream(90), workers=2)
+        assert drawn == [0, 1, 2, 3]
+        assert set(threading.enumerate()) <= before
 
     def test_workers_default_to_the_usable_cpus(self):
         expected = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -270,12 +369,13 @@ class TestParallelTiles:
         assert tile_workers(1024, BATCH_SIZE) == min(expected, BATCH_SIZE // 256)
 
     @pytest.mark.parametrize("modes,shots,workers,threads", [
-        (16, 10**6, 8, 1),                                  # one tile per batch
-        (MODES, 0, 8, 1),                                   # nothing to draw
-        (MODES, SHOTS, 64, math.ceil(BATCH_SIZE / 2621)),   # capped at the tiles
+        (16, 10**6, 8, 8),                                      # one tile per batch
+        (16, 2 * BATCH_SIZE + 5, 8, 3),
+        (16, BATCH_SIZE, 8, 1),                                 # one tile in the run
+        (MODES, 0, 8, 1),                                       # nothing to draw
+        (MODES, SHOTS, 64, math.ceil(BATCH_SIZE / 2621) + 1),   # capped at the tiles
         (MODES, 2621 + 1, 8, 2),
         (1024, BATCH_SIZE, 3, 3),
     ])
-    def test_threads_are_capped_at_the_tiles_of_the_largest_batch(self, modes, shots,
-                                                                   workers, threads):
+    def test_threads_are_capped_at_the_tiles_of_the_run(self, modes, shots, workers, threads):
         assert tile_workers(modes, shots, workers) == threads

@@ -193,7 +193,11 @@ class TestSample:
         wide = tmp_path / "wide.json"
         wide.write_text(single_photon_config(100, 4, p_d=0.06).to_json())
         shots = str(3 * pqsim.sampler.tile_rows(100))  # one batch of three tiles
+        # M = 3: a batch is one tile, so three batches give three tiles.
+        batches = str(2 * pqsim.sampler.BATCH_SIZE + 5)
         runs = [(photon_config_path, "10", ["--workers", "4"], 1),  # one tile: serial
+                (photon_config_path, batches, ["--workers", "4"], 3),
+                (photon_config_path, batches, ["--workers", "2"], 2),
                 (wide, shots, ["--workers", "4"], 3),
                 (wide, shots, ["--workers", "2"], 2),
                 (wide, shots, [], min(pqsim.sampler.usable_cpus(), 3))]

@@ -48,3 +48,25 @@ def test_tracer_installs_on_the_program_and_restores_it():
     for owner, attrs in zip(OWNERS, before):
         now = vars(owner)
         assert all(now.get(attr) is value for attr, value in attrs.items()), owner
+
+
+def test_each_engine_runs_its_batches_through_the_module_batch_loop(monkeypatch):
+    # perfbench times the sampling phase, and the tracer its batches, by
+    # wrapping pqsim.sampler._run_batched; an engine that bound the loop
+    # any other way would be timed as taking no time at all.
+    loop, calls = pqsim.sampler._run_batched, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(pqsim.sampler, "_run_batched", counted)
+    route1 = pqsim.presets.spdc_config(2, 0.05, p_d=0.09)
+    route2 = pqsim.presets.single_photon_config(4, 2, p_d=0.06)
+    for config, route in ((route1, 1), (route2, 2)):
+        assert pqsim.sampler.default_route(config) == route
+        for shots in (0, 16):
+            before = len(calls)
+            batch = pqsim.sampler.run_experiment(config, shots, RngStream(4))
+            assert len(batch) == shots
+            assert calls[before:] == [shots]
