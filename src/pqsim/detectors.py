@@ -118,23 +118,21 @@ def sample_clicks(beta: np.ndarray, coefficients, gen: np.random.Generator,
     which is a proper probability because the two outcome PQDs sum to 1/pi
     per mode.  Consumes one uniform per shot and mode from ``gen``.
 
-    The outcomes go to ``out``, a uint8 (n, M) array, which is allocated
-    when omitted.  With ``work``, a C-contiguous float array of at least
-    n M entries, the click probabilities go to its leading entries and the
-    uniforms to ``beta``'s storage, and nothing of size n M is allocated.
+    The outcomes go to ``out``, a uint8 (n, M) array, and the click
+    probabilities to the leading entries of ``work``, a C-contiguous float
+    array of at least n M entries; each is allocated when omitted.  The
+    uniforms go to ``beta``'s storage.
     """
     decay, keep = coefficients
     n, m = beta.shape
+    if work is None:
+        work = np.empty(n * m)
     parts = beta.view(float)
     np.square(parts, out=parts)
-    if work is None:
-        p_click = parts[:, 0::2] + parts[:, 1::2]
-        uniforms = gen.random(p_click.shape)
-    else:
-        p_click = np.add(parts[:, 0::2], parts[:, 1::2],
-                         out=work.reshape(-1)[:n * m].reshape(n, m))
-        # The amplitudes are spent, so their storage takes the uniforms.
-        uniforms = gen.random(out=parts.reshape(-1)[:n * m].reshape(n, m))
+    p_click = np.add(parts[:, 0::2], parts[:, 1::2],
+                     out=work.reshape(-1)[:n * m].reshape(n, m))
+    # The amplitudes are spent, so their storage takes the uniforms.
+    uniforms = gen.random(out=parts.reshape(-1)[:n * m].reshape(n, m))
     p_click *= decay
     np.exp(p_click, out=p_click)
     p_click *= keep

@@ -61,9 +61,9 @@ class Mismatch:
 
     def __post_init__(self):
         if not 0.0 <= self.f_b <= 1.0:
-            raise ConfigError(f"mismatch.f_b: must be in [0, 1], got {self.f_b}")
+            raise ValueError(f"f_b must be in [0, 1], got {self.f_b}")
         if not 0.0 <= self.f_l <= 1.0:
-            raise ConfigError(f"mismatch.f_l: must be in [0, 1], got {self.f_l}")
+            raise ValueError(f"f_l must be in [0, 1], got {self.f_l}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +150,10 @@ class ExperimentConfig:
             "scheme": self.scheme,
             "sources": [_source_to_dict(entry) for entry in self.sources],
             "lon": self.lon_spec if self.lon_spec is not None else {"kind": "matrix"},
-            "detectors": [{"eta_d": d.eta_d, "p_d": d.p_d} for d in self.detectors],
+            "detectors": [_fields_to_dict(d) for d in self.detectors],
         }
         if self.mismatch is not None:
-            out["mismatch"] = {"f_b": self.mismatch.f_b, "f_l": self.mismatch.f_l}
+            out["mismatch"] = _fields_to_dict(self.mismatch)
         return out
 
     def to_json(self) -> str:
@@ -188,15 +188,19 @@ class ExperimentConfig:
 _COMPLEX = "complex"
 
 
-def _source_to_dict(entry: PortSource) -> dict:
-    src = entry.source
-    out = {"kind": src.kind}
-    for f in fields(src):
-        value = getattr(src, f.name)
+def _fields_to_dict(obj) -> dict:
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
         if f.type == _COMPLEX:
             value = [complex(value).real, complex(value).imag]
         out[f.name] = value
-    return out | dict(zip(src.port_names, entry.ports))
+    return out
+
+
+def _source_to_dict(entry: PortSource) -> dict:
+    src = entry.source
+    return {"kind": src.kind} | _fields_to_dict(src) | dict(zip(src.port_names, entry.ports))
 
 
 def _refuse_unknown(raw: dict, known, context: str) -> None:
@@ -206,18 +210,22 @@ def _refuse_unknown(raw: dict, known, context: str) -> None:
                           f"expected one of {sorted(known)}")
 
 
-def _require_number(data: dict, field: str, context: str, default=None):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require_number(data: dict, field: str, context: str, default=MISSING):
     if field not in data:
-        if default is not None:
+        if default is not MISSING:
             return default
         raise ConfigError(f"{context}.{field}: required field is missing")
     value = data[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"{context}.{field}: expected a number, got {value!r}")
     return value
 
 
-def _require_integer(data: dict, field: str, context: str, default=None) -> int:
+def _require_integer(data: dict, field: str, context: str, default=MISSING) -> int:
     value = _require_number(data, field, context, default=default)
     if not isinstance(value, int):
         raise ConfigError(f"{context}.{field}: expected an integer, got {value!r}")
@@ -225,14 +233,28 @@ def _require_integer(data: dict, field: str, context: str, default=None) -> int:
 
 
 def _parse_field(raw: dict, f, context: str):
-    if f.type == _COMPLEX:
-        value = raw.get(f.name)
-        if not (isinstance(value, (list, tuple)) and len(value) == 2
-                and all(isinstance(v, (int, float, str)) for v in value)):
-            raise ConfigError(f"{context}.{f.name}: expected [re, im]")
-        return complex(float(value[0]), float(value[1]))
-    default = None if f.default is MISSING else f.default
-    return _require_number(raw, f.name, context, default=default)
+    if f.type != _COMPLEX:
+        return _require_number(raw, f.name, context, default=f.default)
+    value = raw.get(f.name)
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(_is_number, value))):
+        raise ConfigError(f"{context}.{f.name}: expected [re, im]")
+    return complex(*value)
+
+
+def _parse_fields(cls, raw, context: str, extra=()):
+    """Build the dataclass ``cls`` from the JSON object ``raw``: each field is
+    read by its annotation, with the field's own default, and keys that are
+    neither fields nor in ``extra`` are refused.  Errors name ``context``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context}: expected an object, got {raw!r}")
+    cls_fields = fields(cls)
+    _refuse_unknown(raw, {*extra, *(f.name for f in cls_fields)}, context)
+    values = [_parse_field(raw, f, context) for f in cls_fields]
+    try:
+        return cls(*values)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _parse_source(raw, index: int) -> tuple[SourceModel, dict]:
@@ -245,14 +267,13 @@ def _parse_source(raw, index: int) -> tuple[SourceModel, dict]:
     cls = SOURCE_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"{context}.kind: unknown source kind {kind!r}")
-    _refuse_unknown(raw, {"kind", *cls.port_names, *(f.name for f in fields(cls))}, context)
-    try:
-        return cls(*(_parse_field(raw, f, context) for f in fields(cls))), raw
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    return _parse_fields(cls, raw, context, extra=("kind", *cls.port_names)), raw
 
 
 def _assign_ports(parsed, modes: int) -> list[PortSource]:
+    declared = sum(len(source.port_names) for source, _ in parsed)
+    if declared < modes:
+        raise ConfigError(f"sources: {modes - declared} of {modes} ports have no source")
     claimed: dict[int, int] = {}
 
     def claim(port, index, context):
@@ -281,21 +302,18 @@ def _assign_ports(parsed, modes: int) -> list[PortSource]:
         else:
             entries.append((index, source, None))
 
-    free = [p for p in range(modes) if p not in claimed]
+    # `declared >= modes`: no port is left free unless the free ones run out.
+    free = (p for p in range(modes) if p not in claimed)
     out = []
     for index, source, ports in entries:
         if ports is None:
-            if not free:
+            port = next(free, None)
+            if port is None:
                 raise ConfigError(
                     f"sources[{index}]: more sources than free ports (modes={modes})"
                 )
-            ports = (free.pop(0),)
+            ports = (port,)
         out.append(PortSource(source, ports))
-    if free:
-        raise ConfigError(
-            f"sources: ports {free} have no source; the port-source map must "
-            "cover every mode (invariant: port counts consistent)"
-        )
     return out
 
 
@@ -327,39 +345,24 @@ def _parse_lon(raw, modes: int, base_dir) -> tuple[np.ndarray, dict]:
     if kind == "uniform-loss":
         _refuse_unknown(raw, {"kind", "eta0", "ell", "M", "unitary_seed"}, "lon")
         m = _require_integer(raw, "M", "lon")
+        if m != modes:
+            raise ConfigError(f"lon.M: must equal modes ({modes}), got {m}")
         eta0, ell = _require_number(raw, "eta0", "lon"), _require_integer(raw, "ell", "lon")
         seed = _require_integer(raw, "unitary_seed", "lon", default=0)
         try:
             eta_l = uniform_loss_eta(LossModel(eta0=eta0, ell=ell, modes=m))
         except ValueError as exc:
             raise ConfigError(f"lon: {exc}") from exc
-        unitary = haar_unitary(m, RngStream(seed))
-        return np.sqrt(eta_l) * unitary, dict(raw)
+        return np.sqrt(eta_l) * haar_unitary(m, RngStream(seed)), dict(raw)
     raise ConfigError(f"lon.kind: unknown network kind {kind!r}")
 
 
 def _parse_detectors(raw, modes: int) -> tuple[DetectorModel, ...]:
-    def one(d, context):
-        if not isinstance(d, dict):
-            raise ConfigError(f"{context}: expected an object, got {d!r}")
-        _refuse_unknown(d, {"eta_d", "p_d"}, context)
-        try:
-            return DetectorModel(
-                eta_d=_require_number(d, "eta_d", context),
-                p_d=_require_number(d, "p_d", context, default=0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
-
     if isinstance(raw, dict):
-        return (one(raw, "detectors"),) * modes
-    if isinstance(raw, list):
-        if len(raw) != modes:
-            raise ConfigError(
-                f"detectors: need one per mode ({modes}), got {len(raw)}"
-            )
-        return tuple(one(d, f"detectors[{k}]") for k, d in enumerate(raw))
-    raise ConfigError(f"detectors: expected an object or list, got {raw!r}")
+        return (_parse_fields(DetectorModel, raw, "detectors"),) * modes
+    if not isinstance(raw, list):
+        raise ConfigError(f"detectors: expected an object or list, got {raw!r}")
+    return tuple(_parse_fields(DetectorModel, d, f"detectors[{k}]") for k, d in enumerate(raw))
 
 
 def _config_from_dict(data: dict, base_dir=None) -> ExperimentConfig:
@@ -381,16 +384,9 @@ def _config_from_dict(data: dict, base_dir=None) -> ExperimentConfig:
     if "detectors" not in data:
         raise ConfigError("detectors: required field is missing")
     detectors = _parse_detectors(data["detectors"], modes)
-    mismatch = None
-    if "mismatch" in data and data["mismatch"] is not None:
-        raw_mm = data["mismatch"]
-        if not isinstance(raw_mm, dict):
-            raise ConfigError(f"mismatch: expected an object, got {raw_mm!r}")
-        _refuse_unknown(raw_mm, {"f_b", "f_l"}, "mismatch")
-        mismatch = Mismatch(
-            f_b=_require_number(raw_mm, "f_b", "mismatch", default=0.0),
-            f_l=_require_number(raw_mm, "f_l", "mismatch", default=0.0),
-        )
+    mismatch = data.get("mismatch")
+    if mismatch is not None:
+        mismatch = _parse_fields(Mismatch, mismatch, "mismatch")
     return ExperimentConfig(
         modes=modes,
         sources=tuple(port_sources),

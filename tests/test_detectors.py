@@ -25,8 +25,9 @@ class FixedCoins:
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, shape):
-        return np.broadcast_to(self.u, shape)
+    def random(self, out):
+        out[...] = self.u
+        return out
 
 
 def clicks_for(beta, s, dets, gen, size):
@@ -142,6 +143,14 @@ class TestSampleOutcome:
         rate = bits.mean()
         se = math.sqrt(0.05 * 0.95 / draws)
         assert abs(rate - 0.05) <= 5 * se
+        # A supplied work array and an allocated one give the same bits.
+        beta = RngStream(4).generator().normal(size=(500, 6)).view(complex)
+        coefficients = click_coefficients(np.ones(3), [det, DetectorModel(0.5, 0.2),
+                                                       DetectorModel(0.9, 0.0)])
+        omitted = sample_clicks(beta.copy(), coefficients, RngStream(3).generator())
+        supplied = sample_clicks(beta.copy(), coefficients, RngStream(3).generator(),
+                                 work=np.empty(beta.size))
+        assert np.array_equal(omitted, supplied) and 0 < omitted.mean() < 1
 
     def test_below_bound_is_rejected_naming_mode(self):
         dets = [DetectorModel(0.9, 0.5), DetectorModel(0.9, 0.0)]

@@ -91,16 +91,53 @@ class TestParsing:
         with pytest.raises(ConfigError, match="free ports|no source"):
             parse_config(write_config(tmp_path, data))
 
+    def test_mode_count_beyond_the_sources_is_refused_briefly(self, tmp_path, capsys):
+        # The refusal counts the uncovered ports instead of listing them.
+        from pqsim.cli import EXIT_USAGE, main
+
+        path = write_config(tmp_path, dict(MINIMAL, modes=1_000_000, sources=["vacuum"]))
+        with pytest.raises(ConfigError, match="no source") as info:
+            parse_config(path)
+        assert len(str(info.value)) < 1024
+        assert main(["check", "--config", str(path), "--quiet"]) == EXIT_USAGE
+        assert len(capsys.readouterr().err) < 1024
+
+    def test_uniform_loss_size_is_checked_before_the_unitary_is_drawn(self, tmp_path,
+                                                                      monkeypatch):
+        def refuse(*args):
+            raise AssertionError("haar_unitary called")
+
+        monkeypatch.setattr("pqsim.experiment.haar_unitary", refuse)
+        data = dict(MINIMAL, lon={"kind": "uniform-loss", "eta0": 0.98, "ell": 2, "M": 1500})
+        with pytest.raises(ConfigError, match=re.escape("lon.M: must equal modes (2)")):
+            parse_config(write_config(tmp_path, data))
+
+    def test_mismatch_range_error_names_field(self, tmp_path, capsys):
+        from pqsim.cli import EXIT_USAGE, main
+
+        path = write_config(tmp_path, dict(MINIMAL, mismatch={"f_b": 1.5}))
+        message = "mismatch: f_b must be in [0, 1], got 1.5"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+        assert main(["check", "--config", str(path), "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
     def test_unknown_source_kind_rejected(self, tmp_path):
         data = dict(MINIMAL, sources=["vacuum", {"kind": "laser"}])
         with pytest.raises(ConfigError, match="sources\\[1\\].kind"):
             parse_config(write_config(tmp_path, data))
 
-    @pytest.mark.parametrize("amplitude", [[None, 1.0], [[1.0], 0.0], [{}, 0.0]])
+    @pytest.mark.parametrize("amplitude", [[None, 1.0], [[1.0], 0.0], [{}, 0.0],
+                                           [True, 0.0], ["0.5", 0.0]])
     def test_malformed_amplitude_entry_is_config_error(self, tmp_path, amplitude):
+        import jsonschema
+
         data = dict(MINIMAL, sources=["vacuum", {"kind": "coherent", "amplitude": amplitude}])
         with pytest.raises(ConfigError, match="sources\\[1\\].amplitude: expected \\[re, im\\]"):
             parse_config(write_config(tmp_path, data))
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(data, json.loads(SCHEMA_PATH.read_text()))
 
     def test_port_source_refuses_a_foreign_source(self):
         with pytest.raises(UnsupportedSourceError, match="unknown source model 'laser'"):
@@ -287,6 +324,12 @@ class TestSchemaFile:
         pytest.param(config, id=name) for name, config in
         [("single_photon", single_photon_config(6, 2, p_d=0.06)),
          ("spdc", spdc_config(3, 0.05, p_d=0.06)),
+         ("mixed_detectors", ExperimentConfig(
+             modes=2,
+             sources=(PortSource(Coherent(0.3 - 0.4j), (1,)), PortSource(Thermal(0.2), (0,))),
+             transfer=np.sqrt(0.5) * haar_unitary(2, RngStream(3)),
+             detectors=(DetectorModel(0.9, 0.05), DetectorModel(0.7)),
+             mismatch=Mismatch(0.25, 0.5))),
          *((name, config) for name, config, _, _ in oracle_suite())]])
     def test_written_configs_pass_both(self, config, tmp_path):
         import jsonschema
@@ -313,6 +356,18 @@ class TestSchemaFile:
             ports = list(cls.port_names) if len(cls.port_names) > 1 else []
             no_default = [f.name for f in fields(cls) if f.default is MISSING]
             assert required[kind] == ["kind"] + no_default + ports, kind
+
+    @pytest.mark.parametrize("cls, path", [(DetectorModel, ("$defs", "detector")),
+                                           (Mismatch, ("properties", "mismatch"))])
+    def test_detector_and_mismatch_fields_match_the_parser(self, cls, path):
+        """The schema's detector and mismatch objects list exactly their
+        dataclass's fields and require exactly those without a default."""
+        item = json.loads(SCHEMA_PATH.read_text())
+        for key in path:
+            item = item[key]
+        assert set(item["properties"]) == {f.name for f in fields(cls)}
+        assert item.get("required", []) == [f.name for f in fields(cls)
+                                            if f.default is MISSING]
 
 
 def _unit(draw):
