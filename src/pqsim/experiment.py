@@ -175,7 +175,7 @@ class ExperimentConfig:
         canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(canonical.encode())
         if matrix:
-            digest.update(np.ascontiguousarray(self.transfer, dtype="<c16").tobytes())
+            digest.update(np.ascontiguousarray(self.transfer, dtype="<c16"))
         return digest.hexdigest()
 
     @classmethod
@@ -233,13 +233,17 @@ def _require_integer(data: dict, field: str, context: str, default=MISSING) -> i
 
 
 def _parse_field(raw: dict, f, context: str):
-    if f.type != _COMPLEX:
-        return _require_number(raw, f.name, context, default=f.default)
     value = raw.get(f.name)
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(map(_is_number, value))):
+    if f.type != _COMPLEX:
+        value = _require_number(raw, f.name, context, default=f.default)
+    elif not (isinstance(value, (list, tuple)) and len(value) == 2
+              and all(map(_is_number, value))):
         raise ConfigError(f"{context}.{f.name}: expected [re, im]")
-    return complex(*value)
+    try:
+        parts = [float(part) for part in (value if f.type == _COMPLEX else [value])]
+    except OverflowError:
+        raise ConfigError(f"{context}.{f.name}: number too large for a float") from None
+    return complex(*parts) if f.type == _COMPLEX else value
 
 
 def _parse_fields(cls, raw, context: str, extra=()):

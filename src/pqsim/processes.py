@@ -133,24 +133,33 @@ def _whiten(b: np.ndarray, d: np.ndarray):
     return c, lam, u
 
 
+def transition_noise(factor, gen: np.random.Generator, n: int, out=None, work=None,
+                     spare=None) -> np.ndarray:
+    """The noise delta (n, M) of :func:`sample_transition`: a circular complex
+    Gaussian of covariance Sigma/2 from ``factor`` = :func:`transition_factor`,
+    exactly 0 when Sigma = 0, from 2 n M standard normals read as (re, im).
+
+    ``out`` and ``work``, C-contiguous float (n, 2M), receive the result and
+    hold the products, and ``spare``, 1-d complex of at least n |S| entries,
+    the normals' product with C^dag; each is allocated when omitted.
+    """
+    c_h, g, scale = factor
+    delta = gen.standard_normal((n, 2 * scale.size), out=out).view(complex)
+    low = np.matmul(delta, c_h, out=None if spare is None
+                    else spare[:n * c_h.shape[1]].reshape(n, -1))
+    delta -= np.matmul(low, g, out=None if work is None else work.view(complex))
+    # delta = re + i im has E|delta|^2 = 2; the 1/sqrt(2) of a unit normal goes here.
+    delta *= scale / np.sqrt(2.0)
+    return delta
+
+
 def sample_transition(alpha: np.ndarray, rows: np.ndarray, factor,
                       gen: np.random.Generator, out=None, work=None) -> np.ndarray:
     """Draw beta = alpha @ rows + delta for input amplitudes alpha (n, K),
-    where ``rows`` (K, M) are those K ports' rows of L and delta is a
-    circular complex Gaussian of covariance Sigma/2 from ``factor`` =
-    :func:`transition_factor`; delta is exactly 0 when Sigma = 0.
-    Consumes 2 n M standard normals from ``gen``, read as (re, im) pairs.
-
-    ``out`` and ``work``, C-contiguous float (n, 2M) arrays, receive the
-    result and hold the matrix products; each is allocated when omitted.
-    """
-    c_h, g, scale = factor
-    delta = gen.standard_normal((alpha.shape[0], 2 * scale.size), out=out).view(complex)
-    product = np.matmul(delta @ c_h, g, out=None if work is None else work.view(complex))
-    delta -= product
-    # delta = re + i im has E|delta|^2 = 2; the 1/sqrt(2) of a unit normal goes here.
-    delta *= scale / np.sqrt(2.0)
-    delta += np.matmul(alpha, rows, out=product)
+    where ``rows`` (K, M) are those K ports' rows of L and delta is
+    :func:`transition_noise`, drawn first into ``out`` with ``work``."""
+    delta = transition_noise(factor, gen, alpha.shape[0], out=out, work=work)
+    delta += np.matmul(alpha, rows, out=None if work is None else work.view(complex))
     return delta
 
 

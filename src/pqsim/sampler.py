@@ -18,20 +18,15 @@ Each draw has one implementation, which both routes and the public API
 share: :func:`~pqsim.states.sample_source_pqd` (input),
 :func:`~pqsim.states.sample_gaussian_pqd` (a Gaussian PQD: an SPDC
 pair's block, or route 1's whole output state),
-:func:`~pqsim.processes.sample_transition` (network) and
-:func:`~pqsim.detectors.sample_clicks` (detectors).  Sampling is batched;
-batch b makes its input draws from ``rng.child(b)`` on the caller's
-thread, then runs its dense stages (mixing, transition noise, detector
-coins) over row tiles of at most :data:`TILE_ELEMENTS` rows x modes.
-Tile 0 goes on drawing from ``rng.child(b)``, tile j >= 1 draws from
-``rng.child(b).child(j)``, and each tile writes its rows straight into
-the run's output.  All tiles queue on one pool of ``workers`` threads
-(default: the CPUs this process may use, :func:`usable_cpus`), each
-reusing one workspace of two float (tile rows, 2M) buffers, and the
-caller draws batch b + 1 while b's tiles run, so a run of single-tile
-batches (M <= 16) uses every worker too.  The outcome bytes depend only
-on (config, seed), never on the worker count, and the dense stages'
-float temporaries scale with the tile, not with ``BATCH_SIZE`` x M.
+:func:`~pqsim.processes.transition_noise` (network) and
+:func:`~pqsim.detectors.sample_clicks` (detectors).  Sampling is batched,
+and batch b runs as row tiles of at most :data:`TILE_ELEMENTS` rows x
+modes.  A tile makes all its rows' draws, inputs included, from its own
+stream (tile 0 ``rng.child(b)``, tile j >= 1 ``rng.child(b).child(j)``)
+and writes its rows straight into the run's output.  All tiles queue on
+one pool of ``workers`` threads (default: the CPUs this process may use,
+:func:`usable_cpus`), each reusing one workspace, so the outcome bytes
+depend only on (config, seed), and no temporary scales with BATCH_SIZE x M.
 
 A run returns only its outcomes: the engines leave ``SampleBatch.counts``
 ``None`` and nothing reads it; :func:`empirical_stats` builds the histogram
@@ -51,7 +46,7 @@ from .detectors import click_coefficients, sample_clicks
 from .errors import NotPsdError, SimulabilityError
 from .experiment import ExperimentConfig
 from .linalg import PSD_TOL
-from .processes import block_rows, propagate_blocks, sample_transition, transition_factor
+from .processes import block_rows, propagate_blocks, transition_factor, transition_noise
 from .rng import RngStream
 from .simulability import check_second_condition, dead_modes, s_bar_vector
 from .states import (SourceModel, Vacuum, gaussian_pqd_factor, sample_gaussian_pqd,
@@ -177,17 +172,14 @@ def _run_batched(draw_batch, modes, n_samples, rng, workers):
     """Outcomes (n_samples, modes), batch by batch, the row tiles of all
     batches queued on one pool of :func:`tile_workers` threads.
 
-    For batch b, ``draw_batch(gen, n)`` makes the batch's input draws from
-    ``gen = rng.child(b).generator()`` on the caller's thread and returns
-    ``tile(rows, gen, out, work)``, which writes the outcomes of the batch
-    rows ``rows`` (a slice) into ``out``, drawing from ``gen`` and using
-    ``work``, two C-contiguous float (len(rows), 2 modes) buffers.  Tile 0
-    goes on drawing from the batch's ``gen``; tile j >= 1 draws from
-    ``rng.child(b).child(j)``.  Every generator is made on the caller's
-    thread, so the bytes depend on (n_samples, rng) alone, never on
-    ``workers``.  Tiles borrow the run's per-thread workspaces.  Batch b + 1
-    is drawn once at most ``threads`` tiles are unfinished; a batch's draws
-    are freed with its last tile, so at most threads + 1 batches' are alive.
+    For batch b, ``draw_batch(gen, n)`` returns ``tile(rows, gen, out, work,
+    keep)``, which writes the outcomes of the batch rows ``rows`` (a slice)
+    into ``out``, drawing only from ``gen``: ``rng.child(b)``'s for tile 0,
+    ``rng.child(b).child(j)``'s for tile j >= 1, all made on the caller's
+    thread, so the bytes depend on (n_samples, rng) alone.  A tile borrows
+    a per-thread workspace: ``work``, two C-contiguous float (len(rows), 2
+    modes) buffers, and ``keep``, a dict for its own per-worker buffers.
+    Batch b + 1 is queued once at most ``threads`` tiles are unfinished.
     """
     threads = tile_workers(modes, n_samples, workers)
     n_samples = int(n_samples)
@@ -195,14 +187,14 @@ def _run_batched(draw_batch, modes, n_samples, rng, workers):
     step = tile_rows(modes)
     idle = queue.SimpleQueue()
     for _ in range(threads):
-        idle.put(np.empty((2, min(step, n_samples, BATCH_SIZE), 2 * modes)))
+        idle.put((np.empty((2, min(step, n_samples, BATCH_SIZE), 2 * modes)), {}))
 
     def run_tile(tile, rows, gen, dest):
-        work = idle.get()
+        work, keep = idle.get()
         try:
-            tile(rows, gen, dest, work[:, :len(dest)])
+            tile(rows, gen, dest, work[:, :len(dest)], keep)
         finally:
-            idle.put(work)
+            idle.put((work, keep))
 
     pool, pending = ThreadPoolExecutor(threads) if threads > 1 else None, []
     try:
@@ -211,8 +203,7 @@ def _run_batched(draw_batch, modes, n_samples, rng, workers):
                 pending.pop(0).result()
             n = min(BATCH_SIZE, n_samples - start)
             stream = rng.child(b)
-            gen = stream.generator()
-            tile = draw_batch(gen, n)
+            tile = draw_batch(gen := stream.generator(), n)
             for j, lo in enumerate(range(0, n, step)):
                 rows = slice(lo, min(lo + step, n))
                 job = (tile, rows, stream.child(j).generator() if j else gen, out[start:][rows])
@@ -228,12 +219,8 @@ def _run_batched(draw_batch, modes, n_samples, rng, workers):
     return out
 
 
-def run_condition2(
-    config: ExperimentConfig,
-    n_samples: int,
-    rng: RngStream,
-    workers: int | None = None,
-) -> SampleBatch:
+def run_condition2(config: ExperimentConfig, n_samples: int, rng: RngStream,
+                   workers: int | None = None) -> SampleBatch:
     """Sample outcomes through input PQDs + transition Gaussian + measurement.
 
     Refuses with :class:`SimulabilityError` (report attached) unless
@@ -257,28 +244,30 @@ def run_condition2(
     factor = transition_factor(config.transfer, sbar, tbar, dead=dead_modes(config))
     clicks = click_coefficients(sbar, config.detectors)
 
-    # Vacuum ports are neither drawn nor mixed: at t_bar = 1 their PQD is a
-    # point mass at 0, which consumes no random numbers.
-    active, draws = [], []
-    for entry in config.sources:
-        if not isinstance(entry.source, Vacuum):
-            cols = slice(len(active), len(active) + len(entry.ports))
-            draws.append((entry.source, cols, tbar[list(entry.ports)]))
-            active.extend(entry.ports)
-    mixing = config.transfer[active]
+    # Vacuum ports are neither drawn nor mixed: at t_bar = 1 their PQD is a point
+    # mass at 0, which consumes no draws.  Equal sources (frozen dataclass and
+    # orderings) are one group, drawn in one call per tile and read shot-major.
+    groups = {}
+    for entry in (e for e in config.sources if not isinstance(e.source, Vacuum)):
+        groups.setdefault((entry.source, tuple(tbar[list(entry.ports)])), []).extend(entry.ports)
+    draws = [(*key, config.transfer[ports]) for key, ports in groups.items()]
+    width = max([factor[0].shape[1]] + [len(mixing) for *_, mixing in draws])
 
-    def draw_batch(gen, n):
-        alpha = np.empty((n, len(active)), dtype=complex)
-        for source, cols, t_block in draws:
-            alpha[:, cols] = sample_source_pqd(source, t_block, gen, n)
+    def tile(rows, gen, out, work, keep):
+        # The noise's product with C^dag, then each group's inputs in turn,
+        # use the worker's one buffer of (tile rows, width) amplitudes.
+        n, spare = len(out), keep.get("inputs")
+        if spare is None or len(spare) < n * width:
+            spare = keep["inputs"] = np.empty(n * width, dtype=complex)
+        beta = transition_noise(factor, gen, n, out=work[0], work=work[1], spare=spare)
+        for source, t_block, mixing in draws:
+            alpha = spare[:n * len(mixing)]
+            sample_source_pqd(source, t_block, gen, alpha.size // len(t_block),
+                              out=alpha.reshape(-1, len(t_block)), work=work[1].reshape(-1))
+            beta += np.matmul(alpha.reshape(n, -1), mixing, out=work[1].view(complex))
+        sample_clicks(beta, clicks, gen, out=out, work=work[1])
 
-        def tile(rows, tile_gen, out, work):
-            beta = sample_transition(alpha[rows], mixing, factor, tile_gen, out=work[0],
-                                     work=work[1])
-            sample_clicks(beta, clicks, tile_gen, out=out, work=work[1])
-        return tile
-
-    outcomes = _run_batched(draw_batch, config.modes, n_samples, rng, workers)
+    outcomes = _run_batched(lambda gen, n: tile, config.modes, n_samples, rng, workers)
     return SampleBatch(outcomes, rng, config.config_hash(), None)
 
 
@@ -294,12 +283,8 @@ def output_gaussian(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return propagate_blocks(_blocks(config), config.transfer)
 
 
-def run_condition1(
-    config: ExperimentConfig,
-    n_samples: int,
-    rng: RngStream,
-    workers: int | None = None,
-) -> SampleBatch:
+def run_condition1(config: ExperimentConfig, n_samples: int, rng: RngStream,
+                   workers: int | None = None) -> SampleBatch:
     """Sample outcomes by drawing from the output-state PQD directly.
 
     Requires every source to be Gaussian and the output-state and click
@@ -339,7 +324,7 @@ def run_condition1(
     clicks = click_coefficients(s, config.detectors)
     rank = factor[1].shape[0]
 
-    def tile(rows, gen, out, work):
+    def tile(rows, gen, out, work, keep):
         normals = work[0].reshape(-1)[:len(out) * rank].reshape(len(out), rank)
         beta = sample_gaussian_pqd(factor, gen, len(out), out=work[1], work=normals)
         sample_clicks(beta, clicks, gen, out=out, work=work[0])
@@ -357,13 +342,8 @@ def default_route(config: ExperimentConfig) -> int:
     return 1 if gaussian and any(entry.source.t_bar < 1.0 for entry in config.sources) else 2
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    n_samples: int,
-    rng: RngStream,
-    condition: int | None = None,
-    workers: int | None = None,
-) -> SampleBatch:
+def run_experiment(config: ExperimentConfig, n_samples: int, rng: RngStream,
+                   condition: int | None = None, workers: int | None = None) -> SampleBatch:
     """Dispatch to a sampling engine: route ``condition``, by default the
     sources' :func:`default_route`.  ``config.scheme`` is a recorded label
     and selects nothing."""

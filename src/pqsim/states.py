@@ -24,7 +24,7 @@ from .errors import (
     SingularOrderingError,
     UnsupportedSourceError,
 )
-from .linalg import psd_factor_real, standard_complex_normal
+from .linalg import psd_factor_real
 
 #: Slack used when checking ordering bounds, so exact-boundary orderings
 #: produced by closed-form thresholds are accepted despite roundoff.
@@ -57,9 +57,20 @@ class SourceModel:
             f"{type(self).__name__} has no Gaussian phase-space description"
         )
 
-    def _sample_pqd(self, t_block: np.ndarray, gen, size: int) -> np.ndarray:
-        # Called by sample_source_pqd once it has checked t_block.
-        return _sample_gaussian_pqd(*self.wigner_moments(), t_block, gen, size)
+    def _sample_pqd(self, t_block: np.ndarray, gen, out, work) -> None:
+        # Called by sample_source_pqd once it has checked t_block.  An isotropic one-mode
+        # block is a circular complex Gaussian; at zero variance a point mass, no draws.
+        mean, cov = self.wigner_moments()
+        if cov.shape != (2, 2) or cov[0, 1] != 0.0 or cov[0, 0] != cov[1, 1]:
+            normals = work[:2 * out.size].reshape(len(out), -1)
+            sample_gaussian_pqd(gaussian_pqd_factor(mean, cov, t_block), gen, len(out),
+                                out=out.view(float), work=normals)
+        elif cov[0, 0] > t_block[0]:
+            parts = gen.standard_normal(out=out.view(float))
+            parts *= math.sqrt((cov[0, 0] - t_block[0]) / 4.0)
+            parts += mean / 2.0
+        else:
+            out.view(float)[...] = mean / 2.0
 
 
 @dataclass(frozen=True)
@@ -101,17 +112,25 @@ class MixedSinglePhoton(SourceModel):
     def t_bar(self) -> float:
         return 1.0 - 2.0 * self.eta_bar
 
-    def _sample_pqd(self, t_block, gen, size):
+    def _sample_pqd(self, t_block, gen, out, work):
+        # A circular Gaussian or (weight w1 = 2 eta_bar/(1-t)) a ring: x =
+        # 2|alpha|^2/(1-t) is |z|^2/2 + [u < w1] E, Exp(1) or Gamma(2), for unit
+        # normals z = (re, im) and a unit exponential E, with a uniform phase.
         omt = 1.0 - t_block[0]
-        # Two-component mixture: a circular Gaussian (weight w0) plus a
-        # ring-shaped |alpha|^2-weighted Gaussian (weight w1 = 2 eta_bar/(1-t)).
-        w1 = 0.0 if omt <= 0.0 else 2.0 * self.eta_bar / omt
-        pick = gen.random(size)
-        gauss = _sample_circular(gen, size, 0.0, omt / 2.0)
-        radii_sq = gen.gamma(2.0, scale=omt / 2.0 if omt > 0.0 else 0.0, size=size)
-        phases = gen.random(size) * (2.0 * math.pi)
-        ring = np.sqrt(radii_sq) * np.exp(1j * phases)
-        return np.where(pick < w1, ring, gauss)[:, None]
+        if omt <= 0.0:
+            out[...] = 0.0  # a point mass at 0: no draws
+            return
+        parts = gen.standard_normal(out=out.view(float))
+        pick, ratio = work[:len(out)], work[len(out):2 * len(out)]
+        gen.random(out=pick)
+        gen.standard_exponential(out=ratio)
+        ratio *= np.less(pick, 2.0 * self.eta_bar / omt, out=pick)
+        # |z|^2, floored so that z = 0 stays 0 instead of 0/0.
+        np.maximum(np.einsum("ij,ij->i", parts, parts, out=pick), 1e-300, out=pick)
+        ratio /= pick
+        ratio += 0.5
+        ratio *= omt / 2.0
+        parts *= np.sqrt(ratio, out=ratio)[:, None]
 
 
 @dataclass(frozen=True)
@@ -225,13 +244,6 @@ def pqd_single_photon_mixture(alpha: complex, t: float, eta_bar: float) -> float
     return (2.0 / math.pi) * bracket * math.exp(-2.0 * u / omt) / omt**3
 
 
-def _sample_circular(gen, n, mean: complex, var: float) -> np.ndarray:
-    # Zero variance is a point mass; consuming no draws keeps it exact.
-    if var <= 0.0:
-        return np.full(n, mean, dtype=complex)
-    return mean + math.sqrt(var) * standard_complex_normal(gen, n)
-
-
 def gaussian_pqd_factor(mean, cov, t) -> tuple[np.ndarray, np.ndarray]:
     """Set-up half of a Gaussian PQD draw.  The ordering-t PQD of a Gaussian
     with quadrature mean ``mean`` and Wigner covariance ``cov`` (2K x 2K) is
@@ -264,21 +276,8 @@ def sample_gaussian_pqd(factor, gen: np.random.Generator, n: int,
     return quad.view(complex)
 
 
-def _sample_gaussian_pqd(mean, cov, t_block, gen, size: int) -> np.ndarray:
-    """Draw from the ordering-t PQD of a Gaussian source block."""
-    if cov.shape == (2, 2) and cov[0, 1] == 0.0 and cov[0, 0] == cov[1, 1]:
-        # Isotropic one-mode block: a circular complex Gaussian.
-        centre = complex(mean[0] / 2.0, mean[1] / 2.0)
-        return _sample_circular(gen, size, centre, (cov[0, 0] - t_block[0]) / 2.0)[:, None]
-    return sample_gaussian_pqd(gaussian_pqd_factor(mean, cov, t_block), gen, size)
-
-
-def sample_source_pqd(
-    source: SourceModel,
-    t_block: np.ndarray,
-    gen: np.random.Generator,
-    size: int,
-) -> np.ndarray:
+def sample_source_pqd(source: SourceModel, t_block: np.ndarray, gen: np.random.Generator,
+                      size: int, out=None, work=None) -> np.ndarray:
     """Draw ``size`` phase-space amplitudes from one source's ordering-t PQD.
 
     Returns an array of shape (size, n_ports).  ``t_block`` holds the
@@ -288,6 +287,10 @@ def sample_source_pqd(
     probability density and a :class:`NegativityError` names the mode.
     The draw sequence consumed from ``gen`` is fixed per source type, so
     batches are exactly reproducible.
+
+    ``out``, C-contiguous complex (size, n_ports), takes the draws and
+    ``work``, 1-d float of at least 2 size n_ports, the scratch; each is
+    allocated when omitted.
     """
     t_block = np.atleast_1d(np.asarray(t_block, dtype=float))
     n_ports = len(source.port_names)
@@ -304,4 +307,7 @@ def sample_source_pqd(
                 f"ordering t={tk:g} on mode {k} of the {type(source).__name__} "
                 f"block exceeds its nonnegativity bound t_bar={bound:g}"
             )
-    return source._sample_pqd(t_block, gen, size)
+    if out is None:
+        out = np.empty((size, n_ports), dtype=complex)
+    source._sample_pqd(t_block, gen, out, np.empty(2 * out.size) if work is None else work)
+    return out

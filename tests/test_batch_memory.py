@@ -6,16 +6,18 @@ import os
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 import pqsim.sampler
-from pqsim import RngStream
+from pqsim import DetectorModel, RngStream
 from pqsim.detectors import click_coefficients
+from pqsim.experiment import ExperimentConfig, PortSource
+from pqsim.linalg import PSD_TOL, haar_unitary
 from pqsim.presets import single_photon_config, spdc_config
-from pqsim.linalg import PSD_TOL
 from pqsim.processes import block_rows, transition_factor
 from pqsim.sampler import (
     BATCH_SIZE,
@@ -24,18 +26,19 @@ from pqsim.sampler import (
     empirical_stats,
     run_condition1,
     run_condition2,
+    run_experiment,
     tile_rows,
     tile_workers,
     usable_cpus,
 )
 from pqsim.simulability import check_second_condition, s_bar_vector
-from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum, sample_source_pqd
+from pqsim.states import Coherent, MixedSinglePhoton, Thermal, Vacuum, sample_source_pqd
 
 from conftest import single_photon_click_marginals, sparse_mixed_config
 
-#: One source's draw temporaries over a batch: 1.5 MiB for a single-photon
-#: draw of 16384 shots.
-DRAW_BYTES = 2 * 2**20
+#: What the set-up keeps while the tiles run (route 1's factor rows take
+#: 0.5 MiB at spdc_config(64, ...)) and its small temporaries.
+SET_UP_BYTES = 2 * 2**20
 
 
 def traced_peak(run, config, n_samples, workers=2):
@@ -51,25 +54,22 @@ def peak_bound(config, n, amplitude_ports, workers):
     """What a run may hold at its peak, with |S| = |A| = ``amplitude_ports``
     (route 2's photon ports on the single-photon presets, 0 on route 1):
 
-    * the output once, and DRAW_BYTES of one batch's draw temporaries;
-    * one workspace per thread, two float (tile rows, 2M) buffers, and each
-      thread's (tile rows, |S|) product with the noise factor's C^dag;
+    * the output once;
+    * one workspace per thread: two float (tile rows, 2M) buffers and
+      route 2's (tile rows, |A|) complex buffer, which takes the noise's
+      (tile rows, |S|) product with the noise factor's C^dag and then each
+      group's input amplitudes (|S| <= |A| on the presets);
     * route 2's set-up rows (the mixing rows and the noise factor's C^dag
-      and G, |A| x M each) and the input amplitudes (batch rows, |A|) of
-      the batches alive at once.  A batch is drawn once at most
-      ``threads`` tiles are unfinished, so threads + 1 batches are alive
-      when each is one tile, and 2 when a batch has ``threads`` tiles or
-      more.
+      and G, |A| x M each) and SET_UP_BYTES.
 
-    No batch copy of the output, nothing of size BATCH_SIZE x M in floats
-    and no per-tile temporary of tile size."""
+    No input amplitudes of a whole batch, no draw temporaries, no batch
+    copy of the output, nothing of size BATCH_SIZE x M in floats and no
+    per-tile temporary of tile size."""
     m = config.modes
     threads = tile_workers(m, n, workers)
-    rows, step = min(n, BATCH_SIZE), min(n, BATCH_SIZE, tile_rows(m))
-    alive = min(-(-n // BATCH_SIZE), 1 + -(-threads // -(-rows // step)))
+    step = min(n, BATCH_SIZE, tile_rows(m))
     per_thread = 32 * step * m + 16 * step * amplitude_ports
-    amplitudes = 16 * (alive * rows + 3 * m) * amplitude_ports
-    return n * m + DRAW_BYTES + threads * per_thread + amplitudes
+    return n * m + threads * per_thread + 48 * m * amplitude_ports + SET_UP_BYTES
 
 
 class TestBatchMemory:
@@ -90,15 +90,15 @@ class TestBatchMemory:
     def test_multi_batch_peak_holds_only_the_batches_in_flight(self, run, config,
                                                                amplitude_ports, shots, workers):
         # Every batch's input amplitudes together take 12 MiB at M = 16 and
-        # at M = 256; the bound allows those of 2-4 batches (2-4 MiB) and of
-        # 2 batches (6 MiB).
+        # at M = 256; the bound allows one tile's per thread, 1 MiB at M = 16
+        # and 0.2 MiB at M = 256.
         peak = traced_peak(run, config, shots, workers)
         assert peak <= peak_bound(config, shots, amplitude_ports, workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_paper_size_batch_holds_its_outcomes_once(self, workers):
-        # 16 MiB of outcomes, 8 MiB of input amplitudes and 8 MiB per
-        # workspace; a second copy of the outcomes would add 16 MiB.
+        # 16 MiB of outcomes and 8.3 MiB per workspace; a second copy of the
+        # outcomes would add 16 MiB, as would a copy of the transfer matrix.
         config = single_photon_config(1024, 32, p_d=0.06)
         n = 16384
         peak = traced_peak(run_condition2, config, n, workers)
@@ -156,7 +156,7 @@ class TestTiling:
     ])
     def test_partial_tiles_are_identical_across_workers(self, run, config):
         # At M <= 16 a batch is one tile: three batches, the last partial,
-        # give each of 3 workers a tile while the caller draws ahead.
+        # give each of 3 workers a tile.
         shots = SHOTS if tile_rows(config.modes) < BATCH_SIZE else 2 * BATCH_SIZE + 5
         serial = run(config, shots, RngStream(81), workers=1).outcomes
         assert serial.shape == (shots, config.modes)
@@ -183,28 +183,40 @@ class TestTiling:
         assert not np.array_equal(longer[:step], longer[step:2 * step])
 
 
-def serial_first_tile_route2(config, n, gen):
-    """Route 2's outcomes for the first tile of an n-row batch drawn from
-    ``gen``, computed as the serial engine before the thread pool computed
-    them: every source over the batch, then the tile's normals and
-    uniforms, all from ``gen``."""
+def grouped_mixed_config(modes: int) -> ExperimentConfig:
+    """Three equal one-photon mixtures, two equal ones of another kind, a
+    coherent and a thermal source, listed among vacuum ports on a lossy Haar
+    unitary: four groups of equal sources.  kappa = 0.81."""
+    sources = [PortSource(Vacuum(), (k,)) for k in range(7, modes)]
+    sources[2:2] = [PortSource(MixedSinglePhoton(0.5, 0.3), (k,)) for k in (0, 3, 5)]
+    sources[6:6] = [PortSource(MixedSinglePhoton(0.4, 0.25), (k,)) for k in (1, 6)]
+    sources[10:10] = [PortSource(Coherent(0.4 + 0.2j), (4,)), PortSource(Thermal(0.1), (2,))]
+    return ExperimentConfig(modes=modes, sources=tuple(sources),
+                            transfer=math.sqrt(0.9) * haar_unitary(modes, RngStream(19)),
+                            detectors=(DetectorModel(0.9, 0.15),) * modes)
+
+
+def serial_tile_route2(config, rows, gen):
+    """Route 2's outcomes for one tile of ``rows`` rows, everything drawn
+    from ``gen``: the transition's normals, then each group of equal
+    non-vacuum sources in one call, in the order of its first source, read
+    shot-major and mixed through its rows of L; then the click uniforms."""
     report = check_second_condition(config)
     tbar, sbar = report.t_bar, report.s_bar
     c_h, g, scale = transition_factor(config.transfer, sbar, tbar)
     decay, keep = click_coefficients(sbar, config.detectors)
-    active, draws = [], []
+    beta = gen.standard_normal((rows, 2 * config.modes)).view(complex)
+    beta -= (beta @ c_h) @ g
+    beta *= scale / np.sqrt(2.0)
+    groups = {}
     for entry in config.sources:
-        draw = sample_source_pqd(entry.source, tbar[list(entry.ports)], gen, n)
         if not isinstance(entry.source, Vacuum):
-            active.extend(entry.ports)
-            draws.append(draw)
-    rows = min(n, tile_rows(config.modes))
-    alpha = np.hstack(draws)[:rows]
-    delta = gen.standard_normal((rows, 2 * config.modes)).view(complex)
-    delta -= (delta @ c_h) @ g
-    delta *= scale / np.sqrt(2.0)
-    delta += alpha @ config.transfer[active]
-    return serial_clicks(delta, decay, keep, gen)
+            t_block = tuple(tbar[list(entry.ports)])
+            groups.setdefault((entry.source, t_block), []).extend(entry.ports)
+    for (source, t_block), ports in groups.items():
+        alpha = sample_source_pqd(source, t_block, gen, rows * len(ports) // len(t_block))
+        beta += alpha.reshape(rows, len(ports)) @ config.transfer[ports]
+    return serial_clicks(beta, decay, keep, gen)
 
 
 def serial_first_tile_route1(config, n, gen):
@@ -239,10 +251,8 @@ def serial_clicks(beta, decay, keep, gen):
 
 class TestParallelTiles:
     @pytest.mark.parametrize("run,serial,config", [
-        (run_condition2, serial_first_tile_route2, single_photon_config(MODES, 10, p_d=0.06)),
         (run_condition1, serial_first_tile_route1, spdc_config(MODES // 2, 0.05, p_d=0.06)),
-        (run_condition2, serial_first_tile_route2, sparse_mixed_config(MODES)),
-    ], ids=["route2", "route1", "route2-mixed"])
+    ], ids=["route1"])
     def test_each_batch_first_tile_keeps_the_batch_stream(self, run, serial, config):
         rng = RngStream(85)
         outcomes = run(config, SHOTS, rng, workers=2).outcomes
@@ -252,24 +262,51 @@ class TestParallelTiles:
             expected = serial(config, n, rng.child(b).generator())
             assert np.array_equal(outcomes[start:start + min(n, step)], expected)
 
-    def test_route2_batches_draw_only_the_non_vacuum_sources(self, monkeypatch):
-        # A vacuum port's PQD at t_bar = 1 is a point mass that draws
-        # nothing, so leaving it out keeps the stream (see the byte test).
-        config = sparse_mixed_config(MODES)
-        drawn = [entry.source for entry in config.sources if not isinstance(entry.source, Vacuum)]
-        assert {type(source) for source in drawn} == {SpdcPair, MixedSinglePhoton, Coherent,
-                                                      Thermal}
-        assert len(config.sources) > len(drawn)
+    @pytest.mark.parametrize("config", [grouped_mixed_config(MODES), sparse_mixed_config(MODES)],
+                             ids=["grouped-mixed", "sparse-mixed"])
+    def test_route2_tiles_draw_their_inputs_from_their_own_streams(self, config):
+        # Nothing is drawn for a batch as a whole: every tile, j >= 1 from
+        # rng.child(b).child(j), is rebuilt from its own stream alone.  The
+        # sparse mix puts an SPDC pair's two ports in one group's columns.
+        rng, step = RngStream(85), tile_rows(MODES)
+        outcomes = run_condition2(config, SHOTS, rng, workers=2).outcomes
+        for b, start in enumerate(range(0, SHOTS, BATCH_SIZE)):
+            n = min(BATCH_SIZE, SHOTS - start)
+            for j, lo in enumerate(range(0, n, step)):
+                stream = rng.child(b).child(j) if j else rng.child(b)
+                rows = outcomes[start + lo:start + min(lo + step, n)]
+                assert np.array_equal(rows, serial_tile_route2(config, len(rows),
+                                                               stream.generator()))
+
+    @pytest.mark.parametrize("config,condition", [
+        (grouped_mixed_config(MODES), None),
+        (spdc_config(MODES // 2, 0.05, p_d=0.06), 2),
+    ], ids=["grouped-mixed", "spdc"])
+    def test_route2_bytes_are_equal_for_1_2_and_3_workers(self, config, condition):
+        serial = run_experiment(config, SHOTS, RngStream(84), condition, workers=1).outcomes
+        for workers in (2, 3):
+            parallel = run_experiment(config, SHOTS, RngStream(84), condition, workers)
+            assert np.array_equal(serial, parallel.outcomes)
+
+    def test_route2_draws_each_group_once_per_tile_off_the_calling_thread(self, monkeypatch):
+        # Vacuum ports draw nothing; equal sources share one call per tile.
+        config = grouped_mixed_config(MODES)
         calls = []
 
-        def spy(source, t_block, gen, size):
-            calls.append((source, size))
-            return sample_source_pqd(source, t_block, gen, size)
+        def spy(source, t_block, gen, size, **buffers):
+            calls.append((threading.get_ident(), source, size))
+            return sample_source_pqd(source, t_block, gen, size, **buffers)
 
         monkeypatch.setattr(pqsim.sampler, "sample_source_pqd", spy)
         run_condition2(config, SHOTS, RngStream(88), workers=2)
-        assert not any(isinstance(source, Vacuum) for source, _ in calls)
-        assert calls == [(source, n) for n in (BATCH_SIZE, 7) for source in drawn]
+        step = tile_rows(MODES)
+        tiles = [min(step, n - lo) for n in (BATCH_SIZE, 7) for lo in range(0, n, step)]
+        groups = [(MixedSinglePhoton(0.5, 0.3), 3), (MixedSinglePhoton(0.4, 0.25), 2),
+                  (Coherent(0.4 + 0.2j), 1), (Thermal(0.1), 1)]
+        assert len(tiles) == 8
+        assert (Counter((source, size) for _, source, size in calls)
+                == Counter((source, k * rows) for rows in tiles for source, k in groups))
+        assert threading.get_ident() not in {ident for ident, _, _ in calls}
 
     def test_later_tiles_draw_from_their_own_streams(self):
         # Tile 1 of batch 0 starts rng.child(0).child(1); route 1 draws
@@ -294,29 +331,6 @@ class TestParallelTiles:
                 run_condition2(single_photon_config(wide, 4, p_d=0.06), tiled,
                                RngStream(87), workers=4)
 
-    def test_batches_are_drawn_in_order_on_the_calling_thread(self, monkeypatch):
-        # Single-tile batches at 3 workers: the caller draws ahead while
-        # earlier batches' tiles run on the pool.  A Philox key is (seed,
-        # stream id), so it names the batch stream each draw came from.
-        config = single_photon_config(16, 4, p_d=0.06)
-        calls = []
-
-        def spy(source, t_block, gen, size):
-            calls.append((threading.get_ident(), int(gen.bit_generator.state["state"]["key"][1]),
-                          size))
-            return sample_source_pqd(source, t_block, gen, size)
-
-        monkeypatch.setattr(pqsim.sampler, "sample_source_pqd", spy)
-        rng = RngStream(89)
-        shots = 5 * BATCH_SIZE + 5
-        run_condition2(config, shots, rng, workers=3)
-        photons = [entry for entry in config.sources if not isinstance(entry.source, Vacuum)]
-        assert len(photons) == 4
-        assert calls == [(threading.get_ident(), rng.child(b).stream_id,
-                          min(BATCH_SIZE, shots - start))
-                         for b, start in enumerate(range(0, shots, BATCH_SIZE))
-                         for _ in photons]
-
     def test_bytes_hold_with_more_workers_than_cores_and_short_switches(self):
         # Tiles of consecutive batches share the run's workspaces and
         # output; two tiles on one workspace would corrupt the bytes.
@@ -334,8 +348,8 @@ class TestParallelTiles:
 
     def test_a_failing_tile_stops_the_run(self, monkeypatch):
         # Six single-tile batches at 2 workers, batch 1's tile raising: the
-        # caller draws batch b + 1 once at most 2 tiles are unfinished, so it
-        # meets the error while waiting to draw batch 4.
+        # caller queues batch b + 1 once at most 2 tiles are unfinished, so
+        # it meets the error while waiting to queue batch 4.
         class TileFailed(RuntimeError):
             pass
 

@@ -340,8 +340,8 @@ GOLDEN_RUNS = [
     }, id="oracle"),
     pytest.param(["compare", "--config", "{hom}", "--samples", "20000", "--tolerance", "0.05",
       "--seed", "5"], {
-        "stdout": "8fd7feb331055bfe7e13bed79f6a3c2fcb55c93e0095fcf68b0be91ecfdb906f",
-        "compare.json": "21418cd7beabd1e23bb4fb73c3e8de6915683950ff2d984380180f4a4ad026e5",
+        "stdout": "eab7ee41aaab3dff3f201dfeddfd826e1cfa50a1e3b03709b4ef3869f743e791",
+        "compare.json": "5dc69dc2b84c3e0f2c8b603f5e3c9775be0645ad2ff2b43a9656762203e52d2b",
     }, id="compare"),
     pytest.param(["thresholds", "--modes", "10,100"], {
         "stdout": "434350c82d3ea5ddcddeb36e6c3e2fc31e3d2d4916fec930618e1ef50c5b745a",
@@ -350,7 +350,7 @@ GOLDEN_RUNS = [
     }, id="thresholds"),
     pytest.param(["sample", "--config", "{photon}", "--samples", "3000", "--seed", "9"], {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "samples.csv": "0c37ffd1391a203e2b02c4bfd7d21f7087d3a256c758b7d195f8b4a96ddae7dd",
+        "samples.csv": "2bee1417916e2ae14017cdabce420a317a6cade735a81d2cf1724537125c1df3",
     }, id="sample-csv"),
     pytest.param(["sample", "--config", "{spdc}", "--samples", "3000", "--seed", "9",
       "--format", "jsonl"], {

@@ -123,6 +123,22 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("source,field", [
+        ({"kind": "thermal", "mean_photons": 10**401}, "mean_photons"),
+        ({"kind": "coherent", "amplitude": [0.5, -10**401]}, "amplitude"),
+    ], ids=["thermal", "coherent"])
+    def test_integer_too_large_for_a_float_is_config_error(self, tmp_path, capsys, source,
+                                                           field):
+        from pqsim.cli import EXIT_USAGE, main
+
+        path = write_config(tmp_path, dict(MINIMAL, sources=["vacuum", source]))
+        message = f"sources[1].{field}: number too large for a float"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+        assert main(["check", "--config", str(path), "--quiet"]) == EXIT_USAGE == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
     def test_unknown_source_kind_rejected(self, tmp_path):
         data = dict(MINIMAL, sources=["vacuum", {"kind": "laser"}])
         with pytest.raises(ConfigError, match="sources\\[1\\].kind"):

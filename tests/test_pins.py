@@ -30,7 +30,7 @@ def test_route1_spdc():
 
 def test_route2_single_photons():
     batch = run_condition2(single_photon_config(6, 3, p_d=0.06), DRAWS, RngStream(2026))
-    assert csv_sha256(batch) == "9570c5be3db0fa54c0d4237621d74e660121defd869526f3dbd6c1124f1e78e2"
+    assert csv_sha256(batch) == "ef1feb2ff16e14b39b316768f3a2d33eaf2d36cc6833fde1d462ca431046615f"
 
 
 def test_route2_classical_and_photon_mix():
@@ -44,7 +44,7 @@ def test_route2_classical_and_photon_mix():
         detectors=(DetectorModel(0.9, 0.3),) * 4,
     )
     batch = run_condition2(config, DRAWS, RngStream(2026))
-    assert csv_sha256(batch) == "6b90073d5676a24d295656ea5b2821c2ad7859703352d8ec9d7cf7fc20ea67c0"
+    assert csv_sha256(batch) == "3c79e1f8180da56412020b133c7af97664f18fd51c3b9dba82151a347dd53237"
 
 
 def test_preset_config_hash():
@@ -55,7 +55,7 @@ def test_preset_config_hash():
 def test_route2_spdc():
     # kappa = 0.50: the SPDC preset passes the Sigma_bar test as well.
     batch = run_condition2(spdc_config(3, 0.05, p_d=0.09), DRAWS, RngStream(2026))
-    assert csv_sha256(batch) == "4d851bce90530f8f5ad04fce941bcf8e373da078a90a77540a61ddacfc3f7bc5"
+    assert csv_sha256(batch) == "1f3d459c7b26e39a26c65266661da27293fc0e7b7f9b1db3ffb703e13da6aa22"
 
 
 def test_route1_gaussian_mix():
@@ -98,7 +98,7 @@ MULTI_TILE_DRAWS = BATCH_SIZE + 7
 def test_route2_multi_tile_single_photons():
     batch = run_condition2(single_photon_config(48, 6, p_d=0.06), MULTI_TILE_DRAWS,
                            RngStream(2026), workers=2)
-    assert csv_sha256(batch) == "d938b6cd7dedd9397906e8cc94ae277c2ceebe1b326312833d5b15d6c3123da3"
+    assert csv_sha256(batch) == "b0cc719762a8aa1b7a7ab6a681c5bd99def58f490c7edb7ebdb8c0a1da52c008"
 
 
 def test_route1_multi_tile_spdc():

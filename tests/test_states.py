@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -267,6 +268,59 @@ class TestSampleInputPqd:
         # One draw is one row with a column per port of the source.
         alpha = sample_source_pqd(SpdcPair(0.3, 0.9), [0.0, 0.0], RngStream(9).generator(), 1)
         assert alpha.shape == (1, 2)
+
+
+#: The one-radius draw's checks: 2 orderings x (KS, 2 moments, 2 phase
+#: components), family-wise 1e-6.
+ONE_RADIUS_CHECKS = 10
+ONE_RADIUS_Z = NormalDist().inv_cdf(1.0 - 1e-6 / (2 * ONE_RADIUS_CHECKS))
+
+
+class TestOneRadiusSinglePhotonDraw:
+    """The one-photon mixture's draw: |alpha|^2 = (1 - t)/2 (E1 + [u < w1] E2)
+    with a uniform phase, checked against the PQD formula."""
+
+    EXAMPLE = MixedSinglePhoton(0.6, 0.7)  # eta_bar = 0.42, t_bar = 0.16
+    DRAWS = 2_000_000
+
+    @pytest.fixture(scope="class", params=[0.16, -0.5], ids=["t_bar", "t_below"])
+    def drawn(self, request):
+        t = request.param
+        return t, sample_source_pqd(self.EXAMPLE, [t], RngStream(31).generator(), self.DRAWS)[:, 0]
+
+    def test_radial_cdf_is_the_mixture_of_exp_and_gamma2(self, drawn):
+        # x = 2|alpha|^2/(1-t) has CDF 1 - e^-x (1 + w1 x); the DKW bound
+        # P(D > d) <= 2 exp(-2 n d^2) gives the KS limit.
+        t, alpha = drawn
+        w1 = 2.0 * self.EXAMPLE.eta_bar / (1.0 - t)
+        x = np.sort(2.0 * np.abs(alpha) ** 2 / (1.0 - t))
+        cdf = 1.0 - np.exp(-x) * (1.0 + w1 * x)
+        n = len(x)
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert ks <= math.sqrt(math.log(2 * ONE_RADIUS_CHECKS / 1e-6) / (2 * n))
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_radial_moments_match_quadrature(self, drawn, power):
+        t, alpha = drawn
+        mean = radial_moment(self.EXAMPLE.eta_bar, t, power)
+        spread = math.sqrt(radial_moment(self.EXAMPLE.eta_bar, t, 2 * power) - mean**2)
+        observed = np.mean(np.abs(alpha) ** (2 * power))
+        assert abs(observed - mean) <= ONE_RADIUS_Z * spread / math.sqrt(len(alpha))
+
+    def test_phase_is_uniform(self, drawn):
+        # E e^{i phi} = 0 and each of its components has variance 1/2.
+        _, alpha = drawn
+        unit = alpha / np.abs(alpha)
+        limit = ONE_RADIUS_Z * math.sqrt(0.5 / len(alpha))
+        assert abs(unit.real.mean()) <= limit and abs(unit.imag.mean()) <= limit
+
+    def test_no_photon_at_t_one_is_a_point_mass_that_draws_nothing(self):
+        gen = RngStream(32).generator()
+        for source in (MixedSinglePhoton(0.7, 0.0), MixedSinglePhoton(0.0, 0.4)):
+            assert source.t_bar == 1.0
+            alpha = sample_source_pqd(source, [1.0], gen, 1000)
+            assert alpha.shape == (1000, 1) and not np.any(alpha)
+        assert np.array_equal(gen.random(8), RngStream(32).generator().random(8))
 
 
 class TestGaussianPqdKernel:
