@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -166,19 +167,15 @@ def _format_row(row) -> str:
 
 def cmd_thresholds(args) -> int:
     started = time.perf_counter()
-    params = ScenarioParams(
-        mu=args.mu, eta_b=args.eta_b, eta0=args.eta0, ell=args.ell,
-        eta_d=args.eta_d, f_b=args.f_b, f_l=args.f_l,
-    )
+    params = ScenarioParams(**{f.name: getattr(args, f.name) for f in fields(ScenarioParams)})
     modes_list = [int(tok) for tok in args.modes.split(",")]
     schemes = ([SCHEME_SINGLE_PHOTON, SCHEME_SPDC] if args.scenario == "both"
                else [args.scenario])
     rows = []
     for scheme in schemes:
         rows.extend(threshold_table(scheme, modes_list, params))
-        _say(args, f"scenario: {scheme}  (mu={params.mu}, eta_b={params.eta_b}, "
-                   f"eta0={params.eta0}, ell={params.ell}, eta_d={params.eta_d}, "
-                   f"f_b={params.f_b}, f_l={params.f_l})")
+        knobs = ", ".join(f"{name}={value}" for name, value in asdict(params).items())
+        _say(args, f"scenario: {scheme}  ({knobs})")
         _say(args, f"{'M':>6}  {'eta_L':>6}  {'sqrt(M)/eta':>12}  {'N':>6}  "
                    f"{'N*eta':>6}  {'sinh^2r':>9}  {'p_d threshold':>13}  {'p_d mismatch':>12}")
         for row in rows[-len(modes_list):]:
@@ -261,13 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="both")
     p_thr.add_argument("--modes", default="10,100,1600",
                        help="comma-separated network sizes")
-    p_thr.add_argument("--mu", type=float, default=0.5)
-    p_thr.add_argument("--eta-b", dest="eta_b", type=float, default=0.1)
-    p_thr.add_argument("--eta0", type=float, default=0.98)
-    p_thr.add_argument("--ell", type=int, default=2)
-    p_thr.add_argument("--eta-d", dest="eta_d", type=float, default=0.95)
-    p_thr.add_argument("--f-b", dest="f_b", type=float, default=0.1)
-    p_thr.add_argument("--f-l", dest="f_l", type=float, default=0.9)
+    for field in fields(ScenarioParams):
+        p_thr.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
+                           type=type(field.default), default=field.default)
     p_thr.set_defaults(func=cmd_thresholds)
 
     return parser

@@ -21,11 +21,12 @@ pair's block, or route 1's whole output state),
 :func:`~pqsim.processes.transition_noise` (network) and
 :func:`~pqsim.detectors.sample_clicks` (detectors).  Sampling is batched,
 and batch b runs as row tiles of at most :data:`TILE_ELEMENTS` rows x
-modes.  A tile makes all its rows' draws, inputs included, from its own
-stream (tile 0 ``rng.child(b)``, tile j >= 1 ``rng.child(b).child(j)``)
-and writes its rows straight into the run's output.  All tiles queue on
-one pool of ``workers`` threads (default: the CPUs this process may use,
-:func:`usable_cpus`), each reusing one workspace, so the outcome bytes
+modes.  A tile, ``tile(gen, out, work, spare)``, makes all its rows' draws
+from its own stream ``gen`` (tile 0 ``rng.child(b)``, tile j >= 1
+``rng.child(b).child(j)``) and writes their outcomes into ``out``, its slice
+of the run's output.  All tiles queue on one pool of ``workers`` threads
+(default :func:`usable_cpus`, the CPUs this process may use), each reusing
+one workspace (``work``, ``spare``) made on the calling thread, so the bytes
 depend only on (config, seed), and no temporary scales with BATCH_SIZE x M.
 
 A run returns only its outcomes: the engines leave ``SampleBatch.counts``
@@ -168,33 +169,34 @@ def tile_workers(modes: int, n_samples: int, workers: int | None = None) -> int:
     return max(1, min(workers, tiles))
 
 
-def _run_batched(draw_batch, modes, n_samples, rng, workers):
+def _run_batched(draw_batch, modes, n_samples, rng, workers, width):
     """Outcomes (n_samples, modes), batch by batch, the row tiles of all
     batches queued on one pool of :func:`tile_workers` threads.
 
-    For batch b, ``draw_batch(gen, n)`` returns ``tile(rows, gen, out, work,
-    keep)``, which writes the outcomes of the batch rows ``rows`` (a slice)
-    into ``out``, drawing only from ``gen``: ``rng.child(b)``'s for tile 0,
-    ``rng.child(b).child(j)``'s for tile j >= 1, all made on the caller's
-    thread, so the bytes depend on (n_samples, rng) alone.  A tile borrows
-    a per-thread workspace: ``work``, two C-contiguous float (len(rows), 2
-    modes) buffers, and ``keep``, a dict for its own per-worker buffers.
+    For batch b, ``draw_batch(gen, n)`` returns ``tile(gen, out, work,
+    spare)``, which writes one tile's outcomes into ``out``, drawing only
+    from ``gen``: ``rng.child(b)``'s for tile 0, ``rng.child(b).child(j)``'s
+    for tile j >= 1, all made on the caller's thread, so the bytes depend on
+    (n_samples, rng) alone.  Each thread's workspace, made here on the
+    caller's thread, is ``work``, two C-contiguous float (len(out), 2 modes)
+    buffers, and ``spare``, 1-d complex of len(out) x ``width`` entries.
     Batch b + 1 is queued once at most ``threads`` tiles are unfinished.
     """
     threads = tile_workers(modes, n_samples, workers)
     n_samples = int(n_samples)
     out = np.empty((n_samples, modes), dtype=np.uint8)
     step = tile_rows(modes)
+    rows = min(step, n_samples, BATCH_SIZE)
     idle = queue.SimpleQueue()
     for _ in range(threads):
-        idle.put((np.empty((2, min(step, n_samples, BATCH_SIZE), 2 * modes)), {}))
+        idle.put((np.empty((2, rows, 2 * modes)), np.empty(rows * width, dtype=complex)))
 
-    def run_tile(tile, rows, gen, dest):
-        work, keep = idle.get()
+    def run_tile(tile, gen, dest):
+        work, spare = idle.get()
         try:
-            tile(rows, gen, dest, work[:, :len(dest)], keep)
+            tile(gen, dest, work[:, :len(dest)], spare[:len(dest) * width])
         finally:
-            idle.put((work, keep))
+            idle.put((work, spare))
 
     pool, pending = ThreadPoolExecutor(threads) if threads > 1 else None, []
     try:
@@ -203,10 +205,9 @@ def _run_batched(draw_batch, modes, n_samples, rng, workers):
                 pending.pop(0).result()
             n = min(BATCH_SIZE, n_samples - start)
             stream = rng.child(b)
-            tile = draw_batch(gen := stream.generator(), n)
+            tile, batch = draw_batch(gen := stream.generator(), n), out[start:start + n]
             for j, lo in enumerate(range(0, n, step)):
-                rows = slice(lo, min(lo + step, n))
-                job = (tile, rows, stream.child(j).generator() if j else gen, out[start:][rows])
+                job = (tile, stream.child(j).generator() if j else gen, batch[lo:lo + step])
                 if pool is None:
                     run_tile(*job)
                 else:
@@ -253,12 +254,10 @@ def run_condition2(config: ExperimentConfig, n_samples: int, rng: RngStream,
     draws = [(*key, config.transfer[ports]) for key, ports in groups.items()]
     width = max([factor[0].shape[1]] + [len(mixing) for *_, mixing in draws])
 
-    def tile(rows, gen, out, work, keep):
+    def tile(gen, out, work, spare):
         # The noise's product with C^dag, then each group's inputs in turn,
         # use the worker's one buffer of (tile rows, width) amplitudes.
-        n, spare = len(out), keep.get("inputs")
-        if spare is None or len(spare) < n * width:
-            spare = keep["inputs"] = np.empty(n * width, dtype=complex)
+        n = len(out)
         beta = transition_noise(factor, gen, n, out=work[0], work=work[1], spare=spare)
         for source, t_block, mixing in draws:
             alpha = spare[:n * len(mixing)]
@@ -267,7 +266,7 @@ def run_condition2(config: ExperimentConfig, n_samples: int, rng: RngStream,
             beta += np.matmul(alpha.reshape(n, -1), mixing, out=work[1].view(complex))
         sample_clicks(beta, clicks, gen, out=out, work=work[1])
 
-    outcomes = _run_batched(lambda gen, n: tile, config.modes, n_samples, rng, workers)
+    outcomes = _run_batched(lambda gen, n: tile, config.modes, n_samples, rng, workers, width)
     return SampleBatch(outcomes, rng, config.config_hash(), None)
 
 
@@ -301,6 +300,23 @@ def run_condition1(config: ExperimentConfig, n_samples: int, rng: RngStream,
     dropped: a dead detector's click is a p_d coin, and its row at
     s_bar = -1 could refuse live modes that pass.
     """
+    s, factor = _output_factor(config)
+    clicks = click_coefficients(s, config.detectors)
+    rank = factor[1].shape[0]
+
+    def tile(gen, out, work, spare):
+        normals = work[0].reshape(-1)[:len(out) * rank].reshape(len(out), rank)
+        beta = sample_gaussian_pqd(factor, gen, len(out), out=work[1], work=normals)
+        sample_clicks(beta, clicks, gen, out=out, work=work[0])
+
+    outcomes = _run_batched(lambda gen, n: tile, config.modes, n_samples, rng, workers, 0)
+    return SampleBatch(outcomes, rng, config.config_hash(), None)
+
+
+def _output_factor(config: ExperimentConfig):
+    """(s, factor): :func:`run_condition1`'s output ordering and PQD factor;
+    raises :class:`SimulabilityError` where it refuses.  The set-up arrays
+    (the block rows, or the output covariance) die with this frame."""
     sbar = s_bar_vector(config)
     live = ~dead_modes(config)
     t0 = min(entry.source.t_bar for entry in config.sources)
@@ -308,29 +324,17 @@ def run_condition1(config: ExperimentConfig, n_samples: int, rng: RngStream,
     s = 1.0 - (1.0 - t0) * (np.einsum("ij,ij->j", lr, lr) + np.einsum("ij,ij->j", li, li))
     if config.diagonal_gram and np.all(s[live] >= sbar[live]):
         mean, rows, lam = block_rows(_blocks(config), config.transfer, t0)
-        factor = mean / 2.0, rows[lam > PSD_TOL] / 2.0
-    else:
-        s = sbar
-        mean, cov = output_gaussian(config)
-        dead = np.repeat(~live, 2)
-        cov[np.ix_(dead, ~dead)] = 0.0
-        cov[np.ix_(~dead, dead)] = 0.0
-        try:
-            factor = gaussian_pqd_factor(mean, cov, sbar)
-        except NotPsdError as exc:
-            raise SimulabilityError(
-                f"output-state PQD is negative at the detectors' ordering bound: {exc}"
-            ) from exc
-    clicks = click_coefficients(s, config.detectors)
-    rank = factor[1].shape[0]
-
-    def tile(rows, gen, out, work, keep):
-        normals = work[0].reshape(-1)[:len(out) * rank].reshape(len(out), rank)
-        beta = sample_gaussian_pqd(factor, gen, len(out), out=work[1], work=normals)
-        sample_clicks(beta, clicks, gen, out=out, work=work[0])
-
-    outcomes = _run_batched(lambda gen, n: tile, config.modes, n_samples, rng, workers)
-    return SampleBatch(outcomes, rng, config.config_hash(), None)
+        return s, (mean / 2.0, rows[lam > PSD_TOL] / 2.0)
+    mean, cov = output_gaussian(config)
+    dead = np.repeat(~live, 2)
+    cov[np.ix_(dead, ~dead)] = 0.0
+    cov[np.ix_(~dead, dead)] = 0.0
+    try:
+        return sbar, gaussian_pqd_factor(mean, cov, sbar)
+    except NotPsdError as exc:
+        raise SimulabilityError(
+            f"output-state PQD is negative at the detectors' ordering bound: {exc}"
+        ) from exc
 
 
 def default_route(config: ExperimentConfig) -> int:

@@ -104,6 +104,38 @@ class TestBatchMemory:
         peak = traced_peak(run_condition2, config, n, workers)
         assert peak <= peak_bound(config, n, 32, workers)
 
+    @pytest.mark.parametrize("scaled", [False, True], ids=["diagonal-gram", "cholesky"])
+    def test_route1_holds_only_its_factor_while_sampling(self, monkeypatch, scaled):
+        # The set-up's block rows, or its output covariance (0.5 MiB each at
+        # spdc_config(64, ...)), are freed before the first tile; the factor
+        # is the r x 2M rows with lam > PSD_TOL, or the 2M x 2M Cholesky
+        # factor when unequal row losses make the Gram off-diagonal.
+        config = spdc_config(64, 0.05, p_d=0.06)
+        if scaled:
+            config = ExperimentConfig(
+                modes=config.modes, sources=config.sources, detectors=config.detectors,
+                transfer=np.diag(np.linspace(1.0, 0.7, config.modes)) @ config.transfer)
+            factor_bytes = (2 * config.modes) ** 2 * 8
+        else:
+            blocks = [(entry.ports, *entry.source.wigner_moments()) for entry in config.sources]
+            t0 = min(entry.source.t_bar for entry in config.sources)
+            rows, lam = block_rows(blocks, config.transfer, t0)[1:]
+            factor_bytes = rows[lam > PSD_TOL].nbytes
+        assert config.diagonal_gram is not scaled
+        run_batched, held = pqsim.sampler._run_batched, []
+
+        def at_entry(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return run_batched(*args)
+
+        monkeypatch.setattr(pqsim.sampler, "_run_batched", at_entry)
+        tracemalloc.start()
+        try:
+            run_condition1(config, 16, RngStream(1), workers=1)
+        finally:
+            tracemalloc.stop()
+        assert held and held[0] <= factor_bytes + 16 * 2**10
+
     def test_block_rows_holds_a_groups_rows_at_most_twice(self):
         # Route 1's set-up at t0 on the SPDC preset: one size group of 64
         # pairs, so its quadrature rows q and the returned rows (0.5 MiB
@@ -307,6 +339,22 @@ class TestParallelTiles:
         assert (Counter((source, size) for _, source, size in calls)
                 == Counter((source, k * rows) for rows in tiles for source, k in groups))
         assert threading.get_ident() not in {ident for ident, _, _ in calls}
+
+    @pytest.mark.parametrize("config", [
+        grouped_mixed_config(MODES), spdc_config(MODES // 2, 0.05, p_d=0.06),
+    ], ids=["route2", "route1"])
+    def test_workspaces_are_made_on_the_calling_thread(self, monkeypatch, config):
+        # Every buffer a tile writes to is allocated before the first tile,
+        # so a worker thread allocates nothing of its own.
+        empty, callers = np.empty, []
+
+        def spy(*args, **kwargs):
+            callers.append(threading.get_ident())
+            return empty(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", spy)
+        run_experiment(config, SHOTS, RngStream(89), workers=2)
+        assert callers and set(callers) == {threading.get_ident()}
 
     def test_later_tiles_draw_from_their_own_streams(self):
         # Tile 1 of batch 0 starts rng.child(0).child(1); route 1 draws

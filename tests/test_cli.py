@@ -1,13 +1,15 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
 import pqsim.sampler
-from pqsim.cli import EXIT_FAIL, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, main
+from pqsim.cli import EXIT_FAIL, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, build_parser, main
 from pqsim.errors import SimulabilityError
-from pqsim.presets import single_photon_config, spdc_config
+from pqsim.experiment import SCHEME_SINGLE_PHOTON, SCHEME_SPDC
+from pqsim.presets import ScenarioParams, single_photon_config, spdc_config, threshold_table
 from pqsim.rng import RngStream
 
 from conftest import oracle_suite, spdc_and_photon_config, spdc_lossy_network_config
@@ -312,6 +314,22 @@ class TestThresholds:
         lines = (out / "thresholds.csv").read_text().splitlines()
         assert lines[0].startswith("scheme,modes,")
         assert len(lines) == 7
+
+    def test_scenario_flags_set_every_params_field(self, tmp_path):
+        params = ScenarioParams(mu=0.4, eta_b=0.2, eta0=0.97, ell=3, eta_d=0.9, f_b=0.2, f_l=0.8)
+        flags = ["--mu", "0.4", "--eta-b", "0.2", "--eta0", "0.97", "--ell", "3",
+                 "--eta-d", "0.9", "--f-b", "0.2", "--f-l", "0.8"]
+        out = tmp_path / "thr"
+        argv = ["thresholds", "--modes", "10,100", "--out", str(out), "--quiet", *flags]
+        assert main(argv) == EXIT_OK
+        expected = [row.to_dict() for scheme in (SCHEME_SINGLE_PHOTON, SCHEME_SPDC)
+                    for row in threshold_table(scheme, [10, 100], params)]
+        assert json.loads((out / "thresholds.json").read_text()) == expected
+        defaults = build_parser().parse_args(["thresholds"])
+        for field in fields(ScenarioParams):
+            value = getattr(defaults, field.name)
+            assert getattr(params, field.name) != field.default, field.name
+            assert value == field.default and type(value) is type(field.default), field.name
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
