@@ -34,19 +34,8 @@ from .experiment import (
     PortSource,
     parse_config,
 )
-from .linalg import (
-    dilate_to_unitary,
-    haar_unitary,
-    permanent,
-    validate_transfer,
-)
-from .oracle import (
-    FockBasis,
-    ProbabilityTable,
-    exact_distribution,
-    ideal_probability_permanent,
-    tv_distance,
-)
+from .linalg import haar_unitary, validate_transfer
+from .oracle import ProbabilityTable, exact_distribution, tv_distance
 from .presets import ScenarioParams, single_photon_config, spdc_config, threshold_table
 from .processes import (
     LossModel,

@@ -338,13 +338,13 @@ def _parse_lon(raw, modes: int, base_dir) -> tuple[np.ndarray, dict]:
                 path = Path(base_dir) / path
             try:
                 matrix = load_matrix(path)
-            except (OSError, DimensionError) as exc:
+            except (OSError, ValueError) as exc:  # DimensionError is a ValueError
                 raise ConfigError(f"lon.file: {exc}") from exc
             return matrix, dict(raw)
         _refuse_unknown(raw, {"kind", "rows", "cols", "re", "im"}, "lon")
         try:
             return matrix_from_dict(raw), dict(raw)
-        except DimensionError as exc:
+        except ValueError as exc:
             raise ConfigError(f"lon: {exc}") from exc
     if kind == "uniform-loss":
         _refuse_unknown(raw, {"kind", "eta0", "ell", "M", "unitary_seed"}, "lon")

@@ -72,38 +72,23 @@ def validate_transfer(matrix: np.ndarray, diagonal_gram: bool = False):
     return a, bool(np.vdot(gap, gap).real <= PSD_TOL**2)
 
 
-def dilate_to_unitary(transfer: np.ndarray) -> np.ndarray:
-    """Embed an M x M contraction L as the top-left block of a 2M x 2M unitary.
-
-    Uses the SVD construction: with L = V S W^dag and C = sqrt(I - S^2),
+def economy_dilation(transfer: np.ndarray) -> tuple[np.ndarray, int]:
+    """Embed an M x M contraction L as the top-left block of a unitary, with
+    one environment (loss) mode per lossy direction: per singular value s
+    with 1 - s^2 > 1e-12.  With L = V S W^dag and C = sqrt(I - S^2) over
+    those directions,
 
         U = [[ L,        V C ],
              [ C W^dag,  -S  ]]
 
-    The M added rows and columns are the environment (loss) modes; feeding
-    them vacuum reproduces the lossy network exactly.
-    """
-    return _svd_dilation(transfer, min_defect=-1.0)[0]
-
-
-def economy_dilation(transfer: np.ndarray) -> tuple[np.ndarray, int]:
-    """Like :func:`dilate_to_unitary` but adds only as many environment modes
-    as there are lossy directions (singular values with 1 - s^2 > 1e-12).
-
+    and feeding the environment vacuum reproduces the lossy network exactly.
     Returns ``(unitary, n_env)`` where unitary is (M + n_env) square.
     """
-    return _svd_dilation(transfer, min_defect=1e-12)
-
-
-def _svd_dilation(transfer: np.ndarray, min_defect: float) -> tuple[np.ndarray, int]:
-    """The SVD dilation with one environment mode per singular value s
-    whose defect 1 - s^2 exceeds ``min_defect``; returns it and the number
-    of environment modes."""
     matrix = validate_transfer(transfer)
     m = matrix.shape[0]
     v, s, wh = np.linalg.svd(matrix)
     defect = np.clip(1.0 - s**2, 0.0, None)
-    keep = np.flatnonzero(defect > min_defect)
+    keep = np.flatnonzero(defect > 1e-12)
     c = np.sqrt(defect[keep])
     out = np.zeros((m + keep.size, m + keep.size), dtype=complex)
     out[:m, :m] = matrix
@@ -111,15 +96,6 @@ def _svd_dilation(transfer: np.ndarray, min_defect: float) -> tuple[np.ndarray, 
     out[m:, :m] = c[:, None] * wh[keep, :]
     out[m:, m:] = np.diag(-s[keep])
     return out, keep.size
-
-
-def permanent(a: np.ndarray) -> complex:
-    """Permanent of a square complex matrix: :func:`permanent_batch` on a
-    stack of one."""
-    mat = np.asarray(a, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionError(f"permanent needs a square matrix, got shape {mat.shape}")
-    return complex(permanent_batch(mat[None])[0])
 
 
 def permanent_batch(mats: np.ndarray) -> np.ndarray:

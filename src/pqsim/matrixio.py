@@ -1,6 +1,5 @@
-"""Serialization of complex matrices.
-
-Two on-disk formats are supported:
+"""Complex matrices to and from the config's dict form, and read from two
+on-disk formats:
 
 * JSON: ``{"rows": m, "cols": n, "re": [...], "im": [...]}`` with entries in
   row-major order.
@@ -51,21 +50,8 @@ def matrix_from_dict(data: dict) -> np.ndarray:
     return a
 
 
-def save_matrix_json(path, matrix: np.ndarray) -> None:
-    Path(path).write_text(json.dumps(matrix_to_dict(matrix)) + "\n")
-
-
 def load_matrix_json(path) -> np.ndarray:
     return matrix_from_dict(json.loads(Path(path).read_text()))
-
-
-def save_matrix_csv(path, matrix: np.ndarray) -> None:
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim {a.ndim}")
-    lines = [f"{a.shape[0]},{a.shape[1]}"]
-    lines.extend(f"{float(z.real)!r},{float(z.imag)!r}" for z in a.ravel())
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, OracleSizeError, TruncationError
 from .experiment import ExperimentConfig
-from .linalg import economy_dilation, permanent, permanent_batch
+from .linalg import economy_dilation, permanent_batch
 from .states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
 #: Largest mode count (system + environment) the oracle accepts.
@@ -54,27 +54,6 @@ def _sector(modes: int, total: int) -> tuple[np.ndarray, np.ndarray]:
     for photon in photons:
         occ[np.arange(count), photon] += 1
     return photons, occ
-
-
-def fock_states(modes: int, total: int) -> list[tuple[int, ...]]:
-    """All occupation vectors of `modes` modes with exactly `total` photons,
-    in lexicographic order."""
-    return [tuple(state) for state in _sector(modes, total)[1].tolist()]
-
-
-@dataclass(frozen=True)
-class FockBasis:
-    """Truncated Fock basis: occupations with total photon number <= n_max."""
-
-    modes: int
-    n_max: int
-
-    @property
-    def states(self) -> list[tuple[int, ...]]:
-        return [s for total in range(self.n_max + 1) for s in fock_states(self.modes, total)]
-
-    def __len__(self) -> int:
-        return sum(math.comb(self.modes + t - 1, t) for t in range(self.n_max + 1))
 
 
 @dataclass(frozen=True)
@@ -208,15 +187,16 @@ def exact_distribution(
     falls below ``ket_floor`` are dropped with the same bookkeeping.
     Refuses with :class:`TruncationError` (suggesting a larger n_max) when
     the neglected mass exceeds 1e-6, and with :class:`OracleSizeError` when
-    the enlarged network exceeds 12 modes.
+    the enlarged network exceeds 12 modes; an ``n_max`` outside [1, 170]
+    (170! is the largest factorial a float holds) is a ValueError.
     """
     m_sys = config.modes
     if m_sys > MAX_ORACLE_MODES:
         raise OracleSizeError(
             f"{m_sys} system modes exceed the oracle limit of {MAX_ORACLE_MODES}"
         )
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not 1 <= n_max < len(_FACTORIALS):
+        raise ValueError(f"n_max must be in [1, {len(_FACTORIALS) - 1}], got {n_max}")
 
     # A lossy SPDC signal arm ahead of the network is the contraction D L,
     # row `signal` of L scaled by sqrt(eta_bl); its dilation holds both losses.
@@ -327,24 +307,6 @@ def _povm_fold(weights: np.ndarray, occ: np.ndarray, eta: np.ndarray,
             table = pair.reshape(len(table), -1)
         probs += weights[start : start + chunk] @ table
     return probs
-
-
-def ideal_probability_permanent(unitary: np.ndarray, input_ports, output_ports) -> float:
-    """|perm(U[S, T])|^2 / (prod n_i! prod m_j!): the probability that a
-    lossless network U takes one photon per entry of S to one photon per
-    entry of T.  A port listed k times holds k photons (n_i or m_j = k),
-    so S and T are occupations written as lists of ports."""
-    s = sorted(input_ports)
-    t = sorted(output_ports)
-    if len(s) != len(t):
-        raise DimensionError(
-            f"input and output port sets must match in size, got {len(s)} and {len(t)}"
-        )
-    u = np.asarray(unitary, dtype=complex)
-    sub = u[np.ix_(s, t)]
-    repeats = [math.factorial(k) for ports in (s, t)
-               for k in np.unique(ports, return_counts=True)[1].tolist()]
-    return abs(permanent(sub)) ** 2 / math.prod(repeats)
 
 
 def _empirical_probs(table: ProbabilityTable, outcomes: np.ndarray) -> np.ndarray:

@@ -22,10 +22,6 @@ import numpy as np
 from .errors import DimensionError
 from .linalg import PSD_TOL, validate_transfer
 
-#: Ordering preset realizing classical (heterodyne-like) measurements:
-#: s = t = -1 keeps the transition Gaussian proper for every contraction.
-CLASSICAL_MEASUREMENT_ORDERING = -1.0
-
 #: Excess of a whitened squared singular value over 1 that
 #: :func:`transition_factor` accepts as roundoff; the covariance error is
 #: then of the same order.

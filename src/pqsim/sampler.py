@@ -88,10 +88,6 @@ class SampleBatch:
     def modes(self) -> int:
         return self.outcomes.shape[1]
 
-    def bitstrings(self) -> list[str]:
-        chars = np.ascontiguousarray(self.outcomes + np.uint8(ord("0")))
-        return chars.view(f"S{self.modes}")[:, 0].astype(str).tolist()
-
     def to_csv_bytes(self) -> bytearray:
         return self._lines(b"", b"\n")
 

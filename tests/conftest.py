@@ -43,6 +43,28 @@ def naive_permanent(matrix) -> complex:
     return total
 
 
+def ideal_probability_permanent(unitary, input_ports, output_ports) -> float:
+    """|perm(U[S, T])|^2 / (prod n_i! prod m_j!) by the Leibniz permanent:
+    the probability that a lossless network U takes one photon per entry of
+    S to one photon per entry of T.  A port listed k times holds k photons
+    (n_i or m_j = k), so S and T are occupations written as lists of ports."""
+    s, t = sorted(input_ports), sorted(output_ports)
+    assert len(s) == len(t), "photon number is conserved"
+    sub = np.asarray(unitary, dtype=complex)[np.ix_(s, t)]
+    repeats = [math.factorial(k) for ports in (s, t)
+               for k in np.unique(ports, return_counts=True)[1].tolist()]
+    return abs(naive_permanent(sub)) ** 2 / math.prod(repeats)
+
+
+def matrix_csv_text(matrix) -> str:
+    """A matrix in the CSV form ``load_matrix_csv`` reads: a ``rows,cols``
+    header, then one ``re,im`` line per entry, row-major."""
+    a = np.asarray(matrix, dtype=complex)
+    lines = [f"{a.shape[0]},{a.shape[1]}"]
+    lines += [f"{z.real!r},{z.imag!r}" for z in a.ravel().tolist()]
+    return "\n".join(lines) + "\n"
+
+
 def random_contraction(modes: int, seed: int, scale: float = 0.9) -> np.ndarray:
     return scale * haar_unitary(modes, RngStream(seed))
 

@@ -14,7 +14,7 @@ from pqsim import DetectorModel, RngStream
 from pqsim.cli import main
 from pqsim.detectors import pqd_off, pqd_on
 from pqsim.errors import SimulabilityError
-from pqsim.linalg import dilate_to_unitary, haar_unitary, permanent
+from pqsim.linalg import economy_dilation, haar_unitary, permanent_batch
 from pqsim.oracle import exact_distribution, tv_distance
 from pqsim.presets import ScenarioParams, single_photon_config
 from pqsim.processes import LossModel, uniform_loss_eta
@@ -22,7 +22,7 @@ from pqsim.sampler import run_condition2, run_experiment
 from pqsim.simulability import check_second_condition, threshold_single_photon, threshold_spdc
 from pqsim.states import SpdcPair, pqd_single_photon_mixture
 
-from conftest import naive_permanent, oracle_suite, random_contraction
+from conftest import naive_permanent, oracle_suite
 
 
 def report(criterion: str, detail: str = ""):
@@ -177,16 +177,18 @@ def test_criterion_5_invariant_suites(capsys):
         gen = RngStream(600, n).generator()
         a = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
         expected = naive_permanent(a)
-        assert abs(permanent(a) - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert abs(permanent_batch(a[None])[0] - expected) <= 1e-12 * max(1.0, abs(expected))
 
-    # Haar unitarity and dilation reconstruction.
+    # Haar unitarity and dilation reconstruction; the lossy L has one
+    # lossless direction, which the dilation leaves without an environment mode.
     for seed in range(5):
         u = haar_unitary(5, RngStream(700 + seed))
         assert np.max(np.abs(u.conj().T @ u - np.eye(5))) <= 1e-12
-        transfer = random_contraction(3, 800 + seed, scale=np.sqrt(0.9))
-        dilated = dilate_to_unitary(transfer)
+        transfer = haar_unitary(3, RngStream(800 + seed)) * [1.0, np.sqrt(0.9), np.sqrt(0.5)]
+        dilated, n_env = economy_dilation(transfer)
+        assert n_env == 2
         assert np.max(np.abs(dilated[:3, :3] - transfer)) <= 1e-10
-        assert np.max(np.abs(dilated.conj().T @ dilated - np.eye(6))) <= 1e-10
+        assert np.max(np.abs(dilated.conj().T @ dilated - np.eye(5))) <= 1e-10
 
     # Oracle outputs are proper distributions.
     for name, config, n_max, _ in oracle_suite():

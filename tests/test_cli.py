@@ -265,6 +265,15 @@ class TestOracleCommand:
         assert set(payload["outcomes"]) == {"00", "01", "10", "11"}
         assert sum(payload["probs"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_n_max_past_the_float_factorials_exits_usage(self, tmp_path, capsys):
+        data = {"modes": 1, "sources": [{"kind": "coherent", "amplitude": [0.1, 0.0]}],
+                "lon": "identity", "detectors": {"eta_d": 0.9, "p_d": 0.01}}
+        path = tmp_path / "coherent.json"
+        path.write_text(json.dumps(data))
+        rc = main(["oracle", "--config", str(path), "--n-max", "171", "--quiet"])
+        assert rc == EXIT_USAGE
+        assert "n_max must be in [1, 170], got 171" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_hom_within_tolerance(self, hom_config_path, capsys):

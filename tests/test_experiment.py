@@ -18,11 +18,11 @@ from pqsim.experiment import (
     parse_config,
 )
 from pqsim.linalg import haar_unitary
-from pqsim.matrixio import save_matrix_csv, save_matrix_json
+from pqsim.matrixio import matrix_to_dict
 from pqsim.presets import single_photon_config, spdc_config
 from pqsim.states import SOURCE_KINDS, Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
-from conftest import oracle_suite
+from conftest import matrix_csv_text, oracle_suite
 
 
 MINIMAL = {
@@ -172,17 +172,34 @@ class TestParsing:
 
     def test_matrix_file_reference_relative_to_config(self, tmp_path):
         matrix = np.sqrt(0.5) * haar_unitary(2, RngStream(1))
-        save_matrix_json(tmp_path / "lon.json", matrix)
+        (tmp_path / "lon.json").write_text(json.dumps(matrix_to_dict(matrix)))
         data = dict(MINIMAL, lon={"kind": "matrix", "file": "lon.json"})
         config = parse_config(write_config(tmp_path, data))
         assert np.allclose(config.transfer, matrix)
 
     def test_matrix_csv_file_reference(self, tmp_path):
         matrix = np.sqrt(0.5) * haar_unitary(2, RngStream(2))
-        save_matrix_csv(tmp_path / "lon.csv", matrix)
+        (tmp_path / "lon.csv").write_text(matrix_csv_text(matrix))
         data = dict(MINIMAL, lon={"kind": "matrix", "file": "lon.csv"})
         config = parse_config(write_config(tmp_path, data))
         assert np.allclose(config.transfer, matrix)
+
+    @pytest.mark.parametrize("name, text", [
+        ("lon.json", '{"rows": 1, "cols": 1, "re": [1.0], "im": ['),
+        ("lon.csv", "1,1\nabc,0.0\n"),
+        ("lon.csv", "2,1\n0.5,0.0\n0.5,0.0,0.0\n"),
+    ], ids=["truncated-json", "non-numeric-csv", "ragged-csv"])
+    def test_malformed_matrix_file_is_a_config_error(self, tmp_path, name, text):
+        (tmp_path / name).write_text(text)
+        data = dict(MINIMAL, lon={"kind": "matrix", "file": name})
+        with pytest.raises(ConfigError, match="^lon.file: "):
+            parse_config(write_config(tmp_path, data))
+
+    def test_non_numeric_inline_matrix_is_a_config_error(self, tmp_path):
+        data = dict(MINIMAL, modes=1, sources=["vacuum"], lon={
+            "kind": "matrix", "rows": 1, "cols": 1, "re": ["abc"], "im": [0.0]})
+        with pytest.raises(ConfigError, match="^lon: "):
+            parse_config(write_config(tmp_path, data))
 
     def test_amplifying_lon_rejected(self, tmp_path):
         data = dict(MINIMAL, lon={"kind": "matrix", "rows": 2, "cols": 2,

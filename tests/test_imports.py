@@ -1,7 +1,8 @@
 """Every module-level import in the package is used, except those kept only
 for the benchmark's tracer (``perfbench/tracing.py``).  Such an import sits
 in a block headed by a "Not called here" comment, and the tracer wraps that
-name in that module; once the tracer stops wrapping it, the import goes."""
+name in that module; once the tracer stops wrapping it, the import goes.
+Every public module-level name is likewise used by the package or a demo."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ from conftest import load_tracing
 PACKAGE = Path(pqsim.__file__).resolve().parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 MARKER = "Not called here"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def module_imports(tree):
@@ -65,6 +67,47 @@ def test_imports_are_used_or_name_a_tracer_site(module, tracer_sites):
             assert (module, name) in tracer_sites, f"{module}.{name} is marked but not traced"
         else:
             assert name in used, f"{module}.{name} is imported but never used"
+
+
+def public_definitions(tree):
+    """(name, node) for each public function, class or assigned name at
+    module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def references(nodes):
+    """Names read, attributes looked up and names imported under ``nodes``."""
+    found = set()
+    for node in (sub for top in nodes for sub in ast.walk(top)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def test_every_public_name_is_used_in_the_package_or_a_demo():
+    """A public module-level name that no other code in ``src/pqsim`` (the
+    re-exports in ``__init__.py`` aside) and no demo refers to is API that
+    only tests call.  The tracer's names pass through the "Not called here"
+    imports."""
+    trees = {module: ast.parse((PACKAGE / f"{module}.py").read_text()) for module in MODULES}
+    demos = [ast.parse(path.read_text()) for path in sorted(DEMOS.glob("*.py"))]
+    found = {node: references([node]) for tree in [*trees.values(), *demos] for node in tree.body}
+    unused = [f"{module}.{name}" for module, tree in trees.items()
+              for name, node in public_definitions(tree)
+              if not any(name in refs for other, refs in found.items() if other is not node)]
+    assert not unused, f"public names no package code or demo uses: {unused}"
 
 
 def test_oracle_shares_no_module_with_the_sampler():

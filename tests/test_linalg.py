@@ -5,10 +5,8 @@ from pqsim import RngStream
 from pqsim.errors import ContractionError, DimensionError, NotPsdError
 from pqsim.linalg import (
     CONTRACTION_TOL,
-    dilate_to_unitary,
     economy_dilation,
     haar_unitary,
-    permanent,
     permanent_batch,
     psd_factor_complex,
     psd_factor_real,
@@ -16,7 +14,7 @@ from pqsim.linalg import (
     validate_transfer,
 )
 
-from conftest import naive_permanent, random_contraction
+from conftest import naive_permanent
 
 
 class TestHaarUnitary:
@@ -43,27 +41,35 @@ class TestHaarUnitary:
         assert abs(samples.mean() - 1.0 / m) <= 5 * se
 
 
+def lossy_contraction(modes, seed):
+    """U diag(s) V with Haar U, V and singular values s spread over [0.3, 1)."""
+    s = np.linspace(0.3, 0.95, modes)
+    return haar_unitary(modes, RngStream(seed)) * s @ haar_unitary(modes, RngStream(seed, 1))
+
+
 class TestDilation:
-    def test_identity_dilation_has_exact_top_left(self):
-        u = dilate_to_unitary(np.eye(2, dtype=complex))
-        assert np.array_equal(u[:2, :2], np.eye(2))
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
+    def test_identity_dilation_adds_no_mode(self):
+        u, n_env = economy_dilation(np.eye(2, dtype=complex))
+        assert n_env == 0
+        assert np.array_equal(u, np.eye(2))
 
     def test_scalar_contraction_gives_beamsplitter(self):
-        u = dilate_to_unitary(np.array([[np.sqrt(0.5)]]))
+        u, n_env = economy_dilation(np.array([[np.sqrt(0.5)]]))
+        assert n_env == 1
         assert abs(abs(u[0, 0]) ** 2 - 0.5) <= 1e-12
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reconstruction_on_random_contractions(self, seed):
-        transfer = random_contraction(3, seed, scale=np.sqrt(0.94))
-        u = dilate_to_unitary(transfer)
+        transfer = lossy_contraction(3, seed)
+        u, n_env = economy_dilation(transfer)
+        assert n_env == 3
         assert np.max(np.abs(u[:3, :3] - transfer)) <= 1e-10
         assert np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-10
 
     def test_rejects_expanding_matrix(self):
         with pytest.raises(ContractionError):
-            dilate_to_unitary(1.01 * np.eye(2))
+            economy_dilation(1.01 * np.eye(2))
 
     def test_economy_dilation_counts_lossy_directions(self):
         unitary, n_env = economy_dilation(haar_unitary(3, RngStream(1)))
@@ -134,6 +140,11 @@ class TestValidateTransfer:
         validate_transfer(0.9 * haar_unitary(6, RngStream(2)))
 
 
+def permanent(a):
+    """The permanent of one matrix, as a stack of one."""
+    return permanent_batch(np.asarray(a)[None])[0]
+
+
 class TestPermanent:
     def test_identity(self):
         assert permanent(np.eye(3)) == pytest.approx(1.0)
@@ -143,6 +154,7 @@ class TestPermanent:
 
     def test_empty_matrix(self):
         assert permanent(np.zeros((0, 0))) == 1.0
+        assert np.array_equal(permanent_batch(np.zeros((3, 0, 0))), np.ones(3))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_naive_expansion(self, n):
@@ -161,7 +173,9 @@ class TestPermanent:
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            permanent(np.ones((2, 3)))
+            permanent_batch(np.ones((1, 2, 3)))
+        with pytest.raises(DimensionError):
+            permanent_batch(np.ones((3, 3)))
 
     def test_batch_matches_scalar(self):
         gen = RngStream(52).generator()

@@ -6,26 +6,30 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 
 import pqsim.oracle
 from pqsim import DetectorModel, RngStream, run_experiment
 from pqsim.errors import DimensionError, OracleSizeError, TruncationError
 from pqsim.experiment import ExperimentConfig, PortSource
-from pqsim.linalg import dilate_to_unitary, haar_unitary, permanent_batch
+from pqsim.linalg import haar_unitary, permanent_batch
 from pqsim.oracle import (
-    FockBasis,
     ProbabilityTable,
     _povm_fold,
+    _sector,
     all_bitstrings,
     exact_distribution,
-    fock_states,
-    ideal_probability_permanent,
     tv_distance,
 )
 from pqsim.sampler import SampleBatch
 from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Vacuum
 
-from conftest import beamsplitter_50_50, oracle_suite, spdc_click_table
+from conftest import (
+    beamsplitter_50_50,
+    ideal_probability_permanent,
+    oracle_suite,
+    spdc_click_table,
+)
 
 
 def pure_photons(ports, modes):
@@ -81,6 +85,15 @@ def ryser_prod_loop(mats):
     return total * (-1) ** n, scale
 
 
+def halmos_dilation(transfer):
+    """[[L, sqrt(I - L L^dag)], [sqrt(I - L^dag L), -L^dag]]: a unitary with
+    L as its top-left block, built without an SVD."""
+    eye = np.eye(len(transfer))
+    adjoint = transfer.conj().T
+    return np.block([[transfer, sqrtm(eye - transfer @ adjoint)],
+                     [sqrtm(eye - adjoint @ transfer), -adjoint]])
+
+
 def kron_fold(weights, occ, eta, p_d):
     probs = np.zeros(1 << occ.shape[1])
     for row, p in zip(occ, weights):
@@ -90,23 +103,22 @@ def kron_fold(weights, occ, eta, p_d):
 
 
 class TestFockBasis:
+    """``_Propagator.sector`` finds equal system parts as runs of adjacent
+    states, which holds because ``_sector`` lists them lexicographically."""
+
     def test_states_are_lexicographic_and_complete(self):
-        states = fock_states(3, 2)
+        states = [tuple(s) for s in _sector(3, 2)[1].tolist()]
         assert len(states) == math.comb(3 + 2 - 1, 2)
         assert states == sorted(states)
         assert all(sum(s) == 2 for s in states)
 
-    def test_basis_dimension(self):
-        basis = FockBasis(modes=4, n_max=3)
-        assert len(basis) == sum(math.comb(4 + t - 1, t) for t in range(4))
-        assert len(basis.states) == len(basis)
-        assert basis.states == [state for t in range(4)
-                                for state in recursive_fock_states(4, t)]
-
     @pytest.mark.parametrize("modes", range(1, 7))
     def test_states_match_the_recursive_builder(self, modes):
         for total in range(6):
-            assert fock_states(modes, total) == recursive_fock_states(modes, total)
+            photons, occ = _sector(modes, total)
+            assert [tuple(s) for s in occ.tolist()] == recursive_fock_states(modes, total)
+            by_photon = [np.bincount(column, minlength=modes) for column in photons.T]
+            assert np.array_equal(by_photon, occ)
 
 
 class TestReferenceLoops:
@@ -201,7 +213,7 @@ class TestExactDistribution:
         dilated = ExperimentConfig(
             modes=4,
             sources=sources + (PortSource(Vacuum(), (2,)), PortSource(Vacuum(), (3,))),
-            transfer=dilate_to_unitary(transfer),
+            transfer=halmos_dilation(transfer),
             detectors=dets + ideal_detectors(2),
         )
         direct = exact_distribution(lossy).as_dict()
@@ -257,6 +269,17 @@ class TestExactDistribution:
         assert err.value.suggested_n_max is not None
         assert err.value.suggested_n_max > 2
         exact_distribution(config, n_max=err.value.suggested_n_max)
+
+    def test_n_max_stops_at_the_largest_float_factorial(self):
+        config = ExperimentConfig(
+            modes=1,
+            sources=(PortSource(Coherent(0.1), (0,)),),
+            transfer=np.eye(1, dtype=complex),
+            detectors=(DetectorModel(0.9, 0.0),),
+        )
+        exact_distribution(config, n_max=170)
+        with pytest.raises(ValueError, match=r"n_max must be in \[1, 170\], got 171"):
+            exact_distribution(config, n_max=171)
 
     def test_size_guard(self):
         modes = 13
@@ -370,10 +393,6 @@ class TestIdealProbabilityPermanent:
                 == pytest.approx(tables[0][one_click(3, port)], abs=1e-12)
             assert ideal_probability_permanent(unitary, [port, port], [0, 1]) \
                 == pytest.approx(tables[1][one_click(3, port)], abs=1e-12)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            ideal_probability_permanent(np.eye(3), [0, 1], [0])
 
 
 class TestTvDistance:

@@ -169,11 +169,11 @@ class TestTransitionSample:
         assert abs(var - 0.25) <= 5 * 0.25 / math.sqrt(draws)
 
     def test_classical_measurement_preset_is_always_proper(self):
-        from pqsim.processes import CLASSICAL_MEASUREMENT_ORDERING as preset
-
+        # s = t = -1, classical (heterodyne-like) measurement, keeps the
+        # transition Gaussian proper for every contraction.
         for seed in range(5):
             transfer = random_contraction(3, 60 + seed, scale=np.sqrt(0.6))
-            s = np.full(3, preset)
+            s = np.full(3, -1.0)
             beta = transition(transfer, s, s, np.zeros(3, dtype=complex), seed, 10)
             assert beta.shape == (10, 3) and np.all(np.isfinite(beta))
 

@@ -373,7 +373,7 @@ class TestBatchAndStats:
         batch = run_condition2(config, 20_000, RngStream(16))
         histogram = empirical_stats(batch).histogram
         assert sum(histogram.values()) == len(batch)
-        assert histogram == Counter(batch.bitstrings())
+        assert histogram == Counter(old_bitstrings(batch.outcomes))
 
     def test_empirical_stats_trivial_cases(self):
         batch = SampleBatch(np.zeros((1, 3), dtype=np.uint8), RngStream(0), "x",
@@ -456,7 +456,6 @@ class TestBatchAndStats:
         gen = RngStream(60 + n).generator()
         outcomes = (gen.random((n, 13)) < 0.3).astype(np.uint8)
         batch = SampleBatch(outcomes, RngStream(0), "x", None)
-        assert batch.bitstrings() == old_bitstrings(outcomes)
         assert batch.to_csv_bytes() == old_csv_bytes(outcomes)
         assert batch.to_jsonl_bytes() == old_jsonl_bytes(outcomes)
 
