@@ -38,7 +38,6 @@ from .linalg import haar_unitary, validate_transfer
 from .oracle import ProbabilityTable, exact_distribution, tv_distance
 from .presets import ScenarioParams, single_photon_config, spdc_config, threshold_table
 from .processes import (
-    LossModel,
     propagate_gaussian,
     sample_transition,
     sigma_matrix,

@@ -85,13 +85,16 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     config = parse_config(args.config)
     route = default_route(config)
-    try:  # the zero-shot set-up of the run ``sample`` makes
-        run_experiment(config, 0, RngStream(args.seed))
+    report = check_second_condition(config)
+    try:  # route 2's verdict is the Sigma_bar report; route 1's the zero-shot set-up
+        if route == 2:
+            report.require()
+        else:
+            run_experiment(config, 0, RngStream(args.seed))
         refusal, verdict = None, f"simulatable on route {route}"
     except SimulabilityError as exc:
         refusal, verdict = str(exc), f"NOT simulatable on route {route}: {exc}"
     _say(args, f"experiment with {config.modes} modes is {verdict}")
-    report = check_second_condition(config)
     _say(args, f"  Sigma_bar noise ratio kappa: {report.noise_ratio:.6g} (passes iff <= 1)")
     if math.isfinite(report.threshold_p_d):
         _say(args, f"  threshold: {report.threshold_p_d:.6g} ({report.threshold_note})")
@@ -274,7 +277,7 @@ def main(argv=None) -> int:
     except SimulabilityError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (PqsimError, ValueError) as exc:
+    except (PqsimError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -43,17 +43,11 @@ class DetectorModel:
 
 
 def pqd_off(beta: complex, s: float, det: DetectorModel) -> float:
-    """PQD of the no-click POVM element at output ordering s; 0 at every
-    ordering when p_d = 1, since the element itself is 0."""
-    if det.p_d == 1.0:
-        return 0.0
-    d = 1.0 - det.eta_d * (1.0 - s) / 2.0
-    if d <= 0.0:
-        raise SingularOrderingError(
-            f"detector PQD is singular at ordering s={s:g} for eta_d={det.eta_d:g} "
-            f"(requires s > {1.0 - 2.0 / det.eta_d if det.eta_d else -math.inf:g})"
-        )
-    return (1.0 - det.p_d) / math.pi * math.exp(-det.eta_d * abs(beta) ** 2 / d) / d
+    """PQD of the no-click POVM element at output ordering s, at any s where
+    it is not singular; 0 at every ordering when p_d = 1, since the element
+    itself is 0."""
+    decay, keep = _off_terms(np.array([float(s)]), np.array([det.eta_d]), np.array([det.p_d]))
+    return float(keep[0] * math.exp(decay[0] * abs(beta) ** 2)) / math.pi
 
 
 def pqd_on(beta: complex, s: float, det: DetectorModel) -> float:
@@ -77,9 +71,7 @@ def click_coefficients(s, dets) -> tuple[np.ndarray, np.ndarray]:
     Raises :class:`NegativityError` naming the mode if some s_k is below the
     detector's s_bar (the click PQD would be negative there), and
     :class:`SingularOrderingError` if the no-click PQD is singular at s_k.
-    A mode with p_d = 1 always clicks: its no-click element is 0, so its PQD
-    is 0 at every ordering, whereas the denominator D is 0 at s_bar up to
-    roundoff and is left out.
+    A mode with p_d = 1 always clicks (keep = 0).
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     dets = list(dets)
@@ -97,6 +89,14 @@ def click_coefficients(s, dets) -> tuple[np.ndarray, np.ndarray]:
             f"ordering s={s[k]:g} on mode {k} is below the detector bound "
             f"s_bar={bound[k]:g}; the click PQD would be negative"
         )
+    return _off_terms(s, eta, p_d)
+
+
+def _off_terms(s: np.ndarray, eta: np.ndarray, p_d: np.ndarray):
+    """Per-mode (decay, keep) with pi * W_off(beta_k) = keep_k * exp(decay_k
+    * |beta_k|^2) at orderings s, at or below s_bar alike; raises
+    :class:`SingularOrderingError` naming the mode where D <= 0.  A mode
+    with p_d = 1 has keep = 0 at every ordering, its D being left out."""
     denom = 1.0 - eta * (1.0 - s) / 2.0
     # Any positive D will do there: keep = (1 - p_d) / D is exactly 0.
     denom[p_d == 1.0] = 1.0

@@ -22,7 +22,7 @@ from .detectors import DetectorModel
 from .errors import ConfigError, ContractionError, DimensionError, UnsupportedSourceError
 from .linalg import haar_unitary, validate_transfer
 from .matrixio import load_matrix, matrix_from_dict, matrix_to_dict
-from .processes import LossModel, uniform_loss_eta
+from .processes import uniform_loss_eta
 from .rng import RngStream
 from .states import SOURCE_KINDS, SourceModel, SpdcPair
 
@@ -354,7 +354,7 @@ def _parse_lon(raw, modes: int, base_dir) -> tuple[np.ndarray, dict]:
         eta0, ell = _require_number(raw, "eta0", "lon"), _require_integer(raw, "ell", "lon")
         seed = _require_integer(raw, "unitary_seed", "lon", default=0)
         try:
-            eta_l = uniform_loss_eta(LossModel(eta0=eta0, ell=ell, modes=m))
+            eta_l = uniform_loss_eta(eta0, ell, m)
         except ValueError as exc:
             raise ConfigError(f"lon: {exc}") from exc
         return np.sqrt(eta_l) * haar_unitary(m, RngStream(seed)), dict(raw)

@@ -31,6 +31,11 @@ from .states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 #: Largest mode count (system + environment) the oracle accepts.
 MAX_ORACLE_MODES = 12
 
+#: Most photons in a ket the oracle propagates: a k-photon ket's permanents
+#: take 2^k Ryser steps each, and one mode's kets up to 16 photons take
+#: about 2 s (18: 10 s).
+MAX_ORACLE_PHOTONS = 16
+
 #: Neglected-probability budget; beyond this the oracle refuses.
 TRUNCATION_BUDGET = 1e-6
 
@@ -165,10 +170,22 @@ def _source_block(source, n_max: int):
     raise TypeError(f"oracle cannot expand source {source!r}")
 
 
-def _suggest_n_max(sources, budget: float) -> int | None:
+def _ket_photons(expanded, ket_floor: float) -> int:
+    """Photons in the largest ket that ``ket_floor`` can keep, summed over
+    the blocks' ``(alternatives, tail)`` from :func:`_source_block`."""
+    return sum(max((int(np.sum(o)) for _, amps, occ in alternatives
+                    for a, o in zip(amps, occ) if abs(a) ** 2 >= ket_floor), default=0)
+               for alternatives, _ in expanded)
+
+
+def _suggest_n_max(sources, ket_floor: float) -> int | None:
+    """Smallest n_max whose truncation fits the budget, if its kets fit
+    :data:`MAX_ORACLE_PHOTONS`."""
     for candidate in range(1, 64):
-        combined = 1.0 - math.prod(1.0 - _source_block(s, candidate)[1] for s in sources)
-        if combined <= budget:
+        expanded = [_source_block(s, candidate) for s in sources]
+        if _ket_photons(expanded, ket_floor) > MAX_ORACLE_PHOTONS:
+            return None
+        if 1.0 - math.prod(1.0 - tail for _, tail in expanded) <= TRUNCATION_BUDGET:
             return candidate
     return None
 
@@ -187,7 +204,9 @@ def exact_distribution(
     falls below ``ket_floor`` are dropped with the same bookkeeping.
     Refuses with :class:`TruncationError` (suggesting a larger n_max) when
     the neglected mass exceeds 1e-6, and with :class:`OracleSizeError` when
-    the enlarged network exceeds 12 modes; an ``n_max`` outside [1, 170]
+    the enlarged network exceeds 12 modes or, before any permanent is built,
+    when the largest ket that ``ket_floor`` keeps, summed over the blocks,
+    exceeds 16 photons; an ``n_max`` outside [1, 170]
     (170! is the largest factorial a float holds) is a ValueError.
     """
     m_sys = config.modes
@@ -213,11 +232,17 @@ def exact_distribution(
             f"above the oracle limit of {MAX_ORACLE_MODES}"
         )
 
+    expanded = [_source_block(entry.source, n_max) for entry in config.sources]
+    photons = _ket_photons(expanded, ket_floor)
+    if photons > MAX_ORACLE_PHOTONS:
+        raise OracleSizeError(
+            f"n_max={n_max} gives kets of up to {photons} photons, above the oracle "
+            f"limit of {MAX_ORACLE_PHOTONS} (a k-photon ket costs 2^k permanent steps)"
+        )
     # Per-block mixtures, each alternative as (weight, amplitudes, occupations
     # of all k_total modes, environment ones empty), and the truncation ledger.
     blocks, tails = [], []
-    for entry in config.sources:
-        alternatives, tail = _source_block(entry.source, n_max)
+    for entry, (alternatives, tail) in zip(config.sources, expanded):
         options = []
         for w, amps, occ in alternatives:
             full = np.zeros((len(amps), k_total), dtype=np.intp)
@@ -227,11 +252,12 @@ def exact_distribution(
         tails.append(tail)
     truncation = 1.0 - math.prod(1.0 - t for t in tails)
     if truncation > TRUNCATION_BUDGET:
-        suggestion = _suggest_n_max([e.source for e in config.sources], TRUNCATION_BUDGET)
+        suggestion = _suggest_n_max([e.source for e in config.sources], ket_floor)
         raise TruncationError(
             f"source truncation at n_max={n_max} neglects probability "
             f"{truncation:.3e} > {TRUNCATION_BUDGET:g}"
-            + (f"; try n_max={suggestion}" if suggestion else ""),
+            + (f"; try n_max={suggestion}" if suggestion else
+               f"; no n_max keeps the kets within {MAX_ORACLE_PHOTONS} photons"),
             suggested_n_max=suggestion,
         )
 

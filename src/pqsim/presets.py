@@ -22,7 +22,7 @@ from .experiment import (
     PortSource,
 )
 from .linalg import haar_unitary
-from .processes import LossModel, uniform_loss_eta
+from .processes import uniform_loss_eta
 from .rng import RngStream
 from .simulability import (
     OperatingPoint,
@@ -36,7 +36,9 @@ from .states import MixedSinglePhoton, SpdcPair, Vacuum
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """Hardware quality knobs shared by both scenario families."""
+    """Hardware quality knobs shared by both scenario families; the
+    probabilities and fractions must lie in [0, 1], and eta0 and ell are
+    checked by :func:`~pqsim.processes.uniform_loss_eta`."""
 
     mu: float = 0.5
     eta_b: float = 0.1
@@ -45,6 +47,11 @@ class ScenarioParams:
     eta_d: float = 0.95
     f_b: float = 0.1
     f_l: float = 0.9
+
+    def __post_init__(self):
+        for name in ("mu", "eta_b", "eta_d", "f_b", "f_l"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 def single_photon_config(
@@ -58,7 +65,7 @@ def single_photon_config(
     first ports and vacuum elsewhere."""
     if not 0 <= n_photons <= modes:
         raise ValueError(f"n_photons must be in 0..{modes}, got {n_photons}")
-    eta_l = uniform_loss_eta(LossModel(params.eta0, params.ell, modes))
+    eta_l = uniform_loss_eta(params.eta0, params.ell, modes)
     transfer = math.sqrt(eta_l) * haar_unitary(modes, RngStream(unitary_seed))
     sources = [
         PortSource(MixedSinglePhoton(params.mu, params.eta_b), (k,))
@@ -83,7 +90,7 @@ def spdc_config(
     """SPDC scheme on 2*pairs modes: heralds 0..pairs-1 bypass the network,
     signals pairs..2*pairs-1 traverse a Haar unitary, and the uniform network
     loss is referred to the signal inputs (folded into eta_bl)."""
-    eta_l = uniform_loss_eta(LossModel(params.eta0, params.ell, pairs))
+    eta_l = uniform_loss_eta(params.eta0, params.ell, pairs)
     r = math.asinh(math.sqrt(sinh2_r))
     unitary = haar_unitary(pairs, RngStream(unitary_seed))
     transfer = np.eye(2 * pairs, dtype=complex)
@@ -122,7 +129,7 @@ class ThresholdRow:
 
 def threshold_row(scheme: str, modes: int, params: ScenarioParams = ScenarioParams()) -> ThresholdRow:
     """Closed-form operating point and thresholds for one network size."""
-    eta_l = uniform_loss_eta(LossModel(params.eta0, params.ell, modes))
+    eta_l = uniform_loss_eta(params.eta0, params.ell, modes)
     if scheme == SCHEME_SINGLE_PHOTON:
         eta = params.mu * params.eta_b * eta_l * params.eta_d
         plan: OperatingPoint = plan_photon_number(scheme, modes, eta)

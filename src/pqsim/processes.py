@@ -15,7 +15,6 @@ reproduces the deterministic map beta = alpha L exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,29 +27,17 @@ from .linalg import PSD_TOL, validate_transfer
 WHITENED_ROUNDOFF = 1e-12
 
 
-@dataclass(frozen=True)
-class LossModel:
-    """Uniform-loss network: ell-port elements of transmissivity eta0 each,
-    fully connected over M modes, so every path crosses log_ell(M) elements.
-    """
-
-    eta0: float
-    ell: int
-    modes: int
-
-    def __post_init__(self):
-        if not 0.0 < self.eta0 <= 1.0:
-            raise ValueError(f"eta0 must be in (0, 1], got {self.eta0}")
-        if self.ell < 2:
-            raise ValueError(f"element arity ell must be >= 2, got {self.ell}")
-        if self.modes < 1:
-            raise ValueError(f"mode count must be >= 1, got {self.modes}")
-
-
-def uniform_loss_eta(model: LossModel) -> float:
-    """Per-photon transmissivity eta0 ** log_ell(M) through the network."""
-    depth = math.log(model.modes) / math.log(model.ell)
-    return model.eta0**depth
+def uniform_loss_eta(eta0: float, ell: int, modes: int) -> float:
+    """Per-photon transmissivity eta0 ** log_ell(M) through a uniform-loss
+    network: ell-port elements of transmissivity eta0 each, fully connected
+    over M modes, so every path crosses log_ell(M) elements."""
+    if not 0.0 < eta0 <= 1.0:
+        raise ValueError(f"eta0 must be in (0, 1], got {eta0}")
+    if ell < 2:
+        raise ValueError(f"element arity ell must be >= 2, got {ell}")
+    if modes < 1:
+        raise ValueError(f"mode count must be >= 1, got {modes}")
+    return eta0 ** (math.log(modes) / math.log(ell))
 
 
 def sigma_matrix(transfer: np.ndarray, s, t) -> np.ndarray:
@@ -70,8 +57,10 @@ def sigma_matrix(transfer: np.ndarray, s, t) -> np.ndarray:
     return (sigma + sigma.conj().T) / 2.0
 
 
-def nonclassical_rows(transfer: np.ndarray, t) -> np.ndarray:
-    """B = diag(sqrt(1 - t_S)) L_S over the ports S with ordering t < 1.
+def whitened_rows(transfer: np.ndarray, t, d, dead=None) -> tuple[np.ndarray, np.ndarray]:
+    """(B, C) over the ports S with ordering t < 1: B = diag(sqrt(1 - t_S)) L_S
+    and C = B diag(d^-1/2), with C's columns 0 where d <= 0.  ``dead`` masks
+    modes whose detector ignores light: B's and C's columns are 0 there.
 
     For t <= 1, L^dag diag(1 - t) L = B^dag B: classical ports (vacuum,
     coherent, thermal; t_bar = 1) add no noise, so the input side of Sigma
@@ -80,7 +69,11 @@ def nonclassical_rows(transfer: np.ndarray, t) -> np.ndarray:
     matrix = np.asarray(transfer, dtype=complex)
     t = np.asarray(t, dtype=float)
     ports = np.flatnonzero(t < 1.0)
-    return np.sqrt(1.0 - t[ports])[:, None] * matrix[ports]
+    b = np.sqrt(1.0 - t[ports])[:, None] * matrix[ports]
+    if dead is not None:
+        b[:, dead] = 0.0
+    # A column where d <= 0 is divided by inf, so that C is 0 there.
+    return b, b / np.sqrt(np.where(d > 0.0, d, np.inf))
 
 
 def transition_factor(transfer: np.ndarray, s, t,
@@ -88,45 +81,34 @@ def transition_factor(transfer: np.ndarray, s, t,
     """Factor of the transition covariance Sigma/2 for orderings s, t <= 1
     whose Sigma passed the PSD test, from one |S| x |S| eigenproblem.
 
-    With D = 1 - s and B from :func:`nonclassical_rows`,
-    Sigma = diag(D) - B^dag B.  Let C = B diag(D^-1/2), with C's columns
-    set to 0 where D = 0 (modes with p_d = 0), and
-    eigh(C C^dag) = U diag(lam) U^dag.  Returns (C^dag, G, sqrt(D/2)) with
-    G = U diag(1 / (1 + sqrt(1 - lam))) U^dag C, 1 - lam clamped at 0, so
-    that F = (I - C^dag G) diag(sqrt(D/2)) satisfies F^dag F = Sigma/2
-    without dividing by lam.  Applying F to a row costs O(M |S|).
+    With D = 1 - s and (B, C) from :func:`whitened_rows` at D,
+    Sigma = diag(D) - B^dag B, C = B diag(D^-1/2) (0 where D = 0, modes
+    with p_d = 0), and eigh(C C^dag) = U diag(lam) U^dag.  Returns
+    (C^dag, G, sqrt(D/2)) with G = U diag(1 / (1 + sqrt(1 - lam))) U^dag C,
+    1 - lam clamped at 0, so that F = (I - C^dag G) diag(sqrt(D/2))
+    satisfies F^dag F = Sigma/2 without dividing by lam.  Applying F to a
+    row costs O(M |S|).
 
     This is exact when Sigma is PSD: B's columns then vanish where D = 0
     and lam <= 1.  A verdict that passed only within the PSD tolerance can
     leave a column of B nonzero where D = 0, or push lam far above 1 where
     D is tiny, and C would amplify that excess; the factor is then built
-    for Sigma + PSD_TOL * I, which is PSD, so the covariance is off by at
-    most the tolerance, as with the clamp of :func:`psd_factor_complex`.
+    at D + PSD_TOL, for Sigma + PSD_TOL * I, which is PSD, so the
+    covariance is off by at most the tolerance.
 
     ``dead`` masks modes whose detector ignores light (eta_d = 0): their
     columns of B are set to 0, which is exact on the other modes, and a
     dead mode's own noise is irrelevant, its click being a p_d coin.
     """
-    d = 1.0 - np.asarray(s, dtype=float)
-    b = nonclassical_rows(transfer, t)
-    if dead is not None:
-        b[:, dead] = 0.0
-    c, lam, u = _whiten(b, d)
-    if np.any(b[:, d <= 0.0]) or (lam.size and lam[-1] > 1.0 + WHITENED_ROUNDOFF):
-        d = d + PSD_TOL
-        c, lam, u = _whiten(b, d)
+    exact = 1.0 - np.asarray(s, dtype=float)
+    for d in (exact, exact + PSD_TOL):
+        b, c = whitened_rows(transfer, t, d, dead)
+        lam, u = np.linalg.eigh(c @ c.conj().T)
+        if not (np.any(b[:, d <= 0.0]) or (lam.size and lam[-1] > 1.0 + WHITENED_ROUNDOFF)):
+            break
     shrink = 1.0 / (1.0 + np.sqrt(np.clip(1.0 - lam, 0.0, None)))
     g = (u * shrink) @ (u.conj().T @ c)
     return c.conj().T, g, np.sqrt(d / 2.0)
-
-
-def _whiten(b: np.ndarray, d: np.ndarray):
-    """C = B diag(D^-1/2) (0 where D = 0) and the eigenpairs of C C^dag."""
-    live = d > 0.0
-    c = np.zeros_like(b)
-    c[:, live] = b[:, live] / np.sqrt(d[live])
-    lam, u = np.linalg.eigh(c @ c.conj().T)
-    return c, lam, u
 
 
 def transition_noise(factor, gen: np.random.Generator, n: int, out=None, work=None,

@@ -230,13 +230,7 @@ def run_condition2(config: ExperimentConfig, n_samples: int, rng: RngStream,
     the factor F = (I - C^dag G) diag(sqrt(D/2)) of
     :func:`transition_factor`, and the mixing is alpha_A @ L_A.
     """
-    report = check_second_condition(config)
-    if not report.simulatable:
-        raise SimulabilityError(
-            "experiment is not simulatable by the phase-space method: "
-            f"Sigma_bar is not PSD (noise ratio kappa = {report.noise_ratio:.6g} > 1)",
-            report=report,
-        )
+    report = check_second_condition(config).require()
     tbar, sbar = report.t_bar, report.s_bar
     factor = transition_factor(config.transfer, sbar, tbar, dead=dead_modes(config))
     clicks = click_coefficients(sbar, config.detectors)

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import s_bar as detector_s_bar
-from .errors import UndefinedOperatingPointError
+from .errors import SimulabilityError, UndefinedOperatingPointError
 from .experiment import SCHEME_SINGLE_PHOTON, SCHEME_SPDC, ExperimentConfig
 from .linalg import PSD_TOL
-from .processes import nonclassical_rows
+from .processes import whitened_rows
 from .states import SpdcPair
 
 # Not called here; perfbench's tracer wraps this name and stops if it is missing.
@@ -86,14 +86,25 @@ class SimulabilityReport:
             "threshold_note": self.threshold_note,
         }
 
+    def require(self) -> SimulabilityReport:
+        """This report if route 2 may run; else :class:`SimulabilityError`
+        with the report attached."""
+        if not self.simulatable:
+            raise SimulabilityError(
+                "experiment is not simulatable by the phase-space method: "
+                f"Sigma_bar is not PSD (noise ratio kappa = {self.noise_ratio:.6g} > 1)",
+                report=self,
+            )
+        return self
+
 
 def check_second_condition(config: ExperimentConfig) -> SimulabilityReport:
     """Test Sigma_bar >= 0 at the extreme orderings from one |S| x |S|
     eigenproblem.
 
     Sigma_bar = diag(D) - B^dag B with D = 1 - s_bar >= 0 and
-    B = diag(sqrt(1 - t_bar_S)) L_S from :func:`nonclassical_rows`.  With
-    E = D + PSD_TOL > 0 and C = B diag(E^-1/2), the Schur complement gives
+    B = diag(sqrt(1 - t_bar_S)) L_S.  With E = D + PSD_TOL > 0 and
+    C = B diag(E^-1/2) from :func:`whitened_rows`, the Schur complement gives
     lambda_min(Sigma_bar) >= -PSD_TOL iff kappa = lambda_max(C C^dag) <= 1,
     for every detector set (p_d = 0 included; kappa = 0 when S is empty).
     A dead detector's bound is s -> -infinity, so its column of C is 0:
@@ -108,8 +119,7 @@ def check_second_condition(config: ExperimentConfig) -> SimulabilityReport:
     tbar = t_bar_vector(config)
     sbar = s_bar_vector(config)
     scale = 1.0 - sbar + PSD_TOL
-    c = nonclassical_rows(config.transfer, tbar) / np.sqrt(scale)
-    c[:, dead_modes(config)] = 0.0
+    c = whitened_rows(config.transfer, tbar, scale, dead_modes(config))[1]
     kappa = float(np.linalg.eigvalsh(c @ c.conj().T)[-1]) if c.size else 0.0
 
     threshold = margin = math.nan

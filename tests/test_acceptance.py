@@ -17,7 +17,7 @@ from pqsim.errors import SimulabilityError
 from pqsim.linalg import economy_dilation, haar_unitary, permanent_batch
 from pqsim.oracle import exact_distribution, tv_distance
 from pqsim.presets import ScenarioParams, single_photon_config
-from pqsim.processes import LossModel, uniform_loss_eta
+from pqsim.processes import uniform_loss_eta
 from pqsim.sampler import run_condition2, run_experiment
 from pqsim.simulability import check_second_condition, threshold_single_photon, threshold_spdc
 from pqsim.states import SpdcPair, pqd_single_photon_mixture
@@ -132,7 +132,7 @@ def test_criterion_4_threshold_boundary_bisection(capsys):
             high = mid
         else:
             low = mid
-    eta_l = uniform_loss_eta(LossModel(params.eta0, params.ell, modes))
+    eta_l = uniform_loss_eta(params.eta0, params.ell, modes)
     closed = threshold_single_photon(params.mu, params.eta_b, eta_l, params.eta_d)
     flip_error = abs(high - closed)
     assert flip_error <= 1e-9

@@ -1,16 +1,21 @@
 import hashlib
 import json
+import time
 from collections import Counter
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+import pqsim.oracle
 import pqsim.sampler
 from pqsim.cli import EXIT_FAIL, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, build_parser, main
+from pqsim.detectors import DetectorModel
 from pqsim.errors import SimulabilityError
-from pqsim.experiment import SCHEME_SINGLE_PHOTON, SCHEME_SPDC
+from pqsim.experiment import SCHEME_SINGLE_PHOTON, SCHEME_SPDC, ExperimentConfig, PortSource
 from pqsim.presets import ScenarioParams, single_photon_config, spdc_config, threshold_table
 from pqsim.rng import RngStream
+from pqsim.states import Coherent
 
 from conftest import oracle_suite, spdc_and_photon_config, spdc_lossy_network_config
 
@@ -151,17 +156,51 @@ class TestCheckRoute:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(pqsim.sampler, name, spy)
-        cases = [(single_photon_config(4, 2, p_d=0.06), "transition_factor"),
-                 (spdc_config(2, 0.05, p_d=0.09), "block_rows"),
-                 (spdc_lossy_network_config(), "gaussian_pqd_factor")]
-        for config, factor in cases:
+        # Route 2's verdict is the Sigma_bar report, so its check builds no factor.
+        cases = [(single_photon_config(4, 2, p_d=0.06), "transition_factor", 0),
+                 (spdc_config(2, 0.05, p_d=0.09), "block_rows", 1),
+                 (spdc_lossy_network_config(), "gaussian_pqd_factor", 1)]
+        for config, factor, at_check in cases:
             path, _, _ = self.check(config, tmp_path, capsys)
-            assert calls == Counter({factor: 1}), "check"
+            assert calls == Counter({factor: at_check}), "check"
             calls.clear()
             assert main(["sample", "--config", str(path), "--samples", "100",
                          "--quiet"]) == EXIT_OK
             assert calls == Counter({factor: 1}), "sample"
             calls.clear()
+
+    @pytest.mark.parametrize("config, counts", [
+        # Route 2: one Sigma_bar eigenproblem, no noise factor, one hash.
+        (single_photon_config(64, 8, p_d=0.06), {"eigvalsh": 1, "eigh": 0, "config_hash": 1}),
+        # Route 1: the report's eigenproblem, the zero-shot set-up's block
+        # eigenproblem, and the hashes of the zero-shot batch and the manifest.
+        (spdc_config(2, 0.05, p_d=0.09), {"eigvalsh": 1, "eigh": 1, "config_hash": 2}),
+    ], ids=["route2", "route1"])
+    def test_set_up_work_per_check(self, config, counts, tmp_path, monkeypatch, capsys):
+        calls = Counter()
+        for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                            (ExperimentConfig, "config_hash")):
+            def spy(*args, _name=name, _real=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        path = tmp_path / "config.json"
+        path.write_text(config.to_json())
+        calls.clear()
+        assert main(["check", "--config", str(path), "--quiet"]) == EXIT_OK
+        assert {name: calls[name] for name in counts} == counts
+
+    def test_check_and_run_condition2_refuse_with_one_text(self, tmp_path, capsys):
+        config = single_photon_config(3, 1, p_d=0.0005, unitary_seed=12)
+        with pytest.raises(SimulabilityError) as refused:
+            pqsim.sampler.run_condition2(config, 10, RngStream(0))
+        assert refused.value.report.noise_ratio > 1.0
+        text = str(refused.value)
+        assert text.startswith("experiment is not simulatable by the phase-space method")
+        _, payload, out = self.check(config, tmp_path, capsys, quiet=False)
+        assert payload["route"] is None and payload["refusal"] == text
+        assert out.startswith(f"experiment with 3 modes is NOT simulatable on route 2: {text}\n")
 
 
 class TestSample:
@@ -257,6 +296,16 @@ class TestSample:
                    "--quiet"])
         assert rc == EXIT_REFUSED
 
+    def test_run_too_large_to_allocate_exits_usage(self, tmp_path, capsys):
+        # 10^18 four-mode shots ask for 4 EB at once, more than any address
+        # space holds, so the allocation fails before a byte is touched.
+        path = tmp_path / "m4.json"
+        path.write_text(single_photon_config(4, 2, p_d=0.06).to_json())
+        rc = main(["sample", "--config", str(path), "--samples", str(10**18), "--quiet"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestOracleCommand:
     def test_distribution_json(self, hom_config_path, capsys):
@@ -273,6 +322,27 @@ class TestOracleCommand:
         rc = main(["oracle", "--config", str(path), "--n-max", "171", "--quiet"])
         assert rc == EXIT_USAGE
         assert "n_max must be in [1, 170], got 171" in capsys.readouterr().err
+
+    def test_n_max_past_the_photon_limit_exits_usage_before_any_permanent(
+            self, tmp_path, monkeypatch, capsys):
+        def no_permanent(mats):
+            raise AssertionError("a permanent was built")
+
+        monkeypatch.setattr(pqsim.oracle, "permanent_batch", no_permanent)
+        config = ExperimentConfig(modes=1, sources=(PortSource(Coherent(4.0), (0,)),),
+                                  transfer=np.eye(1, dtype=complex),
+                                  detectors=(DetectorModel(0.9, 0.0),))
+        path = tmp_path / "coherent4.json"
+        path.write_text(config.to_json())
+        started = time.perf_counter()
+        rc = main(["oracle", "--config", str(path), "--n-max", "50", "--quiet"])
+        assert rc == EXIT_USAGE and time.perf_counter() - started < 1.0
+        assert "n_max=50 gives kets of up to 50 photons" in capsys.readouterr().err
+        # Too few photons for the budget, and no n_max within the limit has
+        # enough: the refusal suggests none (it used to suggest 38).
+        assert main(["oracle", "--config", str(path), "--n-max", "4", "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "try n_max" not in err and "no n_max keeps the kets within 16 photons" in err
 
 
 class TestCompare:
@@ -339,6 +409,19 @@ class TestThresholds:
             value = getattr(defaults, field.name)
             assert getattr(params, field.name) != field.default, field.name
             assert value == field.default and type(value) is type(field.default), field.name
+
+    @pytest.mark.parametrize("flag, value", [
+        ("mu", "2"), ("mu", "nan"), ("eta-b", "-0.1"), ("eta-d", "1.5"), ("f-b", "5"),
+        ("f-l", "-0.5"),
+    ])
+    def test_scenario_knob_outside_the_unit_interval_exits_usage(self, flag, value, capsys):
+        argv = ["thresholds", "--modes", "10", "--scenario", "single-photon",
+                f"--{flag}", value]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        field = flag.replace("-", "_")
+        assert captured.err == f"error: {field} must be in [0, 1], got {float(value)}\n"
+        assert captured.out == ""
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"

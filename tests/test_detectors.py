@@ -176,6 +176,20 @@ class TestSampleOutcome:
                                   FixedCoins(expected * (1 + 1e-12)))
             assert below.all() and not above.any()
 
+    def test_coefficients_are_pqd_on(self):
+        # One formula: pi * W_on(beta) = 1 - keep * exp(decay |beta|^2) at
+        # every ordering from s_bar up, p_d = 0 and p_d = 1 included.
+        betas = [0.0, 0.3 + 0.2j, -1.1j, 2.5]
+        for eta in (0.3, 0.9, 1.0):
+            for p_d in (0.0, 0.05, 0.5, 1.0):
+                det = DetectorModel(eta, p_d)
+                for s in (s_bar(det), (1.0 + s_bar(det)) / 2.0, 1.0):
+                    (decay,), (keep,) = click_coefficients([s], [det])
+                    for beta in betas:
+                        direct = 1.0 - keep * math.exp(decay * abs(beta) ** 2)
+                        assert math.pi * pqd_on(beta, s, det) == pytest.approx(
+                            direct, rel=1e-12, abs=1e-15), (eta, p_d, s, beta)
+
     @pytest.mark.parametrize("eta", [0.3, 0.9, 0.95, 1.0])
     def test_certain_random_count_always_clicks_at_its_bound(self, eta):
         # The no-click denominator is 0 at s_bar up to roundoff; the mode

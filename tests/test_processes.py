@@ -7,7 +7,6 @@ from pqsim import DetectorModel, RngStream
 from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import haar_unitary
 from pqsim.processes import (
-    LossModel,
     propagate_gaussian,
     quadrature_rep,
     sample_transition,
@@ -192,15 +191,15 @@ class TestTransitionSample:
 
 class TestUniformLoss:
     def test_paper_scale_values(self):
-        assert uniform_loss_eta(LossModel(0.98, 2, 10)) == pytest.approx(0.94, abs=0.005)
-        assert uniform_loss_eta(LossModel(0.98, 2, 1600)) == pytest.approx(0.81, abs=0.005)
+        assert uniform_loss_eta(0.98, 2, 10) == pytest.approx(0.94, abs=0.005)
+        assert uniform_loss_eta(0.98, 2, 1600) == pytest.approx(0.81, abs=0.005)
 
     def test_lossless_elements(self):
         for modes in [1, 2, 37]:
-            assert uniform_loss_eta(LossModel(1.0, 2, modes)) == 1.0
+            assert uniform_loss_eta(1.0, 2, modes) == 1.0
 
     def test_single_mode_network_is_lossless_path(self):
-        assert uniform_loss_eta(LossModel(0.9, 2, 1)) == pytest.approx(1.0)
+        assert uniform_loss_eta(0.9, 2, 1) == pytest.approx(1.0)
 
 
 class TestPropagateGaussian:

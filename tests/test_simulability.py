@@ -13,7 +13,7 @@ from pqsim.experiment import (
 )
 from pqsim.linalg import PSD_TOL, haar_unitary
 from pqsim.presets import ScenarioParams, single_photon_config, spdc_config
-from pqsim.processes import LossModel, sigma_matrix, uniform_loss_eta
+from pqsim.processes import sigma_matrix, uniform_loss_eta
 from pqsim.simulability import (
     check_second_condition,
     mode_mismatch_pd,
@@ -31,7 +31,7 @@ PARAMS = ScenarioParams()  # mu=0.5, eta_b=0.1, eta0=0.98, ell=2, eta_d=0.95
 
 
 def eta_l(modes: int) -> float:
-    return uniform_loss_eta(LossModel(PARAMS.eta0, PARAMS.ell, modes))
+    return uniform_loss_eta(PARAMS.eta0, PARAMS.ell, modes)
 
 
 class TestCheckSecondCondition:
