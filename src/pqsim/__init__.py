@@ -54,7 +54,6 @@ from .sampler import (
     run_experiment,
 )
 from .simulability import (
-    OperatingPoint,
     SimulabilityReport,
     check_second_condition,
     mode_mismatch_pd,

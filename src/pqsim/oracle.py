@@ -36,6 +36,11 @@ MAX_ORACLE_MODES = 12
 #: about 2 s (18: 10 s).
 MAX_ORACLE_PHOTONS = 16
 
+#: Most Ryser steps (states times 2^k) in the sector of the largest ket: on
+#: 2 cores a thermal ket of 12 photons over 9 modes (5.2e8 steps) takes 46 s
+#: and 400 MiB, 10 over 12 modes (3.6e8) 26 s and 730 MiB.
+MAX_SECTOR_STEPS = 6 * 10**8
+
 #: Neglected-probability budget; beyond this the oracle refuses.
 TRUNCATION_BUDGET = 1e-6
 
@@ -73,6 +78,11 @@ class ProbabilityTable:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (len(self.outcomes),):
             raise DimensionError("outcomes and probs must have equal length")
+        width = len(self.outcomes[0]) if self.outcomes else 0
+        if not (all(isinstance(o, str) and len(o) == width for o in self.outcomes)
+                and set("".join(self.outcomes)) <= {"0", "1"}
+                and len(set(self.outcomes)) == len(self.outcomes)):
+            raise DimensionError("outcomes must be distinct 0/1 strings of one length")
         if np.min(probs, initial=0.0) < -1e-9:
             raise ValueError(f"negative probability {probs.min():.3e}")
         probs = np.clip(probs, 0.0, None)
@@ -170,22 +180,49 @@ def _source_block(source, n_max: int):
     raise TypeError(f"oracle cannot expand source {source!r}")
 
 
-def _ket_photons(expanded, ket_floor: float) -> int:
-    """Photons in the largest ket that ``ket_floor`` can keep, summed over
-    the blocks' ``(alternatives, tail)`` from :func:`_source_block`."""
-    return sum(max((int(np.sum(o)) for _, amps, occ in alternatives
-                    for a, o in zip(amps, occ) if abs(a) ** 2 >= ket_floor), default=0)
-               for alternatives, _ in expanded)
+def _expand(entries, n_max: int, ket_floor: float, modes: int):
+    """Each source block's mixture from :func:`_source_block` over all
+    ``modes`` modes, less the kets whose weight times |amplitude|^2 falls
+    below ``ket_floor``; the truncation n_max leaves; the weight dropped."""
+    blocks, kept_mass, floored = [], 1.0, 0.0
+    for entry in entries:
+        alternatives, tail = _source_block(entry.source, n_max)
+        kept_mass *= 1.0 - tail
+        blocks.append([])
+        for w, amps, occ in alternatives:
+            amps = np.asarray(amps, dtype=complex)
+            keep = w * np.abs(amps) ** 2 >= ket_floor
+            floored += w * float(np.sum(np.abs(amps[~keep]) ** 2))
+            if keep.any():
+                full = np.zeros((int(keep.sum()), modes), dtype=np.intp)
+                full[:, list(entry.ports)] = np.asarray(occ)[keep]
+                blocks[-1].append((w, amps[keep], full))
+    return blocks, 1.0 - kept_mass, floored
 
 
-def _suggest_n_max(sources, ket_floor: float) -> int | None:
-    """Smallest n_max whose truncation fits the budget, if its kets fit
-    :data:`MAX_ORACLE_PHOTONS`."""
+def _size_refusal(blocks, modes: int) -> str | None:
+    """Why the largest kept ket of ``blocks``, k photons summed over them,
+    is refused, if it is: k above :data:`MAX_ORACLE_PHOTONS`, or its sector
+    over ``modes`` modes, C(modes + k - 1, k) states of 2^k Ryser steps
+    each, above :data:`MAX_SECTOR_STEPS`."""
+    k = sum(max((int(o.sum()) for _, _, occ in options for o in occ), default=0)
+            for options in blocks)
+    steps = math.comb(modes + k - 1, k) << k
+    if k > MAX_ORACLE_PHOTONS or steps > MAX_SECTOR_STEPS:
+        return (f"kets of up to {k} photons, a sector of {steps:.3g} permanent steps over "
+                f"{modes} modes; the oracle limits are {MAX_ORACLE_PHOTONS} photons "
+                f"and {MAX_SECTOR_STEPS:.3g} steps")
+    return None
+
+
+def _suggest_n_max(entries, ket_floor: float, modes: int) -> int | None:
+    """Smallest n_max whose truncation fits the budget, if
+    :func:`_size_refusal` accepts its kets over ``modes`` modes."""
     for candidate in range(1, 64):
-        expanded = [_source_block(s, candidate) for s in sources]
-        if _ket_photons(expanded, ket_floor) > MAX_ORACLE_PHOTONS:
+        blocks, truncation, _ = _expand(entries, candidate, ket_floor, modes)
+        if _size_refusal(blocks, modes):
             return None
-        if 1.0 - math.prod(1.0 - tail for _, tail in expanded) <= TRUNCATION_BUDGET:
+        if truncation <= TRUNCATION_BUDGET:
             return candidate
     return None
 
@@ -201,12 +238,13 @@ def exact_distribution(
     Schmidt index for pairs); the truncated blocks are renormalized, so the
     reported distribution is that of a state within ``truncation_error`` of
     the exact input in trace distance.  Basis kets whose probability weight
-    falls below ``ket_floor`` are dropped with the same bookkeeping.
+    (a mixture alternative's weight times |amplitude|^2) falls below
+    ``ket_floor`` are dropped with the same bookkeeping.
     Refuses with :class:`TruncationError` (suggesting a larger n_max) when
     the neglected mass exceeds 1e-6, and with :class:`OracleSizeError` when
-    the enlarged network exceeds 12 modes or, before any permanent is built,
+    the enlarged network exceeds 12 modes or, before any sector is built,
     when the largest ket that ``ket_floor`` keeps, summed over the blocks,
-    exceeds 16 photons; an ``n_max`` outside [1, 170]
+    exceeds 16 photons or :data:`MAX_SECTOR_STEPS`; an ``n_max`` outside [1, 170]
     (170! is the largest factorial a float holds) is a ValueError.
     """
     m_sys = config.modes
@@ -232,43 +270,25 @@ def exact_distribution(
             f"above the oracle limit of {MAX_ORACLE_MODES}"
         )
 
-    expanded = [_source_block(entry.source, n_max) for entry in config.sources]
-    photons = _ket_photons(expanded, ket_floor)
-    if photons > MAX_ORACLE_PHOTONS:
-        raise OracleSizeError(
-            f"n_max={n_max} gives kets of up to {photons} photons, above the oracle "
-            f"limit of {MAX_ORACLE_PHOTONS} (a k-photon ket costs 2^k permanent steps)"
-        )
-    # Per-block mixtures, each alternative as (weight, amplitudes, occupations
-    # of all k_total modes, environment ones empty), and the truncation ledger.
-    blocks, tails = [], []
-    for entry, (alternatives, tail) in zip(config.sources, expanded):
-        options = []
-        for w, amps, occ in alternatives:
-            full = np.zeros((len(amps), k_total), dtype=np.intp)
-            full[:, list(entry.ports)] = occ
-            options.append((w, np.asarray(amps, dtype=complex), full))
-        blocks.append(options)
-        tails.append(tail)
-    truncation = 1.0 - math.prod(1.0 - t for t in tails)
+    blocks, truncation, dropped = _expand(config.sources, n_max, ket_floor, k_total)
+    refusal = _size_refusal(blocks, k_total)
+    if refusal:
+        raise OracleSizeError(f"n_max={n_max} gives {refusal}")
     if truncation > TRUNCATION_BUDGET:
-        suggestion = _suggest_n_max([e.source for e in config.sources], ket_floor)
+        suggestion = _suggest_n_max(config.sources, ket_floor, k_total)
         raise TruncationError(
             f"source truncation at n_max={n_max} neglects probability "
             f"{truncation:.3e} > {TRUNCATION_BUDGET:g}"
             + (f"; try n_max={suggestion}" if suggestion else
-               f"; no n_max keeps the kets within {MAX_ORACLE_PHOTONS} photons"),
+               f"; no n_max keeps the kets within {MAX_ORACLE_PHOTONS} photons or steps"),
             suggested_n_max=suggestion,
         )
 
     propagator = _Propagator(transfer, m_sys)
     sector_weights: dict[int, np.ndarray] = {}
-    dropped = 0.0
 
     for combo in itertools.product(*blocks):
         weight = math.prod(w for w, _, _ in combo)
-        if weight == 0.0:
-            continue
         # Tensor the block kets into full-network kets, the last block fastest.
         amps = np.ones(1, dtype=complex)
         occs = np.zeros((1, k_total), dtype=np.intp)

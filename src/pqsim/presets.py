@@ -25,7 +25,6 @@ from .linalg import haar_unitary
 from .processes import uniform_loss_eta
 from .rng import RngStream
 from .simulability import (
-    OperatingPoint,
     mode_mismatch_pd,
     plan_photon_number,
     threshold_single_photon,
@@ -128,29 +127,32 @@ class ThresholdRow:
 
 
 def threshold_row(scheme: str, modes: int, params: ScenarioParams = ScenarioParams()) -> ThresholdRow:
-    """Closed-form operating point and thresholds for one network size."""
+    """Closed-form operating point and thresholds for one network size.
+
+    The SPDC scheme applies the same rule through the squeezing,
+    sinh^2 r = min(1, 1/(sqrt(M) eta)), and N = M sinh^2 r.
+    """
     eta_l = uniform_loss_eta(params.eta0, params.ell, modes)
     if scheme == SCHEME_SINGLE_PHOTON:
         eta = params.mu * params.eta_b * eta_l * params.eta_d
-        plan: OperatingPoint = plan_photon_number(scheme, modes, eta)
+        sqrt_m_over_eta, n_photons = plan_photon_number(modes, eta)
         threshold = threshold_single_photon(params.mu, params.eta_b, eta_l, params.eta_d)
         mismatch = mode_mismatch_pd(
             params.mu, params.eta_b, eta_l, params.eta_d,
-            params.f_b, params.f_l, plan.n_photons, modes,
+            params.f_b, params.f_l, n_photons, modes,
         )
         sinh2 = None
     elif scheme == SCHEME_SPDC:
         eta = params.eta_d * eta_l * params.eta_b
-        plan = plan_photon_number(scheme, modes, eta)
-        r = math.asinh(math.sqrt(plan.sinh2_r))
-        threshold = threshold_spdc(r, params.eta_b, eta_l, params.eta_d)
+        sqrt_m_over_eta, n_photons = plan_photon_number(modes, eta)
+        sinh2 = min(1.0, 1.0 / (math.sqrt(modes) * eta))
+        threshold = threshold_spdc(math.asinh(math.sqrt(sinh2)), params.eta_b, eta_l, params.eta_d)
         # Mismatched photons reach the detectors regardless of heralding,
         # one potential photon per signal mode (mu = 1 here).
         mismatch = mode_mismatch_pd(
             1.0, params.eta_b, eta_l, params.eta_d,
-            params.f_b, params.f_l, plan.n_photons, modes,
+            params.f_b, params.f_l, n_photons, modes,
         )
-        sinh2 = plan.sinh2_r
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return ThresholdRow(
@@ -158,9 +160,9 @@ def threshold_row(scheme: str, modes: int, params: ScenarioParams = ScenarioPara
         modes=modes,
         eta_l=eta_l,
         eta=eta,
-        sqrt_m_over_eta=plan.sqrt_m_over_eta,
-        n_photons=plan.n_photons,
-        n_eta=plan.n_photons * eta,
+        sqrt_m_over_eta=sqrt_m_over_eta,
+        n_photons=n_photons,
+        n_eta=n_photons * eta,
         sinh2_r=sinh2,
         p_d_threshold=threshold,
         p_d_mismatch=mismatch,

@@ -132,12 +132,12 @@ def transition_noise(factor, gen: np.random.Generator, n: int, out=None, work=No
 
 
 def sample_transition(alpha: np.ndarray, rows: np.ndarray, factor,
-                      gen: np.random.Generator, out=None, work=None) -> np.ndarray:
+                      gen: np.random.Generator) -> np.ndarray:
     """Draw beta = alpha @ rows + delta for input amplitudes alpha (n, K),
     where ``rows`` (K, M) are those K ports' rows of L and delta is
-    :func:`transition_noise`, drawn first into ``out`` with ``work``."""
-    delta = transition_noise(factor, gen, alpha.shape[0], out=out, work=work)
-    delta += np.matmul(alpha, rows, out=None if work is None else work.view(complex))
+    :func:`transition_noise`, drawn first."""
+    delta = transition_noise(factor, gen, alpha.shape[0])
+    delta += alpha @ rows
     return delta
 
 

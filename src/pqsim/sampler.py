@@ -115,18 +115,10 @@ class SampleBatch:
 
 def _histogram(outcomes: np.ndarray) -> dict:
     """Count of each distinct outcome row, keyed by its bit string (mode 0
-    first), in increasing key order.  Above 20 modes the rows are sorted
-    packed 8 modes to a byte, and only the distinct rows are unpacked to
-    ASCII, each key decoded straight from its row's bytes."""
+    first), in increasing key order.  The rows are sorted packed 8 modes to
+    a byte, and only the distinct rows are unpacked to ASCII, each key
+    decoded straight from its row's bytes."""
     m = outcomes.shape[1]
-    if m <= 20:
-        codes = np.zeros(len(outcomes), dtype=np.int64)
-        for column in outcomes.T:
-            codes <<= 1
-            codes |= column
-        counts = np.bincount(codes, minlength=1 << m)
-        indices = np.flatnonzero(counts)
-        return {format(i, f"0{m}b"): int(counts[i]) for i in indices}
     packed = np.packbits(outcomes, axis=1)
     width = packed.shape[1]
     keys, counts = np.unique(packed.view(f"S{width}")[:, 0], return_counts=True)

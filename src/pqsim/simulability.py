@@ -22,7 +22,7 @@ import numpy as np
 
 from .detectors import s_bar as detector_s_bar
 from .errors import SimulabilityError, UndefinedOperatingPointError
-from .experiment import SCHEME_SINGLE_PHOTON, SCHEME_SPDC, ExperimentConfig
+from .experiment import ExperimentConfig
 from .linalg import PSD_TOL
 from .processes import whitened_rows
 from .states import SpdcPair
@@ -176,21 +176,11 @@ def threshold_spdc(r: float, eta_b: float, eta_l: float, eta_d: float) -> float:
     return eta_d * (1.0 - SpdcPair(r=r, eta_bl=eta_b * eta_l).t_bar) / 2.0
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Photon budget keeping the expected count number near sqrt(M)."""
+def plan_photon_number(modes: int, eta: float) -> tuple[float, int]:
+    """Operating-point rule N = min(M, sqrt(M)/eta), returned as
+    (sqrt(M)/eta, N).
 
-    sqrt_m_over_eta: float
-    n_photons: int
-    sinh2_r: float | None = None
-
-
-def plan_photon_number(scheme: str, modes: int, eta: float) -> OperatingPoint:
-    """Operating-point rule N = min(M, sqrt(M)/eta).
-
-    ``eta`` is the overall per-photon transmissivity (source to click).  For
-    the SPDC scheme the same rule is expressed through the squeezing,
-    sinh^2 r = min(1, 1/(sqrt(M) eta)), and N = M sinh^2 r.
+    ``eta`` is the overall per-photon transmissivity (source to click).
     """
     if modes < 1:
         raise UndefinedOperatingPointError(f"modes must be >= 1, got {modes}")
@@ -199,9 +189,4 @@ def plan_photon_number(scheme: str, modes: int, eta: float) -> OperatingPoint:
             "overall transmissivity eta = 0: no photon budget keeps sqrt(M) counts"
         )
     raw = math.sqrt(modes) / eta
-    n = min(modes, round(raw))
-    if scheme == SCHEME_SPDC:
-        return OperatingPoint(raw, n, sinh2_r=min(1.0, 1.0 / (math.sqrt(modes) * eta)))
-    if scheme == SCHEME_SINGLE_PHOTON:
-        return OperatingPoint(raw, n)
-    raise UndefinedOperatingPointError(f"unknown scheme {scheme!r}")
+    return raw, min(modes, round(raw))

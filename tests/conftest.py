@@ -13,7 +13,7 @@ import numpy as np
 
 from pqsim import DetectorModel, RngStream
 from pqsim.experiment import ExperimentConfig, PortSource
-from pqsim.linalg import haar_unitary
+from pqsim.linalg import haar_unitary, permanent_batch
 from pqsim.presets import spdc_config
 from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
@@ -130,6 +130,45 @@ def sparse_mixed_config(modes: int) -> ExperimentConfig:
                 DetectorModel(0.9, 0.15))
 
 
+def thermal_on_lossy_six(mean_photons: float) -> ExperimentConfig:
+    """Thermal(mean_photons) on port 0 and vacuum on ports 1-5 of
+    sqrt(0.9) times a Haar unitary: 12 modes once the oracle adds the loss
+    modes."""
+    sources = [PortSource(Thermal(mean_photons), (0,))]
+    sources += [PortSource(Vacuum(), (k,)) for k in range(1, 6)]
+    return _cfg(6, sources, math.sqrt(0.9) * haar_unitary(6, RngStream(3)),
+                DetectorModel(0.9, 0.05))
+
+
+def one_state_sector(largest: int):
+    """A stand-in for ``pqsim.oracle._sector`` that lists one state (every
+    photon in mode 0) per sector, so an oracle run costs nothing, and
+    raises for sectors above ``largest`` photons; the totals asked for are
+    recorded in its ``built`` list."""
+    def sector(modes: int, total: int):
+        if total > largest:
+            raise AssertionError(f"a {total}-photon sector over {modes} modes was built")
+        sector.built.append(total)
+        occ = np.zeros((1, modes), dtype=np.intp)
+        occ[0, 0] = total
+        return np.zeros((total, 1), dtype=np.intp), occ
+
+    sector.built = []
+    return sector
+
+
+def photon_eta_bar(config) -> np.ndarray:
+    """Per-port one-photon probability eta_bar of an experiment fed by
+    vacuum and one-photon mixtures only (0 on vacuum ports)."""
+    eta_bar = np.zeros(config.modes)
+    for entry in config.sources:
+        if isinstance(entry.source, MixedSinglePhoton):
+            eta_bar[entry.ports[0]] = entry.source.eta_bar
+        elif not isinstance(entry.source, Vacuum):
+            raise TypeError(f"no photon formula for {entry.source!r}")
+    return eta_bar
+
+
 def single_photon_click_marginals(config) -> np.ndarray:
     """Exact per-mode click probabilities for vacuum and one-photon-mixture
     inputs, at any mode count.
@@ -138,12 +177,7 @@ def single_photon_click_marginals(config) -> np.ndarray:
     the rank-1 permanent identity; the integrand is a polynomial of degree
     N (the photon-port count), so (N + 1)-point Gauss-Laguerre is exact.
     """
-    eta_bar = np.zeros(config.modes)
-    for entry in config.sources:
-        if isinstance(entry.source, MixedSinglePhoton):
-            eta_bar[entry.ports[0]] = entry.source.eta_bar
-        elif not isinstance(entry.source, Vacuum):
-            raise TypeError(f"no marginal formula for {entry.source!r}")
+    eta_bar = photon_eta_bar(config)
     eta_d = np.array([d.eta_d for d in config.detectors])
     p_d = np.array([d.p_d for d in config.detectors])
     photons = np.flatnonzero(eta_bar > 0.0)
@@ -223,6 +257,36 @@ def spdc_click_table(config) -> np.ndarray:
         eye = np.eye(s.size)
         q = np.block([[n_s.T + eye, m_s], [m_s.conj(), n_s + eye]])
         silent[members] = np.prod(dark[s]) / math.sqrt(np.linalg.det(q).real)
+    for axis in range(modes):
+        without, within = np.moveaxis(silent, axis, 0)
+        silent = np.moveaxis(np.stack([within, without - within]), 0, axis)
+    return silent.ravel()
+
+
+def photon_click_table(config) -> np.ndarray:
+    """Exact probabilities of all 2^M click patterns (mode 0 the leading
+    bit) of an experiment fed by vacuum and one-photon mixtures, shared with
+    no sampler code.
+
+    With W = diag(sqrt(eta_bar_S)) L_S diag(sqrt(eta_d)) over the photon
+    ports S, every subset T of detectors is silent with probability
+    prod_T (1 - p_d) perm(I - W_T W_T^dag), W_T the columns T of W: each
+    photon, present with probability eta_bar, escapes T.  The outcome table
+    follows by Moebius inversion, as in :func:`spdc_click_table`.
+    """
+    eta_bar = photon_eta_bar(config)
+    eta_d = np.array([d.eta_d for d in config.detectors])
+    dark = 1.0 - np.array([d.p_d for d in config.detectors])
+    photons = np.flatnonzero(eta_bar > 0.0)
+    w = np.sqrt(eta_bar[photons, None] * eta_d) * config.transfer[photons]
+    modes, n = config.modes, photons.size
+    # members[s, k] = 1 iff mode k is in subset s, mode 0 the leading bit.
+    members = (np.arange(1 << modes)[:, None] >> np.arange(modes - 1, -1, -1)) & 1
+    outer = (w.T[:, :, None] * w.T[:, None, :].conj()).reshape(modes, n * n)
+    gram = (members @ outer).reshape(1 << modes, n, n)
+    silent = np.prod(np.where(members, dark, 1.0), axis=1) * permanent_batch(
+        np.eye(n) - gram).real
+    silent = silent.reshape((2,) * modes)
     for axis in range(modes):
         without, within = np.moveaxis(silent, axis, 0)
         silent = np.moveaxis(np.stack([within, without - within]), 0, axis)

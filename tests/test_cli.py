@@ -17,7 +17,13 @@ from pqsim.presets import ScenarioParams, single_photon_config, spdc_config, thr
 from pqsim.rng import RngStream
 from pqsim.states import Coherent
 
-from conftest import oracle_suite, spdc_and_photon_config, spdc_lossy_network_config
+from conftest import (
+    one_state_sector,
+    oracle_suite,
+    spdc_and_photon_config,
+    spdc_lossy_network_config,
+    thermal_on_lossy_six,
+)
 
 
 @pytest.fixture
@@ -343,6 +349,16 @@ class TestOracleCommand:
         assert main(["oracle", "--config", str(path), "--n-max", "4", "--quiet"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "try n_max" not in err and "no n_max keeps the kets within 16 photons" in err
+
+
+    def test_sector_past_the_size_limit_exits_usage_before_any_sector(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(pqsim.oracle, "_sector", one_state_sector(-1))
+        path = tmp_path / "thermal.json"
+        path.write_text(thermal_on_lossy_six(0.5).to_json())
+        rc = main(["oracle", "--config", str(path), "--n-max", "16", "--quiet"])
+        assert rc == EXIT_USAGE
+        assert "8.54e+11 permanent steps over 12 modes" in capsys.readouterr().err
 
 
 class TestCompare:

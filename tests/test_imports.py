@@ -136,3 +136,15 @@ def test_only_the_config_reads_the_scheme_label():
         reads = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Attribute) and node.attr == "scheme"]
         assert not reads, f"{path.name} reads .scheme on lines {reads}"
+
+
+def test_only_the_config_presets_and_cli_import_the_scheme_names():
+    """The scheme names label a config and pick a threshold table, so no
+    module but experiment.py (which defines them), presets.py, cli.py and
+    the re-exports in __init__.py imports them."""
+    allowed = {"experiment", "presets", "cli", "__init__"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        imported = {alias.name for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        schemes = imported & {"SCHEME_SINGLE_PHOTON", "SCHEME_SPDC"}
+        assert path.stem in allowed or not schemes, f"{path.name} imports {sorted(schemes)}"

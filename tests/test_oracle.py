@@ -27,8 +27,10 @@ from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Vacuum
 from conftest import (
     beamsplitter_50_50,
     ideal_probability_permanent,
+    one_state_sector,
     oracle_suite,
     spdc_click_table,
+    thermal_on_lossy_six,
 )
 
 
@@ -292,6 +294,23 @@ class TestExactDistribution:
         with pytest.raises(OracleSizeError):
             exact_distribution(config)
 
+    def test_kets_below_the_floor_build_no_sector(self, monkeypatch):
+        # Thermal(0.05) weighs (1 - q) q^k on k photons, q = 0.05 / 1.05:
+        # above 1e-12 up to k = 9, 6.7e-22 at k = 16.
+        sector = one_state_sector(9)
+        monkeypatch.setattr(pqsim.oracle, "_sector", sector)
+        table = exact_distribution(thermal_on_lossy_six(0.05), n_max=16)
+        assert max(sector.built) == 9
+        q = 0.05 / 1.05
+        assert table.truncation_error == pytest.approx(q**10, rel=1e-9)
+
+    def test_size_guard_counts_the_sector_of_the_largest_ket(self, monkeypatch):
+        # The 16-photon ket weighs 1.5e-8 and the truncation tail 7.7e-9, so
+        # only the 13M-state sector over 12 modes stops this run.
+        monkeypatch.setattr(pqsim.oracle, "_sector", one_state_sector(-1))
+        with pytest.raises(OracleSizeError, match=r"8.54e\+11 permanent steps over 12 modes"):
+            exact_distribution(thermal_on_lossy_six(0.5), n_max=16)
+
     def test_size_guard_counts_environment_modes(self):
         modes = 8
         config = ExperimentConfig(
@@ -492,3 +511,15 @@ class TestTvDistance:
             ProbabilityTable(all_bitstrings(1), np.array([0.6, 0.6]))
         with pytest.raises(ValueError):
             ProbabilityTable(all_bitstrings(1), np.array([1.5, -0.5]))
+
+    def test_repeated_outcomes_are_refused(self):
+        # Counted twice, "01" would read 0.25 TV against a batch drawn
+        # exactly from the table.
+        with pytest.raises(DimensionError, match="distinct"):
+            ProbabilityTable(("01", "01", "10"), np.array([0.25, 0.25, 0.5]))
+
+    @pytest.mark.parametrize("outcomes", [("0x", "11"), ("0", "11"), ((0, 1), (1, 0))],
+                             ids=["not_bits", "unequal_lengths", "not_strings"])
+    def test_malformed_outcomes_are_refused(self, outcomes):
+        with pytest.raises(DimensionError, match="distinct 0/1 strings of one length"):
+            ProbabilityTable(outcomes, np.array([0.5, 0.5]))

@@ -5,6 +5,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from pqsim import DetectorModel, RngStream
 from pqsim.errors import SimulabilityError, UnsupportedSourceError
@@ -28,6 +29,7 @@ from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 from conftest import (
     dead_detector_beamsplitter,
     oracle_suite,
+    photon_click_table,
     route1_dead_detector_config,
     single_photon_click_marginals,
     spdc_and_photon_config,
@@ -178,6 +180,43 @@ def _spdc_desk_configs():
     suite = [pytest.param(config, n_max, id=name)
              for name, config, n_max, _ in oracle_suite() if name.startswith("spdc")]
     return suite + [pytest.param(spdc_config(2, 0.01, p_d=0.06), 3, id="spdc_config_2")]
+
+
+def _photon_desk_configs():
+    return [pytest.param(config, n_max, id=name) for name, config, n_max, _ in oracle_suite()
+            if all(isinstance(e.source, (MixedSinglePhoton, Vacuum)) for e in config.sources)]
+
+
+class TestPhotonClickTable:
+    @pytest.mark.parametrize("config, n_max", _photon_desk_configs())
+    def test_reference_matches_the_oracle(self, config, n_max):
+        # The M = 16 check below trusts this reference; pin it where the
+        # oracle reaches.
+        table = exact_distribution(config, n_max=n_max)
+        assert np.max(np.abs(table.probs - photon_click_table(config))) <= 1e-12
+
+    def test_route2_total_clicks_at_16_modes(self):
+        # Beyond the oracle's 12 modes: the total-click histogram and its
+        # variance, which holds every pairwise click covariance.
+        draws = 10**6
+        config = single_photon_config(16, 4, p_d=0.06)
+        counts = [bits.count("1") for bits in all_bitstrings(16)]
+        exact = np.bincount(counts, weights=photon_click_table(config))
+        totals = run_experiment(config, draws, RngStream(1616), condition=2).outcomes.sum(
+            axis=1, dtype=np.int64)
+        observed = np.bincount(totals, minlength=exact.size)
+        # Pool the tail from the first total expected fewer than 100 times.
+        tail = int(np.argmax(draws * exact < 100))
+        expected = np.r_[exact[:tail], exact[tail:].sum()] * draws
+        observed = np.r_[observed[:tail], observed[tail:].sum()]
+        statistic = float(np.sum((observed - expected) ** 2 / expected))
+        assert statistic <= chi2.isf(1e-6, expected.size - 1)
+
+        clicks = np.arange(exact.size)
+        mean = exact @ clicks
+        var, fourth = exact @ (clicks - mean) ** 2, exact @ (clicks - mean) ** 4
+        z = (totals.var(ddof=1) - var) / math.sqrt((fourth - var**2) / draws)
+        assert abs(z) <= NormalDist().inv_cdf(1.0 - 1e-6 / 2)
 
 
 class TestTotalClickVariance:
@@ -422,7 +461,7 @@ class TestBatchAndStats:
         stats = empirical_stats(SampleBatch(outcomes, RngStream(0), "x", None))
         assert stats.histogram == expected
 
-    @pytest.mark.parametrize("modes", [16, 21, 24, 33])
+    @pytest.mark.parametrize("modes", [1, 7, 8, 9, 16, 20, 21, 24, 33])
     def test_histogram_keys_are_sorted_bit_strings(self, modes):
         # All-0 and all-1 rows and long zero runs pack to bytes 0x00 and 0xff.
         gen = RngStream(80 + modes).generator()

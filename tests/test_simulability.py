@@ -6,13 +6,12 @@ import pytest
 from pqsim import DetectorModel, RngStream
 from pqsim.errors import UndefinedOperatingPointError
 from pqsim.experiment import (
-    SCHEME_SINGLE_PHOTON,
     SCHEME_SPDC,
     ExperimentConfig,
     PortSource,
 )
 from pqsim.linalg import PSD_TOL, haar_unitary
-from pqsim.presets import ScenarioParams, single_photon_config, spdc_config
+from pqsim.presets import ScenarioParams, single_photon_config, spdc_config, threshold_row
 from pqsim.processes import sigma_matrix, uniform_loss_eta
 from pqsim.simulability import (
     check_second_condition,
@@ -296,11 +295,10 @@ class TestClosedFormThresholds:
     def test_spdc_paper_values(self):
         cases = [(10, 1.0, 0.076), (100, 1.0, 0.071), (1600, 0.326, 0.060)]
         for modes, sinh2, expected in cases:
-            plan = plan_photon_number(SCHEME_SPDC, modes,
-                                      PARAMS.eta_d * eta_l(modes) * PARAMS.eta_b)
-            r = math.asinh(math.sqrt(plan.sinh2_r))
+            sinh2_r = threshold_row(SCHEME_SPDC, modes, PARAMS).sinh2_r
+            r = math.asinh(math.sqrt(sinh2_r))
             value = threshold_spdc(r, PARAMS.eta_b, eta_l(modes), PARAMS.eta_d)
-            assert plan.sinh2_r == pytest.approx(sinh2, abs=5e-3)
+            assert sinh2_r == pytest.approx(sinh2, abs=5e-3)
             assert round(value, 3) == pytest.approx(expected, abs=1e-3)
 
     def test_spdc_threshold_vanishes_at_zero_squeezing(self):
@@ -316,35 +314,33 @@ class TestClosedFormThresholds:
 
 class TestPlanPhotonNumber:
     def test_paper_single_photon_plans(self):
-        plan = plan_photon_number(SCHEME_SINGLE_PHOTON, 1600,
-                                  PARAMS.mu * PARAMS.eta_b * eta_l(1600) * PARAMS.eta_d)
-        assert plan.n_photons == 1044
-        small = plan_photon_number(SCHEME_SINGLE_PHOTON, 10,
-                                   PARAMS.mu * PARAMS.eta_b * eta_l(10) * PARAMS.eta_d)
-        assert small.n_photons == 10  # photon budget capped at the mode count
+        _, n_photons = plan_photon_number(
+            1600, PARAMS.mu * PARAMS.eta_b * eta_l(1600) * PARAMS.eta_d)
+        assert n_photons == 1044
+        _, small = plan_photon_number(10, PARAMS.mu * PARAMS.eta_b * eta_l(10) * PARAMS.eta_d)
+        assert small == 10  # photon budget capped at the mode count
 
     def test_paper_spdc_plan(self):
-        plan = plan_photon_number(SCHEME_SPDC, 100,
-                                  PARAMS.eta_d * eta_l(100) * PARAMS.eta_b)
-        assert round(plan.sqrt_m_over_eta) == 120
-        assert plan.n_photons == 100
-        assert plan.sinh2_r == 1.0
+        sqrt_m_over_eta, n_photons = plan_photon_number(
+            100, PARAMS.eta_d * eta_l(100) * PARAMS.eta_b)
+        assert round(sqrt_m_over_eta) == 120
+        assert n_photons == 100
+        assert threshold_row(SCHEME_SPDC, 100, PARAMS).sinh2_r == 1.0
 
     def test_unit_transmissivity(self):
-        plan = plan_photon_number(SCHEME_SINGLE_PHOTON, 4, 1.0)
-        assert plan.n_photons == 2
+        assert plan_photon_number(4, 1.0)[1] == 2
 
     def test_zero_transmissivity_rejected(self):
         with pytest.raises(UndefinedOperatingPointError):
-            plan_photon_number(SCHEME_SINGLE_PHOTON, 4, 0.0)
+            plan_photon_number(4, 0.0)
 
     def test_rule_of_thumb_regression(self):
         # Counted mismatched photons vs mode-matched photons at threshold:
         # M * p_d(threshold) and N * eta agree within a factor of two.
         for modes in [10, 100, 1600]:
             eta = PARAMS.mu * PARAMS.eta_b * eta_l(modes) * PARAMS.eta_d
-            plan = plan_photon_number(SCHEME_SINGLE_PHOTON, modes, eta)
+            _, n_photons = plan_photon_number(modes, eta)
             lhs = modes * threshold_single_photon(PARAMS.mu, PARAMS.eta_b,
                                                   eta_l(modes), PARAMS.eta_d)
-            rhs = plan.n_photons * eta
+            rhs = n_photons * eta
             assert 0.5 <= lhs / rhs <= 2.0
