@@ -9,6 +9,9 @@ means ``E[conj(z_i - m_i) (z_j - m_j)] = C_ij``.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from .errors import ContractionError, DimensionError, NotPsdError
@@ -98,45 +101,61 @@ def economy_dilation(transfer: np.ndarray) -> tuple[np.ndarray, int]:
     return out, keep.size
 
 
-def permanent_batch(mats: np.ndarray) -> np.ndarray:
-    """Permanents of a stack of equally sized square matrices, shape (B, n, n),
-    by Ryser's formula, O(2^n n) each.
+@functools.lru_cache(maxsize=32)
+def _ryser_plan(counts: tuple[int, ...]) -> list[tuple]:
+    """Knuth's Algorithm H, the reflected mixed-radix Gray code over a_k in
+    [0, c_k], k = 0 fastest, less a = 0: per step the row k it moves, the
+    ufunc that moves it (``np.add`` as a_k rises), the weight prod_k
+    C(c_k, a_k), and the ufunc that adds the term in with its sign (-1)^(n - sum a)."""
+    digits, rising, plan = [0] * len(counts), [True] * len(counts), []
+    for step in range(1, math.prod(c + 1 for c in counts)):
+        k = 0
+        while digits[k] == (counts[k] if rising[k] else 0):
+            rising[k] = not rising[k]
+            k += 1
+        digits[k] += 1 if rising[k] else -1
+        weight = math.prod(map(math.comb, counts, digits))
+        plan.append((k, np.add if rising[k] else np.subtract, float(weight),
+                     np.subtract if (sum(counts) - step) % 2 else np.add))
+    return plan
 
-    Column subsets are visited in Gray-code order, one column added or
-    removed per step, over the stack read column-major as a C-contiguous
-    (n, n, B) array [column, row, batch] (a transposed view of one, as the
-    oracle passes, is not copied): each step updates one (n, B) block of
-    row sums and multiplies its rows together in place.
+
+def permanent_batch(mats: np.ndarray, counts=None) -> np.ndarray:
+    """Permanents of n x n matrices, each given as a (K, n) block of distinct
+    rows, row k standing for ``counts[k]`` equal rows (default all ones).
+
+    Ryser's formula over row multisets: the sum over 0 <= a_k <= c_k of
+    (-1)^(n - sum a) prod_k C(c_k, a_k) prod_j (sum_k a_k row_k)_j, in the
+    prod_k (c_k + 1) - 1 steps of :func:`_ryser_plan`.  Each step adds or
+    subtracts one row of the (B, K, n) stack, read as a C-contiguous (K, n, B)
+    array (the oracle's transposed view of one is not copied), to the (n, B)
+    column sums, and multiplies these in place.
     """
-    arr = np.asarray(mats, dtype=complex)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise DimensionError(f"expected a (B, n, n) stack, got shape {arr.shape}")
-    b, n, _ = arr.shape
+    shape = np.shape(mats)
+    if len(shape) != 3:
+        raise DimensionError(f"expected a (B, K, n) stack, got shape {shape}")
+    b, rows, n = shape
+    counts = (1,) * n if counts is None else tuple(counts)
+    if len(counts) != rows or sum(counts) != n or not all(
+            isinstance(c, (int, np.integer)) and c >= 1 for c in counts):
+        raise DimensionError(f"counts {counts} must be {rows} positive integers summing to {n}")
+    if math.prod(c + 1 for c in counts) > 1 << 30:
+        raise DimensionError(f"counts {counts} need more than 2^30 Ryser steps")
     if n == 0:
         return np.ones(b, dtype=complex)
-    if n > 30:
-        raise DimensionError("permanent limited to n <= 30 (cost 2^n)")
-    columns = np.ascontiguousarray(arr.transpose(2, 1, 0))
-    row_sums = np.zeros((n, b), dtype=complex)
-    first, rest = row_sums[0], list(row_sums[1:])
+    stack = np.ascontiguousarray(np.asarray(mats, dtype=complex).transpose(1, 2, 0))
+    col_sums = np.zeros((n, b), dtype=complex)
+    first, rest = col_sums[0], list(col_sums[1:])
     product, total = np.empty(b, dtype=complex), np.zeros(b, dtype=complex)
-    # Step k flips bit j = ctz(k) of the Gray code k ^ (k >> 1), whose
-    # popcount has the parity of k.
-    bit_index = {1 << j: j for j in range(n)}
-    for k in range(1, 1 << n):
-        j = bit_index[k & -k]
-        if (k ^ (k >> 1)) >> j & 1:
-            row_sums += columns[j]
-        else:
-            row_sums -= columns[j]
+    for k, move, weight, accumulate in _ryser_plan(tuple(map(int, counts))):
+        move(col_sums, stack[k], out=col_sums)
         product[:] = first
-        for row in rest:
-            product *= row
-        if k & 1:
-            total -= product
-        else:
-            total += product
-    return total if n % 2 == 0 else -total
+        for column in rest:
+            product *= column
+        if weight != 1.0:
+            product *= weight
+        accumulate(total, product, out=total)
+    return total
 
 
 def psd_factor_complex(cov: np.ndarray) -> np.ndarray:

@@ -1,18 +1,19 @@
 """Exact brute-force reference distribution by truncated Fock-space
 propagation.
 
-Losses are made unitary before propagating: a lossy SPDC signal arm
-scales its row of the network contraction, and the result is dilated with
-vacuum environment modes.  The enlarged network is then photon-number
-conserving, its matrix elements between occupation states are permanents
-of repeated-row/column submatrices, and the environment is traced by
-marginalizing occupations: per photon-number sector, its tables
-(built once) gather each ket's permanents in the column-major layout
-:func:`~pqsim.linalg.permanent_batch` walks and code each output state by
-its system occupation, so the trace is one ``bincount`` and the on-off POVM
-one product with a click table built mode by mode.  Exponential cost is
-accepted; this module exists to verify the samplers at desk scale, not to
-compete with them.
+Losses are made unitary before propagating: a lossy SPDC signal arm scales
+its row of the network contraction, and the result is dilated with vacuum
+environment modes.  The enlarged network is then photon-number conserving,
+its matrix elements between occupation states are permanents of
+repeated-row/column submatrices, and the environment is traced by
+marginalizing occupations: per photon-number sector, tables built once
+gather each ket's distinct rows in the (K, n, B) layout that
+:func:`~pqsim.linalg.permanent_batch` walks in prod_k (c_k + 1) steps per
+state (c_k photons on input mode k) and code each output state by its system
+occupation, so the trace is one ``bincount`` and the on-off POVM one product
+with a click table built mode by mode.  Exponential cost is accepted; this
+module exists to verify the samplers at desk scale, not to compete with
+them.
 """
 
 from __future__ import annotations
@@ -31,18 +32,20 @@ from .states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 #: Largest mode count (system + environment) the oracle accepts.
 MAX_ORACLE_MODES = 12
 
-#: Most photons in a ket the oracle propagates: a k-photon ket's permanents
-#: take 2^k Ryser steps each, and one mode's kets up to 16 photons take
-#: about 2 s (18: 10 s).
+#: Most photons in a ket the oracle propagates; its permanents take up to
+#: 2^k Ryser steps per output state, as k single photons do.
 MAX_ORACLE_PHOTONS = 16
 
-#: Most Ryser steps (states times 2^k) in the sector of the largest ket: on
-#: 2 cores a thermal ket of 12 photons over 9 modes (5.2e8 steps) takes 46 s
-#: and 400 MiB, 10 over 12 modes (3.6e8) 26 s and 730 MiB.
+#: Most Ryser steps in the sector of the largest ket, counted as states
+#: times 2^k, an upper bound: on 2 cores 10 single photons over 12 modes
+#: (3.6e8 steps) take about 20 s.
 MAX_SECTOR_STEPS = 6 * 10**8
 
 #: Neglected-probability budget; beyond this the oracle refuses.
 TRUNCATION_BUDGET = 1e-6
+
+#: Most entries of one (K, n, B) permanent stack; larger sectors go in slices.
+_STACK_ENTRIES = 1 << 20
 
 #: Largest click-probability table the POVM fold holds at once, in entries.
 _FOLD_ENTRIES = 1 << 18
@@ -141,11 +144,14 @@ class _Propagator:
             if total == 0:
                 amps = np.ones(1, dtype=complex)
             else:
-                rows = np.repeat(np.arange(self.modes), ket)
-                # stack[c, r, b] = T[rows[r], photons[c, b]], column-major
-                stack = self.transfer[rows[None, :, None], photons[:, None, :]]
-                in_norm = math.sqrt(np.prod(_FACTORIALS[list(ket)]))
-                amps = permanent_batch(stack.transpose(2, 1, 0)) / (in_norm * out_norms)
+                rows, amps = np.flatnonzero(ket), np.empty(len(out_norms), dtype=complex)
+                step = max(1, _STACK_ENTRIES // (len(rows) * total))
+                for s in range(0, len(amps), step):
+                    # stack[k, c, b] = T[rows[k], photons[c, b]], C-contiguous
+                    stack = self.transfer[rows[:, None, None], photons[None, :, s : s + step]]
+                    amps[s : s + step] = permanent_batch(stack.transpose(2, 0, 1),
+                                                         [ket[k] for k in rows])
+                amps /= math.sqrt(np.prod(_FACTORIALS[list(ket)])) * out_norms
             self._cache[ket] = amps
         return self._cache[ket]
 

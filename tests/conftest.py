@@ -237,15 +237,28 @@ def spdc_total_click_variance(config) -> float:
     return float(np.sum(silent * (1.0 - silent)) + 2.0 * np.sum(covariance))
 
 
+def clicks_from_silent(silent) -> np.ndarray:
+    """Outcome table (mode 0 the leading bit) from the probabilities that
+    each subset of the M detectors is silent, 2^M of them indexed the same
+    way (bit set = mode in the subset), by Moebius inversion, mode by mode:
+    "silent" reads the entry with the mode in the subset, "click" the entry
+    without it minus the entry with it."""
+    silent = np.asarray(silent, dtype=float)
+    modes = silent.size.bit_length() - 1
+    silent = silent.reshape((2,) * modes)
+    for axis in range(modes):
+        without, within = np.moveaxis(silent, axis, 0)
+        silent = np.moveaxis(np.stack([within, without - within]), 0, axis)
+    return silent.ravel()
+
+
 def spdc_click_table(config) -> np.ndarray:
     """Exact probabilities of all 2^M click patterns (mode 0 the leading
     bit) of an experiment fed only by SPDC pairs, shared with no oracle code.
 
     Every subset S of detectors is silent with probability
-    prod_S (1 - p_d) / sqrt(det Q_S), as in :func:`spdc_total_click_variance`.
-    Indexed by S, one bit per mode, that table becomes the outcome table by
-    Moebius inversion, mode by mode: "silent" reads the entry with the mode
-    in S, "click" the entry without it minus the entry with it.
+    prod_S (1 - p_d) / sqrt(det Q_S), as in :func:`spdc_total_click_variance`,
+    and :func:`clicks_from_silent` turns that table into the outcome table.
     """
     n, m = spdc_output_moments(config)
     dark = 1.0 - np.array([d.p_d for d in config.detectors])
@@ -257,10 +270,7 @@ def spdc_click_table(config) -> np.ndarray:
         eye = np.eye(s.size)
         q = np.block([[n_s.T + eye, m_s], [m_s.conj(), n_s + eye]])
         silent[members] = np.prod(dark[s]) / math.sqrt(np.linalg.det(q).real)
-    for axis in range(modes):
-        without, within = np.moveaxis(silent, axis, 0)
-        silent = np.moveaxis(np.stack([within, without - within]), 0, axis)
-    return silent.ravel()
+    return clicks_from_silent(silent)
 
 
 def photon_click_table(config) -> np.ndarray:
@@ -272,7 +282,7 @@ def photon_click_table(config) -> np.ndarray:
     ports S, every subset T of detectors is silent with probability
     prod_T (1 - p_d) perm(I - W_T W_T^dag), W_T the columns T of W: each
     photon, present with probability eta_bar, escapes T.  The outcome table
-    follows by Moebius inversion, as in :func:`spdc_click_table`.
+    follows by :func:`clicks_from_silent`.
     """
     eta_bar = photon_eta_bar(config)
     eta_d = np.array([d.eta_d for d in config.detectors])
@@ -286,11 +296,7 @@ def photon_click_table(config) -> np.ndarray:
     gram = (members @ outer).reshape(1 << modes, n, n)
     silent = np.prod(np.where(members, dark, 1.0), axis=1) * permanent_batch(
         np.eye(n) - gram).real
-    silent = silent.reshape((2,) * modes)
-    for axis in range(modes):
-        without, within = np.moveaxis(silent, axis, 0)
-        silent = np.moveaxis(np.stack([within, without - within]), 0, axis)
-    return silent.ravel()
+    return clicks_from_silent(silent)
 
 
 def _cfg(modes, sources, transfer, det):

@@ -331,7 +331,7 @@ class TestOracleCommand:
 
     def test_n_max_past_the_photon_limit_exits_usage_before_any_permanent(
             self, tmp_path, monkeypatch, capsys):
-        def no_permanent(mats):
+        def no_permanent(mats, counts=None):
             raise AssertionError("a permanent was built")
 
         monkeypatch.setattr(pqsim.oracle, "permanent_batch", no_permanent)

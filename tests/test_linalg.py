@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,28 @@ class TestPermanent:
             permanent_batch(np.ones((1, 2, 3)))
         with pytest.raises(DimensionError):
             permanent_batch(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("shape,counts", [
+        pytest.param((64, 2, 3), (3,), id="one_count_for_two_rows"),
+        pytest.param((64, 2, 3), (1, 1), id="sum_below_n"),
+        pytest.param((64, 2, 3), (3, 0), id="zero_count"),
+        pytest.param((64, 2, 3), (4, -1), id="negative_count"),
+        pytest.param((64, 2, 3), (1.5, 1.5), id="fractional_counts"),
+        pytest.param((64, 2, 1 << 16), (1 << 15, 1 << 15), id="steps_past_2^30"),
+        pytest.param((64, 31, 31), None, id="31_distinct_rows"),
+    ])
+    def test_bad_counts_refused_before_allocating(self, shape, counts):
+        # A complex copy of the stack would take 16 bytes per entry, 6 KiB
+        # or more here.
+        mats = np.broadcast_to(0.5, shape)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError):
+                permanent_batch(mats, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048
 
     def test_batch_matches_scalar(self):
         gen = RngStream(52).generator()

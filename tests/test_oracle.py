@@ -21,12 +21,15 @@ from pqsim.oracle import (
     exact_distribution,
     tv_distance,
 )
+from pqsim.presets import spdc_config
 from pqsim.sampler import SampleBatch
-from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Vacuum
+from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
 from conftest import (
     beamsplitter_50_50,
+    clicks_from_silent,
     ideal_probability_permanent,
+    naive_permanent,
     one_state_sector,
     oracle_suite,
     spdc_click_table,
@@ -61,10 +64,12 @@ def recursive_fock_states(modes, total):
 
 
 def ryser_prod_loop(mats):
-    """Ryser's formula in Gray-code order on a (B, n, n) stack, one
-    ``np.prod`` over each strided row-sum block; returns the permanents and
-    the sum of the terms' magnitudes, the scale of either loop's roundoff."""
-    arr = np.asarray(mats, dtype=complex)
+    """Ryser's formula in Gray-code order on a (B, n, n) stack, over row
+    subsets as the kernel walks them (column subsets of the transpose), one
+    ``np.prod`` over each strided column-sum block; returns the permanents
+    and the sum of the terms' magnitudes, the scale of either loop's
+    roundoff."""
+    arr = np.asarray(mats, dtype=complex).transpose(0, 2, 1)
     b, n, _ = arr.shape
     if n == 0:
         return np.ones(b, dtype=complex), np.ones(b)
@@ -139,12 +144,30 @@ class TestReferenceLoops:
         old, _ = ryser_prod_loop(positive)
         np.testing.assert_allclose(permanent_batch(positive), old, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("counts", [(3,), (2, 1), (1, 2, 2), (3, 3, 2, 2), (5, 2),
+                                        (1,) * 6], ids=str)
+    @pytest.mark.parametrize("batch", [0, 1, 37])
+    def test_repeated_rows_match_the_expanded_matrix(self, counts, batch):
+        n = sum(counts)
+        gen = RngStream(160, 16 * n + len(counts)).generator()
+        shape = (batch, len(counts), n)
+        rows = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        expanded = np.repeat(rows, counts, axis=1)
+        new = permanent_batch(rows, counts)
+        old, scale = ryser_prod_loop(expanded)
+        assert new.shape == (batch,)
+        assert np.all(np.abs(new - old) <= 1e-13 * scale)
+        if n <= 6:
+            naive = np.array([naive_permanent(m) for m in expanded], dtype=complex)
+            assert np.all(np.abs(new - naive) <= 1e-13 * scale)
+
     def test_column_major_view_gives_the_same_permanents(self):
-        # The oracle passes a (B, n, n) view of a C-contiguous (n, n, B)
-        # stack, indexed [column, row, batch].
-        stack = RngStream(140).generator().standard_normal((4, 4, 9)) + 0j
-        mats = stack.transpose(2, 1, 0)
-        np.testing.assert_allclose(permanent_batch(mats), ryser_prod_loop(mats)[0],
+        # The oracle passes a (B, K, n) view of a C-contiguous (K, n, B)
+        # stack, indexed [row, column, batch].
+        stack = RngStream(140).generator().standard_normal((3, 5, 9)) + 0j
+        mats = stack.transpose(2, 0, 1)
+        np.testing.assert_allclose(permanent_batch(mats, (2, 1, 2)),
+                                   ryser_prod_loop(np.repeat(mats, (2, 1, 2), axis=1))[0],
                                    rtol=1e-13)
 
     @pytest.mark.parametrize("fold_entries", [pqsim.oracle._FOLD_ENTRIES, 64])
@@ -322,6 +345,18 @@ class TestExactDistribution:
         with pytest.raises(OracleSizeError, match="loss"):
             exact_distribution(config)
 
+    def test_stack_slices_give_the_same_table(self, monkeypatch):
+        # 2^10 entries take the 10-photon kets' 3,003 states 25 at a time.
+        config = spdc_config(2, 0.01, p_d=0.06, unitary_seed=1)
+        calls = []
+        permanent = pqsim.oracle.permanent_batch
+        monkeypatch.setattr(pqsim.oracle, "permanent_batch",
+                            lambda mats, counts: calls.append(counts) or permanent(mats, counts))
+        whole, stacks = exact_distribution(config, n_max=3).probs, len(calls)
+        monkeypatch.setattr(pqsim.oracle, "_STACK_ENTRIES", 1 << 10)
+        assert np.array_equal(exact_distribution(config, n_max=3).probs, whole)
+        assert len(calls) - stacks > stacks
+
 
 def lossy_pairs_on_lossy_signals(pairs: int) -> ExperimentConfig:
     """``pairs`` SpdcPair(0.05, 0.8) sources, heralds on the identity and
@@ -379,6 +414,43 @@ class TestLossySpdcFold:
         monkeypatch.setattr(pqsim.oracle, "_Propagator", Spy)
         exact_distribution(lossy_pairs_on_lossy_signals(3), n_max=2)
         assert built == [9]
+
+
+class TestMultiPhotonKets:
+    """A coherent or thermal source on port 0 puts up to n_max photons on one
+    input mode, one row of the network repeated in every permanent.  Closed
+    forms that use no permanent give its table: detector j sees the flux
+    f_j = eta_d |L_0j|^2 per input photon, a coherent source leaves every
+    detector independent and silent with probability (1 - p_d)
+    exp(-|alpha|^2 f_j), and a thermal one leaves a set T silent with
+    probability prod_T (1 - p_d) / (1 + nbar sum_T f_j)."""
+
+    SOURCES = [pytest.param(Coherent(0.6 - 0.4j), id="coherent"),
+               pytest.param(Thermal(0.12), id="thermal")]
+
+    @staticmethod
+    def silent_sets(source, config) -> np.ndarray:
+        flux = np.array([d.eta_d for d in config.detectors]) * np.abs(config.transfer[0]) ** 2
+        dark = 1.0 - np.array([d.p_d for d in config.detectors])
+        members = np.array(list(itertools.product((0, 1), repeat=config.modes)), dtype=bool)
+        dark_part = np.prod(np.where(members, dark, 1.0), axis=1)
+        if isinstance(source, Coherent):
+            return dark_part * np.exp(-abs(source.amplitude) ** 2 * (members @ flux))
+        return dark_part / (1.0 + source.mean_photons * (members @ flux))
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_one_source_on_a_lossy_network_matches_the_closed_form(self, source):
+        config = ExperimentConfig(
+            modes=4,
+            sources=(PortSource(source, (0,)),) + tuple(PortSource(Vacuum(), (k,))
+                                                     for k in range(1, 4)),
+            transfer=math.sqrt(0.85) * haar_unitary(4, RngStream(61)),
+            detectors=(DetectorModel(0.9, 0.05), DetectorModel(0.7, 0.0),
+                       DetectorModel(0.8, 0.1), DetectorModel(1.0, 0.02)),
+        )
+        table = exact_distribution(config, n_max=12)
+        expected = clicks_from_silent(self.silent_sets(source, config))
+        assert np.max(np.abs(table.probs - expected)) <= table.truncation_error + 1e-12
 
 
 class TestIdealProbabilityPermanent:
