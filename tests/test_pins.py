@@ -14,7 +14,14 @@ from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import haar_unitary
 from pqsim.presets import single_photon_config, spdc_config
 from pqsim.sampler import BATCH_SIZE, run_condition1, run_condition2
-from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
+from pqsim.states import (
+    Coherent,
+    MixedSinglePhoton,
+    SpdcPair,
+    Thermal,
+    Vacuum,
+    sample_source_pqd,
+)
 
 DRAWS = 5000
 
@@ -105,3 +112,19 @@ def test_route1_multi_tile_spdc():
     batch = run_condition1(spdc_config(24, 0.05, p_d=0.09), MULTI_TILE_DRAWS,
                            RngStream(2026), workers=2)
     assert csv_sha256(batch) == "949a67c6704a416a0c880893e81e35548c2787ec596116d171cef2dd8ac282fa"
+
+
+def test_gaussian_source_draws():
+    # The input draw itself, below every route: amplitudes and the Philox
+    # counter after each draw, per Gaussian kind and ordering (capped at t_bar).
+    digest = hashlib.sha256()
+    for source in (Vacuum(), Coherent(0.3 - 0.7j), Thermal(0.0), Thermal(0.4),
+                   SpdcPair(0.3, 0.8)):
+        for t in (-1.0, -0.3, 0.0, 0.5, 0.999, 1.0):
+            gen = RngStream(7).generator()
+            t_block = [min(t, source.t_bar)] * len(source.port_names)
+            digest.update(sample_source_pqd(source, t_block, gen, 10_007).tobytes())
+            state = gen.bit_generator.state
+            digest.update(state["state"]["counter"].tobytes())
+            digest.update(int(state["buffer_pos"]).to_bytes(8, "little"))
+    assert digest.hexdigest() == "5ff9e288afd829ce537f4b95d9a3c4d541b9d512f08530075e5db7c11efe29d4"
