@@ -25,7 +25,7 @@ from .errors import (
     NegativityError,
     SingularOrderingError,
 )
-from .states import ORDERING_TOL
+from .states import ORDERING_TOL, require_unit_interval
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,7 @@ class DetectorModel:
     p_d: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.eta_d <= 1.0:
-            raise ValueError(f"eta_d must be in [0, 1], got {self.eta_d}")
-        if not 0.0 <= self.p_d <= 1.0:
-            raise ValueError(f"p_d must be in [0, 1], got {self.p_d}")
+        require_unit_interval(self, "eta_d", "p_d")
 
 
 def pqd_off(beta: complex, s: float, det: DetectorModel) -> float:
@@ -79,9 +76,7 @@ def click_coefficients(s, dets) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError("orderings and detectors must agree on the mode count")
     eta = np.array([d.eta_d for d in dets])
     p_d = np.array([d.p_d for d in dets])
-    live = eta > 0.0
-    bound = np.full(s.size, -np.inf)
-    bound[live] = 1.0 - 2.0 * p_d[live] / eta[live]
+    bound = np.array([s_bar(d) if d.eta_d > 0.0 else -np.inf for d in dets])
     low = s < bound - ORDERING_TOL
     if np.any(low):
         k = int(np.argmax(low))

@@ -24,7 +24,7 @@ from .linalg import haar_unitary, validate_transfer
 from .matrixio import load_matrix, matrix_from_dict, matrix_to_dict
 from .processes import uniform_loss_eta
 from .rng import RngStream
-from .states import SOURCE_KINDS, SourceModel, SpdcPair
+from .states import SOURCE_KINDS, SourceModel, SpdcPair, require_unit_interval
 
 SCHEME_SINGLE_PHOTON = "single-photon"
 SCHEME_SPDC = "spdc"
@@ -60,10 +60,7 @@ class Mismatch:
     f_l: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.f_b <= 1.0:
-            raise ValueError(f"f_b must be in [0, 1], got {self.f_b}")
-        if not 0.0 <= self.f_l <= 1.0:
-            raise ValueError(f"f_l must be in [0, 1], got {self.f_l}")
+        require_unit_interval(self, "f_b", "f_l")
 
 
 @dataclass(frozen=True, eq=False)

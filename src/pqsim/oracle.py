@@ -6,7 +6,7 @@ its row of the network contraction, and the result is dilated with vacuum
 environment modes.  The enlarged network is then photon-number conserving,
 its matrix elements between occupation states are permanents of
 repeated-row/column submatrices, and the environment is traced by
-marginalizing occupations: per photon-number sector, tables built once
+marginalizing occupations: per photon-number sector, uint8 tables built once
 gather each ket's distinct rows in the (K, n, B) layout that
 :func:`~pqsim.linalg.permanent_batch` walks in prod_k (c_k + 1) steps per
 state (c_k photons on input mode k) and code each output state by its system
@@ -57,13 +57,13 @@ def _sector(modes: int, total: int) -> tuple[np.ndarray, np.ndarray]:
     """States of `modes` modes with `total` photons, in lexicographic order of
     their occupations ``occ`` (count, modes); column k of ``photons``
     (total, count) lists state k's photons by mode.  Reversed multisets of
-    ``combinations_with_replacement`` are in exactly that order."""
+    ``combinations_with_replacement`` are in exactly that order.  Both are uint8."""
     count = math.comb(modes + total - 1, total)
     multisets = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(modes), total))
-    flat = np.fromiter(multisets, dtype=np.intp, count=count * total)
+    flat = np.fromiter(multisets, dtype=np.uint8, count=count * total)
     photons = np.ascontiguousarray(flat.reshape(count, total)[::-1].T)
-    occ = np.zeros((count, modes), dtype=np.intp)
+    occ = np.zeros((count, modes), dtype=np.uint8)
     for photon in photons:
         occ[np.arange(count), photon] += 1
     return photons, occ
@@ -170,25 +170,25 @@ def _source_block(source, n_max: int):
                         dtype=complex) * math.exp(-abs(a) ** 2 / 2.0)
         kept = float(np.sum(np.abs(amps) ** 2))
         return [(1.0, amps / math.sqrt(kept), n[:, None])], max(0.0, 1.0 - kept)
-    if isinstance(source, Thermal) and source.mean_photons != 0.0:
+    if isinstance(source, Thermal):
         q = source.mean_photons / (1.0 + source.mean_photons)
         weights = np.array([(1.0 - q) * q**k for k in n.tolist()])
         tail = max(0.0, 1.0 - float(weights.sum()))
         return [(float(w), [1.0], [[k]]) for k, w in enumerate(weights / weights.sum())], tail
-    if isinstance(source, SpdcPair) and source.r != 0.0:
+    if isinstance(source, SpdcPair):
         th = math.tanh(source.r)
         amps = np.array([th**k / math.cosh(source.r) for k in n.tolist()])
         amps /= math.sqrt(float(np.sum(amps**2)))
         # The Schmidt tail mass is exact.
         return [(1.0, amps, np.stack([n, n], axis=1))], th ** (2 * (n_max + 1))
-    if isinstance(source, (Vacuum, Thermal, SpdcPair)):
-        return [(1.0, [1.0], [[0] * len(source.port_names)])], 0.0
+    if isinstance(source, Vacuum):
+        return [(1.0, [1.0], [[0]])], 0.0
     raise TypeError(f"oracle cannot expand source {source!r}")
 
 
 def _expand(entries, n_max: int, ket_floor: float, modes: int):
     """Each source block's mixture from :func:`_source_block` over all
-    ``modes`` modes, less the kets whose weight times |amplitude|^2 falls
+    ``modes`` modes, less the kets whose weight times |amplitude|^2 is 0 or
     below ``ket_floor``; the truncation n_max leaves; the weight dropped."""
     blocks, kept_mass, floored = [], 1.0, 0.0
     for entry in entries:
@@ -197,7 +197,8 @@ def _expand(entries, n_max: int, ket_floor: float, modes: int):
         blocks.append([])
         for w, amps, occ in alternatives:
             amps = np.asarray(amps, dtype=complex)
-            keep = w * np.abs(amps) ** 2 >= ket_floor
+            weights = w * np.abs(amps) ** 2
+            keep = (weights >= ket_floor) & (weights > 0.0)
             floored += w * float(np.sum(np.abs(amps[~keep]) ** 2))
             if keep.any():
                 full = np.zeros((int(keep.sum()), modes), dtype=np.intp)

@@ -30,7 +30,7 @@ from .simulability import (
     threshold_single_photon,
     threshold_spdc,
 )
-from .states import MixedSinglePhoton, SpdcPair, Vacuum
+from .states import MixedSinglePhoton, SpdcPair, Vacuum, require_unit_interval
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,18 @@ class ScenarioParams:
     f_l: float = 0.9
 
     def __post_init__(self):
-        for name in ("mu", "eta_b", "eta_d", "f_b", "f_l"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        require_unit_interval(self, "mu", "eta_b", "eta_d", "f_b", "f_l")
+
+
+def _preset(sources, transfer, p_d: float, params: ScenarioParams) -> ExperimentConfig:
+    """``sources`` on ``transfer``, one detector model on every mode, ``params``' mismatch."""
+    return ExperimentConfig(
+        modes=len(transfer),
+        sources=tuple(sources),
+        transfer=transfer,
+        detectors=(DetectorModel(params.eta_d, p_d),) * len(transfer),
+        mismatch=Mismatch(params.f_b, params.f_l),
+    )
 
 
 def single_photon_config(
@@ -70,13 +79,7 @@ def single_photon_config(
         PortSource(MixedSinglePhoton(params.mu, params.eta_b), (k,))
         for k in range(n_photons)
     ] + [PortSource(Vacuum(), (k,)) for k in range(n_photons, modes)]
-    return ExperimentConfig(
-        modes=modes,
-        sources=tuple(sources),
-        transfer=transfer,
-        detectors=(DetectorModel(params.eta_d, p_d),) * modes,
-        mismatch=Mismatch(params.f_b, params.f_l),
-    )
+    return _preset(sources, transfer, p_d, params)
 
 
 def spdc_config(
@@ -94,17 +97,8 @@ def spdc_config(
     unitary = haar_unitary(pairs, RngStream(unitary_seed))
     transfer = np.eye(2 * pairs, dtype=complex)
     transfer[pairs:, pairs:] = unitary
-    sources = tuple(
-        PortSource(SpdcPair(r=r, eta_bl=params.eta_b * eta_l), (k, pairs + k))
-        for k in range(pairs)
-    )
-    return ExperimentConfig(
-        modes=2 * pairs,
-        sources=sources,
-        transfer=transfer,
-        detectors=(DetectorModel(params.eta_d, p_d),) * (2 * pairs),
-        mismatch=Mismatch(params.f_b, params.f_l),
-    )
+    pair = SpdcPair(r=r, eta_bl=params.eta_b * eta_l)
+    return _preset([PortSource(pair, (k, pairs + k)) for k in range(pairs)], transfer, p_d, params)
 
 
 @dataclass(frozen=True)
@@ -134,27 +128,21 @@ def threshold_row(scheme: str, modes: int, params: ScenarioParams = ScenarioPara
     """
     eta_l = uniform_loss_eta(params.eta0, params.ell, modes)
     if scheme == SCHEME_SINGLE_PHOTON:
+        mu, sinh2 = params.mu, None
         eta = params.mu * params.eta_b * eta_l * params.eta_d
-        sqrt_m_over_eta, n_photons = plan_photon_number(modes, eta)
         threshold = threshold_single_photon(params.mu, params.eta_b, eta_l, params.eta_d)
-        mismatch = mode_mismatch_pd(
-            params.mu, params.eta_b, eta_l, params.eta_d,
-            params.f_b, params.f_l, n_photons, modes,
-        )
-        sinh2 = None
     elif scheme == SCHEME_SPDC:
-        eta = params.eta_d * eta_l * params.eta_b
-        sqrt_m_over_eta, n_photons = plan_photon_number(modes, eta)
-        sinh2 = min(1.0, 1.0 / (math.sqrt(modes) * eta))
-        threshold = threshold_spdc(math.asinh(math.sqrt(sinh2)), params.eta_b, eta_l, params.eta_d)
         # Mismatched photons reach the detectors regardless of heralding,
         # one potential photon per signal mode (mu = 1 here).
-        mismatch = mode_mismatch_pd(
-            1.0, params.eta_b, eta_l, params.eta_d,
-            params.f_b, params.f_l, n_photons, modes,
-        )
+        mu = 1.0
+        eta = params.eta_d * eta_l * params.eta_b
+        sinh2 = min(1.0, 1.0 / (math.sqrt(modes) * eta))
+        threshold = threshold_spdc(math.asinh(math.sqrt(sinh2)), params.eta_b, eta_l, params.eta_d)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    sqrt_m_over_eta, n_photons = plan_photon_number(modes, eta)
+    mismatch = mode_mismatch_pd(mu, params.eta_b, eta_l, params.eta_d,
+                                params.f_b, params.f_l, n_photons, modes)
     return ThresholdRow(
         scheme=scheme,
         modes=modes,

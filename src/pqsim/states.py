@@ -31,6 +31,13 @@ from .linalg import psd_factor_real
 ORDERING_TOL = 1e-12
 
 
+def require_unit_interval(obj, *names) -> None:
+    """Refuse with a ValueError each field of ``obj`` in ``names`` outside [0, 1] (NaN too)."""
+    for name in names:
+        if not 0.0 <= getattr(obj, name) <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {getattr(obj, name)}")
+
+
 class SourceModel:
     """Base of the source kinds.  Each kind is one frozen dataclass that
     declares everything the package needs from it:
@@ -58,19 +65,14 @@ class SourceModel:
         )
 
     def _sample_pqd(self, t_block: np.ndarray, gen, out, work) -> None:
-        # Called by sample_source_pqd once it has checked t_block.  An isotropic one-mode
-        # block is a circular complex Gaussian; at zero variance a point mass, no draws.
-        mean, cov = self.wigner_moments()
-        if cov.shape != (2, 2) or cov[0, 1] != 0.0 or cov[0, 0] != cov[1, 1]:
-            normals = work[:2 * out.size].reshape(len(out), -1)
-            sample_gaussian_pqd(gaussian_pqd_factor(mean, cov, t_block), gen, len(out),
-                                out=out.view(float), work=normals)
-        elif cov[0, 0] > t_block[0]:
-            parts = gen.standard_normal(out=out.view(float))
-            parts *= math.sqrt((cov[0, 0] - t_block[0]) / 4.0)
-            parts += mean / 2.0
+        # After sample_source_pqd's checks.  A zero factor is a point mass at the mean: no draws.
+        factor = gaussian_pqd_factor(*self.wigner_moments(), t_block)
+        quad = out.view(float)
+        if factor[1].any():
+            sample_gaussian_pqd(factor, gen, len(out), out=quad,
+                                work=work[:quad.size].reshape(quad.shape))
         else:
-            out.view(float)[...] = mean / 2.0
+            quad[...] = factor[0]
 
 
 @dataclass(frozen=True)
@@ -98,10 +100,7 @@ class MixedSinglePhoton(SourceModel):
     eta_b: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"mu must be in [0, 1], got {self.mu}")
-        if not 0.0 <= self.eta_b <= 1.0:
-            raise ValueError(f"eta_b must be in [0, 1], got {self.eta_b}")
+        require_unit_interval(self, "mu", "eta_b")
 
     @property
     def eta_bar(self) -> float:
@@ -188,8 +187,7 @@ class SpdcPair(SourceModel):
             raise ValueError(f"squeezing r must be >= 0, got {self.r}")
         if not math.isfinite(self.r):
             raise ValueError(f"squeezing r must be finite, got {self.r}")
-        if not 0.0 <= self.eta_bl <= 1.0:
-            raise ValueError(f"eta_bl must be in [0, 1], got {self.eta_bl}")
+        require_unit_interval(self, "eta_bl")
 
     @property
     def t_bar(self) -> float:

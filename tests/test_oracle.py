@@ -127,6 +127,13 @@ class TestFockBasis:
             by_photon = [np.bincount(column, minlength=modes) for column in photons.T]
             assert np.array_equal(by_photon, occ)
 
+    def test_tables_are_bytes(self):
+        # 10 photons over 12 modes: 352,716 states, 8 bytes an entry as intp.
+        photons, occ = _sector(12, 10)
+        assert photons.dtype == occ.dtype == np.uint8
+        assert photons.shape == (10, math.comb(21, 10)) and occ.shape == (math.comb(21, 10), 12)
+        assert np.array_equal(occ.sum(axis=1), np.full(len(occ), 10))
+
 
 class TestReferenceLoops:
     @pytest.mark.parametrize("n", range(11))
@@ -451,6 +458,31 @@ class TestMultiPhotonKets:
         table = exact_distribution(config, n_max=12)
         expected = clicks_from_silent(self.silent_sets(source, config))
         assert np.max(np.abs(table.probs - expected)) <= table.truncation_error + 1e-12
+
+
+class TestSourcesWithoutPhotons:
+    """Thermal light at zero mean and SPDC at zero squeezing take their
+    general expansions; every ket with photons weighs exactly 0 and is
+    floored, so the table is the all-vacuum one."""
+
+    @staticmethod
+    def config(sources):
+        return ExperimentConfig(modes=4, sources=sources,
+                                transfer=math.sqrt(0.9) * haar_unitary(4, RngStream(71)),
+                                detectors=(DetectorModel(0.9, 0.05),) * 4)
+
+    @pytest.mark.parametrize("head", [
+        pytest.param((PortSource(Thermal(0.0), (0,)), PortSource(Vacuum(), (1,))), id="thermal"),
+        pytest.param((PortSource(SpdcPair(0.0, 0.8), (0, 1)),), id="spdc"),
+    ])
+    def test_table_is_the_vacuum_table(self, head):
+        tail = (PortSource(Vacuum(), (2,)), PortSource(Vacuum(), (3,)))
+        vacuum = exact_distribution(self.config(pure_photons([], 4)))
+        # With no floor the zero kets still go: 16 photons a port would be refused.
+        for kwargs in ({}, {"n_max": 16, "ket_floor": 0.0}):
+            table = exact_distribution(self.config(head + tail), **kwargs)
+            assert table.truncation_error == 0.0
+            assert np.array_equal(table.probs, vacuum.probs)
 
 
 class TestIdealProbabilityPermanent:

@@ -183,8 +183,12 @@ def _spdc_desk_configs():
 
 
 def _photon_desk_configs():
-    return [pytest.param(config, n_max, id=name) for name, config, n_max, _ in oracle_suite()
-            if all(isinstance(e.source, (MixedSinglePhoton, Vacuum)) for e in config.sources)]
+    suite = [pytest.param(config, n_max, id=name) for name, config, n_max, _ in oracle_suite()
+             if all(isinstance(e.source, (MixedSinglePhoton, Vacuum)) for e in config.sources)]
+    # The photon desk of perfbench's verify_desk: 6 + 6 loss modes, six photons.
+    return suite + [pytest.param(single_photon_config(6, 6, p_d=0.06, unitary_seed=seed), 1,
+                                 id=f"single_photon_config_6_6_seed{seed}")
+                    for seed in (1, 2, 7)]
 
 
 class TestPhotonClickTable:

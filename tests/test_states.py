@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import pqsim.states
 from pqsim import RngStream
 from pqsim.errors import DimensionError, NegativityError, NotPsdError, SingularOrderingError
 from pqsim.linalg import psd_factor_real
@@ -203,6 +204,31 @@ class TestSampleInputPqd:
     def test_coherent_p_function_is_point_mass(self):
         alpha = sample_source_pqd(Coherent(2.0), [1.0], RngStream(2).generator(), 50)
         assert np.all(alpha == 2.0)
+
+    @pytest.mark.parametrize("source, amplitude", [
+        (Vacuum(), 0.0), (Coherent(0.3 - 0.7j), 0.3 - 0.7j), (Thermal(0.0), 0.0),
+        (MixedSinglePhoton(0.0), 0.0), (SpdcPair(0.0, 0.8), 0.0)])
+    def test_point_mass_at_t_one_draws_nothing(self, source, amplitude):
+        # A zero PQD factor is a point mass at the mean, and consumes no draws.
+        gen = RngStream(12).generator()
+        alpha = sample_source_pqd(source, [1.0] * len(source.port_names), gen, 100)
+        assert alpha.shape == (100, len(source.port_names)) and np.all(alpha == amplitude)
+        assert np.array_equal(gen.random(8), RngStream(12).generator().random(8))
+
+    @pytest.mark.parametrize("source", [Vacuum(), Coherent(0.3 - 0.7j), Thermal(0.4),
+                                        SpdcPair(0.3, 0.8)])
+    def test_gaussian_kinds_draw_through_one_factor(self, source, monkeypatch):
+        calls = []
+
+        def spy(mean, cov, t):
+            calls.append(t)
+            return gaussian_pqd_factor(mean, cov, t)
+
+        monkeypatch.setattr(pqsim.states, "gaussian_pqd_factor", spy)
+        for t in (0.0, source.t_bar):
+            sample_source_pqd(source, [t] * len(source.port_names),
+                              RngStream(13).generator(), 10)
+        assert len(calls) == 2
 
     def test_single_photon_mixture_moments_match_quadrature(self):
         eta_bar, t, draws = 0.05, 0.9, 100_000
