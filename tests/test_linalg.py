@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from pqsim import RngStream
 from pqsim.errors import ContractionError, DimensionError, NotPsdError
 from pqsim.linalg import (
     CONTRACTION_TOL,
+    PSD_TOL,
     economy_dilation,
     haar_unitary,
     permanent_batch,
@@ -140,6 +142,80 @@ class TestValidateTransfer:
         monkeypatch.setattr(np.linalg, "norm", refuse)
         monkeypatch.setattr(np.linalg, "svd", refuse)
         validate_transfer(0.9 * haar_unitary(6, RngStream(2)))
+
+
+@functools.lru_cache(maxsize=None)
+def cached_haar(m: int) -> np.ndarray:
+    return haar_unitary(m, RngStream(11, m))
+
+
+def reference_case(name: str, m: int) -> np.ndarray:
+    """Transfer matrices around the contraction and diagonal-Gram limits.
+    The off-diagonal cases put the Frobenius norm of L^dag L's off-diagonal
+    part at 0.5e-10 or 2e-10: U (0.5 I + eps E_01) has Gram entries
+    0.5 eps at (0, 1) and (1, 0), a norm of eps / sqrt(2)."""
+    if m == 0:
+        return np.zeros((0, 0), dtype=complex)
+    u = cached_haar(m)
+    tol = CONTRACTION_TOL
+    if name.startswith("scaled_"):
+        return {"scaled_below": 1.0 - 1e-6, "scaled_half_tol": 1.0 + tol / 2.0,
+                "scaled_two_tol": 1.0 + 2.0 * tol}[name] * u
+    if name == "identity_plus_haar":
+        out = np.eye(m, dtype=complex)
+        if m > 1:
+            out[m // 2:, m // 2:] = cached_haar(m - m // 2)
+        return out
+    if name == "row_scaled":
+        return np.linspace(1.0, 0.3, m)[:, None] * u
+    if name.startswith("off_diagonal_"):
+        inner = 0.5 * np.eye(m, dtype=complex)
+        if m > 1:
+            delta = {"off_diagonal_small": 0.5e-10, "off_diagonal_large": 2e-10}[name]
+            inner[0, 1] = np.sqrt(2.0) * delta
+        return u @ inner
+    if name == "rank_deficient":
+        return u[:, :2] @ u[:2, :]
+    raise KeyError(name)
+
+
+def dense_reference(matrix: np.ndarray) -> tuple[str | None, bool]:
+    """The refusal message (None for a contraction) from the SVD 2-norm, and
+    whether the full Gram's off-diagonal Frobenius norm is <= PSD_TOL."""
+    smax = float(np.linalg.svd(matrix, compute_uv=False).max(initial=0.0))
+    refusal = None
+    if smax > 1.0 + CONTRACTION_TOL:
+        refusal = (f"largest singular value {smax:.12g} exceeds 1 + {CONTRACTION_TOL:g}; "
+                   "the network would amplify light")
+    gram = matrix.conj().T @ matrix
+    off = gram - np.diag(np.diag(gram))
+    return refusal, bool(np.sqrt(np.vdot(off, off).real) <= PSD_TOL)
+
+
+class TestValidateTransferReference:
+    """validate_transfer against a dense SVD-and-full-Gram reference, up to
+    M = 1024 so that every path of the contraction test runs."""
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 300, 1024])
+    @pytest.mark.parametrize("name", [
+        "scaled_below", "scaled_half_tol", "scaled_two_tol", "identity_plus_haar",
+        "row_scaled", "off_diagonal_small", "off_diagonal_large", "rank_deficient"])
+    def test_verdict_message_and_diagonal_gram_match(self, name, m):
+        matrix = reference_case(name, m)
+        refusal, diagonal = dense_reference(matrix)
+        if refusal is None:
+            out, diagonal_gram = validate_transfer(matrix, diagonal_gram=True)
+            assert np.array_equal(out, matrix) and diagonal_gram == diagonal
+        else:
+            with pytest.raises(ContractionError) as err:
+                validate_transfer(matrix, diagonal_gram=True)
+            assert str(err.value) == refusal
+
+    def test_cases_reach_both_verdicts_and_both_gram_kinds(self):
+        verdicts = {dense_reference(reference_case(name, 5)) for name in (
+            "scaled_half_tol", "scaled_two_tol", "off_diagonal_small", "off_diagonal_large")}
+        assert {refusal is None for refusal, _ in verdicts} == {True, False}
+        assert {diagonal for _, diagonal in verdicts} == {True, False}
 
 
 def permanent(a):
