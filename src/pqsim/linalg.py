@@ -24,6 +24,11 @@ PSD_TOL = 1e-10
 #: Allowed singular-value excess for a physical transfer matrix.
 CONTRACTION_TOL = 1e-9
 
+#: Columns per block of the transfer matrix's Gram; a matrix of up to this
+#: many modes is one block.  Measured at M = 1024 and 1600 on one BLAS
+#: thread, 128 and 256 were equally fast and 512 slower.
+_GRAM_BLOCK = 256
+
 
 def haar_unitary(m: int, rng: RngStream) -> np.ndarray:
     """Draw an m x m unitary from the Haar measure.
@@ -45,23 +50,52 @@ def haar_unitary(m: int, rng: RngStream) -> np.ndarray:
 def validate_transfer(matrix: np.ndarray, diagonal_gram: bool = False):
     """Check that a square complex matrix is a physical transfer matrix.
 
-    All singular values must be <= 1 + CONTRACTION_TOL.  A Cholesky
-    factorization of (1 + CONTRACTION_TOL)^2 I - L^dag L accepts a
-    contraction at a fraction of the cost of an SVD; only when it fails does
-    the 2-norm decide, and word the refusal.  Returns the matrix as a
-    complex128 array, and with ``diagonal_gram`` also whether that Gram
-    L^dag L is diagonal: its off-diagonal part has Frobenius norm <= PSD_TOL.
+    All singular values must be <= 1 + CONTRACTION_TOL.  The Gram
+    G = L^dag L is formed only on and above its diagonal, in column blocks
+    of :data:`_GRAM_BLOCK`, and two numbers are read off it: its diagonal
+    and the Frobenius norm delta of its off-diagonal part, summed from the
+    off-diagonal entries themselves.  Three tests then run in order:
+
+    1. If delta <= PSD_TOL and max diag + delta < (1 + CONTRACTION_TOL)^2,
+       the matrix is accepted.  By Weyl's inequality the largest eigenvalue
+       of G is at most max diag + ||G - diag G||_2 <= max diag + delta.
+    2. Otherwise the blocks are mirrored into the gap
+       (1 + CONTRACTION_TOL)^2 I - G, and a Cholesky factorization of it
+       accepts a contraction at a fraction of the cost of an SVD.
+    3. Only when that fails does the 2-norm decide, and word the refusal.
+
+    Returns the matrix as a complex128 array, and with ``diagonal_gram``
+    also whether G is diagonal: delta <= PSD_TOL.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"transfer matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DimensionError("transfer matrix entries must be finite")
-    gap = a.conj().T @ a
-    gap *= -1.0
-    gap.flat[:: a.shape[0] + 1] += (1.0 + CONTRACTION_TOL) ** 2
+    m, limit = a.shape[0], (1.0 + CONTRACTION_TOL) ** 2
+    gram, off_squares = np.empty((m, m), dtype=complex), 0.0
+    blocks = [(c0, min(c0 + _GRAM_BLOCK, m)) for c0 in range(0, m, _GRAM_BLOCK)]
+    for c0, c1 in blocks:
+        # gram[:c1, c0:c1] = conj(L[:, :c1]^T conj(L[:, c0:c1])), conjugating
+        # only the block's columns; its entries above the diagonal are those
+        # with global row < global column.
+        col = gram[:c1, c0:c1]
+        np.matmul(a[:, :c1].T, a[:, c0:c1].conj(), out=col)
+        np.conjugate(col, out=col)
+        upper = np.triu(col, 1 - c0)
+        off_squares += 2.0 * np.vdot(upper, upper).real
+    delta = math.sqrt(off_squares)
+    diagonal = delta <= PSD_TOL
+    if diagonal and np.diagonal(gram).real.max(initial=0.0) + delta < limit:
+        return (a, True) if diagonal_gram else a
+    for c0, c1 in blocks:
+        np.conjugate(gram[:c0, c0:c1].T, out=gram[c0:c1, :c0])
+        square = gram[c0:c1, c0:c1]
+        square[...] = np.triu(square) + np.triu(square, 1).conj().T
+    gram *= -1.0
+    gram.flat[:: m + 1] += limit
     try:
-        np.linalg.cholesky(gap)
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         smax = np.linalg.norm(a, ord=2)
         if smax > 1.0 + CONTRACTION_TOL:
@@ -69,10 +103,7 @@ def validate_transfer(matrix: np.ndarray, diagonal_gram: bool = False):
                 f"largest singular value {smax:.12g} exceeds 1 + {CONTRACTION_TOL:g}; "
                 "the network would amplify light"
             ) from None
-    if not diagonal_gram:
-        return a
-    gap.flat[:: a.shape[0] + 1] = 0.0
-    return a, bool(np.vdot(gap, gap).real <= PSD_TOL**2)
+    return (a, diagonal) if diagonal_gram else a
 
 
 def economy_dilation(transfer: np.ndarray) -> tuple[np.ndarray, int]:

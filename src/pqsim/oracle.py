@@ -36,10 +36,11 @@ MAX_ORACLE_MODES = 12
 #: 2^k Ryser steps per output state, as k single photons do.
 MAX_ORACLE_PHOTONS = 16
 
-#: Most Ryser steps in the sector of the largest ket, counted as states
-#: times 2^k, an upper bound: on 2 cores 10 single photons over 12 modes
-#: (3.6e8 steps) take about 20 s.
-MAX_SECTOR_STEPS = 6 * 10**8
+#: Most Ryser steps in one photon-number sector: its states times the
+#: prod_i (c_i + 1) - 1 steps of each kept ket in it.  The test and desk
+#: suites need at most 8.6e6 (three lossy SPDC pairs over 9 modes at n_max
+#: 2, which take 0.6 s on 2 cores).
+MAX_SECTOR_STEPS = 10**7
 
 #: Neglected-probability budget; beyond this the oracle refuses.
 TRUNCATION_BUDGET = 1e-6
@@ -207,18 +208,67 @@ def _expand(entries, n_max: int, ket_floor: float, modes: int):
     return blocks, 1.0 - kept_mass, floored
 
 
-def _size_refusal(blocks, modes: int) -> str | None:
-    """Why the largest kept ket of ``blocks``, k photons summed over them,
-    is refused, if it is: k above :data:`MAX_ORACLE_PHOTONS`, or its sector
-    over ``modes`` modes, C(modes + k - 1, k) states of 2^k Ryser steps
-    each, above :data:`MAX_SECTOR_STEPS`."""
-    k = sum(max((int(o.sum()) for _, _, occ in options for o in occ), default=0)
-            for options in blocks)
-    steps = math.comb(modes + k - 1, k) << k
-    if k > MAX_ORACLE_PHOTONS or steps > MAX_SECTOR_STEPS:
-        return (f"kets of up to {k} photons, a sector of {steps:.3g} permanent steps over "
-                f"{modes} modes; the oracle limits are {MAX_ORACLE_PHOTONS} photons "
-                f"and {MAX_SECTOR_STEPS:.3g} steps")
+def _tensor(amps, occs, block_amps, block_occ, reach: float, ket_floor: float):
+    """Kets ``(amps, occs)`` tensored with one block's kets, the block's
+    fastest, less those that cannot reach ``ket_floor``: |amplitude|^2
+    times ``reach``, the most the blocks still to come can multiply it by,
+    below the floor.  Returns the kept ``(amps, occs)`` and the |amplitude|^2
+    dropped."""
+    amps = (amps[:, None] * block_amps).ravel()
+    occs = (occs[:, None, :] + block_occ).reshape(-1, occs.shape[1])
+    weights = np.abs(amps) ** 2
+    keep = weights * reach >= ket_floor
+    return amps[keep], occs[keep], float(np.sum(weights[~keep]))
+
+
+def _reach(amplitudes) -> list[float]:
+    """Per block, the product of the largest |amplitude|^2 of every later
+    block in ``amplitudes`` (one list of amplitude arrays per block)."""
+    reach = [1.0]
+    for amps in reversed(amplitudes[1:]):
+        reach.append(reach[-1] * max((float(np.max(np.abs(a) ** 2)) for a in amps),
+                                     default=0.0))
+    return reach[::-1]
+
+
+def _size_refusal(blocks, modes: int, ket_floor: float) -> str | None:
+    """Why the kets that :func:`exact_distribution` propagates are refused,
+    if they are: one of more than :data:`MAX_ORACLE_PHOTONS` photons, or a
+    photon-number sector whose C(modes + k - 1, k) states times the
+    sector's kets' prod_i (c_i + 1) - 1 Ryser steps exceed
+    :data:`MAX_SECTOR_STEPS`.  Those kets are the tensor products of one
+    ket per block whose |amplitude|^2 reaches ``ket_floor``."""
+    amplitudes = [[amps for _, amps, _ in options] for options in blocks]
+    # The most photons a kept ket holds: per block and photon count the
+    # largest |amplitude|^2, combined as a max-product over the blocks.
+    most = np.ones(1)
+    for options in blocks:
+        per_count = {}
+        for _, amps, occ in options:
+            for weight, n in zip(np.abs(amps) ** 2, np.sum(occ, axis=1).tolist()):
+                per_count[n] = max(per_count.get(n, 0.0), weight)
+        grown = np.zeros(len(most) + max(per_count, default=0))
+        for n, weight in per_count.items():
+            np.maximum(grown[n : n + len(most)], most * weight, out=grown[n : n + len(most)])
+        most = grown
+    k = int(np.flatnonzero((most >= ket_floor) & (most > 0.0)).max(initial=0))
+    limits = (f"the oracle limits are {MAX_ORACLE_PHOTONS} photons "
+              f"and {MAX_SECTOR_STEPS:.3g} steps")
+    if k > MAX_ORACLE_PHOTONS:
+        return f"kets of up to {k} photons over {modes} modes; {limits}"
+    amps, occs = np.ones(1, dtype=complex), np.zeros((1, modes), dtype=np.uint8)
+    for options, reach in zip(blocks, _reach(amplitudes)):
+        kept = [_tensor(amps, occs, a, np.asarray(o, dtype=np.uint8), reach, ket_floor)
+                for _, a, o in options] or [(amps[:0], occs[:0], 0.0)]
+        amps = np.concatenate([a for a, _, _ in kept])
+        occs = np.concatenate([o for _, o, _ in kept])
+    kets = np.unique(occs, axis=0).astype(np.int64)
+    per_sector = np.bincount(kets.sum(axis=1), weights=np.prod(kets + 1, axis=1) - 1)
+    steps = max((math.comb(modes + n - 1, n) * int(s) for n, s in enumerate(per_sector)),
+                default=0)
+    if steps > MAX_SECTOR_STEPS:
+        return (f"kets of up to {k} photons, a sector of {steps:.3g} permanent steps "
+                f"over {modes} modes; {limits}")
     return None
 
 
@@ -227,7 +277,7 @@ def _suggest_n_max(entries, ket_floor: float, modes: int) -> int | None:
     :func:`_size_refusal` accepts its kets over ``modes`` modes."""
     for candidate in range(1, 64):
         blocks, truncation, _ = _expand(entries, candidate, ket_floor, modes)
-        if _size_refusal(blocks, modes):
+        if _size_refusal(blocks, modes, ket_floor):
             return None
         if truncation <= TRUNCATION_BUDGET:
             return candidate
@@ -278,7 +328,7 @@ def exact_distribution(
         )
 
     blocks, truncation, dropped = _expand(config.sources, n_max, ket_floor, k_total)
-    refusal = _size_refusal(blocks, k_total)
+    refusal = _size_refusal(blocks, k_total, ket_floor)
     if refusal:
         raise OracleSizeError(f"n_max={n_max} gives {refusal}")
     if truncation > TRUNCATION_BUDGET:
@@ -296,18 +346,19 @@ def exact_distribution(
 
     for combo in itertools.product(*blocks):
         weight = math.prod(w for w, _, _ in combo)
-        # Tensor the block kets into full-network kets, the last block fastest.
+        # Tensor the block kets into full-network kets, the last block
+        # fastest; a partial ket dropped after block b carries the mass of
+        # all its completions, its |amplitude|^2 times the later blocks' norms.
         amps = np.ones(1, dtype=complex)
         occs = np.zeros((1, k_total), dtype=np.intp)
-        for _, b_amps, b_occ in combo:
-            amps = (amps[:, None] * b_amps).ravel()
-            occs = (occs[:, None, :] + b_occ).reshape(-1, k_total)
-        keep = np.abs(amps) ** 2 >= ket_floor
-        lost = float(np.sum(np.abs(amps[~keep]) ** 2))
+        reach = _reach([[b_amps] for _, b_amps, _ in combo])
+        lost = 0.0
+        for b, (_, b_amps, b_occ) in enumerate(combo):
+            amps, occs, pruned = _tensor(amps, occs, b_amps, b_occ, reach[b], ket_floor)
+            lost += pruned * math.prod(float(np.sum(np.abs(a) ** 2)) for _, a, _ in combo[b + 1:])
         dropped += weight * lost
         if lost > 0.0:
             amps = amps / math.sqrt(max(1.0 - lost, 1e-300))
-        amps, occs = amps[keep], occs[keep]
         # Propagate sector by sector; the network conserves photon number,
         # so cross-sector coherences never reach the diagonal POVM.
         totals = occs.sum(axis=1)

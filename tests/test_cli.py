@@ -358,7 +358,7 @@ class TestOracleCommand:
         path.write_text(thermal_on_lossy_six(0.5).to_json())
         rc = main(["oracle", "--config", str(path), "--n-max", "16", "--quiet"])
         assert rc == EXIT_USAGE
-        assert "8.54e+11 permanent steps over 12 modes" in capsys.readouterr().err
+        assert "2.09e+08 permanent steps over 12 modes" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -338,7 +338,7 @@ class TestExactDistribution:
         # The 16-photon ket weighs 1.5e-8 and the truncation tail 7.7e-9, so
         # only the 13M-state sector over 12 modes stops this run.
         monkeypatch.setattr(pqsim.oracle, "_sector", one_state_sector(-1))
-        with pytest.raises(OracleSizeError, match=r"8.54e\+11 permanent steps over 12 modes"):
+        with pytest.raises(OracleSizeError, match=r"2.09e\+08 permanent steps over 12 modes"):
             exact_distribution(thermal_on_lossy_six(0.5), n_max=16)
 
     def test_size_guard_counts_environment_modes(self):

@@ -1,6 +1,7 @@
 """Structural guards on the exact oracle's cost: one permanent stack per
-distinct input ket, Ryser steps set by the ket's occupations, and no
-Python work per output state or occupation.
+distinct input ket, Ryser steps set by the ket's occupations, a size guard
+that counts the steps the run takes, and no Python work per output state
+or occupation.
 
 Under cProfile the two configs below make about 5,300 and 1,100
 Python-level calls; a loop over output states or occupations makes
@@ -10,13 +11,24 @@ hundreds of thousands (1,183,854 and 268,017).
 import cProfile
 import math
 import pstats
+import re
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import pqsim.linalg
 import pqsim.oracle
+from pqsim import DetectorModel, RngStream
+from pqsim.errors import OracleSizeError
+from pqsim.experiment import ExperimentConfig, PortSource
+from pqsim.linalg import haar_unitary
 from pqsim.oracle import exact_distribution
 from pqsim.presets import single_photon_config, spdc_config
+from pqsim.states import Coherent, Thermal, Vacuum
+
+from conftest import one_state_sector
 
 CASES = [
     pytest.param(lambda: single_photon_config(6, 6, p_d=0.06, unitary_seed=1), 1, 63,
@@ -52,6 +64,72 @@ def test_gray_steps_follow_the_ket_occupations(monkeypatch):
     assert len(steps) == len(kets) == 14
     assert sum(steps) == sum(math.prod(c + 1 for c in ket) - 1 for ket in kets)
     assert sum(steps) < sum((1 << sum(ket)) - 1 for ket in kets) / 4
+
+
+@pytest.mark.parametrize("build,n_max,stacks", CASES)
+def test_size_guard_counts_the_steps_of_the_largest_sector(monkeypatch, build, n_max, stacks):
+    # The guard's figure for the costliest sector, read off its refusal at a
+    # zero limit, equals the Ryser steps the run then takes in that sector.
+    config = build()
+    monkeypatch.setattr(pqsim.oracle, "MAX_SECTOR_STEPS", 0)
+    with pytest.raises(OracleSizeError) as err:
+        exact_distribution(config, n_max=n_max)
+    bound = float(re.search(r"a sector of (\S+) permanent steps", str(err.value)).group(1))
+    monkeypatch.undo()
+
+    per_sector = {}
+    permanent_batch = pqsim.oracle.permanent_batch
+
+    def spy(mats, counts):
+        steps = len(mats) * (math.prod(c + 1 for c in counts) - 1)
+        per_sector[sum(counts)] = per_sector.get(sum(counts), 0) + steps
+        return permanent_batch(mats, counts)
+
+    monkeypatch.setattr(pqsim.oracle, "permanent_batch", spy)
+    exact_distribution(config, n_max=n_max)
+    assert bound == pytest.approx(max(per_sector.values()), rel=5e-3)
+
+
+def test_twelve_photons_over_nine_modes_are_refused_before_any_sector(monkeypatch):
+    # Six Thermal(1e-5) ports keep kets of up to 2 photons each, so the
+    # 12-photon sector over 9 modes holds a ket with 2 photons on 6 modes,
+    # 728 steps for each of its 125,970 states, and the 10-photon sector
+    # 2.76e8 steps in all; the whole run takes about 30 s on 2 cores.
+    modes = 9
+    sources = [PortSource(Thermal(1e-5), (k,)) for k in range(6)]
+    sources += [PortSource(Vacuum(), (k,)) for k in range(6, modes)]
+    config = ExperimentConfig(modes=modes, sources=tuple(sources),
+                              transfer=haar_unitary(modes, RngStream(3)),
+                              detectors=(DetectorModel(0.9, 0.05),) * modes)
+    monkeypatch.setattr(pqsim.oracle, "_sector", one_state_sector(-1))
+    started = time.perf_counter()
+    with pytest.raises(OracleSizeError,
+                       match=r"kets of up to 12 photons, a sector of 2.76e\+08 permanent "
+                             r"steps over 9 modes"):
+        exact_distribution(config, n_max=16)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_weak_sources_build_only_the_kets_they_keep():
+    # Twelve Coherent(0.002) ports at n_max 4 tensor into 5^12 kets, of which
+    # the floor keeps those of up to 2 photons: 91.  Through a unitary the
+    # output is coherent, so clicks are independent per mode.
+    modes, alpha, eta_d, p_d = 12, 0.002, 0.9, 0.05
+    unitary = haar_unitary(modes, RngStream(3))
+    config = ExperimentConfig(modes=modes,
+                              sources=tuple(PortSource(Coherent(alpha), (k,)) for k in range(modes)),
+                              transfer=unitary, detectors=(DetectorModel(eta_d, p_d),) * modes)
+    tracemalloc.start()
+    try:
+        table = exact_distribution(config, n_max=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    click = 1.0 - (1.0 - p_d) * np.exp(-eta_d * np.abs(alpha * unitary.sum(axis=0)) ** 2)
+    bits = np.array([[int(b) for b in outcome] for outcome in table.outcomes])
+    product = np.prod(np.where(bits == 1, click, 1.0 - click), axis=1)
+    assert np.max(np.abs(table.probs - product)) <= table.truncation_error + 1e-12
 
 
 @pytest.mark.parametrize("build,n_max,stacks", CASES)
