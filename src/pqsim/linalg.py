@@ -85,25 +85,23 @@ def validate_transfer(matrix: np.ndarray, diagonal_gram: bool = False):
         upper = np.triu(col, 1 - c0)
         off_squares += 2.0 * np.vdot(upper, upper).real
     delta = math.sqrt(off_squares)
-    diagonal = delta <= PSD_TOL
-    if diagonal and np.diagonal(gram).real.max(initial=0.0) + delta < limit:
-        return (a, True) if diagonal_gram else a
-    for c0, c1 in blocks:
-        np.conjugate(gram[:c0, c0:c1].T, out=gram[c0:c1, :c0])
-        square = gram[c0:c1, c0:c1]
-        square[...] = np.triu(square) + np.triu(square, 1).conj().T
-    gram *= -1.0
-    gram.flat[:: m + 1] += limit
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        smax = np.linalg.norm(a, ord=2)
-        if smax > 1.0 + CONTRACTION_TOL:
-            raise ContractionError(
-                f"largest singular value {smax:.12g} exceeds 1 + {CONTRACTION_TOL:g}; "
-                "the network would amplify light"
-            ) from None
-    return (a, diagonal) if diagonal_gram else a
+    if not (delta <= PSD_TOL and np.diagonal(gram).real.max(initial=0.0) + delta < limit):
+        for c0, c1 in blocks:
+            np.conjugate(gram[:c0, c0:c1].T, out=gram[c0:c1, :c0])
+            square = gram[c0:c1, c0:c1]
+            square[...] = np.triu(square) + np.triu(square, 1).conj().T
+        gram *= -1.0
+        gram.flat[:: m + 1] += limit
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            smax = np.linalg.norm(a, ord=2)
+            if smax > 1.0 + CONTRACTION_TOL:
+                raise ContractionError(
+                    f"largest singular value {smax:.12g} exceeds 1 + {CONTRACTION_TOL:g}; "
+                    "the network would amplify light"
+                ) from None
+    return (a, delta <= PSD_TOL) if diagonal_gram else a
 
 
 def economy_dilation(transfer: np.ndarray) -> tuple[np.ndarray, int]:

@@ -208,27 +208,25 @@ def _expand(entries, n_max: int, ket_floor: float, modes: int):
     return blocks, 1.0 - kept_mass, floored
 
 
-def _tensor(amps, occs, block_amps, block_occ, reach: float, ket_floor: float):
+def _tensor(amps, occs, block_amps, block_occ, later, ket_floor: float):
     """Kets ``(amps, occs)`` tensored with one block's kets, the block's
-    fastest, less those that cannot reach ``ket_floor``: |amplitude|^2
-    times ``reach``, the most the blocks still to come can multiply it by,
-    below the floor.  Returns the kept ``(amps, occs)`` and the |amplitude|^2
-    dropped."""
+    fastest.  ``later`` lists, per block still to come, the amplitude
+    arrays its kets may take.  After the last block, or a block of several
+    kets, the kets that cannot reach ``ket_floor`` are dropped: those whose
+    |amplitude|^2 times the largest |amplitude|^2 of each later block falls
+    below it.  Returns the kept ``(amps, occs)`` and the probability
+    dropped, each dropped ket's |amplitude|^2 times the later blocks' norms."""
     amps = (amps[:, None] * block_amps).ravel()
     occs = (occs[:, None, :] + block_occ).reshape(-1, occs.shape[1])
+    if len(block_amps) == 1 and later:
+        return amps, occs, 0.0
+    reach = norm = 1.0
+    for options in later:
+        reach *= max(float(np.max(np.abs(a) ** 2)) for a in options)
+        norm *= max(float(np.sum(np.abs(a) ** 2)) for a in options)
     weights = np.abs(amps) ** 2
     keep = weights * reach >= ket_floor
-    return amps[keep], occs[keep], float(np.sum(weights[~keep]))
-
-
-def _reach(amplitudes) -> list[float]:
-    """Per block, the product of the largest |amplitude|^2 of every later
-    block in ``amplitudes`` (one list of amplitude arrays per block)."""
-    reach = [1.0]
-    for amps in reversed(amplitudes[1:]):
-        reach.append(reach[-1] * max((float(np.max(np.abs(a) ** 2)) for a in amps),
-                                     default=0.0))
-    return reach[::-1]
+    return amps[keep], occs[keep], float(np.sum(weights[~keep])) * norm
 
 
 def _size_refusal(blocks, modes: int, ket_floor: float) -> str | None:
@@ -257,9 +255,9 @@ def _size_refusal(blocks, modes: int, ket_floor: float) -> str | None:
     if k > MAX_ORACLE_PHOTONS:
         return f"kets of up to {k} photons over {modes} modes; {limits}"
     amps, occs = np.ones(1, dtype=complex), np.zeros((1, modes), dtype=np.uint8)
-    for options, reach in zip(blocks, _reach(amplitudes)):
-        kept = [_tensor(amps, occs, a, np.asarray(o, dtype=np.uint8), reach, ket_floor)
-                for _, a, o in options] or [(amps[:0], occs[:0], 0.0)]
+    for b, options in enumerate(blocks):
+        kept = [_tensor(amps, occs, a, np.asarray(o, dtype=np.uint8), amplitudes[b + 1:],
+                        ket_floor) for _, a, o in options] or [(amps[:0], occs[:0], 0.0)]
         amps = np.concatenate([a for a, _, _ in kept])
         occs = np.concatenate([o for _, o, _ in kept])
     kets = np.unique(occs, axis=0).astype(np.int64)
@@ -346,16 +344,14 @@ def exact_distribution(
 
     for combo in itertools.product(*blocks):
         weight = math.prod(w for w, _, _ in combo)
-        # Tensor the block kets into full-network kets, the last block
-        # fastest; a partial ket dropped after block b carries the mass of
-        # all its completions, its |amplitude|^2 times the later blocks' norms.
+        # Tensor the block kets into full-network kets, the last block fastest.
         amps = np.ones(1, dtype=complex)
         occs = np.zeros((1, k_total), dtype=np.intp)
-        reach = _reach([[b_amps] for _, b_amps, _ in combo])
         lost = 0.0
         for b, (_, b_amps, b_occ) in enumerate(combo):
-            amps, occs, pruned = _tensor(amps, occs, b_amps, b_occ, reach[b], ket_floor)
-            lost += pruned * math.prod(float(np.sum(np.abs(a) ** 2)) for _, a, _ in combo[b + 1:])
+            later = [[a] for _, a, _ in combo[b + 1:]]
+            amps, occs, pruned = _tensor(amps, occs, b_amps, b_occ, later, ket_floor)
+            lost += pruned
         dropped += weight * lost
         if lost > 0.0:
             amps = amps / math.sqrt(max(1.0 - lost, 1e-300))
