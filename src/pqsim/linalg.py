@@ -51,16 +51,17 @@ def validate_transfer(matrix: np.ndarray, diagonal_gram: bool = False):
     """Check that a square complex matrix is a physical transfer matrix.
 
     All singular values must be <= 1 + CONTRACTION_TOL.  The Gram
-    G = L^dag L is formed only on and above its diagonal, in column blocks
-    of :data:`_GRAM_BLOCK`, and two numbers are read off it: its diagonal
-    and the Frobenius norm delta of its off-diagonal part, summed from the
-    off-diagonal entries themselves.  Three tests then run in order:
+    G = L^dag L is formed, as its transpose L^T conj(L) (same eigenvalues),
+    only on and above its diagonal, in column blocks of :data:`_GRAM_BLOCK`,
+    and two numbers are read off it: its diagonal and the Frobenius norm
+    delta of its off-diagonal part, summed from the off-diagonal entries
+    themselves.  Three tests then run in order:
 
     1. If delta <= PSD_TOL and max diag + delta < (1 + CONTRACTION_TOL)^2,
        the matrix is accepted.  By Weyl's inequality the largest eigenvalue
        of G is at most max diag + ||G - diag G||_2 <= max diag + delta.
     2. Otherwise the blocks are mirrored into the gap
-       (1 + CONTRACTION_TOL)^2 I - G, and a Cholesky factorization of it
+       (1 + CONTRACTION_TOL)^2 I - G^T, and a Cholesky factorization of it
        accepts a contraction at a fraction of the cost of an SVD.
     3. Only when that fails does the 2-norm decide, and word the refusal.
 
@@ -76,14 +77,13 @@ def validate_transfer(matrix: np.ndarray, diagonal_gram: bool = False):
     gram, off_squares = np.empty((m, m), dtype=complex), 0.0
     blocks = [(c0, min(c0 + _GRAM_BLOCK, m)) for c0 in range(0, m, _GRAM_BLOCK)]
     for c0, c1 in blocks:
-        # gram[:c1, c0:c1] = conj(L[:, :c1]^T conj(L[:, c0:c1])), conjugating
-        # only the block's columns; its entries above the diagonal are those
-        # with global row < global column.
+        # Conjugating only the block's columns.  Above the diagonal lie the
+        # rows before c0 and the square's upper triangle.
         col = gram[:c1, c0:c1]
         np.matmul(a[:, :c1].T, a[:, c0:c1].conj(), out=col)
-        np.conjugate(col, out=col)
-        upper = np.triu(col, 1 - c0)
-        off_squares += 2.0 * np.vdot(upper, upper).real
+        above, square = col[:c0].view(float), np.triu(col[c0:], 1)
+        off_squares += 2.0 * (np.einsum("ij,ij->", above, above)
+                              + np.vdot(square, square).real)
     delta = math.sqrt(off_squares)
     if not (delta <= PSD_TOL and np.diagonal(gram).real.max(initial=0.0) + delta < limit):
         for c0, c1 in blocks:
