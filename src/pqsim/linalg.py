@@ -60,7 +60,7 @@ def validate_transfer(matrix: np.ndarray, diagonal_gram: bool = False):
     1. If delta <= PSD_TOL and max diag + delta < (1 + CONTRACTION_TOL)^2,
        the matrix is accepted.  By Weyl's inequality the largest eigenvalue
        of G is at most max diag + ||G - diag G||_2 <= max diag + delta.
-    2. Otherwise the blocks are mirrored into the gap
+    2. Otherwise the blocks and their mirror images fill the gap
        (1 + CONTRACTION_TOL)^2 I - G^T, and a Cholesky factorization of it
        accepts a contraction at a fraction of the cost of an SVD.
     3. Only when that fails does the 2-norm decide, and word the refusal.
@@ -74,22 +74,26 @@ def validate_transfer(matrix: np.ndarray, diagonal_gram: bool = False):
     if not np.all(np.isfinite(a)):
         raise DimensionError("transfer matrix entries must be finite")
     m, limit = a.shape[0], (1.0 + CONTRACTION_TOL) ** 2
-    gram, off_squares = np.empty((m, m), dtype=complex), 0.0
     blocks = [(c0, min(c0 + _GRAM_BLOCK, m)) for c0 in range(0, m, _GRAM_BLOCK)]
+    # One buffer holds the column blocks G^T[:c1, c0:c1], each C-contiguous:
+    # the rows above the diagonal square, then the square.
+    buffer = np.empty(sum(c1 * (c1 - c0) for c0, c1 in blocks), dtype=complex)
+    columns, start, top, off_squares = [], 0, 0.0, 0.0
     for c0, c1 in blocks:
-        # Conjugating only the block's columns.  Above the diagonal lie the
-        # rows before c0 and the square's upper triangle.
-        col = gram[:c1, c0:c1]
+        col = buffer[start : start + c1 * (c1 - c0)].reshape(c1, c1 - c0)
+        start += col.size
         np.matmul(a[:, :c1].T, a[:, c0:c1].conj(), out=col)
-        above, square = col[:c0].view(float), np.triu(col[c0:], 1)
-        off_squares += 2.0 * (np.einsum("ij,ij->", above, above)
-                              + np.vdot(square, square).real)
+        above, square, k = col[:c0], col[c0:], np.arange(c1 - c0)
+        upper = square[k[:, None] < k]
+        off_squares += 2.0 * (np.vdot(above, above).real + np.vdot(upper, upper).real)
+        top = max(top, float(np.diagonal(square).real.max()))
+        columns.append(col)
     delta = math.sqrt(off_squares)
-    if not (delta <= PSD_TOL and np.diagonal(gram).real.max(initial=0.0) + delta < limit):
-        for c0, c1 in blocks:
-            np.conjugate(gram[:c0, c0:c1].T, out=gram[c0:c1, :c0])
-            square = gram[c0:c1, c0:c1]
-            square[...] = np.triu(square) + np.triu(square, 1).conj().T
+    if not (delta <= PSD_TOL and top + delta < limit):
+        gram = np.empty((m, m), dtype=complex)
+        for (c0, c1), col in zip(blocks, columns):
+            gram[:c1, c0:c1] = col
+            np.conjugate(col[:c0].T, out=gram[c0:c1, :c0])
         gram *= -1.0
         gram.flat[:: m + 1] += limit
         try:

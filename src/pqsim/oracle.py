@@ -298,8 +298,8 @@ def exact_distribution(
     Refuses with :class:`TruncationError` (suggesting a larger n_max) when
     the neglected mass exceeds 1e-6, and with :class:`OracleSizeError` when
     the enlarged network exceeds 12 modes or, before any sector is built,
-    when the largest ket that ``ket_floor`` keeps, summed over the blocks,
-    exceeds 16 photons or :data:`MAX_SECTOR_STEPS`; an ``n_max`` outside [1, 170]
+    when a ket that ``ket_floor`` keeps exceeds 16 photons or a sector's
+    Ryser steps exceed :data:`MAX_SECTOR_STEPS`; an ``n_max`` outside [1, 170]
     (170! is the largest factorial a float holds) is a ValueError.
     """
     m_sys = config.modes
