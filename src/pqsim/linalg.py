@@ -51,11 +51,12 @@ def validate_transfer(matrix: np.ndarray, diagonal_gram: bool = False):
     """Check that a square complex matrix is a physical transfer matrix.
 
     All singular values must be <= 1 + CONTRACTION_TOL.  The Gram
-    G = L^dag L is formed, as its transpose L^T conj(L) (same eigenvalues),
-    only on and above its diagonal, in column blocks of :data:`_GRAM_BLOCK`,
-    and two numbers are read off it: its diagonal and the Frobenius norm
-    delta of its off-diagonal part, summed from the off-diagonal entries
-    themselves.  Three tests then run in order:
+    G = L^dag L is formed as its transpose L^T conj(L), which has the same
+    eigenvalues, and only down to its diagonal: in column blocks of
+    :data:`_GRAM_BLOCK`, each ending with its diagonal square, about half of
+    G at large M.  Two numbers are read off the blocks: the diagonal, and
+    the Frobenius norm delta of the off-diagonal part, summed from the
+    off-diagonal entries themselves.  Three tests then run in order:
 
     1. If delta <= PSD_TOL and max diag + delta < (1 + CONTRACTION_TOL)^2,
        the matrix is accepted.  By Weyl's inequality the largest eigenvalue
@@ -90,14 +91,14 @@ def validate_transfer(matrix: np.ndarray, diagonal_gram: bool = False):
         columns.append(col)
     delta = math.sqrt(off_squares)
     if not (delta <= PSD_TOL and top + delta < limit):
-        gram = np.empty((m, m), dtype=complex)
+        gap = np.empty((m, m), dtype=complex)
         for (c0, c1), col in zip(blocks, columns):
-            gram[:c1, c0:c1] = col
-            np.conjugate(col[:c0].T, out=gram[c0:c1, :c0])
-        gram *= -1.0
-        gram.flat[:: m + 1] += limit
+            gap[:c1, c0:c1] = col
+            np.conjugate(col[:c0].T, out=gap[c0:c1, :c0])
+        gap *= -1.0
+        gap.flat[:: m + 1] += limit
         try:
-            np.linalg.cholesky(gram)
+            np.linalg.cholesky(gap)
         except np.linalg.LinAlgError:
             smax = np.linalg.norm(a, ord=2)
             if smax > 1.0 + CONTRACTION_TOL:

@@ -235,7 +235,9 @@ def _size_refusal(blocks, modes: int, ket_floor: float) -> str | None:
     photon-number sector whose C(modes + k - 1, k) states times the
     sector's kets' prod_i (c_i + 1) - 1 Ryser steps exceed
     :data:`MAX_SECTOR_STEPS`.  Those kets are the tensor products of one
-    ket per block whose |amplitude|^2 reaches ``ket_floor``."""
+    ket per block whose |amplitude|^2 reaches ``ket_floor``; they are
+    distinct, as the blocks hold disjoint ports and no two alternatives of
+    a block (:func:`_source_block`) share an occupation."""
     amplitudes = [[amps for _, amps, _ in options] for options in blocks]
     # The most photons a kept ket holds: per block and photon count the
     # largest |amplitude|^2, combined as a max-product over the blocks.
@@ -260,7 +262,7 @@ def _size_refusal(blocks, modes: int, ket_floor: float) -> str | None:
                         ket_floor) for _, a, o in options] or [(amps[:0], occs[:0], 0.0)]
         amps = np.concatenate([a for a, _, _ in kept])
         occs = np.concatenate([o for _, o, _ in kept])
-    kets = np.unique(occs, axis=0).astype(np.int64)
+    kets = occs.astype(np.int64)
     per_sector = np.bincount(kets.sum(axis=1), weights=np.prod(kets + 1, axis=1) - 1)
     steps = max((math.comb(modes + n - 1, n) * int(s) for n, s in enumerate(per_sector)),
                 default=0)
