@@ -123,7 +123,6 @@ class _Propagator:
         self.modes = self.transfer.shape[0]
         self.system_modes = system_modes
         self._sectors: dict[int, tuple] = {}
-        self._cache: dict[tuple, np.ndarray] = {}
 
     def sector(self, total: int):
         """``(photons, norms, codes, system)`` of one sector: ``codes`` gives
@@ -139,22 +138,18 @@ class _Propagator:
 
     def apply(self, ket: tuple[int, ...]) -> np.ndarray:
         """Amplitudes of U|ket> over the ket's photon-number sector."""
-        if ket not in self._cache:
-            total = sum(ket)
-            photons, out_norms, _, _ = self.sector(total)
-            if total == 0:
-                amps = np.ones(1, dtype=complex)
-            else:
-                rows, amps = np.flatnonzero(ket), np.empty(len(out_norms), dtype=complex)
-                step = max(1, _STACK_ENTRIES // (len(rows) * total))
-                for s in range(0, len(amps), step):
-                    # stack[k, c, b] = T[rows[k], photons[c, b]], C-contiguous
-                    stack = self.transfer[rows[:, None, None], photons[None, :, s : s + step]]
-                    amps[s : s + step] = permanent_batch(stack.transpose(2, 0, 1),
-                                                         [ket[k] for k in rows])
-                amps /= math.sqrt(np.prod(_FACTORIALS[list(ket)])) * out_norms
-            self._cache[ket] = amps
-        return self._cache[ket]
+        total = sum(ket)
+        photons, out_norms, _, _ = self.sector(total)
+        if total == 0:
+            return np.ones(1, dtype=complex)
+        rows, amps = np.flatnonzero(ket), np.empty(len(out_norms), dtype=complex)
+        step = max(1, _STACK_ENTRIES // (len(rows) * total))
+        for s in range(0, len(amps), step):
+            # stack[k, c, b] = T[rows[k], photons[c, b]], C-contiguous
+            stack = self.transfer[rows[:, None, None], photons[None, :, s : s + step]]
+            amps[s : s + step] = permanent_batch(stack.transpose(2, 0, 1),
+                                                 [ket[k] for k in rows])
+        return amps / (math.sqrt(np.prod(_FACTORIALS[list(ket)])) * out_norms)
 
 
 def _source_block(source, n_max: int):
@@ -210,66 +205,73 @@ def _expand(entries, n_max: int, ket_floor: float, modes: int):
 
 def _tensor(amps, occs, block_amps, block_occ, later, ket_floor: float):
     """Kets ``(amps, occs)`` tensored with one block's kets, the block's
-    fastest.  ``later`` lists, per block still to come, the amplitude
-    arrays its kets may take.  After the last block, or a block of several
-    kets, the kets that cannot reach ``ket_floor`` are dropped: those whose
-    |amplitude|^2 times the largest |amplitude|^2 of each later block falls
-    below it.  Returns the kept ``(amps, occs)`` and the probability
-    dropped, each dropped ket's |amplitude|^2 times the later blocks' norms."""
+    fastest.  ``later`` lists the amplitude arrays of the blocks still to
+    come.  After the last block, or a block of several kets, the kets that
+    cannot reach ``ket_floor`` are dropped: those whose |amplitude|^2 times
+    the largest |amplitude|^2 of each later block falls below it.  Returns
+    the kept ``(amps, occs)`` and the probability dropped, each dropped
+    ket's |amplitude|^2 times the later blocks' norms."""
     amps = (amps[:, None] * block_amps).ravel()
     occs = (occs[:, None, :] + block_occ).reshape(-1, occs.shape[1])
     if len(block_amps) == 1 and later:
         return amps, occs, 0.0
-    reach = norm = 1.0
-    for options in later:
-        reach *= max(float(np.max(np.abs(a) ** 2)) for a in options)
-        norm *= max(float(np.sum(np.abs(a) ** 2)) for a in options)
+    reach = math.prod(float(np.max(np.abs(a) ** 2)) for a in later)
+    norm = math.prod(float(np.sum(np.abs(a) ** 2)) for a in later)
     weights = np.abs(amps) ** 2
     keep = weights * reach >= ket_floor
     return amps[keep], occs[keep], float(np.sum(weights[~keep])) * norm
 
 
-def _size_refusal(blocks, modes: int, ket_floor: float) -> str | None:
-    """Why the kets that :func:`exact_distribution` propagates are refused,
-    if they are: one of more than :data:`MAX_ORACLE_PHOTONS` photons, or a
-    photon-number sector whose C(modes + k - 1, k) states times the
-    sector's kets' prod_i (c_i + 1) - 1 Ryser steps exceed
-    :data:`MAX_SECTOR_STEPS`.  Those kets are the tensor products of one
-    ket per block whose |amplitude|^2 reaches ``ket_floor``; they are
-    distinct, as the blocks hold disjoint ports and no two alternatives of
-    a block (:func:`_source_block`) share an occupation."""
-    amplitudes = [[amps for _, amps, _ in options] for options in blocks]
-    # The most photons a kept ket holds: per block and photon count the
-    # largest |amplitude|^2, combined as a max-product over the blocks.
+def _kets(blocks, modes: int, ket_floor: float) -> list:
+    """The kets :func:`exact_distribution` propagates: per mixture
+    alternative (one alternative of each block, in ``itertools.product``
+    order) its ``(weight, amps, occs, lost)``, the tensor products of one
+    ket per block, the last block fastest, whose |amplitude|^2 reaches
+    ``ket_floor``, and the probability ``lost`` held by those dropped.  All
+    kets are distinct, as the blocks hold disjoint ports and no two
+    alternatives of a block (:func:`_source_block`) share an occupation."""
+    kets = []
+    for combo in itertools.product(*blocks):
+        amps, occs, lost = np.ones(1, dtype=complex), np.zeros((1, modes), dtype=np.intp), 0.0
+        for b, (_, block_amps, block_occ) in enumerate(combo):
+            later = [a for _, a, _ in combo[b + 1:]]
+            amps, occs, pruned = _tensor(amps, occs, block_amps, block_occ, later, ket_floor)
+            lost += pruned
+        kets.append((math.prod(w for w, _, _ in combo), amps, occs, lost))
+    return kets
+
+
+def _size_refusal(blocks, modes: int, ket_floor: float) -> tuple[str | None, list]:
+    """Why the kets :func:`exact_distribution` propagates are refused, if
+    they are, and those kets, from :func:`_kets`.  A ket of more than
+    :data:`MAX_ORACLE_PHOTONS` photons is refused before any ket is built;
+    otherwise the kets are listed, and refused if a photon-number sector's
+    C(modes + k - 1, k) states times its kets' prod_i (c_i + 1) - 1 Ryser
+    steps exceed :data:`MAX_SECTOR_STEPS`."""
+    # The most photons a kept ket holds: the largest product of one
+    # |amplitude|^2 per block, per photon count, block by block.
     most = np.ones(1)
     for options in blocks:
-        per_count = {}
-        for _, amps, occ in options:
-            for weight, n in zip(np.abs(amps) ** 2, np.sum(occ, axis=1).tolist()):
-                per_count[n] = max(per_count.get(n, 0.0), weight)
-        grown = np.zeros(len(most) + max(per_count, default=0))
-        for n, weight in per_count.items():
+        terms = [(float(w), n) for _, amps, occ in options
+                 for w, n in zip(np.abs(amps) ** 2, np.sum(occ, axis=1).tolist())]
+        grown = np.zeros(len(most) + max((n for _, n in terms), default=0))
+        for weight, n in terms:
             np.maximum(grown[n : n + len(most)], most * weight, out=grown[n : n + len(most)])
         most = grown
     k = int(np.flatnonzero((most >= ket_floor) & (most > 0.0)).max(initial=0))
     limits = (f"the oracle limits are {MAX_ORACLE_PHOTONS} photons "
               f"and {MAX_SECTOR_STEPS:.3g} steps")
     if k > MAX_ORACLE_PHOTONS:
-        return f"kets of up to {k} photons over {modes} modes; {limits}"
-    amps, occs = np.ones(1, dtype=complex), np.zeros((1, modes), dtype=np.uint8)
-    for b, options in enumerate(blocks):
-        kept = [_tensor(amps, occs, a, np.asarray(o, dtype=np.uint8), amplitudes[b + 1:],
-                        ket_floor) for _, a, o in options] or [(amps[:0], occs[:0], 0.0)]
-        amps = np.concatenate([a for a, _, _ in kept])
-        occs = np.concatenate([o for _, o, _ in kept])
-    kets = occs.astype(np.int64)
-    per_sector = np.bincount(kets.sum(axis=1), weights=np.prod(kets + 1, axis=1) - 1)
+        return f"kets of up to {k} photons over {modes} modes; {limits}", []
+    kets = _kets(blocks, modes, ket_floor)
+    occs = np.concatenate([np.zeros((0, modes), dtype=np.intp), *(o for _, _, o, _ in kets)])
+    per_sector = np.bincount(occs.sum(axis=1), weights=np.prod(occs + 1, axis=1) - 1)
     steps = max((math.comb(modes + n - 1, n) * int(s) for n, s in enumerate(per_sector)),
                 default=0)
     if steps > MAX_SECTOR_STEPS:
         return (f"kets of up to {k} photons, a sector of {steps:.3g} permanent steps "
-                f"over {modes} modes; {limits}")
-    return None
+                f"over {modes} modes; {limits}"), kets
+    return None, kets
 
 
 def _suggest_n_max(entries, ket_floor: float, modes: int) -> int | None:
@@ -277,10 +279,8 @@ def _suggest_n_max(entries, ket_floor: float, modes: int) -> int | None:
     :func:`_size_refusal` accepts its kets over ``modes`` modes."""
     for candidate in range(1, 64):
         blocks, truncation, _ = _expand(entries, candidate, ket_floor, modes)
-        if _size_refusal(blocks, modes, ket_floor):
-            return None
         if truncation <= TRUNCATION_BUDGET:
-            return candidate
+            return None if _size_refusal(blocks, modes, ket_floor)[0] else candidate
     return None
 
 
@@ -296,7 +296,9 @@ def exact_distribution(
     reported distribution is that of a state within ``truncation_error`` of
     the exact input in trace distance.  Basis kets whose probability weight
     (a mixture alternative's weight times |amplitude|^2) falls below
-    ``ket_floor`` are dropped with the same bookkeeping.
+    ``ket_floor`` are dropped with the same bookkeeping.  The size guard
+    (:func:`_size_refusal`) lists the kept kets once, and the run propagates
+    that list, each ket once.
     Refuses with :class:`TruncationError` (suggesting a larger n_max) when
     the neglected mass exceeds 1e-6, and with :class:`OracleSizeError` when
     the enlarged network exceeds 12 modes or, before any sector is built,
@@ -328,7 +330,7 @@ def exact_distribution(
         )
 
     blocks, truncation, dropped = _expand(config.sources, n_max, ket_floor, k_total)
-    refusal = _size_refusal(blocks, k_total, ket_floor)
+    refusal, kets = _size_refusal(blocks, k_total, ket_floor)
     if refusal:
         raise OracleSizeError(f"n_max={n_max} gives {refusal}")
     if truncation > TRUNCATION_BUDGET:
@@ -343,17 +345,7 @@ def exact_distribution(
 
     propagator = _Propagator(transfer, m_sys)
     sector_weights: dict[int, np.ndarray] = {}
-
-    for combo in itertools.product(*blocks):
-        weight = math.prod(w for w, _, _ in combo)
-        # Tensor the block kets into full-network kets, the last block fastest.
-        amps = np.ones(1, dtype=complex)
-        occs = np.zeros((1, k_total), dtype=np.intp)
-        lost = 0.0
-        for b, (_, b_amps, b_occ) in enumerate(combo):
-            later = [[a] for _, a, _ in combo[b + 1:]]
-            amps, occs, pruned = _tensor(amps, occs, b_amps, b_occ, later, ket_floor)
-            lost += pruned
+    for weight, amps, occs, lost in kets:
         dropped += weight * lost
         if lost > 0.0:
             amps = amps / math.sqrt(max(1.0 - lost, 1e-300))

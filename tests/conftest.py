@@ -6,7 +6,7 @@ import importlib.util
 import math
 import sys
 from dataclasses import replace
-from itertools import permutations, product
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -187,18 +187,24 @@ def single_photon_click_marginals(config) -> np.ndarray:
     return 1.0 - (1.0 - p_d) * no_photon
 
 
-def spdc_output_moments(config) -> tuple[np.ndarray, np.ndarray]:
-    """(N, M) of an experiment fed only by SPDC pairs, after the network and
-    the detectors' efficiency: the zero-mean Gaussian output state's
-    N_jk = <a_j^dag a_k> and M_jk = <a_j a_k>.  A pair's signal arm carries
-    its eta_bl loss in the input moments; an output mode k is
+def gaussian_output_moments(config) -> tuple[np.ndarray, np.ndarray]:
+    """(N, M) of an experiment fed by SPDC pairs, thermal light and vacuum,
+    after the network and the detectors' efficiency: the zero-mean Gaussian
+    output state's N_jk = <a_j^dag a_k> and M_jk = <a_j a_k>.  A pair's
+    signal arm carries its eta_bl loss in the input moments, and thermal
+    light of mean n has N_kk = n; an output mode k is
     b_k = sum_j L_jk a_j, so N -> L^dag N L, M -> L^T M L."""
     modes = config.modes
     n = np.zeros((modes, modes), dtype=complex)
     m = np.zeros((modes, modes), dtype=complex)
     for entry in config.sources:
+        if isinstance(entry.source, Thermal):
+            n[entry.ports[0], entry.ports[0]] = entry.source.mean_photons
+            continue
+        if isinstance(entry.source, Vacuum):
+            continue
         if not isinstance(entry.source, SpdcPair):
-            raise TypeError(f"no Gaussian moments for {entry.source!r}")
+            raise TypeError(f"no zero-mean Gaussian moments for {entry.source!r}")
         herald, signal = entry.ports
         s, c, eta = math.sinh(entry.source.r), math.cosh(entry.source.r), entry.source.eta_bl
         n[herald, herald], n[signal, signal] = s * s, eta * s * s
@@ -210,16 +216,17 @@ def spdc_output_moments(config) -> tuple[np.ndarray, np.ndarray]:
     return n, m
 
 
-def spdc_total_click_variance(config) -> float:
-    """Exact Var(total clicks) of an experiment fed only by SPDC pairs.
+def gaussian_total_click_variance(config) -> float:
+    """Exact Var(total clicks) of an experiment fed by SPDC pairs, thermal
+    light and vacuum.
 
-    With (N, M) from :func:`spdc_output_moments`, a set S of detectors is
+    With (N, M) from :func:`gaussian_output_moments`, a set S of detectors is
     silent with probability prod_S (1 - p_d) / sqrt(det Q_S),
     Q_S = [[N_S^T + I, M_S], [M_S^*, N_S + I]] (Quesada, Arrazola and
     Killoran, PRA 98, 062322 (2018)).  The variance needs every single mode
     and pair of modes: 2 x 2 and 4 x 4 determinants.
     """
-    n, m = spdc_output_moments(config)
+    n, m = gaussian_output_moments(config)
     dark = 1.0 - np.array([d.p_d for d in config.detectors])
     diag = np.diag(n).real
     silent = dark / np.sqrt((diag + 1.0) ** 2 - np.abs(np.diag(m)) ** 2)
@@ -252,24 +259,31 @@ def clicks_from_silent(silent) -> np.ndarray:
     return silent.ravel()
 
 
-def spdc_click_table(config) -> np.ndarray:
+def gaussian_click_table(config) -> np.ndarray:
     """Exact probabilities of all 2^M click patterns (mode 0 the leading
-    bit) of an experiment fed only by SPDC pairs, shared with no oracle code.
+    bit) of an experiment fed by SPDC pairs, thermal light and vacuum,
+    shared with no oracle code.
 
     Every subset S of detectors is silent with probability
-    prod_S (1 - p_d) / sqrt(det Q_S), as in :func:`spdc_total_click_variance`,
-    and :func:`clicks_from_silent` turns that table into the outcome table.
+    prod_S (1 - p_d) / sqrt(det Q_S), as in
+    :func:`gaussian_total_click_variance`, with the determinants taken in
+    batches of up to 2048 subsets of one size; :func:`clicks_from_silent`
+    turns that table into the outcome table.
     """
-    n, m = spdc_output_moments(config)
+    n, m = gaussian_output_moments(config)
     dark = 1.0 - np.array([d.p_d for d in config.detectors])
     modes = config.modes
-    silent = np.empty((2,) * modes)
-    for members in product((0, 1), repeat=modes):
-        s = np.flatnonzero(members)
-        n_s, m_s = n[np.ix_(s, s)], m[np.ix_(s, s)]
-        eye = np.eye(s.size)
-        q = np.block([[n_s.T + eye, m_s], [m_s.conj(), n_s + eye]])
-        silent[members] = np.prod(dark[s]) / math.sqrt(np.linalg.det(q).real)
+    silent = np.empty(1 << modes)
+    for size in range(modes + 1):
+        subsets = np.array(list(combinations(range(modes), size)), dtype=np.intp)
+        for start in range(0, len(subsets), 2048):
+            s = subsets[start : start + 2048]
+            n_s = n[s[:, :, None], s[:, None, :]]
+            m_s = m[s[:, :, None], s[:, None, :]]
+            eye = np.eye(size)
+            q = np.block([[n_s.transpose(0, 2, 1) + eye, m_s], [m_s.conj(), n_s + eye]])
+            codes = np.sum(1 << (modes - 1 - s), axis=1)
+            silent[codes] = np.prod(dark[s], axis=1) / np.sqrt(np.linalg.det(q).real)
     return clicks_from_silent(silent)
 
 

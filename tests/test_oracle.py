@@ -28,11 +28,11 @@ from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 from conftest import (
     beamsplitter_50_50,
     clicks_from_silent,
+    gaussian_click_table,
     ideal_probability_permanent,
     naive_permanent,
     one_state_sector,
     oracle_suite,
-    spdc_click_table,
     thermal_on_lossy_six,
 )
 
@@ -406,7 +406,7 @@ class TestLossySpdcFold:
     def test_matches_the_gaussian_click_table(self, build, n_max):
         config = build()
         table = exact_distribution(config, n_max=n_max)
-        assert np.max(np.abs(table.probs - spdc_click_table(config))) <= (
+        assert np.max(np.abs(table.probs - gaussian_click_table(config))) <= (
             table.truncation_error + 1e-12)
 
     def test_no_mode_beyond_the_dilation(self, monkeypatch):

@@ -1,7 +1,7 @@
 """Structural guards on the exact oracle's cost: one permanent stack per
 distinct input ket, Ryser steps set by the ket's occupations, a size guard
-that counts the steps the run takes, and no Python work per output state
-or occupation.
+that lists the kets the run propagates (each once) and counts their steps,
+and no Python work per output state or occupation.
 
 Under cProfile the two configs below make about 5,300 and 1,100
 Python-level calls; a loop over output states or occupations makes
@@ -28,7 +28,7 @@ from pqsim.oracle import exact_distribution
 from pqsim.presets import single_photon_config, spdc_config
 from pqsim.states import Coherent, Thermal, Vacuum
 
-from conftest import one_state_sector
+from conftest import one_state_sector, oracle_suite
 
 CASES = [
     pytest.param(lambda: single_photon_config(6, 6, p_d=0.06, unitary_seed=1), 1, 63,
@@ -66,17 +66,25 @@ def test_gray_steps_follow_the_ket_occupations(monkeypatch):
     assert sum(steps) < sum((1 << sum(ket)) - 1 for ket in kets) / 4
 
 
-@pytest.mark.parametrize("build,n_max,stacks", CASES)
-def test_size_guard_counts_the_steps_of_the_largest_sector(monkeypatch, build, n_max, stacks):
-    # The guard's figure for the costliest sector, read off its refusal at a
-    # zero limit, equals the Ryser steps the run then takes in that sector.
-    config = build()
-    monkeypatch.setattr(pqsim.oracle, "MAX_SECTOR_STEPS", 0)
-    with pytest.raises(OracleSizeError) as err:
-        exact_distribution(config, n_max=n_max)
-    bound = float(re.search(r"a sector of (\S+) permanent steps", str(err.value)).group(1))
-    monkeypatch.undo()
+GUARD_CASES = [pytest.param(*case.values[:2], id=case.id) for case in CASES] + [
+    pytest.param(lambda c=config: c, n_max, id=name) for name, config, n_max, _ in oracle_suite()]
 
+
+def record_guard(monkeypatch) -> list:
+    """The ``(refusal, kets)`` each size-guard call returns, in call order."""
+    listed, size_refusal = [], pqsim.oracle._size_refusal
+    monkeypatch.setattr(pqsim.oracle, "_size_refusal", lambda *args: (
+        listed.append(size_refusal(*args)) or listed[-1]))
+    return listed
+
+
+@pytest.mark.parametrize("build,n_max", GUARD_CASES)
+def test_size_guard_counts_the_steps_of_the_largest_sector(monkeypatch, build, n_max):
+    # The steps the guard charges its kets, C(K + n - 1, n) states times
+    # prod_k (c_k + 1) - 1 per ket, equal sector by sector the Ryser steps
+    # the run then takes, and its refusal below any sector's cost quotes
+    # the costliest.
+    config = build()
     per_sector = {}
     permanent_batch = pqsim.oracle.permanent_batch
 
@@ -86,8 +94,54 @@ def test_size_guard_counts_the_steps_of_the_largest_sector(monkeypatch, build, n
         return permanent_batch(mats, counts)
 
     monkeypatch.setattr(pqsim.oracle, "permanent_batch", spy)
+    listed = record_guard(monkeypatch)
     exact_distribution(config, n_max=n_max)
-    assert bound == pytest.approx(max(per_sector.values()), rel=5e-3)
+    (refusal, kets), = listed
+    assert refusal is None
+    charged = {}
+    for _, _, occs, _ in kets:
+        for ket in occs.tolist():
+            n, modes = sum(ket), len(ket)
+            steps = math.comb(modes + n - 1, n) * (math.prod(c + 1 for c in ket) - 1)
+            if steps:
+                charged[n] = charged.get(n, 0) + steps
+    assert charged == per_sector
+
+    monkeypatch.setattr(pqsim.oracle, "MAX_SECTOR_STEPS", -1)
+    with pytest.raises(OracleSizeError) as err:
+        exact_distribution(config, n_max=n_max)
+    bound = re.search(r"a sector of (\S+) permanent steps", str(err.value)).group(1)
+    assert bound == f"{max(per_sector.values(), default=0):.3g}"
+
+
+@pytest.mark.parametrize("build,n_max", GUARD_CASES)
+def test_each_alternative_tensors_its_blocks_once(monkeypatch, build, n_max):
+    # The guard and the run share one enumeration: one _tensor call per
+    # block of each mixture alternative (one alternative per block).
+    config = build()
+    expanded, tensored = [], []
+    expand, tensor = pqsim.oracle._expand, pqsim.oracle._tensor
+    monkeypatch.setattr(pqsim.oracle, "_expand", lambda *args: (
+        expanded.append(expand(*args)) or expanded[-1]))
+    monkeypatch.setattr(pqsim.oracle, "_tensor", lambda *args: (
+        tensored.append(None) or tensor(*args)))
+    exact_distribution(config, n_max=n_max)
+    (blocks, _, _), = expanded
+    assert len(tensored) == math.prod(len(options) for options in blocks) * len(blocks)
+
+
+@pytest.mark.parametrize("build,n_max", GUARD_CASES)
+def test_each_kept_ket_is_propagated_once(monkeypatch, build, n_max):
+    config = build()
+    applied, apply = [], pqsim.oracle._Propagator.apply
+    monkeypatch.setattr(pqsim.oracle._Propagator, "apply",
+                        lambda self, ket: applied.append(ket) or apply(self, ket))
+    listed = record_guard(monkeypatch)
+    exact_distribution(config, n_max=n_max)
+    (_, kets), = listed
+    kept = [tuple(ket) for _, _, occs, _ in kets for ket in occs.tolist()]
+    assert len(set(applied)) == len(applied)
+    assert sorted(applied) == sorted(kept)
 
 
 def test_twelve_photons_over_nine_modes_are_refused_before_any_sector(monkeypatch):

@@ -28,14 +28,14 @@ from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
 from conftest import (
     dead_detector_beamsplitter,
+    gaussian_click_table,
+    gaussian_total_click_variance,
     oracle_suite,
     photon_click_table,
     route1_dead_detector_config,
     single_photon_click_marginals,
     spdc_and_photon_config,
-    spdc_click_table,
     spdc_lossy_network_config,
-    spdc_total_click_variance,
 )
 
 
@@ -72,6 +72,30 @@ def exact_sampler_tv(probs, draws: int) -> float:
     return 0.5 * float(np.sum(np.sqrt(2.0 * probs * (1.0 - probs) / (math.pi * draws))))
 
 
+def assert_total_clicks_match(probs, outcomes):
+    """Beyond the oracle's 12 modes: the total-click histogram of
+    ``outcomes`` by a chi^2 test against the exact table ``probs`` (mode 0
+    the leading bit), and its variance, which holds every pairwise click
+    covariance, by a z-test; each at 1e-6."""
+    draws, modes = outcomes.shape
+    counts = [bits.count("1") for bits in all_bitstrings(modes)]
+    exact = np.bincount(counts, weights=probs)
+    totals = outcomes.sum(axis=1, dtype=np.int64)
+    observed = np.bincount(totals, minlength=exact.size)
+    # Pool the tail from the first total expected fewer than 100 times.
+    tail = int(np.argmax(draws * exact < 100))
+    expected = np.r_[exact[:tail], exact[tail:].sum()] * draws
+    observed = np.r_[observed[:tail], observed[tail:].sum()]
+    statistic = float(np.sum((observed - expected) ** 2 / expected))
+    assert statistic <= chi2.isf(1e-6, expected.size - 1)
+
+    clicks = np.arange(exact.size)
+    mean = exact @ clicks
+    var, fourth = exact @ (clicks - mean) ** 2, exact @ (clicks - mean) ** 4
+    z = (totals.var(ddof=1) - var) / math.sqrt((fourth - var**2) / draws)
+    assert abs(z) <= NormalDist().inv_cdf(1.0 - 1e-6 / 2)
+
+
 class TestRouteDecision:
     def test_sources_pick_the_route_not_the_scheme_label(self):
         spdc = spdc_config(2, 0.05, p_d=0.09)
@@ -105,7 +129,7 @@ class TestRouteDecision:
         assert not check_second_condition(config).simulatable
         assert default_route(config) == 1
         draws = 200_000
-        probs = spdc_click_table(config)
+        probs = gaussian_click_table(config)
         table = ProbabilityTable(all_bitstrings(config.modes), probs)
         tv = tv_distance(table, run_experiment(config, draws, RngStream(7)))
         assert tv <= 2.0 * exact_sampler_tv(table.probs, draws)
@@ -200,27 +224,53 @@ class TestPhotonClickTable:
         assert np.max(np.abs(table.probs - photon_click_table(config))) <= 1e-12
 
     def test_route2_total_clicks_at_16_modes(self):
-        # Beyond the oracle's 12 modes: the total-click histogram and its
-        # variance, which holds every pairwise click covariance.
-        draws = 10**6
         config = single_photon_config(16, 4, p_d=0.06)
-        counts = [bits.count("1") for bits in all_bitstrings(16)]
-        exact = np.bincount(counts, weights=photon_click_table(config))
-        totals = run_experiment(config, draws, RngStream(1616), condition=2).outcomes.sum(
-            axis=1, dtype=np.int64)
-        observed = np.bincount(totals, minlength=exact.size)
-        # Pool the tail from the first total expected fewer than 100 times.
-        tail = int(np.argmax(draws * exact < 100))
-        expected = np.r_[exact[:tail], exact[tail:].sum()] * draws
-        observed = np.r_[observed[:tail], observed[tail:].sum()]
-        statistic = float(np.sum((observed - expected) ** 2 / expected))
-        assert statistic <= chi2.isf(1e-6, expected.size - 1)
+        outcomes = run_experiment(config, 10**6, RngStream(1616), condition=2).outcomes
+        assert_total_clicks_match(photon_click_table(config), outcomes)
 
-        clicks = np.arange(exact.size)
-        mean = exact @ clicks
-        var, fourth = exact @ (clicks - mean) ** 2, exact @ (clicks - mean) ** 4
-        z = (totals.var(ddof=1) - var) / math.sqrt((fourth - var**2) / draws)
-        assert abs(z) <= NormalDist().inv_cdf(1.0 - 1e-6 / 2)
+
+def pairs_and_thermal(pairs: int, thermal: int) -> ExperimentConfig:
+    """SPDC pairs (sinh^2 r = 0.02, eta_bl = 0.8) on ports (k, pairs + k)
+    and Thermal(0.1) on the last ``thermal`` ports; the heralds bypass the
+    network, and the other ports cross a Haar unitary with rows scaled by
+    sqrt(linspace(0.6, 0.95)), so L^dag L is not diagonal.  Route 1
+    samples it at p_d = 0.12 with six pairs and four thermal ports."""
+    modes = 2 * pairs + thermal
+    transfer = np.eye(modes, dtype=complex)
+    rows = np.sqrt(np.linspace(0.6, 0.95, modes - pairs))[:, None]
+    transfer[pairs:, pairs:] = rows * haar_unitary(modes - pairs, RngStream(16))
+    pair = SpdcPair(math.asinh(math.sqrt(0.02)), 0.8)
+    sources = [PortSource(pair, (k, pairs + k)) for k in range(pairs)]
+    sources += [PortSource(Thermal(0.1), (k,)) for k in range(2 * pairs, modes)]
+    return ExperimentConfig(modes=modes, sources=tuple(sources), transfer=transfer,
+                            detectors=(DetectorModel(0.9, 0.12),) * modes)
+
+
+def _gaussian_desk_configs():
+    suite = [pytest.param(config, n_max, id=name) for name, config, n_max, _ in oracle_suite()
+             if all(isinstance(e.source, (SpdcPair, Thermal, Vacuum)) for e in config.sources)]
+    return suite + [pytest.param(pairs_and_thermal(1, 1), 5, id="pair_and_thermal")]
+
+
+class TestGaussianClickTable:
+    @pytest.mark.parametrize("config, n_max", _gaussian_desk_configs())
+    def test_reference_matches_the_oracle(self, config, n_max):
+        # The M = 16 check below trusts this reference; pin it where the
+        # oracle reaches.
+        table = exact_distribution(config, n_max=n_max)
+        assert np.max(np.abs(table.probs - gaussian_click_table(config))) <= (
+            table.truncation_error + 1e-12)
+
+    def test_route1_at_16_modes(self):
+        # Pairs and thermal light on a non-diagonal Gram, beyond the
+        # oracle's 12 modes: the total clicks, then the full table.
+        draws = 10**6
+        config = pairs_and_thermal(6, 4)
+        probs = gaussian_click_table(config)
+        batch = run_experiment(config, draws, RngStream(1617), condition=1)
+        assert_total_clicks_match(probs, batch.outcomes)
+        table = ProbabilityTable(all_bitstrings(config.modes), probs)
+        assert tv_distance(table, batch) <= 2.0 * exact_sampler_tv(table.probs, draws)
 
 
 class TestTotalClickVariance:
@@ -231,7 +281,7 @@ class TestTotalClickVariance:
         table = exact_distribution(config, n_max=n_max)
         totals = np.array([bits.count("1") for bits in table.outcomes])
         exact = table.probs @ totals**2 - (table.probs @ totals) ** 2
-        assert spdc_total_click_variance(config) == pytest.approx(exact, rel=0, abs=1e-7)
+        assert gaussian_total_click_variance(config) == pytest.approx(exact, rel=0, abs=1e-7)
 
     # Var(total clicks) holds every pairwise click covariance: 0.84 of the
     # 20.28 at M = 256 comes from heralds and their signals.
@@ -239,7 +289,7 @@ class TestTotalClickVariance:
     def test_matches_exact_variance_at_256_modes(self, condition):
         draws = 2 * 16384
         config = spdc_config(128, 0.05, p_d=0.06)
-        exact = spdc_total_click_variance(config)
+        exact = gaussian_total_click_variance(config)
         outcomes = run_experiment(config, draws, RngStream(256), condition=condition).outcomes
         totals = outcomes.sum(axis=1, dtype=float)
         centred = totals - totals.mean()
