@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``check`` (the verdict of the route ``sample`` runs, then the
-Sigma_bar test and its threshold), ``sample`` (Monte Carlo outcome
-generation), ``oracle`` (exact brute-force distribution), ``compare``
-(sampler vs oracle with a pass/fail verdict), and ``thresholds`` (scenario
-tables across network sizes).
+Sigma_bar test and its threshold, and route 2's sampling path), ``sample``
+(Monte Carlo outcome generation), ``oracle`` (exact brute-force
+distribution), ``compare`` (sampler vs oracle with a pass/fail verdict), and
+``thresholds`` (scenario tables across network sizes).
 
 Exit codes: 0 success/pass, 1 quantitative fail, 2 usage or size guard,
 3 simulability refusal.  Every run with ``--out`` writes a manifest
@@ -29,7 +29,7 @@ from .experiment import SCHEME_SINGLE_PHOTON, SCHEME_SPDC, parse_config
 from .oracle import exact_distribution, tv_distance
 from .presets import ScenarioParams, threshold_table
 from .rng import RngStream
-from .sampler import default_route, run_experiment, tile_workers
+from .sampler import default_route, route2_plan, run_experiment, tile_workers
 from .simulability import check_second_condition
 
 # Not called here; perfbench's tracer wraps this name and stops if it is missing.
@@ -101,7 +101,10 @@ def cmd_check(args) -> int:
         _say(args, f"  margin (p_d - threshold): {report.margin:.6g}")
     else:
         _say(args, f"  {report.threshold_note}")
-    payload = report.to_dict() | {"route": route if refusal is None else None, "refusal": refusal}
+    chain, costs = route2_plan(config)
+    payload = report.to_dict() | {"route": route if refusal is None else None, "refusal": refusal,
+                                  "route2_path": "rank_s" if chain is None else "chain",
+                                  "route2_flops_per_shot": costs}
     _report(args, started, config.config_hash(), payload, "report.json")
     return EXIT_OK
 

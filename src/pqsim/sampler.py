@@ -4,20 +4,19 @@ Two routes, one per sufficient condition; unless told otherwise, a run
 takes the one its sources pick (:func:`default_route`):
 
 * :func:`run_condition2` chains input PQD draws, the network's transition
-  Gaussian, and the measurement PQDs at the extreme orderings (s_bar, t_bar).
-  It works for any source mix that passes the Sigma_bar test.  Vacuum ports
-  are neither drawn nor mixed: at t_bar = 1 their PQD is a point mass at 0.
+  Gaussian and the measurement PQDs; it works for any source mix that
+  passes the Sigma_bar test.  :func:`route2_plan` picks its path from the
+  sizes: the zero-noise chain at orderings (s0, t0) where the transition
+  vanishes, or the rank-|S| path at the extreme orderings (s_bar, t_bar).
 * :func:`run_condition1` samples the output-state PQD of an all-Gaussian
   input directly; it applies whenever that PQD and the click PQDs are
   nonnegative at one output ordering, which is weaker than the Sigma_bar
-  test.  Its factor is the sources' blocks mapped through L when L^dag L
-  is diagonal (:func:`~pqsim.processes.block_rows`), else that of the
-  output covariance (:func:`~pqsim.processes.propagate_blocks`).
+  test.  Where L^dag L is diagonal it is the zero-noise chain.
 
 Each draw has one implementation, which both routes and the public API
 share: :func:`~pqsim.states.sample_source_pqd` (input),
 :func:`~pqsim.states.sample_gaussian_pqd` (a Gaussian PQD: an SPDC
-pair's block, or route 1's whole output state),
+pair's block, the chain's Gaussian rows, or route 1's whole output state),
 :func:`~pqsim.processes.transition_noise` (network) and
 :func:`~pqsim.detectors.sample_clicks` (detectors).  Sampling is batched,
 and batch b runs as row tiles of at most :data:`TILE_ELEMENTS` rows x
@@ -40,6 +39,7 @@ import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,13 +115,19 @@ class SampleBatch:
 
 def _histogram(outcomes: np.ndarray) -> dict:
     """Count of each distinct outcome row, keyed by its bit string (mode 0
-    first), in increasing key order.  The rows are sorted packed 8 modes to
-    a byte, and only the distinct rows are unpacked to ASCII, each key
-    decoded straight from its row's bytes."""
+    first), in increasing key order.  Rows are packed 8 modes to a byte and
+    counted as big-endian uint64 codes when they fit (M <= 64), else as byte
+    strings; only the distinct rows are decoded, each key from its bytes."""
     m = outcomes.shape[1]
     packed = np.packbits(outcomes, axis=1)
     width = packed.shape[1]
-    keys, counts = np.unique(packed.view(f"S{width}")[:, 0], return_counts=True)
+    if width <= 8:
+        codes = np.zeros((len(packed), 8), dtype=np.uint8)
+        codes[:, :width] = packed
+        keys, counts = np.unique(codes.view(">u8")[:, 0].astype(np.uint64), return_counts=True)
+        keys, width = keys.astype(">u8"), 8
+    else:
+        keys, counts = np.unique(packed.view(f"S{width}")[:, 0], return_counts=True)
     del packed
     chars = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=m)
     chars += np.uint8(ord("0"))
@@ -208,60 +214,129 @@ def _run_batched(draw_batch, modes, n_samples, rng, workers, width):
     return out
 
 
-def run_condition2(config: ExperimentConfig, n_samples: int, rng: RngStream,
-                   workers: int | None = None) -> SampleBatch:
-    """Sample outcomes through input PQDs + transition Gaussian + measurement.
+#: Flops one standard normal draw is worth in :func:`route2_plan` (a draw
+#: takes about 15 ns); any value from about 65 to 1e5 picks the same path
+#: on every benchmark workload and at 1600 modes.
+NORMAL_FLOPS = 1000
 
-    Refuses with :class:`SimulabilityError` (report attached) unless
-    Sigma_bar at the extreme orderings is positive semidefinite; the chain
-    then draws unbiased samples from the exact outcome distribution.
 
-    Only the ports with t_bar < 1 (set S) add quantum noise and only
-    non-vacuum ports (set A) carry amplitude, so a sample costs
-    O(M (|S| + |A|)): the noise is a unit complex normal w mapped through
-    the factor F = (I - C^dag G) diag(sqrt(D/2)) of
-    :func:`transition_factor`, and the mixing is alpha_A @ L_A.
-    """
-    report = check_second_condition(config).require()
-    tbar, sbar = report.t_bar, report.s_bar
-    factor = transition_factor(config.transfer, sbar, tbar, dead=dead_modes(config))
-    clicks = click_coefficients(sbar, config.detectors)
+def _gaussian(source: SourceModel) -> bool:
+    """Whether the source's kind declares ``wigner_moments``."""
+    return type(source).wigner_moments is not SourceModel.wigner_moments
 
-    # Vacuum ports are neither drawn nor mixed: at t_bar = 1 their PQD is a point
-    # mass at 0, which consumes no draws.  Equal sources (frozen dataclass and
-    # orderings) are one group, drawn in one call per tile and read shot-major.
+
+def _blocks(sources) -> list:
+    """(ports, mean, cov) per source, for Gaussian sources."""
+    return [(entry.ports, *entry.source.wigner_moments()) for entry in sources]
+
+
+def _groups(config: ExperimentConfig, t: np.ndarray, keep) -> list:
+    """(source, t_block, rows of L) per group of equal sources (frozen
+    dataclass and orderings t) that ``keep`` picks: one draw per tile."""
     groups = {}
-    for entry in (e for e in config.sources if not isinstance(e.source, Vacuum)):
-        groups.setdefault((entry.source, tuple(tbar[list(entry.ports)])), []).extend(entry.ports)
-    draws = [(*key, config.transfer[ports]) for key, ports in groups.items()]
-    width = max([factor[0].shape[1]] + [len(mixing) for *_, mixing in draws])
+    for entry in (e for e in config.sources if keep(e.source)):
+        groups.setdefault((entry.source, tuple(t[list(entry.ports)])), []).extend(entry.ports)
+    return [(*key, config.transfer[ports]) for key, ports in groups.items()]
+
+
+def _tile(first, draws, s, detectors):
+    """``tile(gen, out, work, spare)``: beta = ``first(gen, n, work[0], work[1],
+    spare)``, in work[0], plus alpha_g @ L_g for each group of :func:`_groups`,
+    drawn into ``spare`` and read shot-major; then the clicks at orderings s."""
+    clicks = click_coefficients(s, detectors)
 
     def tile(gen, out, work, spare):
-        # The noise's product with C^dag, then each group's inputs in turn,
-        # use the worker's one buffer of (tile rows, width) amplitudes.
         n = len(out)
-        beta = transition_noise(factor, gen, n, out=work[0], work=work[1], spare=spare)
+        beta = first(gen, n, work[0], work[1], spare)
         for source, t_block, mixing in draws:
             alpha = spare[:n * len(mixing)]
             sample_source_pqd(source, t_block, gen, alpha.size // len(t_block),
                               out=alpha.reshape(-1, len(t_block)), work=work[1].reshape(-1))
             beta += np.matmul(alpha.reshape(n, -1), mixing, out=work[1].view(complex))
         sample_clicks(beta, clicks, gen, out=out, work=work[1])
+    return tile
 
+
+def _chain_tile(factor, s, detectors, draws=()):
+    """The zero-noise chain's tile: beta = normals @ (R / 2) + mean / 2 from
+    ``factor`` (:func:`~pqsim.states.sample_gaussian_pqd`), plus ``draws``."""
+    return _tile(lambda gen, n, out, work, spare: sample_gaussian_pqd(factor, gen, n, out, work),
+                 draws, s, detectors)
+
+
+def _zero_noise(config: ExperimentConfig):
+    """(t0, s0) with t0 = min t_bar and s0 = 1 - (1 - t0) k when L^dag L =
+    diag(k) and s0 >= s_bar on the live modes, else None.  Sigma(s0, t0) = 0,
+    so a chain at (s0, t0) adds no transition noise, and Sigma_bar >= 0."""
+    if not config.diagonal_gram:
+        return None
+    t0 = min(entry.source.t_bar for entry in config.sources)
+    lr, li = config.transfer.real, config.transfer.imag
+    s0 = 1.0 - (1.0 - t0) * (np.einsum("ij,ij->j", lr, lr) + np.einsum("ij,ij->j", li, li))
+    live = ~dead_modes(config)
+    return (t0, s0) if np.all(s0[live] >= s_bar_vector(config)[live]) else None
+
+
+def _rows_factor(config: ExperimentConfig, sources, t0: float):
+    """(mean / 2, R / 2), R the rows of :func:`~pqsim.processes.block_rows`
+    at t0 for ``sources`` with lam > PSD_TOL, in order; the rest dies here."""
+    mean, rows, lam = block_rows(_blocks(sources), config.transfer, t0)
+    return mean / 2.0, rows[lam > PSD_TOL] / 2.0
+
+
+def route2_plan(config: ExperimentConfig) -> tuple[tuple | None, dict]:
+    """(:func:`_zero_noise`'s (t0, s0) if route 2 takes the chain, else None;
+    per-shot flops {"chain": ..., "rank_s": ...}).  With G Gaussian ports
+    (vacuum included) of M, S the ports with t_bar < 1, A the non-vacuum
+    ports and W = :data:`NORMAL_FLOPS`, the chain costs 2 G W + 8 M M (2G
+    normals through R, the other ports through L) and the rank-|S| path
+    2 M W + 8 M (2 |S| + |A|); the cheaper is taken if valid."""
+    m, sources = config.modes, config.sources
+    gaussian = sum(len(e.ports) for e in sources if _gaussian(e.source))
+    amplitude = sum(len(e.ports) * (2 * (e.source.t_bar < 1.0)
+                                    + (not isinstance(e.source, Vacuum))) for e in sources)
+    costs = {"chain": 2 * gaussian * NORMAL_FLOPS + 8 * m * m,
+             "rank_s": 2 * m * NORMAL_FLOPS + 8 * m * amplitude}
+    return (_zero_noise(config) if costs["chain"] < costs["rank_s"] else None), costs
+
+
+def run_condition2(config: ExperimentConfig, n_samples: int, rng: RngStream,
+                   workers: int | None = None) -> SampleBatch:
+    """Sample outcomes through input PQDs + transition Gaussian + measurement.
+
+    Refuses with :class:`SimulabilityError` (report attached) unless
+    Sigma_bar at the extreme orderings is positive semidefinite; the chain
+    then draws unbiased samples from the exact outcome distribution, on the
+    path :func:`route2_plan` picks.  The zero-noise chain is route 1's tile
+    on the Gaussian sources' rows at t0, plus the other groups drawn at t0.
+    The rank-|S| path draws at t_bar, where only the ports S with t_bar < 1
+    add noise, a unit complex normal through the factor of
+    :func:`transition_factor`, and mixes the non-vacuum ports A through
+    their rows of L: O(M (|S| + |A|)) a shot.
+    """
+    report = check_second_condition(config).require()
+    zero = route2_plan(config)[0]
+    if zero is not None:
+        factor = _rows_factor(config, [e for e in config.sources if _gaussian(e.source)], zero[0])
+        draws = _groups(config, np.full(config.modes, zero[0]), lambda src: not _gaussian(src))
+        tile = _chain_tile(factor, zero[1], config.detectors, draws)
+    else:
+        factor = transition_factor(config.transfer, report.s_bar, report.t_bar,
+                                   dead=dead_modes(config))
+        # Vacuum ports are neither drawn nor mixed: at t_bar = 1 their PQD is a point mass.
+        draws = _groups(config, report.t_bar, lambda src: not isinstance(src, Vacuum))
+        tile = _tile(partial(transition_noise, factor), draws, report.s_bar, config.detectors)
+    # spare takes each group's draws, and on the rank-|S| path the noise's product with C^dag.
+    width = max([0 if zero else factor[0].shape[1]] + [len(mixing) for *_, mixing in draws])
     outcomes = _run_batched(lambda gen, n: tile, config.modes, n_samples, rng, workers, width)
     return SampleBatch(outcomes, rng, config.config_hash(), None)
-
-
-def _blocks(config: ExperimentConfig) -> list:
-    """(ports, mean, cov) per source, for all-Gaussian sources."""
-    return [(entry.ports, *entry.source.wigner_moments()) for entry in config.sources]
 
 
 def output_gaussian(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Wigner mean and covariance of the network output for all-Gaussian
     sources, built from each source's block of Wigner moments; raises
     :class:`UnsupportedSourceError` otherwise."""
-    return propagate_blocks(_blocks(config), config.transfer)
+    return propagate_blocks(_blocks(config.sources), config.transfer)
 
 
 def run_condition1(config: ExperimentConfig, n_samples: int, rng: RngStream,
@@ -270,27 +345,17 @@ def run_condition1(config: ExperimentConfig, n_samples: int, rng: RngStream,
 
     Requires every source to be Gaussian and the output-state and click
     PQDs to be nonnegative at one output ordering s >= s_bar on the live
-    modes; refuses otherwise.  When L^dag L = diag(k), every port takes
-    t0 = min t_bar and s0 = 1 - (1 - t0) k, where the transition vanishes:
-    V_out - diag(s0) = R^T R, R the rows of
-    :func:`~pqsim.processes.block_rows` at t0 with lam > PSD_TOL, r <= 2M
-    of them; the off-diagonal Gram and the dropped rows each move it by at
-    most PSD_TOL.  If s0 >= s_bar on the live modes (which implies the test
-    below), a shot costs r normals and an r x 2M product.  Otherwise
-    V_out - diag(s_bar) is factored at s_bar (2M normals and a 2M x 2M
-    product per shot), with the covariance between dead and live modes
-    dropped: a dead detector's click is a p_d coin, and its row at
-    s_bar = -1 could refuse live modes that pass.
+    modes; refuses otherwise.  Where :func:`_zero_noise` holds this is the
+    zero-noise chain: V_out - diag(s0) = R^T R, R the r <= 2M rows of
+    :func:`_rows_factor` (the off-diagonal Gram and the dropped rows each
+    move it by at most PSD_TOL), r normals and an r x 2M product a shot.
+    Otherwise V_out - diag(s_bar) is factored (2M normals and a 2M x 2M
+    product a shot), without the covariance between dead and live modes: a
+    dead detector's click is a p_d coin, and its row at s_bar = -1 could
+    refuse live modes that pass.
     """
     s, factor = _output_factor(config)
-    clicks = click_coefficients(s, config.detectors)
-    rank = factor[1].shape[0]
-
-    def tile(gen, out, work, spare):
-        normals = work[0].reshape(-1)[:len(out) * rank].reshape(len(out), rank)
-        beta = sample_gaussian_pqd(factor, gen, len(out), out=work[1], work=normals)
-        sample_clicks(beta, clicks, gen, out=out, work=work[0])
-
+    tile = _chain_tile(factor, s, config.detectors)
     outcomes = _run_batched(lambda gen, n: tile, config.modes, n_samples, rng, workers, 0)
     return SampleBatch(outcomes, rng, config.config_hash(), None)
 
@@ -299,16 +364,12 @@ def _output_factor(config: ExperimentConfig):
     """(s, factor): :func:`run_condition1`'s output ordering and PQD factor;
     raises :class:`SimulabilityError` where it refuses.  The set-up arrays
     (the block rows, or the output covariance) die with this frame."""
+    zero = _zero_noise(config)
+    if zero is not None:
+        return zero[1], _rows_factor(config, config.sources, zero[0])
     sbar = s_bar_vector(config)
-    live = ~dead_modes(config)
-    t0 = min(entry.source.t_bar for entry in config.sources)
-    lr, li = config.transfer.real, config.transfer.imag
-    s = 1.0 - (1.0 - t0) * (np.einsum("ij,ij->j", lr, lr) + np.einsum("ij,ij->j", li, li))
-    if config.diagonal_gram and np.all(s[live] >= sbar[live]):
-        mean, rows, lam = block_rows(_blocks(config), config.transfer, t0)
-        return s, (mean / 2.0, rows[lam > PSD_TOL] / 2.0)
     mean, cov = output_gaussian(config)
-    dead = np.repeat(~live, 2)
+    dead = np.repeat(dead_modes(config), 2)
     cov[np.ix_(dead, ~dead)] = 0.0
     cov[np.ix_(~dead, dead)] = 0.0
     try:
@@ -323,8 +384,7 @@ def default_route(config: ExperimentConfig) -> int:
     """Route 1 when every source kind is Gaussian (declares ``wigner_moments``)
     and one has t_bar < 1, where condition 1 is never stricter than condition
     2; else route 2, which adds no noise and never refuses on classical inputs."""
-    gaussian = all(type(entry.source).wigner_moments is not SourceModel.wigner_moments
-                   for entry in config.sources)
+    gaussian = all(_gaussian(entry.source) for entry in config.sources)
     return 1 if gaussian and any(entry.source.t_bar < 1.0 for entry in config.sources) else 2
 
 
@@ -359,6 +419,6 @@ def empirical_stats(batch: SampleBatch) -> EmpiricalStats:
     outcomes = batch.outcomes
     return EmpiricalStats(
         click_rate=outcomes.mean(axis=0),
-        mean_total_clicks=float(outcomes.sum(axis=1).mean()),
+        mean_total_clicks=float(outcomes.sum(dtype=np.int64) / len(outcomes)),
         histogram=_histogram(outcomes),
     )

@@ -64,7 +64,7 @@ def dead_modes(config: ExperimentConfig) -> np.ndarray:
 class SimulabilityReport:
     """Outcome of the positivity test (``noise_ratio`` is kappa of
     :func:`check_second_condition`; simulatable iff kappa <= 1, and route 2
-    then works at (s_bar, t_bar)), plus the scalar random-count threshold
+    then may work at (s_bar, t_bar)), plus the scalar random-count threshold
     when one is well defined."""
 
     t_bar: np.ndarray

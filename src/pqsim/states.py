@@ -69,8 +69,7 @@ class SourceModel:
         factor = gaussian_pqd_factor(*self.wigner_moments(), t_block)
         quad = out.view(float)
         if factor[1].any():
-            sample_gaussian_pqd(factor, gen, len(out), out=quad,
-                                work=work[:quad.size].reshape(quad.shape))
+            sample_gaussian_pqd(factor, gen, len(out), out=quad, work=work)
         else:
             quad[...] = factor[0]
 
@@ -264,11 +263,13 @@ def sample_gaussian_pqd(factor, gen: np.random.Generator, n: int,
     :func:`gaussian_pqd_factor`; A is r x 2K, and r = 2K there.  Consumes
     n r standard normals from ``gen``.
 
-    ``work`` (n, r) and ``out`` (n, 2K), C-contiguous float arrays, receive
-    the normals and the quadratures (the result's storage); each is
-    allocated when omitted."""
+    ``out`` (n, 2K) and ``work`` (at least n r entries), C-contiguous float
+    arrays, receive the quadratures (the result's storage) and the
+    normals; each is allocated when omitted."""
     half_mean, half_factor = factor
-    normals = gen.standard_normal((n, half_factor.shape[0]), out=work)
+    r = half_factor.shape[0]
+    normals = gen.standard_normal(
+        (n, r), out=None if work is None else work.reshape(-1)[:n * r].reshape(n, r))
     quad = np.matmul(normals, half_factor, out=out)
     quad += half_mean
     return quad.view(complex)

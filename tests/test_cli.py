@@ -154,6 +154,15 @@ class TestCheckRoute:
         assert out.startswith(f"experiment with 6 modes is NOT simulatable on route 1: "
                               f"{payload['refusal']}\n")
 
+    def test_check_names_route2_path_and_both_estimates(self, tmp_path, capsys):
+        for (modes, photons), path in [((16, 4), "chain"), ((64, 4), "rank_s")]:
+            config = single_photon_config(modes, photons, p_d=0.06)
+            _, payload, _ = self.check(config, tmp_path, capsys)
+            costs = payload["route2_flops_per_shot"]
+            assert payload["route2_path"] == path
+            assert costs == pqsim.sampler.route2_plan(config)[1]
+            assert (costs["chain"] < costs["rank_s"]) == (path == "chain")
+
     def test_each_route_builds_its_factor_once(self, tmp_path, monkeypatch, capsys):
         calls = Counter()
         for name in ("transition_factor", "block_rows", "gaussian_pqd_factor"):
@@ -162,8 +171,9 @@ class TestCheckRoute:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(pqsim.sampler, name, spy)
-        # Route 2's verdict is the Sigma_bar report, so its check builds no factor.
-        cases = [(single_photon_config(4, 2, p_d=0.06), "transition_factor", 0),
+        # Route 2's verdict is the Sigma_bar report, so its check builds no
+        # factor; at (4, 2) it samples on the zero-noise chain, from block rows.
+        cases = [(single_photon_config(4, 2, p_d=0.06), "block_rows", 0),
                  (spdc_config(2, 0.05, p_d=0.09), "block_rows", 1),
                  (spdc_lossy_network_config(), "gaussian_pqd_factor", 1)]
         for config, factor, at_check in cases:
@@ -453,12 +463,12 @@ class TestThresholds:
 #: purpose says so in CHANGES.md and updates it here.
 GOLDEN_RUNS = [
     pytest.param(["check", "--config", "{photon}"], {
-        "stdout": "955eedc9d0df37588e63db68551ac8d5f2957ac10595d01dcc3e7ab49354e616",
-        "report.json": "ac21c3a2913af16061dc0d3da54ca9cc86f5734d471a9dcfc4f679bdfe592371",
+        "stdout": "6933d1532d0a000a5f8332caa4f6b8c9d01b4fc512ffe0efde88bce9ed284ac9",
+        "report.json": "d9c906a38a9d56de05c1096776f180465fab9cba4b59cacf105e8fbb4db7d2c3",
     }, id="check-photon"),
     pytest.param(["check", "--config", "{spdc}"], {
-        "stdout": "40356e8812f9fdead3369a85f5bba23c12f94778e34172b7876b278d12b6286c",
-        "report.json": "15a891314e6c061430df20876fd632e7eca5b5e00a053f6ec3b02d799b57f441",
+        "stdout": "b8b51e3d67c381a893d7e953837a7a5d35ce0a3402166a90e4df5ce03ad263c8",
+        "report.json": "e107feeafcdcbd2e2d7bb417ff69be7c0605face57e94cc79874ea0122b8aea7",
     }, id="check-spdc"),
     pytest.param(["oracle", "--config", "{hom}"], {
         "stdout": "b684739db5d71a5468bfe086d4a3873e1c465e51bec8794c1b192a089b375f5b",
@@ -466,8 +476,8 @@ GOLDEN_RUNS = [
     }, id="oracle"),
     pytest.param(["compare", "--config", "{hom}", "--samples", "20000", "--tolerance", "0.05",
       "--seed", "5"], {
-        "stdout": "eab7ee41aaab3dff3f201dfeddfd826e1cfa50a1e3b03709b4ef3869f743e791",
-        "compare.json": "5dc69dc2b84c3e0f2c8b603f5e3c9775be0645ad2ff2b43a9656762203e52d2b",
+        "stdout": "8ed2ea29f9b746d157d379d46eded1a14bcd78d9870870feb21387e4ef340fde",
+        "compare.json": "71f802b70b3d0a9c0b08ffb9ed407b193ab717d26ac8d04accf1f80e38b3105a",
     }, id="compare"),
     pytest.param(["thresholds", "--modes", "10,100"], {
         "stdout": "434350c82d3ea5ddcddeb36e6c3e2fc31e3d2d4916fec930618e1ef50c5b745a",
@@ -476,7 +486,7 @@ GOLDEN_RUNS = [
     }, id="thresholds"),
     pytest.param(["sample", "--config", "{photon}", "--samples", "3000", "--seed", "9"], {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "samples.csv": "2bee1417916e2ae14017cdabce420a317a6cade735a81d2cf1724537125c1df3",
+        "samples.csv": "089ad3361a6680f3ec7cf40e464e3cc9021926f2c009a6b571002ca76f6d4669",
     }, id="sample-csv"),
     pytest.param(["sample", "--config", "{spdc}", "--samples", "3000", "--seed", "9",
       "--format", "jsonl"], {

@@ -37,7 +37,7 @@ def test_route1_spdc():
 
 def test_route2_single_photons():
     batch = run_condition2(single_photon_config(6, 3, p_d=0.06), DRAWS, RngStream(2026))
-    assert csv_sha256(batch) == "ef1feb2ff16e14b39b316768f3a2d33eaf2d36cc6833fde1d462ca431046615f"
+    assert csv_sha256(batch) == "db80539839e720fdd91211bca789ae9b317de0f3f528e40d318a785e4fce29a8"
 
 
 def test_route2_classical_and_photon_mix():
@@ -51,7 +51,7 @@ def test_route2_classical_and_photon_mix():
         detectors=(DetectorModel(0.9, 0.3),) * 4,
     )
     batch = run_condition2(config, DRAWS, RngStream(2026))
-    assert csv_sha256(batch) == "3c79e1f8180da56412020b133c7af97664f18fd51c3b9dba82151a347dd53237"
+    assert csv_sha256(batch) == "afce0468198385e70d6903b4169fb81c885b99da1c6fb7a289713bd9ab18bb71"
 
 
 def test_preset_config_hash():
@@ -60,9 +60,19 @@ def test_preset_config_hash():
 
 
 def test_route2_spdc():
-    # kappa = 0.50: the SPDC preset passes the Sigma_bar test as well.
-    batch = run_condition2(spdc_config(3, 0.05, p_d=0.09), DRAWS, RngStream(2026))
-    assert csv_sha256(batch) == "1f3d459c7b26e39a26c65266661da27293fc0e7b7f9b1db3ffb703e13da6aa22"
+    # kappa = 0.50: the SPDC preset passes the Sigma_bar test as well.  On
+    # all-Gaussian sources route 2's zero-noise chain is route 1's tile, so
+    # it writes route 1's bytes (test_route1_spdc's pin).
+    config = spdc_config(3, 0.05, p_d=0.09)
+    route2 = run_condition2(config, DRAWS, RngStream(2026))
+    assert route2.to_csv_bytes() == run_condition1(config, DRAWS, RngStream(2026)).to_csv_bytes()
+
+
+def test_route2_rank_s_single_photons():
+    # |S|/M = 1/16: route 2 samples on its rank-|S| path, whose bytes the
+    # pins above, all on the zero-noise chain, no longer reach.
+    batch = run_condition2(single_photon_config(64, 4, p_d=0.06), DRAWS, RngStream(2026))
+    assert csv_sha256(batch) == "9b061ca20eed2739c6b37daba1bc68f9d267d1beab6335a069cb76c5b21096f8"
 
 
 def test_route1_gaussian_mix():
@@ -105,7 +115,7 @@ MULTI_TILE_DRAWS = BATCH_SIZE + 7
 def test_route2_multi_tile_single_photons():
     batch = run_condition2(single_photon_config(48, 6, p_d=0.06), MULTI_TILE_DRAWS,
                            RngStream(2026), workers=2)
-    assert csv_sha256(batch) == "b0cc719762a8aa1b7a7ab6a681c5bd99def58f490c7edb7ebdb8c0a1da52c008"
+    assert csv_sha256(batch) == "d4928396bfe29b56d27ce50f375d9bc859c9d526dd15f1d472dde473b680ab9f"
 
 
 def test_route1_multi_tile_spdc():

@@ -13,12 +13,16 @@ from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import haar_unitary
 from pqsim.oracle import ProbabilityTable, all_bitstrings, exact_distribution, tv_distance
 from pqsim.presets import spdc_config, single_photon_config
+import pqsim.sampler
+from pqsim.processes import sigma_matrix
 from pqsim.sampler import (
     SampleBatch,
     _histogram,
+    _zero_noise,
     default_route,
     empirical_stats,
     output_gaussian,
+    route2_plan,
     run_condition1,
     run_condition2,
     run_experiment,
@@ -181,9 +185,9 @@ class TestCondition2:
 
 
 class TestClickMarginals:
-    # M = 8 has 2|S| > M, where the rank-|S| factor does more work than a
-    # dense one would; it must stay exact there too.
-    @pytest.mark.parametrize("modes,photons", [(8, 6), (256, 16), (1024, 32)])
+    # (8, 6) and (256, 128) run on the zero-noise chain, (256, 16) and
+    # (1024, 32) on the rank-|S| path (TestZeroNoiseChain).
+    @pytest.mark.parametrize("modes,photons", [(8, 6), (256, 16), (256, 128), (1024, 32)])
     def test_click_rates_match_exact_marginals(self, modes, photons):
         draws = 16384
         config = single_photon_config(modes, photons, p_d=0.06)
@@ -198,6 +202,88 @@ class TestClickMarginals:
         totals = outcomes.sum(axis=1)
         z_total = (totals.mean() - exact.sum()) / (totals.std() / math.sqrt(draws))
         assert abs(z_total) <= NormalDist().inv_cdf(1.0 - 1e-6 / 2)
+
+
+def diagonal_gram_config(seed: int) -> ExperimentConfig:
+    """2-8 modes of one-photon mixtures, thermal, coherent and vacuum
+    sources and maybe an SPDC pair, on a Haar unitary whose columns are
+    scaled by random transmissivities, so L^dag L = diag(k) but L is not a
+    multiple of a unitary; detectors loose enough for the chain."""
+    gen = np.random.default_rng(seed)
+    modes = int(gen.integers(2, 9))
+    kinds = (lambda: MixedSinglePhoton(gen.uniform(0.2, 1.0), gen.uniform(0.05, 0.4)),
+             lambda: Thermal(gen.uniform(0.0, 0.3)),
+             lambda: Coherent(complex(*gen.normal(0.0, 0.3, 2))), Vacuum)
+    sources = [PortSource(SpdcPair(gen.uniform(0.1, 0.4), gen.uniform(0.3, 1.0)), (0, 1))
+               ] if gen.random() < 0.5 else []
+    sources += [PortSource(kinds[gen.integers(4)](), (k,))
+                for k in range(2 * len(sources), modes)]
+    transfer = haar_unitary(modes, RngStream(seed)) * np.sqrt(gen.uniform(0.3, 1.0, modes))
+    return ExperimentConfig(modes=modes, sources=tuple(sources), transfer=transfer,
+                            detectors=(DetectorModel(0.9, 0.45),) * modes)
+
+
+class TestZeroNoiseChain:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sigma_vanishes_at_the_chain_orderings(self, seed):
+        config = diagonal_gram_config(seed)
+        assert config.diagonal_gram
+        t0, s0 = _zero_noise(config)
+        assert t0 == min(entry.source.t_bar for entry in config.sources)
+        assert np.max(np.abs(sigma_matrix(config.transfer, s0, t0))) <= 1e-12
+        # Proper orderings at or inside the extreme ones: Sigma_bar passes.
+        assert np.all(s0 >= s_bar_vector(config)) and check_second_condition(config).simulatable
+
+    def test_sizes_pick_the_path(self):
+        for modes, photons in [(4, 2), (6, 6), (8, 6), (16, 4), (256, 128)]:
+            config = single_photon_config(modes, photons, p_d=0.06)
+            chain, costs = route2_plan(config)
+            assert chain is not None and costs["chain"] < costs["rank_s"], (modes, photons)
+        for modes, photons in [(256, 16), (1024, 32)]:
+            config = single_photon_config(modes, photons, p_d=0.06)
+            chain, costs = route2_plan(config)
+            # The chain would be valid there; its cost alone rules it out.
+            assert chain is None and _zero_noise(config) is not None, (modes, photons)
+            assert costs["chain"] > costs["rank_s"]
+
+    @staticmethod
+    def factor_calls(config, monkeypatch) -> Counter:
+        """The set-up factors a 100-shot route-2 run builds."""
+        calls = Counter()
+        for name in ("transition_factor", "block_rows"):
+            def spy(*args, _name=name, _real=getattr(pqsim.sampler, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(pqsim.sampler, name, spy)
+        assert len(run_condition2(config, 100, RngStream(3))) == 100
+        return calls
+
+    def test_a_non_diagonal_gram_falls_back(self, monkeypatch):
+        config = single_photon_config(6, 3, p_d=0.2)
+        scaled = replace(config, transfer=np.diag(np.linspace(1.0, 0.8, 6)) @ config.transfer,
+                         lon_spec=None)
+        assert not scaled.diagonal_gram and check_second_condition(scaled).simulatable
+        chain, costs = route2_plan(scaled)
+        assert chain is None and costs["chain"] < costs["rank_s"]
+        assert self.factor_calls(scaled, monkeypatch) == Counter({"transition_factor": 1})
+
+    def test_a_mode_with_no_random_counts_falls_back(self, monkeypatch):
+        # Mode 3 sees only its own vacuum port: Sigma_bar passes with
+        # p_d = 0 there, but s0 < s_bar = 1 on it.
+        transfer = np.zeros((4, 4), dtype=complex)
+        transfer[:3, :3] = math.sqrt(0.9) * haar_unitary(3, RngStream(9))
+        transfer[3, 3] = math.sqrt(0.9)
+        config = ExperimentConfig(
+            modes=4, transfer=transfer,
+            sources=tuple(PortSource(MixedSinglePhoton(0.5, 0.1), (k,)) for k in range(3))
+            + (PortSource(Vacuum(), (3,)),),
+            detectors=(DetectorModel(0.9, 0.06),) * 3 + (DetectorModel(0.9, 0.0),))
+        assert config.diagonal_gram and check_second_condition(config).simulatable
+        chain, costs = route2_plan(config)
+        assert chain is None and _zero_noise(config) is None
+        assert costs["chain"] < costs["rank_s"]
+        assert self.factor_calls(config, monkeypatch) == Counter({"transition_factor": 1})
 
 
 def _spdc_desk_configs():
@@ -515,9 +601,11 @@ class TestBatchAndStats:
         stats = empirical_stats(SampleBatch(outcomes, RngStream(0), "x", None))
         assert stats.histogram == expected
 
-    @pytest.mark.parametrize("modes", [1, 7, 8, 9, 16, 20, 21, 24, 33])
+    @pytest.mark.parametrize("modes", [1, 7, 8, 9, 16, 20, 21, 24, 33, 63, 64, 65])
     def test_histogram_keys_are_sorted_bit_strings(self, modes):
         # All-0 and all-1 rows and long zero runs pack to bytes 0x00 and 0xff.
+        # Up to 64 modes rows are counted as uint64 codes, from 65 as packed
+        # strings; both must give these keys in this order.
         gen = RngStream(80 + modes).generator()
         outcomes = (gen.random((3000, modes)) < 0.1).astype(np.uint8)
         outcomes[::5], outcomes[1::7] = 0, 1
