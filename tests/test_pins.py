@@ -6,6 +6,7 @@ that moves one on purpose says so in CHANGES.md and updates it here.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from pqsim.states import (
     Vacuum,
     sample_source_pqd,
 )
+
+from conftest import route1_dead_detector_config
 
 DRAWS = 5000
 
@@ -138,3 +141,48 @@ def test_gaussian_source_draws():
             digest.update(state["state"]["counter"].tobytes())
             digest.update(int(state["buffer_pos"]).to_bytes(8, "little"))
     assert digest.hexdigest() == "5ff9e288afd829ce537f4b95d9a3c4d541b9d512f08530075e5db7c11efe29d4"
+
+
+# Dead detectors (eta_d = 0) on each route and path: their clicks are p_d
+# coins, and the light they would have seen must leave the live bytes alone.
+def with_dead(config, modes):
+    """``config`` with the detectors on ``modes`` made dead, p_d kept."""
+    dets = list(config.detectors)
+    for k in modes:
+        dets[k] = DetectorModel(0.0, dets[k].p_d)
+    return replace(config, detectors=tuple(dets))
+
+
+def test_route1_chain_dead_detectors():
+    # A herald (3) and a signal (11) dead; L^dag L is diagonal: the chain.
+    config = with_dead(spdc_config(8, 0.05, p_d=0.09), (3, 11))
+    batch = run_condition1(config, DRAWS, RngStream(2026))
+    assert csv_sha256(batch) == "0fbed3797c460eb27a5e3e34577de57f316a7373b0c0c181ead4acf5ddb58541"
+
+
+def test_route1_factor_dead_detector():
+    # s0 < s_bar on the live modes: route 1 factors V_out - diag(s_bar).
+    batch = run_condition1(route1_dead_detector_config(0.1174), DRAWS, RngStream(2026))
+    assert csv_sha256(batch) == "ee4f88bfbdfd6047227022b29653c892fbef57fcd3895fece17e361787a31e27"
+
+
+def test_route1_factor_row_scaled_dead_detector():
+    # Unequal row loss: L^dag L is not diagonal, so route 1 factors at s_bar.
+    config = route1_dead_detector_config(0.1174)
+    config = replace(config, transfer=np.diag(np.sqrt([1.0, 0.95, 0.9, 0.85])) @ config.transfer)
+    batch = run_condition1(config, DRAWS, RngStream(2026))
+    assert csv_sha256(batch) == "6f14b2df7da3738a8c3de13cb6a8e614d02502d51d6fdfa513fc9fe40a469b45"
+
+
+def test_route2_chain_dead_detectors():
+    # A photon port (2) and a vacuum port (15) dead; route 2 takes the chain.
+    config = with_dead(single_photon_config(16, 4, p_d=0.06), (2, 15))
+    batch = run_condition2(config, DRAWS, RngStream(2026))
+    assert csv_sha256(batch) == "909381ff6de1f72d5eeabe6fda719aaf3bda3bdd6f508b88ce59d2c11ff5f511"
+
+
+def test_route2_rank_s_dead_detectors():
+    # |S|/M = 1/16: the rank-|S| path, with a photon port and a vacuum port dead.
+    config = with_dead(single_photon_config(64, 4, p_d=0.06), (2, 63))
+    batch = run_condition2(config, DRAWS, RngStream(2026))
+    assert csv_sha256(batch) == "a0e3d2bdc691255bff11be7a110a05ca35ff256da2b44a88276e3f608681f0f5"
