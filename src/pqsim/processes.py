@@ -57,10 +57,9 @@ def sigma_matrix(transfer: np.ndarray, s, t) -> np.ndarray:
     return (sigma + sigma.conj().T) / 2.0
 
 
-def whitened_rows(transfer: np.ndarray, t, d, dead=None) -> tuple[np.ndarray, np.ndarray]:
+def whitened_rows(transfer: np.ndarray, t, d) -> tuple[np.ndarray, np.ndarray]:
     """(B, C) over the ports S with ordering t < 1: B = diag(sqrt(1 - t_S)) L_S
-    and C = B diag(d^-1/2), with C's columns 0 where d <= 0.  ``dead`` masks
-    modes whose detector ignores light: B's and C's columns are 0 there.
+    and C = B diag(d^-1/2), with C's columns 0 where d <= 0.
 
     For t <= 1, L^dag diag(1 - t) L = B^dag B: classical ports (vacuum,
     coherent, thermal; t_bar = 1) add no noise, so the input side of Sigma
@@ -70,14 +69,11 @@ def whitened_rows(transfer: np.ndarray, t, d, dead=None) -> tuple[np.ndarray, np
     t = np.asarray(t, dtype=float)
     ports = np.flatnonzero(t < 1.0)
     b = np.sqrt(1.0 - t[ports])[:, None] * matrix[ports]
-    if dead is not None:
-        b[:, dead] = 0.0
     # A column where d <= 0 is divided by inf, so that C is 0 there.
     return b, b / np.sqrt(np.where(d > 0.0, d, np.inf))
 
 
-def transition_factor(transfer: np.ndarray, s, t,
-                      dead=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def transition_factor(transfer: np.ndarray, s, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor of the transition covariance Sigma/2 for orderings s, t <= 1
     whose Sigma passed the PSD test, from one |S| x |S| eigenproblem.
 
@@ -95,14 +91,10 @@ def transition_factor(transfer: np.ndarray, s, t,
     D is tiny, and C would amplify that excess; the factor is then built
     at D + PSD_TOL, for Sigma + PSD_TOL * I, which is PSD, so the
     covariance is off by at most the tolerance.
-
-    ``dead`` masks modes whose detector ignores light (eta_d = 0): their
-    columns of B are set to 0, which is exact on the other modes, and a
-    dead mode's own noise is irrelevant, its click being a p_d coin.
     """
     exact = 1.0 - np.asarray(s, dtype=float)
     for d in (exact, exact + PSD_TOL):
-        b, c = whitened_rows(transfer, t, d, dead)
+        b, c = whitened_rows(transfer, t, d)
         lam, u = np.linalg.eigh(c @ c.conj().T)
         if not (np.any(b[:, d <= 0.0]) or (lam.size and lam[-1] > 1.0 + WHITENED_ROUNDOFF)):
             break

@@ -49,7 +49,7 @@ from .experiment import ExperimentConfig
 from .linalg import PSD_TOL
 from .processes import block_rows, propagate_blocks, transition_factor, transition_noise
 from .rng import RngStream
-from .simulability import check_second_condition, dead_modes, s_bar_vector
+from .simulability import check_second_condition, live_transfer, s_bar_vector
 from .states import (SourceModel, Vacuum, gaussian_pqd_factor, sample_gaussian_pqd,
                      sample_source_pqd)
 
@@ -266,21 +266,22 @@ def _chain_tile(factor, s, detectors, draws=()):
 
 def _zero_noise(config: ExperimentConfig):
     """(t0, s0) with t0 = min t_bar and s0 = 1 - (1 - t0) k when L^dag L =
-    diag(k) and s0 >= s_bar on the live modes, else None.  Sigma(s0, t0) = 0,
-    so a chain at (s0, t0) adds no transition noise, and Sigma_bar >= 0."""
+    diag(k), L :func:`live_transfer`'s, and s0 >= s_bar, else None.
+    Sigma(s0, t0) = 0, so a chain at (s0, t0) adds no transition noise, and
+    Sigma_bar >= 0."""
     if not config.diagonal_gram:
         return None
     t0 = min(entry.source.t_bar for entry in config.sources)
-    lr, li = config.transfer.real, config.transfer.imag
+    transfer = live_transfer(config)
+    lr, li = transfer.real, transfer.imag
     s0 = 1.0 - (1.0 - t0) * (np.einsum("ij,ij->j", lr, lr) + np.einsum("ij,ij->j", li, li))
-    live = ~dead_modes(config)
-    return (t0, s0) if np.all(s0[live] >= s_bar_vector(config)[live]) else None
+    return (t0, s0) if np.all(s0 >= s_bar_vector(config)) else None
 
 
 def _rows_factor(config: ExperimentConfig, sources, t0: float):
     """(mean / 2, R / 2), R the rows of :func:`~pqsim.processes.block_rows`
     at t0 for ``sources`` with lam > PSD_TOL, in order; the rest dies here."""
-    mean, rows, lam = block_rows(_blocks(sources), config.transfer, t0)
+    mean, rows, lam = block_rows(_blocks(sources), live_transfer(config), t0)
     return mean / 2.0, rows[lam > PSD_TOL] / 2.0
 
 
@@ -321,8 +322,7 @@ def run_condition2(config: ExperimentConfig, n_samples: int, rng: RngStream,
         draws = _groups(config, np.full(config.modes, zero[0]), lambda src: not _gaussian(src))
         tile = _chain_tile(factor, zero[1], config.detectors, draws)
     else:
-        factor = transition_factor(config.transfer, report.s_bar, report.t_bar,
-                                   dead=dead_modes(config))
+        factor = transition_factor(live_transfer(config), report.s_bar, report.t_bar)
         # Vacuum ports are neither drawn nor mixed: at t_bar = 1 their PQD is a point mass.
         draws = _groups(config, report.t_bar, lambda src: not isinstance(src, Vacuum))
         tile = _tile(partial(transition_noise, factor), draws, report.s_bar, config.detectors)
@@ -335,8 +335,10 @@ def run_condition2(config: ExperimentConfig, n_samples: int, rng: RngStream,
 def output_gaussian(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Wigner mean and covariance of the network output for all-Gaussian
     sources, built from each source's block of Wigner moments; raises
-    :class:`UnsupportedSourceError` otherwise."""
-    return propagate_blocks(_blocks(config.sources), config.transfer)
+    :class:`UnsupportedSourceError` otherwise.  L is :func:`live_transfer`'s,
+    so a dead mode carries vacuum; route 1's set-up, the only caller here,
+    keeps this name for the tracer to time."""
+    return propagate_blocks(_blocks(config.sources), live_transfer(config))
 
 
 def run_condition1(config: ExperimentConfig, n_samples: int, rng: RngStream,
@@ -344,15 +346,13 @@ def run_condition1(config: ExperimentConfig, n_samples: int, rng: RngStream,
     """Sample outcomes by drawing from the output-state PQD directly.
 
     Requires every source to be Gaussian and the output-state and click
-    PQDs to be nonnegative at one output ordering s >= s_bar on the live
-    modes; refuses otherwise.  Where :func:`_zero_noise` holds this is the
-    zero-noise chain: V_out - diag(s0) = R^T R, R the r <= 2M rows of
+    PQDs to be nonnegative at one output ordering s >= s_bar; refuses
+    otherwise.  Where :func:`_zero_noise` holds this is the zero-noise
+    chain: V_out - diag(s0) = R^T R, R the r <= 2M rows of
     :func:`_rows_factor` (the off-diagonal Gram and the dropped rows each
     move it by at most PSD_TOL), r normals and an r x 2M product a shot.
     Otherwise V_out - diag(s_bar) is factored (2M normals and a 2M x 2M
-    product a shot), without the covariance between dead and live modes: a
-    dead detector's click is a p_d coin, and its row at s_bar = -1 could
-    refuse live modes that pass.
+    product a shot).  Both read L with dead detectors' columns zeroed.
     """
     s, factor = _output_factor(config)
     tile = _chain_tile(factor, s, config.detectors)
@@ -369,9 +369,6 @@ def _output_factor(config: ExperimentConfig):
         return zero[1], _rows_factor(config, config.sources, zero[0])
     sbar = s_bar_vector(config)
     mean, cov = output_gaussian(config)
-    dead = np.repeat(dead_modes(config), 2)
-    cov[np.ix_(dead, ~dead)] = 0.0
-    cov[np.ix_(~dead, dead)] = 0.0
     try:
         return sbar, gaussian_pqd_factor(mean, cov, sbar)
     except NotPsdError as exc:

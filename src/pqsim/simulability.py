@@ -44,10 +44,8 @@ def t_bar_vector(config: ExperimentConfig) -> np.ndarray:
 def s_bar_vector(config: ExperimentConfig) -> np.ndarray:
     """Per-mode output nonnegativity bounds s_bar.
 
-    A dead detector (eta_d = 0) has a flat, everywhere-nonnegative PQD at
-    every ordering, so its bound is s -> -infinity; -1 stands in for it
-    here, which keeps the report finite, and both the verdict and the
-    transition factor drop its column (:func:`dead_modes`).
+    A dead detector's bound is s -> -infinity (:func:`live_transfer`); -1
+    stands in for it here, which keeps the report finite.
     """
     out = np.empty(config.modes)
     for k, det in enumerate(config.detectors):
@@ -55,9 +53,17 @@ def s_bar_vector(config: ExperimentConfig) -> np.ndarray:
     return out
 
 
-def dead_modes(config: ExperimentConfig) -> np.ndarray:
-    """Mask of the modes whose detector ignores light (eta_d = 0)."""
-    return np.array([det.eta_d == 0.0 for det in config.detectors])
+def live_transfer(config: ExperimentConfig) -> np.ndarray:
+    """L with dead detectors' columns zeroed (``config.transfer`` itself,
+    uncopied, when none is dead); every verdict and factor reads it.  A
+    dead detector's no-click PQD is flat, (1 - p_d)/pi, so its click is a
+    p_d coin whatever amplitude reaches it, as a zero column gives."""
+    dead = [k for k, det in enumerate(config.detectors) if det.eta_d == 0.0]
+    if not dead:
+        return config.transfer
+    transfer = config.transfer.copy()
+    transfer[:, dead] = 0.0
+    return transfer
 
 
 @dataclass(frozen=True)
@@ -107,8 +113,7 @@ def check_second_condition(config: ExperimentConfig) -> SimulabilityReport:
     C = B diag(E^-1/2) from :func:`whitened_rows`, the Schur complement gives
     lambda_min(Sigma_bar) >= -PSD_TOL iff kappa = lambda_max(C C^dag) <= 1,
     for every detector set (p_d = 0 included; kappa = 0 when S is empty).
-    A dead detector's bound is s -> -infinity, so its column of C is 0:
-    the test is that of the live modes' principal submatrix of Sigma_bar.
+    L is :func:`live_transfer`'s, so a dead detector's column of C is 0.
 
     Always returns a report.  With identical detectors the report also
     carries the exact scalar threshold on the random-count probability,
@@ -119,7 +124,7 @@ def check_second_condition(config: ExperimentConfig) -> SimulabilityReport:
     tbar = t_bar_vector(config)
     sbar = s_bar_vector(config)
     scale = 1.0 - sbar + PSD_TOL
-    c = whitened_rows(config.transfer, tbar, scale, dead_modes(config))[1]
+    c = whitened_rows(live_transfer(config), tbar, scale)[1]
     kappa = float(np.linalg.eigvalsh(c @ c.conj().T)[-1]) if c.size else 0.0
 
     threshold = margin = math.nan

@@ -14,7 +14,7 @@ from pqsim.processes import (
     transition_factor,
     uniform_loss_eta,
 )
-from pqsim.simulability import check_second_condition, dead_modes, s_bar_vector, t_bar_vector
+from pqsim.simulability import check_second_condition, live_transfer, s_bar_vector, t_bar_vector
 from pqsim.sampler import output_gaussian
 from pqsim.errors import DimensionError
 from pqsim.states import Coherent, SpdcPair, Thermal, Vacuum
@@ -100,10 +100,12 @@ class TestTransitionFactor:
         random_mixed_config(340 + seed, 3 + seed, dead_modes=1 + seed % 2) for seed in range(6)])
     def test_dead_modes_leave_the_factor(self, config):
         # Exact on the live modes' block of Sigma_bar, which is all the
-        # verdict asks to be PSD; a dead mode only gets noise of its own.
-        s, t, dead = s_bar_vector(config), t_bar_vector(config), dead_modes(config)
+        # verdict asks to be PSD; a dead mode, its column of L zeroed, only
+        # gets noise of its own.
+        s, t = s_bar_vector(config), t_bar_vector(config)
+        dead = np.array([det.eta_d == 0.0 for det in config.detectors])
         assert check_second_condition(config).simulatable and dead.any()
-        c_h, g, scale = transition_factor(config.transfer, s, t, dead=dead)
+        c_h, g, scale = transition_factor(live_transfer(config), s, t)
         factor = (np.eye(config.modes) - c_h @ g) * scale
         cov = factor.conj().T @ factor
         live = np.ix_(~dead, ~dead)

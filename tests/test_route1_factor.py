@@ -1,5 +1,5 @@
 """Route 1's two set-ups.  With a diagonal Gram matrix L^dag L = diag(k)
-and s0 = 1 - (1 - t0) k >= s_bar on the live modes (t0 = min t_bar), the
+and s0 = 1 - (1 - t0) k >= s_bar (t0 = min t_bar, k from L with dead columns zeroed), the
 engine draws from the sources' blocks at t0: R^T R = V_out - diag(s0), one
 row per rank of a block.  Everywhere else it factors V_out - diag(s_bar) as
 before, with the same bytes."""
@@ -17,7 +17,7 @@ from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import PSD_TOL, haar_unitary, validate_transfer
 from pqsim.oracle import exact_distribution, tv_distance
 from pqsim.sampler import output_gaussian, run_condition1
-from pqsim.simulability import dead_modes, s_bar_vector
+from pqsim.simulability import live_transfer, s_bar_vector
 from pqsim.states import Coherent, SpdcPair, Thermal, Vacuum, sample_gaussian_pqd
 
 from conftest import route1_dead_detector_config
@@ -103,17 +103,19 @@ class TestSourceBlockFactor:
         config = build(seed)
         (half_mean, half_factor), s = route1_setup(monkeypatch, config)
         t0 = min(entry.source.t_bar for entry in config.sources)
+        # k from L with dead columns zeroed: s0 = 1 on a dead mode, which
+        # carries vacuum; the live modes keep the full L's s0.
+        live = np.array([det.eta_d > 0.0 for det in config.detectors])
         k = np.sum(np.abs(config.transfer) ** 2, axis=0)
-        s0 = 1.0 - (1.0 - t0) * k
-        live = ~dead_modes(config)
-        assert np.all(s0[live] >= s_bar_vector(config)[live])
+        assert np.array_equal(np.sum(np.abs(live_transfer(config)) ** 2, axis=0), k * live)
+        s0 = 1.0 - (1.0 - t0) * k * live
+        assert np.all(s0 >= s_bar_vector(config))
         assert np.max(np.abs(s - s0)) <= 1e-14
 
         mean, cov = output_gaussian(config)
         rows = 2.0 * half_factor
         gap = rows.T @ rows - (cov - np.diag(np.repeat(s0, 2)))
-        quads = np.repeat(live, 2)
-        assert np.max(np.abs(gap[np.ix_(quads, quads)])) <= 1e-12
+        assert np.max(np.abs(gap)) <= 1e-12
         assert np.max(np.abs(2.0 * half_mean - mean)) <= 1e-14
 
         ranks = sum(np.count_nonzero(np.linalg.eigvalsh(

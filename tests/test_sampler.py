@@ -14,7 +14,7 @@ from pqsim.linalg import haar_unitary
 from pqsim.oracle import ProbabilityTable, all_bitstrings, exact_distribution, tv_distance
 from pqsim.presets import spdc_config, single_photon_config
 import pqsim.sampler
-from pqsim.processes import sigma_matrix
+from pqsim.processes import propagate_blocks, sigma_matrix
 from pqsim.sampler import (
     SampleBatch,
     _histogram,
@@ -27,7 +27,7 @@ from pqsim.sampler import (
     run_condition2,
     run_experiment,
 )
-from pqsim.simulability import check_second_condition, dead_modes, s_bar_vector
+from pqsim.simulability import check_second_condition, s_bar_vector
 from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
 from conftest import (
@@ -497,11 +497,17 @@ class TestDeadDetectors:
         # while the dead mode's row at s_bar = -1 stayed coupled to the
         # live modes, whose own block passes.
         config = route1_dead_detector_config(0.1174)
-        _, cov = output_gaussian(config)
-        live = np.repeat(~dead_modes(config), 2)
+        blocks = [(entry.ports, *entry.source.wigner_moments()) for entry in config.sources]
+        _, cov = propagate_blocks(blocks, config.transfer)
+        live = np.repeat([det.eta_d > 0.0 for det in config.detectors], 2)
         floor = np.repeat(s_bar_vector(config), 2)
         assert np.linalg.eigvalsh(cov - np.diag(floor))[0] < -0.02
         assert np.linalg.eigvalsh((cov - np.diag(floor))[np.ix_(live, live)])[0] > 0.01
+        # Route 1 reads L with the dead column zeroed: vacuum on mode 3,
+        # uncoupled, and the live block unchanged.
+        _, sampled = output_gaussian(config)
+        assert np.array_equal(sampled[np.ix_(live, live)], cov[np.ix_(live, live)])
+        assert np.array_equal(sampled[:, ~live], np.eye(8)[:, ~live])
         draws = 200_000
         table = exact_distribution(config, n_max=6)
         batch = run_condition1(config, draws, RngStream(75))

@@ -15,6 +15,7 @@ from pqsim.presets import ScenarioParams, single_photon_config, spdc_config, thr
 from pqsim.processes import sigma_matrix, uniform_loss_eta
 from pqsim.simulability import (
     check_second_condition,
+    live_transfer,
     mode_mismatch_pd,
     plan_photon_number,
     s_bar_vector,
@@ -168,6 +169,18 @@ class TestDeadDetectors:
         sigma = sigma_matrix(config.transfer, report.s_bar, report.t_bar)
         assert np.linalg.eigvalsh(sigma)[0] < -0.1
         assert sigma[0, 0].real >= -PSD_TOL
+
+    def test_live_transfer_zeroes_only_dead_columns(self):
+        config = random_mixed_config(345, 5, dead_modes=2)
+        dead = [k for k, det in enumerate(config.detectors) if det.eta_d == 0.0]
+        transfer = config.transfer.copy()
+        live = live_transfer(config)
+        assert len(dead) == 2 and np.array_equal(config.transfer, transfer)
+        transfer[:, dead] = 0.0
+        assert np.array_equal(live, transfer)
+        # With every detector live, L itself is read, uncopied.
+        config = random_mixed_config(345, 5)
+        assert live_transfer(config) is config.transfer
 
     @pytest.mark.parametrize("p_d", [0.3, 0.49])
     def test_the_live_detector_still_decides(self, p_d):
