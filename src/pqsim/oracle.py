@@ -226,18 +226,25 @@ def _kets(blocks, modes: int, ket_floor: float) -> list:
     """The kets :func:`exact_distribution` propagates: per mixture
     alternative (one alternative of each block, in ``itertools.product``
     order) its ``(weight, amps, occs, lost)``, the tensor products of one
-    ket per block, the last block fastest, whose |amplitude|^2 reaches
-    ``ket_floor``, and the probability ``lost`` held by those dropped.  All
-    kets are distinct, as the blocks hold disjoint ports and no two
-    alternatives of a block (:func:`_source_block`) share an occupation."""
+    ket per block, the last block fastest, whose weight times |amplitude|^2
+    reaches ``ket_floor``, and the probability ``lost`` held by those
+    dropped; an alternative whose weight is below ``ket_floor`` keeps no
+    ket and loses 1.  All kets are distinct, as the blocks hold disjoint
+    ports and no two alternatives of a block (:func:`_source_block`) share
+    an occupation."""
     kets = []
     for combo in itertools.product(*blocks):
+        weight = math.prod(w for w, _, _ in combo)
         amps, occs, lost = np.ones(1, dtype=complex), np.zeros((1, modes), dtype=np.intp), 0.0
+        if weight < ket_floor:
+            kets.append((weight, amps[:0], occs[:0], 1.0))
+            continue
         for b, (_, block_amps, block_occ) in enumerate(combo):
             later = [a for _, a, _ in combo[b + 1:]]
-            amps, occs, pruned = _tensor(amps, occs, block_amps, block_occ, later, ket_floor)
+            amps, occs, pruned = _tensor(amps, occs, block_amps, block_occ, later,
+                                         ket_floor / weight)
             lost += pruned
-        kets.append((math.prod(w for w, _, _ in combo), amps, occs, lost))
+        kets.append((weight, amps, occs, lost))
     return kets
 
 
@@ -248,12 +255,12 @@ def _size_refusal(blocks, modes: int, ket_floor: float) -> tuple[str | None, lis
     otherwise the kets are listed, and refused if a photon-number sector's
     C(modes + k - 1, k) states times its kets' prod_i (c_i + 1) - 1 Ryser
     steps exceed :data:`MAX_SECTOR_STEPS`."""
-    # The most photons a kept ket holds: the largest product of one
-    # |amplitude|^2 per block, per photon count, block by block.
+    # The most photons a kept ket holds: the largest product of one weight
+    # times |amplitude|^2 per block, per photon count, block by block.
     most = np.ones(1)
     for options in blocks:
-        terms = [(float(w), n) for _, amps, occ in options
-                 for w, n in zip(np.abs(amps) ** 2, np.sum(occ, axis=1).tolist())]
+        terms = [(float(w), n) for weight, amps, occ in options
+                 for w, n in zip(weight * np.abs(amps) ** 2, np.sum(occ, axis=1).tolist())]
         grown = np.zeros(len(most) + max((n for _, n in terms), default=0))
         for weight, n in terms:
             np.maximum(grown[n : n + len(most)], most * weight, out=grown[n : n + len(most)])

@@ -393,6 +393,40 @@ def two_pairs_on_scaled_rows() -> ExperimentConfig:
     )
 
 
+def pair_and_thermal_on_lossy_rows() -> ExperimentConfig:
+    """An SPDC pair (sinh^2 r = 0.02) on (0, 1), Thermal(0.1) on 2 and
+    vacuum on 3 and 4, on diag(sqrt(1, 1, 1, 0.95, 0.9)) times a Haar
+    unitary: 7 modes once the oracle adds the loss modes."""
+    transfer = np.diag(np.sqrt([1.0, 1.0, 1.0, 0.95, 0.9])) @ haar_unitary(5, RngStream(5))
+    return ExperimentConfig(
+        modes=5,
+        sources=(PortSource(SpdcPair(math.asinh(math.sqrt(0.02)), 1.0), (0, 1)),
+                 PortSource(Thermal(0.1), (2,)), PortSource(Vacuum(), (3,)),
+                 PortSource(Vacuum(), (4,))),
+        transfer=transfer,
+        detectors=(DetectorModel(0.9, 0.05),) * 5,
+    )
+
+
+class TestMixtureWeights:
+    """Each thermal alternative's weight times its |amplitude|^2 is what the
+    floor and the photon bound weigh.  Read as |amplitude|^2 = 1 alone, every
+    alternative up to n_max counted, and this config was refused at n_max 5
+    to 7 for kets of 15 to 21 photons."""
+
+    @pytest.mark.parametrize("n_max", [5, 6, 7])
+    def test_pair_and_thermal_match_the_gaussian_click_table(self, n_max):
+        config = pair_and_thermal_on_lossy_rows()
+        table = exact_distribution(config, n_max=n_max)
+        assert 0.5 * np.sum(np.abs(table.probs - gaussian_click_table(config))) <= (
+            table.truncation_error)
+
+    def test_too_small_n_max_suggests_the_next(self):
+        with pytest.raises(TruncationError) as err:
+            exact_distribution(pair_and_thermal_on_lossy_rows(), n_max=4)
+        assert err.value.suggested_n_max == 5
+
+
 class TestLossySpdcFold:
     """A lossy signal arm is folded into the network contraction before it
     is dilated; the Gaussian silent-set formula is the reference."""

@@ -9,6 +9,7 @@ hundreds of thousands (1,183,854 and 268,017).
 """
 
 import cProfile
+import itertools
 import math
 import pstats
 import re
@@ -117,7 +118,8 @@ def test_size_guard_counts_the_steps_of_the_largest_sector(monkeypatch, build, n
 @pytest.mark.parametrize("build,n_max", GUARD_CASES)
 def test_each_alternative_tensors_its_blocks_once(monkeypatch, build, n_max):
     # The guard and the run share one enumeration: one _tensor call per
-    # block of each mixture alternative (one alternative per block).
+    # block of each mixture alternative (one alternative per block) whose
+    # weight reaches the ket floor; the others keep no ket.
     config = build()
     expanded, tensored = [], []
     expand, tensor = pqsim.oracle._expand, pqsim.oracle._tensor
@@ -127,7 +129,8 @@ def test_each_alternative_tensors_its_blocks_once(monkeypatch, build, n_max):
         tensored.append(None) or tensor(*args)))
     exact_distribution(config, n_max=n_max)
     (blocks, _, _), = expanded
-    assert len(tensored) == math.prod(len(options) for options in blocks) * len(blocks)
+    kept = sum(math.prod(w for w, _, _ in combo) >= 1e-12 for combo in itertools.product(*blocks))
+    assert len(tensored) == kept * len(blocks)
 
 
 @pytest.mark.parametrize("build,n_max", GUARD_CASES)
@@ -145,12 +148,14 @@ def test_each_kept_ket_is_propagated_once(monkeypatch, build, n_max):
 
 
 def test_twelve_photons_over_nine_modes_are_refused_before_any_sector(monkeypatch):
-    # Six Thermal(1e-5) ports keep kets of up to 2 photons each, so the
-    # 12-photon sector over 9 modes holds a ket with 2 photons on 6 modes,
-    # 728 steps for each of its 125,970 states, and the 10-photon sector
-    # 2.76e8 steps in all; the whole run takes about 30 s on 2 cores.
+    # Six Thermal(0.13) ports at n_max 2 keep kets of up to 2 photons
+    # each: the 12-photon alternative weighs (1 - q)^6 q^12 = 2.6e-12,
+    # q = 0.13 / 1.13, above the 1e-12 floor.  So the 12-photon sector over
+    # 9 modes holds a ket with 2 photons on 6 modes, 728 steps for each of
+    # its 125,970 states, and the 10-photon sector 2.76e8 steps in all.
+    # The size guard refuses ahead of the truncation check.
     modes = 9
-    sources = [PortSource(Thermal(1e-5), (k,)) for k in range(6)]
+    sources = [PortSource(Thermal(0.13), (k,)) for k in range(6)]
     sources += [PortSource(Vacuum(), (k,)) for k in range(6, modes)]
     config = ExperimentConfig(modes=modes, sources=tuple(sources),
                               transfer=haar_unitary(modes, RngStream(3)),
@@ -160,7 +165,7 @@ def test_twelve_photons_over_nine_modes_are_refused_before_any_sector(monkeypatc
     with pytest.raises(OracleSizeError,
                        match=r"kets of up to 12 photons, a sector of 2.76e\+08 permanent "
                              r"steps over 9 modes"):
-        exact_distribution(config, n_max=16)
+        exact_distribution(config, n_max=2)
     assert time.perf_counter() - started < 1.0
 
 
