@@ -173,17 +173,26 @@ def single_photon_click_marginals(config) -> np.ndarray:
     """Exact per-mode click probabilities for vacuum and one-photon-mixture
     inputs, at any mode count.
 
-    P(no click on k) = (1 - p_d) int_0^inf e^-t prod_j (1 - t eta_bar_j eta_d |L_jk|^2) dt,
-    the rank-1 permanent identity; the integrand is a polynomial of degree
-    N (the photon-port count), so (N + 1)-point Gauss-Laguerre is exact.
+    P(no click on k) = (1 - p_d) int_0^inf e^-t prod_j (1 - t w_jk) dt with
+    w_jk = eta_bar_j eta_d |L_jk|^2, the rank-1 permanent identity.  The
+    integrand is a polynomial of degree N (the photon-port count) and
+    int_0^inf e^-t t^n dt = n!, so the integral is sum_n (-1)^n f_n with
+    f_n = n! e_n(w_k), e_n the elementary symmetric polynomial: port j takes
+    f_n to f_n + n w_jk f_(n-1).  No quadrature nodes are needed, which a
+    Gauss-Laguerre rule of N + 1 points overflows at N = 1044, and
+    |f_n| <= (sum_j w_jk)^n <= 1 for a contraction.
     """
     eta_bar = photon_eta_bar(config)
     eta_d = np.array([d.eta_d for d in config.detectors])
     p_d = np.array([d.p_d for d in config.detectors])
     photons = np.flatnonzero(eta_bar > 0.0)
     weight = eta_bar[photons, None] * eta_d * np.abs(config.transfer[photons]) ** 2
-    nodes, quad = np.polynomial.laguerre.laggauss(photons.size + 1)
-    no_photon = sum(q * np.prod(1.0 - x * weight, axis=0) for x, q in zip(nodes, quad))
+    f = np.zeros((photons.size + 1, config.modes))
+    f[0] = 1.0
+    n = np.arange(1, photons.size + 1)[:, None]
+    for j, w in enumerate(weight):
+        f[1:j + 2] += n[:j + 1] * w * f[:j + 1]
+    no_photon = (-1.0) ** np.arange(photons.size + 1) @ f
     return 1.0 - (1.0 - p_d) * no_photon
 
 

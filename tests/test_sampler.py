@@ -36,6 +36,7 @@ from conftest import (
     gaussian_total_click_variance,
     oracle_suite,
     photon_click_table,
+    photon_eta_bar,
     route1_dead_detector_config,
     single_photon_click_marginals,
     spdc_and_photon_config,
@@ -182,6 +183,40 @@ class TestCondition2:
         batch = run_condition2(config, 200_000, RngStream(4))
         bound = max(0.01, 3 * math.sqrt(len(table.outcomes) / 200_000))
         assert tv_distance(table, batch) <= bound
+
+
+def laguerre_click_marginals(config) -> np.ndarray:
+    """The same marginals by (N + 1)-point Gauss-Laguerre quadrature, exact
+    for the degree-N integrand while its nodes stay finite (N <= 128 here)."""
+    eta_bar = photon_eta_bar(config)
+    eta_d = np.array([d.eta_d for d in config.detectors])
+    p_d = np.array([d.p_d for d in config.detectors])
+    photons = np.flatnonzero(eta_bar > 0.0)
+    weight = eta_bar[photons, None] * eta_d * np.abs(config.transfer[photons]) ** 2
+    nodes, quad = np.polynomial.laguerre.laggauss(photons.size + 1)
+    no_photon = sum(q * np.prod(1.0 - x * weight, axis=0) for x, q in zip(nodes, quad))
+    return 1.0 - (1.0 - p_d) * no_photon
+
+
+class TestClickMarginalsReference:
+    @pytest.mark.parametrize("modes,photons", [(2, 1), (8, 6), (64, 64), (256, 128)])
+    def test_matches_gauss_laguerre(self, modes, photons):
+        config = single_photon_config(modes, photons, p_d=0.06)
+        assert np.max(np.abs(single_photon_click_marginals(config)
+                             - laguerre_click_marginals(config))) <= 1e-12
+
+    def test_paper_size_identity_network_is_the_closed_form(self):
+        # Each mode sees one port's photon: P(no click) = (1 - p_d)(1 - eta_bar eta_d).
+        modes, gen = 1044, RngStream(90).generator()
+        eta_b, eta_d, p_d = gen.uniform(0.1, 1.0, (3, modes))
+        config = ExperimentConfig(
+            modes=modes,
+            sources=tuple(PortSource(MixedSinglePhoton(0.5, eta_b[k]), (k,)) for k in range(modes)),
+            transfer=np.eye(modes, dtype=complex),
+            detectors=tuple(DetectorModel(eta_d[k], p_d[k]) for k in range(modes)))
+        eta_bar = photon_eta_bar(config)
+        expected = 1.0 - (1.0 - p_d) * (1.0 - eta_bar * eta_d)
+        assert np.max(np.abs(single_photon_click_marginals(config) - expected)) <= 1e-12
 
 
 class TestClickMarginals:
