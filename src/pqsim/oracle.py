@@ -224,14 +224,13 @@ def _tensor(amps, occs, block_amps, block_occ, later, ket_floor: float):
 
 def _kets(blocks, modes: int, ket_floor: float) -> list:
     """The kets :func:`exact_distribution` propagates: per mixture
-    alternative (one alternative of each block, in ``itertools.product``
-    order) its ``(weight, amps, occs, lost)``, the tensor products of one
-    ket per block, the last block fastest, whose weight times |amplitude|^2
-    reaches ``ket_floor``, and the probability ``lost`` held by those
-    dropped; an alternative whose weight is below ``ket_floor`` keeps no
-    ket and loses 1.  All kets are distinct, as the blocks hold disjoint
-    ports and no two alternatives of a block (:func:`_source_block`) share
-    an occupation."""
+    alternative (one of each block, in ``itertools.product`` order) its
+    ``(weight, amps, occs, lost)``, the tensor products of one ket per
+    block, the last block fastest, whose weight times |amplitude|^2 reaches
+    ``ket_floor``, and the probability ``lost`` held by those dropped (all
+    of it when the weight is below ``ket_floor``).  All kets are distinct,
+    as the blocks hold disjoint ports and no two alternatives of a block
+    (:func:`_source_block`) share an occupation."""
     kets = []
     for combo in itertools.product(*blocks):
         weight = math.prod(w for w, _, _ in combo)

@@ -58,12 +58,8 @@ def live_transfer(config: ExperimentConfig) -> np.ndarray:
     uncopied, when none is dead); every verdict and factor reads it.  A
     dead detector's no-click PQD is flat, (1 - p_d)/pi, so its click is a
     p_d coin whatever amplitude reaches it, as a zero column gives."""
-    dead = [k for k, det in enumerate(config.detectors) if det.eta_d == 0.0]
-    if not dead:
-        return config.transfer
-    transfer = config.transfer.copy()
-    transfer[:, dead] = 0.0
-    return transfer
+    live = np.array([det.eta_d > 0.0 for det in config.detectors])
+    return config.transfer if live.all() else np.where(live, config.transfer, 0.0)
 
 
 @dataclass(frozen=True)
