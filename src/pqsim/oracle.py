@@ -161,11 +161,11 @@ def _source_block(source, n_max: int):
         eta = source.eta_bar
         return [(1.0 - eta, [1.0], [[0]]), (eta, [1.0], [[1]])], 0.0
     if isinstance(source, Coherent):
+        # A running product of amplitudes (each <= 1), so none overflows.
         a = complex(source.amplitude)
-        amps = np.array([a**k / math.sqrt(math.factorial(k)) for k in n.tolist()],
-                        dtype=complex) * math.exp(-abs(a) ** 2 / 2.0)
+        amps = np.cumprod(np.r_[math.exp(-abs(a) * abs(a) / 2.0), a / np.sqrt(n[1:])])
         kept = float(np.sum(np.abs(amps) ** 2))
-        return [(1.0, amps / math.sqrt(kept), n[:, None])], max(0.0, 1.0 - kept)
+        return [(1.0, amps / math.sqrt(kept), n[:, None])] if kept else [], max(0.0, 1.0 - kept)
     if isinstance(source, Thermal):
         q = source.mean_photons / (1.0 + source.mean_photons)
         weights = np.array([(1.0 - q) * q**k for k in n.tolist()])
@@ -224,26 +224,35 @@ def _tensor(amps, occs, block_amps, block_occ, later, ket_floor: float):
 
 def _kets(blocks, modes: int, ket_floor: float) -> list:
     """The kets :func:`exact_distribution` propagates: per mixture
-    alternative (one of each block, in ``itertools.product`` order) its
-    ``(weight, amps, occs, lost)``, the tensor products of one ket per
-    block, the last block fastest, whose weight times |amplitude|^2 reaches
-    ``ket_floor``, and the probability ``lost`` held by those dropped (all
-    of it when the weight is below ``ket_floor``).  All kets are distinct,
-    as the blocks hold disjoint ports and no two alternatives of a block
-    (:func:`_source_block`) share an occupation."""
-    kets = []
-    for combo in itertools.product(*blocks):
-        weight = math.prod(w for w, _, _ in combo)
-        amps, occs, lost = np.ones(1, dtype=complex), np.zeros((1, modes), dtype=np.intp), 0.0
-        if weight < ket_floor:
-            kets.append((weight, amps[:0], occs[:0], 1.0))
-            continue
-        for b, (_, block_amps, block_occ) in enumerate(combo):
-            later = [a for _, a, _ in combo[b + 1:]]
-            amps, occs, pruned = _tensor(amps, occs, block_amps, block_occ, later,
-                                         ket_floor / weight)
-            lost += pruned
-        kets.append((weight, amps, occs, lost))
+    alternative (one of each block, depth first in ``itertools.product``
+    order) its ``(weight, amps, occs, lost)``, the tensor products of one ket
+    per block, the last block fastest, whose weight times |amplitude|^2
+    reaches ``ket_floor``, and the probability ``lost`` of those dropped.  A
+    branch below the floor even with each later block's heaviest alternative
+    (multiplied in the same order, so rounding never cuts a kept one) is one
+    all-lost entry of its weight times the later blocks' totals.  All kets
+    are distinct: the blocks hold disjoint ports, and no two alternatives of
+    a block (:func:`_source_block`) share an occupation."""
+    heaviest = [max((w for w, _, _ in options), default=0.0) for options in blocks]
+    totals = [sum(w for w, _, _ in options) for options in blocks]
+    kets, empty = [], (np.zeros(0, dtype=complex), np.zeros((0, modes), dtype=np.intp))
+
+    def walk(b, combo, weight):
+        if b == len(blocks):
+            amps, occs, lost = np.ones(1, dtype=complex), np.zeros((1, modes), dtype=np.intp), 0.0
+            for b, (_, block_amps, block_occ) in enumerate(combo):
+                amps, occs, pruned = _tensor(amps, occs, block_amps, block_occ,
+                                             [a for _, a, _ in combo[b + 1:]], ket_floor / weight)
+                lost += pruned
+            return kets.append((weight, amps, occs, lost))
+        for option in blocks[b]:
+            w = weight * option[0]
+            if math.prod(heaviest[b + 1:], start=w) >= ket_floor:
+                walk(b + 1, (*combo, option), w)
+            else:
+                kets.append((w * math.prod(totals[b + 1:]), *empty, 1.0))
+
+    walk(0, (), 1.0)
     return kets
 
 

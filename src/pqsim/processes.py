@@ -146,43 +146,41 @@ def quadrature_rep(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def block_rows(blocks, transfer: np.ndarray, t: float = 1.0):
-    """Output moments of the network ``transfer`` (taken as validated) for an
-    input given as (ports, mean, cov) blocks, as rows at input ordering t.
+def block_rows(sources, transfer: np.ndarray, t: float = 1.0):
+    """Output moments of the network ``transfer`` (taken as validated) for
+    Gaussian ``sources`` (:class:`~pqsim.experiment.PortSource` entries) as
+    rows at input ordering t: (mean', rows, lam), mean' = sum_b mean_b Q_b,
+    Q_b the quadrature rows of L for source b's ports, and a row
+    sqrt|lam| u^T Q_b for each |lam| > PSD_TOL of cov_b - t I = U diag(lam) U^T
+    (only those are allocated), so sum_b Q_b^T (cov_b - t I) Q_b = R_+^T R_+
+    - R_-^T R_- (lam > 0, lam < 0) up to the dropped ones.  One
+    ``wigner_moments()`` and one eigenproblem per group of equal sources, in
+    order of first appearance, each group's rows written into the result."""
+    m, groups, spectra = transfer.shape[0], {}, []
+    for entry in sources:
+        groups.setdefault(entry.source, []).append(entry.ports)
+    for source, ports in groups.items():
+        mean_b, cov_b = source.wigner_moments()
+        lam, u = np.linalg.eigh(cov_b - t * np.eye(len(cov_b)))
+        keep = np.abs(lam) > PSD_TOL
+        spectra.append((np.ravel(ports), np.tile(mean_b, (len(ports), 1)), lam[keep], u[:, keep]))
+    lams = np.concatenate([np.empty(0), *(np.tile(lam, len(b)) for _, b, lam, _ in spectra)])
+    mean, rows, start = np.zeros(2 * m), np.empty((0, 2 * m)), 0
+    for i, (ports, means, lam, u) in enumerate(spectra):
+        q = quadrature_rep(transfer[ports]).reshape(*means.shape, 2 * m)
+        if not i:  # allocated after q, once L's complex row copy is freed
+            rows = np.empty((len(lams), 2 * m))
+        block = rows[start:start + len(q) * len(lam)]
+        mean += np.einsum("bi,bij->j", means, q)
+        np.matmul(u.T, q, out=block.reshape(len(q), len(lam), 2 * m))
+        block *= np.sqrt(np.abs(lams[start:start + len(block)]))[:, None]
+        start += len(block)
+    return mean, rows, lams
 
-    Returns (mean', rows, lam): mean' = sum_b mean_b Q_b, Q_b the quadrature
-    rows of L for block b's ports, and one row sqrt|lam| U^T Q_b per
-    eigenvalue of cov_b - t I = U diag(lam) U^T (one batched eigenproblem
-    per block size), so sum_b Q_b^T (cov_b - t I) Q_b = R_+^T R_+ - R_-^T R_-
-    over the rows with lam > 0 and lam < 0.  Each group's rows are written
-    straight into the returned array.
-    """
-    m = transfer.shape[0]
-    mean = np.zeros(2 * m)
-    by_size = {}
-    for block in blocks:
-        by_size.setdefault(len(block[0]), []).append(block)
-    rows, lams, start = np.empty((0, 2 * m)), [np.empty(0)], 0
-    for size, group in by_size.items():
-        ports = np.array([block[0] for block in group]).ravel()
-        q = quadrature_rep(transfer[ports]).reshape(len(group), 2 * size, 2 * m)
-        if not start:  # allocated after q, once L's complex row copy is freed
-            rows = np.empty((2 * sum(len(block[0]) for block in blocks), 2 * m))
-        stop = start + 2 * ports.size
-        mean += np.einsum("bi,bij->j", np.array([block[1] for block in group]), q)
-        excess = np.array([block[2] for block in group]) - t * np.eye(2 * size)
-        lam, u = np.linalg.eigh(excess)
-        np.matmul(u.transpose(0, 2, 1), q, out=rows[start:stop].reshape(q.shape))
-        rows[start:stop] *= np.sqrt(np.abs(lam)).reshape(-1, 1)
-        lams.append(lam.ravel())
-        start = stop
-    return mean, rows, np.concatenate(lams)
 
-
-def propagate_blocks(blocks, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def propagate_blocks(sources, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Wigner mean and covariance at the output of the network ``transfer``
-    (taken as validated) for an input given as (ports, mean, cov) blocks;
-    ports in no block carry vacuum.
+    (taken as validated) for Gaussian ``sources`` covering its ports.
 
     Dilating L with vacuum environment modes gives B^T cov B + B(I - L^dag L)
     with B the quadrature representation of L; since B^T B = B(L^dag L) the
@@ -190,7 +188,7 @@ def propagate_blocks(blocks, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarr
     :func:`block_rows` at t = 1, then two symmetric rank-k products, exactly
     symmetric.
     """
-    mean, rows, lam = block_rows(blocks, transfer)
+    mean, rows, lam = block_rows(sources, transfer)
     gain, damp = rows[lam > 0.0], rows[lam < 0.0]
     cov = gain.T @ gain
     cov -= damp.T @ damp
@@ -201,9 +199,7 @@ def propagate_blocks(blocks, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def propagate_gaussian(mean, cov, transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Send Gaussian Wigner moments, a quadrature mean of length 2M and a
     symmetric 2M x 2M covariance, through a (possibly lossy) M-mode network:
-    :func:`propagate_blocks` with the whole input as one block.  Returns the
-    output (mean, cov).
-    """
+    (mean Q, I + Q^T (cov - I) Q), Q = :func:`quadrature_rep` (L), symmetrized."""
     matrix = validate_transfer(transfer)
     m = matrix.shape[0]
     mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
@@ -214,4 +210,6 @@ def propagate_gaussian(mean, cov, transfer: np.ndarray) -> tuple[np.ndarray, np.
         )
     if np.max(np.abs(cov - cov.T), initial=0.0) > PSD_TOL:
         raise DimensionError("covariance must be symmetric")
-    return propagate_blocks([(range(m), mean, (cov + cov.T) / 2.0)], matrix)
+    q = quadrature_rep(matrix)
+    out = q.T @ (cov - np.eye(2 * m)) @ q
+    return mean @ q, (out + out.T) / 2.0 + np.eye(2 * m)

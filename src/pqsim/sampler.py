@@ -46,7 +46,6 @@ import numpy as np
 from .detectors import click_coefficients, sample_clicks
 from .errors import NotPsdError, SimulabilityError
 from .experiment import ExperimentConfig
-from .linalg import PSD_TOL
 from .processes import block_rows, propagate_blocks, transition_factor, transition_noise
 from .rng import RngStream
 from .simulability import check_second_condition, live_transfer, s_bar_vector
@@ -225,11 +224,6 @@ def _gaussian(source: SourceModel) -> bool:
     return type(source).wigner_moments is not SourceModel.wigner_moments
 
 
-def _blocks(sources) -> list:
-    """(ports, mean, cov) per source, for Gaussian sources."""
-    return [(entry.ports, *entry.source.wigner_moments()) for entry in sources]
-
-
 def _groups(config: ExperimentConfig, t: np.ndarray, keep) -> list:
     """(source, t_block, rows of L) per group of equal sources (frozen
     dataclass and orderings t) that ``keep`` picks: one draw per tile."""
@@ -279,10 +273,10 @@ def _zero_noise(config: ExperimentConfig):
 
 
 def _rows_factor(config: ExperimentConfig, sources, t0: float):
-    """(mean / 2, R / 2), R the rows of :func:`~pqsim.processes.block_rows`
-    at t0 for ``sources`` with lam > PSD_TOL, in order; the rest dies here."""
-    mean, rows, lam = block_rows(_blocks(sources), live_transfer(config), t0)
-    return mean / 2.0, rows[lam > PSD_TOL] / 2.0
+    """(mean / 2, R / 2), R the rows of :func:`~pqsim.processes.block_rows` at
+    t0 <= every t_bar for ``sources`` (all lam > 0 up to roundoff), halved in place."""
+    mean, rows, _ = block_rows(sources, live_transfer(config), t0)
+    return mean / 2.0, np.divide(rows, 2.0, out=rows)
 
 
 def route2_plan(config: ExperimentConfig) -> tuple[tuple | None, dict]:
@@ -338,7 +332,7 @@ def output_gaussian(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     :class:`UnsupportedSourceError` otherwise.  L is :func:`live_transfer`'s,
     so a dead mode carries vacuum; route 1's set-up, the only caller here,
     keeps this name for the tracer to time."""
-    return propagate_blocks(_blocks(config.sources), live_transfer(config))
+    return propagate_blocks(config.sources, live_transfer(config))
 
 
 def run_condition1(config: ExperimentConfig, n_samples: int, rng: RngStream,

@@ -182,10 +182,8 @@ class SpdcPair(SourceModel):
     eta_bl: float = 1.0
 
     def __post_init__(self):
-        if not self.r >= 0.0:
-            raise ValueError(f"squeezing r must be >= 0, got {self.r}")
-        if not math.isfinite(self.r):
-            raise ValueError(f"squeezing r must be finite, got {self.r}")
+        if not 0.0 <= self.r < np.log(np.finfo(float).max) / 2.0:  # cosh 2r overflows past it
+            raise ValueError(f"squeezing r must be finite and in [0, 354.89), got {self.r}")
         require_unit_interval(self, "eta_bl")
 
     @property

@@ -16,7 +16,7 @@ import pqsim.sampler
 from pqsim import DetectorModel, RngStream
 from pqsim.detectors import click_coefficients
 from pqsim.experiment import ExperimentConfig, PortSource
-from pqsim.linalg import PSD_TOL, haar_unitary
+from pqsim.linalg import haar_unitary
 from pqsim.presets import single_photon_config, spdc_config
 from pqsim.processes import block_rows, transition_factor
 from pqsim.sampler import (
@@ -106,8 +106,8 @@ class TestBatchMemory:
 
     @pytest.mark.parametrize("scaled", [False, True], ids=["diagonal-gram", "cholesky"])
     def test_route1_holds_only_its_factor_while_sampling(self, monkeypatch, scaled):
-        # The set-up's block rows, or its output covariance (0.5 MiB each at
-        # spdc_config(64, ...)), are freed before the first tile; the factor
+        # The set-up's block rows (0.25 MiB at spdc_config(64, ...)), or its
+        # output covariance (0.5 MiB), are freed before the first tile; the factor
         # is the r x 2M rows with lam > PSD_TOL, or the 2M x 2M Cholesky
         # factor when unequal row losses make the Gram off-diagonal.
         config = spdc_config(64, 0.05, p_d=0.06)
@@ -117,10 +117,8 @@ class TestBatchMemory:
                 transfer=np.diag(np.linspace(1.0, 0.7, config.modes)) @ config.transfer)
             factor_bytes = (2 * config.modes) ** 2 * 8
         else:
-            blocks = [(entry.ports, *entry.source.wigner_moments()) for entry in config.sources]
             t0 = min(entry.source.t_bar for entry in config.sources)
-            rows, lam = block_rows(blocks, config.transfer, t0)[1:]
-            factor_bytes = rows[lam > PSD_TOL].nbytes
+            factor_bytes = block_rows(config.sources, config.transfer, t0)[1].nbytes
         assert config.diagonal_gram is not scaled
         run_batched, held = pqsim.sampler._run_batched, []
 
@@ -137,21 +135,21 @@ class TestBatchMemory:
         assert held and held[0] <= factor_bytes + 16 * 2**10
 
     def test_block_rows_holds_a_groups_rows_at_most_twice(self):
-        # Route 1's set-up at t0 on the SPDC preset: one size group of 64
-        # pairs, so its quadrature rows q and the returned rows (0.5 MiB
-        # each).  Holding the group's product, its scaled copy and a stacked
-        # copy as well peaked at 1.59 MiB.
+        # Route 1's set-up at t0 on the SPDC preset: one group of 64 equal
+        # pairs, so its quadrature rows q (0.5 MiB) and the 128 returned rows
+        # with lam > PSD_TOL (0.25 MiB).  Allocating a row per eigenvalue as
+        # well peaked at 1.09 MiB; holding the group's product, its scaled
+        # copy and a stacked copy at 1.59 MiB.
         config = spdc_config(64, 0.05, p_d=0.06)
-        blocks = [(entry.ports, *entry.source.wigner_moments()) for entry in config.sources]
         t0 = min(entry.source.t_bar for entry in config.sources)
         tracemalloc.start()
         try:
-            _, rows, _ = block_rows(blocks, config.transfer, t0)
+            _, rows, _ = block_rows(config.sources, config.transfer, t0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows.shape == (256, 256)
-        assert peak <= 2.5 * rows.nbytes
+        assert rows.shape == (128, 256)
+        assert peak <= 4 * rows.nbytes
 
 
 class TestHistogramMemory:
@@ -260,9 +258,8 @@ def serial_first_tile_route1(config, n, gen):
     lr, li = config.transfer.real, config.transfer.imag
     s0 = 1.0 - (1.0 - t0) * (np.einsum("ij,ij->j", lr, lr) + np.einsum("ij,ij->j", li, li))
     assert config.diagonal_gram and np.all(s0 >= s_bar_vector(config))
-    blocks = [(entry.ports, *entry.source.wigner_moments()) for entry in config.sources]
-    mean, block, lam = block_rows(blocks, config.transfer, t0)
-    half_factor = block[lam > PSD_TOL] / 2.0
+    mean, block, _ = block_rows(config.sources, config.transfer, t0)
+    half_factor = block / 2.0
     decay, keep = click_coefficients(s0, config.detectors)
     rows = min(n, tile_rows(config.modes))
     quad = gen.standard_normal((rows, half_factor.shape[0])) @ half_factor

@@ -361,6 +361,16 @@ class TestOracleCommand:
         assert "try n_max" not in err and "no n_max keeps the kets within 16 photons" in err
 
 
+    def test_coherent_amplitude_past_the_float_range_exits_usage(self, tmp_path, capsys):
+        # a^k overflows a complex float at |a| = 1e200 (the oracle used to exit
+        # 1 with an OverflowError); every kept amplitude underflows to 0.
+        data = {"modes": 1, "sources": [{"kind": "coherent", "amplitude": [1e200, 0.0]}],
+                "lon": "identity", "detectors": {"eta_d": 0.9, "p_d": 0.01}}
+        path = tmp_path / "coherent.json"
+        path.write_text(json.dumps(data))
+        assert main(["oracle", "--config", str(path), "--quiet"]) == EXIT_USAGE
+        assert "n_max=4 neglects probability 1.000e+00" in capsys.readouterr().err
+
     def test_sector_past_the_size_limit_exits_usage_before_any_sector(
             self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(pqsim.oracle, "_sector", one_state_sector(-1))
@@ -448,6 +458,20 @@ class TestThresholds:
         field = flag.replace("-", "_")
         assert captured.err == f"error: {field} must be in [0, 1], got {float(value)}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("r", [400, 800])
+    @pytest.mark.parametrize("command", [["check"], ["sample", "--samples", "10"]],
+                             ids=["check", "sample"])
+    def test_squeezing_past_the_float_range_exits_usage(self, r, command, tmp_path, capsys):
+        # cosh 2r, the pair's Wigner variance, overflows a float past r = 355:
+        # both commands used to exit 1 with an OverflowError traceback.
+        data = json.loads(spdc_config(2, 0.05, p_d=0.09).to_json())
+        for source in data["sources"]:
+            source["r"] = r
+        path = tmp_path / "spdc.json"
+        path.write_text(json.dumps(data))
+        assert main([command[0], "--config", str(path), *command[1:], "--quiet"]) == EXIT_USAGE
+        assert f"squeezing r must be finite and in [0, 354.89), got {r}" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"

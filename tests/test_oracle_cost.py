@@ -147,6 +147,16 @@ def test_each_kept_ket_is_propagated_once(monkeypatch, build, n_max):
     assert sorted(applied) == sorted(kept)
 
 
+def six_thermal_ports() -> ExperimentConfig:
+    """Thermal(0.13) on ports 0-5 and vacuum on 6-8 of a 9-mode Haar unitary."""
+    modes = 9
+    sources = [PortSource(Thermal(0.13), (k,)) for k in range(6)]
+    sources += [PortSource(Vacuum(), (k,)) for k in range(6, modes)]
+    return ExperimentConfig(modes=modes, sources=tuple(sources),
+                            transfer=haar_unitary(modes, RngStream(3)),
+                            detectors=(DetectorModel(0.9, 0.05),) * modes)
+
+
 def test_twelve_photons_over_nine_modes_are_refused_before_any_sector(monkeypatch):
     # Six Thermal(0.13) ports at n_max 2 keep kets of up to 2 photons
     # each: the 12-photon alternative weighs (1 - q)^6 q^12 = 2.6e-12,
@@ -154,19 +164,25 @@ def test_twelve_photons_over_nine_modes_are_refused_before_any_sector(monkeypatc
     # 9 modes holds a ket with 2 photons on 6 modes, 728 steps for each of
     # its 125,970 states, and the 10-photon sector 2.76e8 steps in all.
     # The size guard refuses ahead of the truncation check.
-    modes = 9
-    sources = [PortSource(Thermal(0.13), (k,)) for k in range(6)]
-    sources += [PortSource(Vacuum(), (k,)) for k in range(6, modes)]
-    config = ExperimentConfig(modes=modes, sources=tuple(sources),
-                              transfer=haar_unitary(modes, RngStream(3)),
-                              detectors=(DetectorModel(0.9, 0.05),) * modes)
     monkeypatch.setattr(pqsim.oracle, "_sector", one_state_sector(-1))
     started = time.perf_counter()
     with pytest.raises(OracleSizeError,
                        match=r"kets of up to 12 photons, a sector of 2.76e\+08 permanent "
                              r"steps over 9 modes"):
-        exact_distribution(config, n_max=2)
+        exact_distribution(six_thermal_ports(), n_max=2)
     assert time.perf_counter() - started < 1.0
+
+
+def test_alternatives_below_the_floor_are_cut_unwalked(monkeypatch):
+    # At n_max 16 each Thermal(0.13) port has 17 alternatives, 17^6 = 2.4e7
+    # combinations in all, and walking each in Python would take minutes.
+    # A branch that cannot reach the floor is cut, so the refusal takes about
+    # 1.3 s on 2 cores (a walk of every combination took 4 s at n_max 8).
+    monkeypatch.setattr(pqsim.oracle, "_sector", one_state_sector(-1))
+    started = time.perf_counter()
+    with pytest.raises(OracleSizeError, match=r"kets of up to 12 photons, a sector of "):
+        exact_distribution(six_thermal_ports(), n_max=16)
+    assert time.perf_counter() - started < 5.0
 
 
 def test_weak_sources_build_only_the_kets_they_keep():

@@ -17,9 +17,10 @@ from pqsim.processes import (
 from pqsim.simulability import check_second_condition, live_transfer, s_bar_vector, t_bar_vector
 from pqsim.sampler import output_gaussian
 from pqsim.errors import DimensionError
-from pqsim.states import Coherent, SpdcPair, Thermal, Vacuum
+from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
-from conftest import dead_detector_beamsplitter, random_contraction, random_mixed_config
+from conftest import (dead_detector_beamsplitter, oracle_suite, random_contraction,
+                      random_mixed_config)
 
 
 def dense_sigma(transfer, s, t):
@@ -304,9 +305,8 @@ def random_gaussian_config(seed: int) -> ExperimentConfig:
                             detectors=(DetectorModel(0.9, 0.1),) * modes)
 
 
-def dense_output_moments(config):
-    """The unstructured route-1 formula: the block-diagonal input moments
-    sent through B^T cov B + B(I - L^dag L), all dense 2M x 2M."""
+def stacked_moments(config):
+    """The sources' Wigner moments as one block-diagonal 2M-quadrature input."""
     modes = config.modes
     mean, cov = np.zeros(2 * modes), np.zeros((2 * modes, 2 * modes))
     for entry in config.sources:
@@ -314,6 +314,14 @@ def dense_output_moments(config):
         idx = np.array([2 * p + q for p in entry.ports for q in (0, 1)])
         mean[idx] = block_mean
         cov[np.ix_(idx, idx)] = block_cov
+    return mean, cov
+
+
+def dense_output_moments(config):
+    """The unstructured route-1 formula: the block-diagonal input moments
+    sent through B^T cov B + B(I - L^dag L), all dense 2M x 2M."""
+    modes = config.modes
+    mean, cov = stacked_moments(config)
     b = quadrature_rep(config.transfer)
     loss = np.eye(modes) - config.transfer.conj().T @ config.transfer
     return mean @ b, b.T @ cov @ b + quadrature_rep(loss)
@@ -331,6 +339,18 @@ class TestOutputFromBlocks:
             assert np.max(np.abs(out_mean - mean)) <= 1e-12, seed
             assert np.array_equal(out_cov, out_cov.T)
         assert kinds == {"Vacuum", "Coherent", "Thermal", "SpdcPair"}
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(config, id=name) for name, config, _, _ in oracle_suite()
+        if not any(isinstance(entry.source, MixedSinglePhoton) for entry in config.sources)
+        and all(det.eta_d > 0.0 for det in config.detectors)])
+    def test_whole_input_matches_the_source_groups(self, config):
+        # propagate_gaussian sends the stacked input through Q = quadrature_rep(L)
+        # densely; output_gaussian goes through block_rows' source groups.
+        mean, cov = propagate_gaussian(*stacked_moments(config), config.transfer)
+        out_mean, out_cov = output_gaussian(config)
+        assert np.max(np.abs(cov - out_cov)) <= 1e-12
+        assert np.max(np.abs(mean - out_mean)) <= 1e-12
 
     def test_all_vacuum_input_is_the_vacuum(self):
         transfer = 0.7 * haar_unitary(3, RngStream(5))

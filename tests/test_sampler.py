@@ -10,7 +10,7 @@ from scipy.stats import chi2
 from pqsim import DetectorModel, RngStream
 from pqsim.errors import SimulabilityError, UnsupportedSourceError
 from pqsim.experiment import ExperimentConfig, PortSource
-from pqsim.linalg import haar_unitary
+from pqsim.linalg import PSD_TOL, haar_unitary
 from pqsim.oracle import ProbabilityTable, all_bitstrings, exact_distribution, tv_distance
 from pqsim.presets import spdc_config, single_photon_config
 import pqsim.sampler
@@ -294,6 +294,30 @@ class TestZeroNoiseChain:
         assert len(run_condition2(config, 100, RngStream(3))) == 100
         return calls
 
+    @pytest.mark.parametrize("config, kind, rows", [
+        (single_photon_config(16, 4, p_d=0.06), Vacuum, 24),
+        (spdc_config(64, 0.05, p_d=0.06), SpdcPair, 128),
+    ], ids=["twelve-vacuum-ports", "64-pairs"])
+    def test_equal_sources_share_one_eigenproblem(self, config, kind, rows, monkeypatch):
+        # Route 2's chain (the vacuum ports) and route 1's (the pairs) build
+        # the rows of equal sources from one wigner_moments() and one eigh,
+        # and allocate only the rows with |lam| > PSD_TOL: two of each pair's
+        # four eigenvalues at t0 are 0.
+        calls, built = Counter(), []
+        for owner, name in ((kind, "wigner_moments"), (np.linalg, "eigh")):
+            def spy(*args, _name=name, _real=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        real = pqsim.sampler.block_rows
+        monkeypatch.setattr(pqsim.sampler, "block_rows", lambda *args: (
+            built.append(real(*args)) or built[-1]))
+        assert len(run_experiment(config, 100, RngStream(3))) == 100
+        assert calls == Counter({"wigner_moments": 1, "eigh": 1})
+        (_, block, lam), = built
+        assert block.shape == (rows, 2 * config.modes) and np.all(lam > PSD_TOL)
+
     def test_a_non_diagonal_gram_falls_back(self, monkeypatch):
         config = single_photon_config(6, 3, p_d=0.2)
         scaled = replace(config, transfer=np.diag(np.linspace(1.0, 0.8, 6)) @ config.transfer,
@@ -532,8 +556,7 @@ class TestDeadDetectors:
         # while the dead mode's row at s_bar = -1 stayed coupled to the
         # live modes, whose own block passes.
         config = route1_dead_detector_config(0.1174)
-        blocks = [(entry.ports, *entry.source.wigner_moments()) for entry in config.sources]
-        _, cov = propagate_blocks(blocks, config.transfer)
+        _, cov = propagate_blocks(config.sources, config.transfer)
         live = np.repeat([det.eta_d > 0.0 for det in config.detectors], 2)
         floor = np.repeat(s_bar_vector(config), 2)
         assert np.linalg.eigvalsh(cov - np.diag(floor))[0] < -0.02
