@@ -36,7 +36,7 @@ print()
 n_samples = 500_000
 batch = run_condition2(config, n_samples, RngStream(seed=2024))
 stats = empirical_stats(batch)
-table = exact_distribution(config, n_max=2)
+table = exact_distribution(config)
 
 print(f"{n_samples} samples drawn; comparing with the exact distribution:")
 print(f"{'outcome':>8} {'sampled':>10} {'exact':>10}")

@@ -22,7 +22,6 @@ from .errors import (
     PqsimError,
     SimulabilityError,
     SingularOrderingError,
-    TruncationError,
     UndefinedOperatingPointError,
     UnsupportedSourceError,
 )

@@ -134,7 +134,7 @@ def cmd_sample(args) -> int:
 def cmd_oracle(args) -> int:
     started = time.perf_counter()
     config = parse_config(args.config)
-    table = exact_distribution(config, n_max=args.n_max)
+    table = exact_distribution(config)
     _report(args, started, config.config_hash(), table.to_dict(), "distribution.json")
     return EXIT_OK
 
@@ -143,7 +143,7 @@ def cmd_compare(args) -> int:
     started = time.perf_counter()
     config = parse_config(args.config)
     reference = config if args.reference_config is None else parse_config(args.reference_config)
-    table = exact_distribution(reference, n_max=args.n_max)
+    table = exact_distribution(reference)
     rng = RngStream(args.seed)
     batch = run_experiment(config, args.samples, rng, condition=args.condition)
     tv = tv_distance(table, batch)
@@ -241,10 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=cmd_sample)
 
     p_oracle = sub.add_parser("oracle", parents=[common],
-                              help="exact outcome distribution by brute force")
+                              help="exact outcome distribution over all click patterns")
     p_oracle.add_argument("--config", required=True)
-    p_oracle.add_argument("--n-max", type=int, default=4,
-                          help="per-source Fock truncation (desk scale <= 4)")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_compare = sub.add_parser("compare", parents=[common],
@@ -253,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--samples", type=int, default=100_000)
     p_compare.add_argument("--tolerance", type=float, default=0.02)
     p_compare.add_argument("--condition", type=int, choices=(1, 2), default=None)
-    p_compare.add_argument("--n-max", type=int, default=4)
     p_compare.add_argument("--reference-config", default=None,
                            help="oracle a different config (consistency testing)")
     p_compare.set_defaults(func=cmd_compare)

@@ -51,14 +51,6 @@ class UndefinedOperatingPointError(PqsimError, ValueError):
     """The photon-number planning rule is undefined for these parameters."""
 
 
-class TruncationError(PqsimError, ValueError):
-    """Fock-space truncation error exceeds the accuracy budget."""
-
-    def __init__(self, message, suggested_n_max=None):
-        super().__init__(message)
-        self.suggested_n_max = suggested_n_max
-
-
 class OracleSizeError(PqsimError, ValueError):
     """The configuration is too large for the brute-force oracle."""
 

@@ -1,6 +1,5 @@
-"""Complex linear algebra kernels: Haar unitaries, unitary dilation of
-contractions, matrix permanents, PSD factors, and circularly-symmetric
-complex normals.
+"""Complex linear algebra kernels: Haar unitaries, matrix permanents, PSD
+factors, and circularly-symmetric complex normals.
 
 Vector convention used throughout the package: phase-space amplitudes are row
 vectors and propagate as ``beta = alpha @ L``.  A complex covariance ``C``
@@ -109,85 +108,47 @@ def validate_transfer(matrix: np.ndarray, diagonal_gram: bool = False):
     return (a, delta <= PSD_TOL) if diagonal_gram else a
 
 
-def economy_dilation(transfer: np.ndarray) -> tuple[np.ndarray, int]:
-    """Embed an M x M contraction L as the top-left block of a unitary, with
-    one environment (loss) mode per lossy direction: per singular value s
-    with 1 - s^2 > 1e-12.  With L = V S W^dag and C = sqrt(I - S^2) over
-    those directions,
-
-        U = [[ L,        V C ],
-             [ C W^dag,  -S  ]]
-
-    and feeding the environment vacuum reproduces the lossy network exactly.
-    Returns ``(unitary, n_env)`` where unitary is (M + n_env) square.
-    """
-    matrix = validate_transfer(transfer)
-    m = matrix.shape[0]
-    v, s, wh = np.linalg.svd(matrix)
-    defect = np.clip(1.0 - s**2, 0.0, None)
-    keep = np.flatnonzero(defect > 1e-12)
-    c = np.sqrt(defect[keep])
-    out = np.zeros((m + keep.size, m + keep.size), dtype=complex)
-    out[:m, :m] = matrix
-    out[:m, m:] = v[:, keep] * c
-    out[m:, :m] = c[:, None] * wh[keep, :]
-    out[m:, m:] = np.diag(-s[keep])
-    return out, keep.size
-
-
 @functools.lru_cache(maxsize=32)
-def _ryser_plan(counts: tuple[int, ...]) -> list[tuple]:
-    """Knuth's Algorithm H, the reflected mixed-radix Gray code over a_k in
-    [0, c_k], k = 0 fastest, less a = 0: per step the row k it moves, the
-    ufunc that moves it (``np.add`` as a_k rises), the weight prod_k
-    C(c_k, a_k), and the ufunc that adds the term in with its sign (-1)^(n - sum a)."""
-    digits, rising, plan = [0] * len(counts), [True] * len(counts), []
-    for step in range(1, math.prod(c + 1 for c in counts)):
-        k = 0
-        while digits[k] == (counts[k] if rising[k] else 0):
-            rising[k] = not rising[k]
-            k += 1
-        digits[k] += 1 if rising[k] else -1
-        weight = math.prod(map(math.comb, counts, digits))
-        plan.append((k, np.add if rising[k] else np.subtract, float(weight),
-                     np.subtract if (sum(counts) - step) % 2 else np.add))
+def _ryser_plan(n: int) -> list[tuple]:
+    """The binary reflected Gray code over row subsets, less the empty one:
+    per step the row k it flips, the ufunc that flips it (``np.add`` as row
+    k joins), and the ufunc that adds the term in with its sign
+    (-1)^(n - |subset|)."""
+    plan, members = [], 0
+    for step in range(1, 1 << n):
+        k = (step & -step).bit_length() - 1
+        members ^= 1 << k
+        plan.append((k, np.add if members >> k & 1 else np.subtract,
+                     np.subtract if (n - members.bit_count()) % 2 else np.add))
     return plan
 
 
-def permanent_batch(mats: np.ndarray, counts=None) -> np.ndarray:
-    """Permanents of n x n matrices, each given as a (K, n) block of distinct
-    rows, row k standing for ``counts[k]`` equal rows (default all ones).
+def permanent_batch(mats: np.ndarray) -> np.ndarray:
+    """Permanents of a (B, n, n) stack of matrices.
 
-    Ryser's formula over row multisets: the sum over 0 <= a_k <= c_k of
-    (-1)^(n - sum a) prod_k C(c_k, a_k) prod_j (sum_k a_k row_k)_j, in the
-    prod_k (c_k + 1) - 1 steps of :func:`_ryser_plan`.  Each step adds or
-    subtracts one row of the (B, K, n) stack, read as a C-contiguous (K, n, B)
-    array (the oracle's transposed view of one is not copied), to the (n, B)
-    column sums, and multiplies these in place.
+    Ryser's formula: the sum over row subsets S of (-1)^(n - |S|)
+    prod_j (sum_{k in S} row_k)_j, in the 2^n - 1 steps of
+    :func:`_ryser_plan`.  Each step adds or subtracts one row of the stack,
+    read as a C-contiguous (n, n, B) array, to the (n, B) column sums, and
+    multiplies these in place.
     """
     shape = np.shape(mats)
-    if len(shape) != 3:
-        raise DimensionError(f"expected a (B, K, n) stack, got shape {shape}")
-    b, rows, n = shape
-    counts = (1,) * n if counts is None else tuple(counts)
-    if len(counts) != rows or sum(counts) != n or not all(
-            isinstance(c, (int, np.integer)) and c >= 1 for c in counts):
-        raise DimensionError(f"counts {counts} must be {rows} positive integers summing to {n}")
-    if math.prod(c + 1 for c in counts) > 1 << 30:
-        raise DimensionError(f"counts {counts} need more than 2^30 Ryser steps")
+    if len(shape) != 3 or shape[1] != shape[2]:
+        raise DimensionError(f"expected a (B, n, n) stack, got shape {shape}")
+    b, n, _ = shape
+    if n > 30:
+        raise DimensionError(f"a {n} x {n} permanent needs more than 2^30 Ryser steps")
     if n == 0:
         return np.ones(b, dtype=complex)
     stack = np.ascontiguousarray(np.asarray(mats, dtype=complex).transpose(1, 2, 0))
     col_sums = np.zeros((n, b), dtype=complex)
     first, rest = col_sums[0], list(col_sums[1:])
     product, total = np.empty(b, dtype=complex), np.zeros(b, dtype=complex)
-    for k, move, weight, accumulate in _ryser_plan(tuple(map(int, counts))):
+    for k, move, accumulate in _ryser_plan(n):
         move(col_sums, stack[k], out=col_sums)
         product[:] = first
         for column in rest:
             product *= column
-        if weight != 1.0:
-            product *= weight
         accumulate(total, product, out=total)
     return total
 

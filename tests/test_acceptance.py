@@ -14,7 +14,7 @@ from pqsim import DetectorModel, RngStream
 from pqsim.cli import main
 from pqsim.detectors import pqd_off, pqd_on
 from pqsim.errors import SimulabilityError
-from pqsim.linalg import economy_dilation, haar_unitary, permanent_batch
+from pqsim.linalg import haar_unitary, permanent_batch
 from pqsim.oracle import exact_distribution, tv_distance
 from pqsim.presets import ScenarioParams, single_photon_config
 from pqsim.processes import uniform_loss_eta
@@ -22,7 +22,7 @@ from pqsim.sampler import run_condition2, run_experiment
 from pqsim.simulability import check_second_condition, threshold_single_photon, threshold_spdc
 from pqsim.states import SpdcPair, pqd_single_photon_mixture
 
-from conftest import naive_permanent, oracle_suite
+from conftest import economy_dilation, naive_permanent, oracle_suite
 
 
 def report(criterion: str, detail: str = ""):
@@ -99,8 +99,8 @@ def test_criterion_3_oracle_equivalence_suite(capsys):
     suite = oracle_suite()
     assert len(suite) >= 10
     results = []
-    for index, (name, config, n_max, condition) in enumerate(suite):
-        table = exact_distribution(config, n_max=n_max, ket_floor=1e-9)
+    for index, (name, config, _, condition) in enumerate(suite):
+        table = exact_distribution(config)
         batch = run_experiment(config, draws, RngStream(8000 + index),
                                condition=condition)
         tv = tv_distance(table, batch)
@@ -191,8 +191,8 @@ def test_criterion_5_invariant_suites(capsys):
         assert np.max(np.abs(dilated.conj().T @ dilated - np.eye(5))) <= 1e-10
 
     # Oracle outputs are proper distributions.
-    for name, config, n_max, _ in oracle_suite():
-        table = exact_distribution(config, n_max=n_max, ket_floor=1e-9)
+    for name, config, _, _ in oracle_suite():
+        table = exact_distribution(config)
         assert abs(table.probs.sum() - 1.0) <= 1e-9, name
     with capsys.disabled():
         report("criterion 5 (invariant suites)",

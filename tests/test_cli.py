@@ -1,28 +1,22 @@
 import hashlib
 import json
-import time
 from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-import pqsim.oracle
 import pqsim.sampler
 from pqsim.cli import EXIT_FAIL, EXIT_OK, EXIT_REFUSED, EXIT_USAGE, build_parser, main
-from pqsim.detectors import DetectorModel
 from pqsim.errors import SimulabilityError
-from pqsim.experiment import SCHEME_SINGLE_PHOTON, SCHEME_SPDC, ExperimentConfig, PortSource
+from pqsim.experiment import SCHEME_SINGLE_PHOTON, SCHEME_SPDC, ExperimentConfig
 from pqsim.presets import ScenarioParams, single_photon_config, spdc_config, threshold_table
 from pqsim.rng import RngStream
-from pqsim.states import Coherent
 
 from conftest import (
-    one_state_sector,
     oracle_suite,
     spdc_and_photon_config,
     spdc_lossy_network_config,
-    thermal_on_lossy_six,
 )
 
 
@@ -330,55 +324,42 @@ class TestOracleCommand:
         assert set(payload["outcomes"]) == {"00", "01", "10", "11"}
         assert sum(payload["probs"]) == pytest.approx(1.0, abs=1e-9)
 
-    def test_n_max_past_the_float_factorials_exits_usage(self, tmp_path, capsys):
-        data = {"modes": 1, "sources": [{"kind": "coherent", "amplitude": [0.1, 0.0]}],
-                "lon": "identity", "detectors": {"eta_d": 0.9, "p_d": 0.01}}
-        path = tmp_path / "coherent.json"
-        path.write_text(json.dumps(data))
-        rc = main(["oracle", "--config", str(path), "--n-max", "171", "--quiet"])
-        assert rc == EXIT_USAGE
-        assert "n_max must be in [1, 170], got 171" in capsys.readouterr().err
-
-    def test_n_max_past_the_photon_limit_exits_usage_before_any_permanent(
-            self, tmp_path, monkeypatch, capsys):
-        def no_permanent(mats, counts=None):
-            raise AssertionError("a permanent was built")
-
-        monkeypatch.setattr(pqsim.oracle, "permanent_batch", no_permanent)
-        config = ExperimentConfig(modes=1, sources=(PortSource(Coherent(4.0), (0,)),),
-                                  transfer=np.eye(1, dtype=complex),
-                                  detectors=(DetectorModel(0.9, 0.0),))
-        path = tmp_path / "coherent4.json"
-        path.write_text(config.to_json())
-        started = time.perf_counter()
-        rc = main(["oracle", "--config", str(path), "--n-max", "50", "--quiet"])
-        assert rc == EXIT_USAGE and time.perf_counter() - started < 1.0
-        assert "n_max=50 gives kets of up to 50 photons" in capsys.readouterr().err
-        # Too few photons for the budget, and no n_max within the limit has
-        # enough: the refusal suggests none (it used to suggest 38).
-        assert main(["oracle", "--config", str(path), "--n-max", "4", "--quiet"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "try n_max" not in err and "no n_max keeps the kets within 16 photons" in err
-
+    def test_route1_smallest_preset_sums_to_one(self, tmp_path, capsys):
+        # Route 1's smallest preset: two pairs at sinh^2 r = 0.05.
+        path = tmp_path / "spdc.json"
+        path.write_text(spdc_config(2, 0.05, p_d=0.09).to_json())
+        assert main(["oracle", "--config", str(path), "--quiet"]) == EXIT_OK
+        payload = last_json(capsys)
+        assert len(payload["outcomes"]) == 16 and min(payload["probs"]) > 2e-4
+        assert sum(payload["probs"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_coherent_amplitude_past_the_float_range_exits_usage(self, tmp_path, capsys):
-        # a^k overflows a complex float at |a| = 1e200 (the oracle used to exit
-        # 1 with an OverflowError); every kept amplitude underflows to 0.
+        # |a|^2 overflows a float at |a| = 1e200; the oracle must refuse it
+        # rather than read 0 * inf.
         data = {"modes": 1, "sources": [{"kind": "coherent", "amplitude": [1e200, 0.0]}],
                 "lon": "identity", "detectors": {"eta_d": 0.9, "p_d": 0.01}}
         path = tmp_path / "coherent.json"
         path.write_text(json.dumps(data))
         assert main(["oracle", "--config", str(path), "--quiet"]) == EXIT_USAGE
-        assert "n_max=4 neglects probability 1.000e+00" in capsys.readouterr().err
+        assert "moments of up to inf photons overflow a float" in capsys.readouterr().err
 
-    def test_sector_past_the_size_limit_exits_usage_before_any_sector(
-            self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(pqsim.oracle, "_sector", one_state_sector(-1))
-        path = tmp_path / "thermal.json"
-        path.write_text(thermal_on_lossy_six(0.5).to_json())
-        rc = main(["oracle", "--config", str(path), "--n-max", "16", "--quiet"])
-        assert rc == EXIT_USAGE
-        assert "2.09e+08 permanent steps over 12 modes" in capsys.readouterr().err
+    def test_squeezing_near_the_float_range_exits_usage(self, tmp_path, capsys):
+        # At r = 354.8 sinh^2 r = 3.6e307 is a float, but its square is not.
+        data = json.loads(spdc_config(2, 0.05, p_d=0.09).to_json())
+        for source in data["sources"]:
+            source["r"] = 354.8
+        path = tmp_path / "spdc.json"
+        path.write_text(json.dumps(data))
+        assert main(["oracle", "--config", str(path), "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: moments of up to ") and "overflow a float once squared" in err
+
+    def test_n_max_is_no_option(self, hom_config_path, capsys):
+        for command in ("oracle", "compare"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(hom_config_path), "--n-max", "4", "--quiet"])
+            assert exc.value.code == EXIT_USAGE
+            assert "unrecognized arguments: --n-max 4" in capsys.readouterr().err
 
 
 class TestCompare:
@@ -495,13 +476,13 @@ GOLDEN_RUNS = [
         "report.json": "e107feeafcdcbd2e2d7bb417ff69be7c0605face57e94cc79874ea0122b8aea7",
     }, id="check-spdc"),
     pytest.param(["oracle", "--config", "{hom}"], {
-        "stdout": "b684739db5d71a5468bfe086d4a3873e1c465e51bec8794c1b192a089b375f5b",
-        "distribution.json": "b684739db5d71a5468bfe086d4a3873e1c465e51bec8794c1b192a089b375f5b",
+        "stdout": "540a1c0e57b1d5011bfa1be8df19c9d8dcdc6856176ec4827b03c9e3204ec420",
+        "distribution.json": "540a1c0e57b1d5011bfa1be8df19c9d8dcdc6856176ec4827b03c9e3204ec420",
     }, id="oracle"),
     pytest.param(["compare", "--config", "{hom}", "--samples", "20000", "--tolerance", "0.05",
       "--seed", "5"], {
-        "stdout": "8ed2ea29f9b746d157d379d46eded1a14bcd78d9870870feb21387e4ef340fde",
-        "compare.json": "71f802b70b3d0a9c0b08ffb9ed407b193ab717d26ac8d04accf1f80e38b3105a",
+        "stdout": "fe9149009734ac067de807c99ac35beb7d1fb23b270f1dfa6799555088f8af77",
+        "compare.json": "c4586bb71fb0057ee7c0450d3e28d656f54caa6545a9c0cd172525970dc2e406",
     }, id="compare"),
     pytest.param(["thresholds", "--modes", "10,100"], {
         "stdout": "434350c82d3ea5ddcddeb36e6c3e2fc31e3d2d4916fec930618e1ef50c5b745a",

@@ -2,38 +2,33 @@ import itertools
 import math
 import sys
 from collections import Counter
-from functools import reduce
 
 import numpy as np
 import pytest
-from scipy.linalg import sqrtm
 
 import pqsim.oracle
 from pqsim import DetectorModel, RngStream, run_experiment
-from pqsim.errors import DimensionError, OracleSizeError, TruncationError
+from pqsim.errors import DimensionError, OracleSizeError
 from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import haar_unitary, permanent_batch
 from pqsim.oracle import (
     ProbabilityTable,
-    _povm_fold,
-    _sector,
     all_bitstrings,
+    clicks_from_silent,
     exact_distribution,
     tv_distance,
 )
-from pqsim.presets import spdc_config
+from pqsim.presets import single_photon_config, spdc_config
 from pqsim.sampler import SampleBatch
-from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
+from pqsim.states import Coherent, MixedSinglePhoton, SourceModel, SpdcPair, Thermal, Vacuum
 
 from conftest import (
     beamsplitter_50_50,
-    clicks_from_silent,
-    gaussian_click_table,
+    economy_dilation,
+    fock_click_table,
     ideal_probability_permanent,
-    naive_permanent,
-    one_state_sector,
     oracle_suite,
-    thermal_on_lossy_six,
+    spdc_and_photon_config,
 )
 
 
@@ -51,17 +46,7 @@ def one_click(modes, port):
     return "".join("1" if k == port else "0" for k in range(modes))
 
 
-# Reference copies of the per-state loops the array code replaced.
-
-def recursive_fock_states(modes, total):
-    if modes == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in recursive_fock_states(modes - 1, total - first):
-            out.append((first,) + rest)
-    return out
-
+# A reference copy of the loop the array code replaced.
 
 def ryser_prod_loop(mats):
     """Ryser's formula in Gray-code order on a (B, n, n) stack, over row
@@ -92,49 +77,6 @@ def ryser_prod_loop(mats):
     return total * (-1) ** n, scale
 
 
-def halmos_dilation(transfer):
-    """[[L, sqrt(I - L L^dag)], [sqrt(I - L^dag L), -L^dag]]: a unitary with
-    L as its top-left block, built without an SVD."""
-    eye = np.eye(len(transfer))
-    adjoint = transfer.conj().T
-    return np.block([[transfer, sqrtm(eye - transfer @ adjoint)],
-                     [sqrtm(eye - adjoint @ transfer), -adjoint]])
-
-
-def kron_fold(weights, occ, eta, p_d):
-    probs = np.zeros(1 << occ.shape[1])
-    for row, p in zip(occ, weights):
-        w_off = (1.0 - p_d) * (1.0 - eta) ** row
-        probs += p * reduce(np.kron, [np.array([w0, 1.0 - w0]) for w0 in w_off])
-    return probs
-
-
-class TestFockBasis:
-    """``_Propagator.sector`` finds equal system parts as runs of adjacent
-    states, which holds because ``_sector`` lists them lexicographically."""
-
-    def test_states_are_lexicographic_and_complete(self):
-        states = [tuple(s) for s in _sector(3, 2)[1].tolist()]
-        assert len(states) == math.comb(3 + 2 - 1, 2)
-        assert states == sorted(states)
-        assert all(sum(s) == 2 for s in states)
-
-    @pytest.mark.parametrize("modes", range(1, 7))
-    def test_states_match_the_recursive_builder(self, modes):
-        for total in range(6):
-            photons, occ = _sector(modes, total)
-            assert [tuple(s) for s in occ.tolist()] == recursive_fock_states(modes, total)
-            by_photon = [np.bincount(column, minlength=modes) for column in photons.T]
-            assert np.array_equal(by_photon, occ)
-
-    def test_tables_are_bytes(self):
-        # 10 photons over 12 modes: 352,716 states, 8 bytes an entry as intp.
-        photons, occ = _sector(12, 10)
-        assert photons.dtype == occ.dtype == np.uint8
-        assert photons.shape == (10, math.comb(21, 10)) and occ.shape == (math.comb(21, 10), 12)
-        assert np.array_equal(occ.sum(axis=1), np.full(len(occ), 10))
-
-
 class TestReferenceLoops:
     @pytest.mark.parametrize("n", range(11))
     @pytest.mark.parametrize("batch", [0, 1, 37])
@@ -151,45 +93,12 @@ class TestReferenceLoops:
         old, _ = ryser_prod_loop(positive)
         np.testing.assert_allclose(permanent_batch(positive), old, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("counts", [(3,), (2, 1), (1, 2, 2), (3, 3, 2, 2), (5, 2),
-                                        (1,) * 6], ids=str)
-    @pytest.mark.parametrize("batch", [0, 1, 37])
-    def test_repeated_rows_match_the_expanded_matrix(self, counts, batch):
-        n = sum(counts)
-        gen = RngStream(160, 16 * n + len(counts)).generator()
-        shape = (batch, len(counts), n)
-        rows = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-        expanded = np.repeat(rows, counts, axis=1)
-        new = permanent_batch(rows, counts)
-        old, scale = ryser_prod_loop(expanded)
-        assert new.shape == (batch,)
-        assert np.all(np.abs(new - old) <= 1e-13 * scale)
-        if n <= 6:
-            naive = np.array([naive_permanent(m) for m in expanded], dtype=complex)
-            assert np.all(np.abs(new - naive) <= 1e-13 * scale)
-
     def test_column_major_view_gives_the_same_permanents(self):
-        # The oracle passes a (B, K, n) view of a C-contiguous (K, n, B)
-        # stack, indexed [row, column, batch].
-        stack = RngStream(140).generator().standard_normal((3, 5, 9)) + 0j
+        # A (B, n, n) view of a C-contiguous (n, n, B) stack, indexed [row,
+        # column, batch], is the layout the kernel walks; it takes no copy.
+        stack = RngStream(140).generator().standard_normal((5, 5, 9)) + 0j
         mats = stack.transpose(2, 0, 1)
-        np.testing.assert_allclose(permanent_batch(mats, (2, 1, 2)),
-                                   ryser_prod_loop(np.repeat(mats, (2, 1, 2), axis=1))[0],
-                                   rtol=1e-13)
-
-    @pytest.mark.parametrize("fold_entries", [pqsim.oracle._FOLD_ENTRIES, 64])
-    def test_povm_fold_matches_the_kron_fold(self, monkeypatch, fold_entries):
-        # fold_entries = 64 folds 2 occupations at a time over 5 modes.
-        monkeypatch.setattr(pqsim.oracle, "_FOLD_ENTRIES", fold_entries)
-        gen = RngStream(150).generator()
-        occ = gen.integers(0, 5, size=(40, 5))
-        weights = gen.dirichlet(np.ones(40))
-        eta = np.array([0.9, 0.0, 0.7, 0.5, 0.95])  # mode 1 is dead
-        p_d = np.array([0.05, 0.1, 1.0, 0.0, 0.2])  # mode 2 always clicks
-        new = _povm_fold(weights, occ, eta, p_d)
-        old = kron_fold(weights, occ, eta, p_d)
-        assert np.max(np.abs(new - old)) <= 1e-15
-        assert new.sum() == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(permanent_batch(mats), ryser_prod_loop(mats)[0], rtol=1e-13)
 
 
 class TestExactDistribution:
@@ -237,24 +146,25 @@ class TestExactDistribution:
 
     def test_loss_equivalence_with_explicit_dilation(self):
         transfer = np.sqrt(0.8) * haar_unitary(2, RngStream(17))
+        dilated, n_env = economy_dilation(transfer)
         sources = (PortSource(MixedSinglePhoton(0.7, 0.9), (0,)),
                    PortSource(Vacuum(), (1,)))
         dets = (DetectorModel(0.9, 0.03),) * 2
         lossy = ExperimentConfig(modes=2, sources=sources, transfer=transfer,
                                  detectors=dets)
-        dilated = ExperimentConfig(
-            modes=4,
-            sources=sources + (PortSource(Vacuum(), (2,)), PortSource(Vacuum(), (3,))),
-            transfer=halmos_dilation(transfer),
-            detectors=dets + ideal_detectors(2),
+        lossless = ExperimentConfig(
+            modes=2 + n_env,
+            sources=sources + tuple(PortSource(Vacuum(), (2 + k,)) for k in range(n_env)),
+            transfer=dilated,
+            detectors=dets + ideal_detectors(n_env),
         )
         direct = exact_distribution(lossy).as_dict()
-        big = exact_distribution(dilated).as_dict()
+        big = exact_distribution(lossless).as_dict()
         marginal = {}
         for bits, p in big.items():
             marginal[bits[:2]] = marginal.get(bits[:2], 0.0) + p
         for bits, p in direct.items():
-            assert marginal[bits] == pytest.approx(p, abs=1e-9)
+            assert marginal[bits] == pytest.approx(p, abs=1e-12)
 
     def test_coherent_click_probability_matches_detector_model(self):
         amp_sq = 0.03
@@ -265,15 +175,15 @@ class TestExactDistribution:
             transfer=np.eye(1, dtype=complex),
             detectors=(det,),
         )
-        table = exact_distribution(config, n_max=4).as_dict()
+        table = exact_distribution(config).as_dict()
         expected = 1.0 - (1.0 - det.p_d) * math.exp(-det.eta_d * amp_sq)
-        assert table["1"] == pytest.approx(expected, abs=1e-9)
+        assert table["1"] == pytest.approx(expected, abs=1e-15)
 
     def test_tables_sum_to_one_across_suite(self):
-        for name, config, n_max, _ in oracle_suite():
-            table = exact_distribution(config, n_max=n_max)
-            assert abs(table.probs.sum() - 1.0) <= 1e-9, name
-            assert table.truncation_error <= 1e-6, name
+        for name, config, _, _ in oracle_suite():
+            table = exact_distribution(config)
+            assert abs(table.probs.sum() - 1.0) <= 1e-12, name
+            assert table.truncation_error <= 1e-15, name
 
     def test_spdc_herald_signal_correlation(self):
         r = math.asinh(math.sqrt(0.01))
@@ -283,86 +193,72 @@ class TestExactDistribution:
             transfer=np.eye(2, dtype=complex),
             detectors=(DetectorModel(0.9, 0.0),) * 2,
         )
-        table = exact_distribution(config, n_max=3).as_dict()
+        table = exact_distribution(config).as_dict()
         p_pair = table["11"]
         p_herald = table["10"] + table["11"]
         p_signal = table["01"] + table["11"]
         assert p_pair > p_herald * p_signal
 
-    def test_truncation_error_raises_with_suggestion(self):
-        config = ExperimentConfig(
-            modes=1,
-            sources=(PortSource(Coherent(1.5), (0,)),),
-            transfer=np.eye(1, dtype=complex),
-            detectors=(DetectorModel(0.9, 0.0),),
-        )
-        with pytest.raises(TruncationError) as err:
-            exact_distribution(config, n_max=2)
-        assert err.value.suggested_n_max is not None
-        assert err.value.suggested_n_max > 2
-        exact_distribution(config, n_max=err.value.suggested_n_max)
-
-    def test_n_max_stops_at_the_largest_float_factorial(self):
-        config = ExperimentConfig(
-            modes=1,
-            sources=(PortSource(Coherent(0.1), (0,)),),
-            transfer=np.eye(1, dtype=complex),
-            detectors=(DetectorModel(0.9, 0.0),),
-        )
-        exact_distribution(config, n_max=170)
-        with pytest.raises(ValueError, match=r"n_max must be in \[1, 170\], got 171"):
-            exact_distribution(config, n_max=171)
-
     def test_size_guard(self):
-        modes = 13
+        modes = 20
         config = ExperimentConfig(
             modes=modes,
             sources=tuple(PortSource(Vacuum(), (k,)) for k in range(modes)),
             transfer=np.eye(modes, dtype=complex),
             detectors=ideal_detectors(modes),
         )
-        with pytest.raises(OracleSizeError):
+        with pytest.raises(OracleSizeError, match=r"20 modes give 2\^20 silent sets"):
             exact_distribution(config)
 
-    def test_kets_below_the_floor_build_no_sector(self, monkeypatch):
-        # Thermal(0.05) weighs (1 - q) q^k on k photons, q = 0.05 / 1.05:
-        # above 1e-12 up to k = 9, 6.7e-22 at k = 16.
-        sector = one_state_sector(9)
-        monkeypatch.setattr(pqsim.oracle, "_sector", sector)
-        table = exact_distribution(thermal_on_lossy_six(0.05), n_max=16)
-        assert max(sector.built) == 9
-        q = 0.05 / 1.05
-        assert table.truncation_error == pytest.approx(q**10, rel=1e-9)
+    def test_batches_give_the_same_table(self, monkeypatch):
+        # 2^6 entries take one set a batch.
+        for config in (spdc_config(2, 0.01, p_d=0.06, unitary_seed=1),
+                       single_photon_config(6, 6, p_d=0.06, unitary_seed=1),
+                       photons_and_gaussian_light(2)):
+            whole = exact_distribution(config).probs
+            monkeypatch.setattr(pqsim.oracle, "_BATCH_ENTRIES", 1 << 6)
+            np.testing.assert_allclose(exact_distribution(config).probs, whole, rtol=0, atol=1e-14)
+            monkeypatch.undo()
 
-    def test_size_guard_counts_the_sector_of_the_largest_ket(self, monkeypatch):
-        # The 16-photon ket weighs 1.5e-8 and the truncation tail 7.7e-9, so
-        # only the 13M-state sector over 12 modes stops this run.
-        monkeypatch.setattr(pqsim.oracle, "_sector", one_state_sector(-1))
-        with pytest.raises(OracleSizeError, match=r"2.09e\+08 permanent steps over 12 modes"):
-            exact_distribution(thermal_on_lossy_six(0.5), n_max=16)
+    def test_moebius_inversion_is_inclusion_exclusion(self):
+        # P(clicks exactly on C) = sum over U in C of (-1)^|U| P(silent on
+        # the complement of C and on U).
+        # Bit k of a silent-set index and of an outcome is mode M - 1 - k.
+        modes = 4
+        everyone = (1 << modes) - 1
+        silent = RngStream(180).generator().random(1 << modes)
+        table = clicks_from_silent(silent)
+        for outcome in range(1 << modes):
+            clicks = [k for k in range(modes) if outcome >> k & 1]
+            expected = sum((-1) ** len(u) * silent[(everyone ^ outcome) | sum(1 << k for k in u)]
+                           for size in range(len(clicks) + 1)
+                           for u in itertools.combinations(clicks, size))
+            assert table[outcome] == pytest.approx(expected, abs=1e-15)
 
-    def test_size_guard_counts_environment_modes(self):
-        modes = 8
-        config = ExperimentConfig(
-            modes=modes,
-            sources=tuple(PortSource(Vacuum(), (k,)) for k in range(modes)),
-            transfer=np.sqrt(0.5) * haar_unitary(modes, RngStream(3)),
-            detectors=ideal_detectors(modes),
-        )
-        with pytest.raises(OracleSizeError, match="loss"):
-            exact_distribution(config)
 
-    def test_stack_slices_give_the_same_table(self, monkeypatch):
-        # 2^10 entries take the 10-photon kets' 3,003 states 25 at a time.
-        config = spdc_config(2, 0.01, p_d=0.06, unitary_seed=1)
-        calls = []
-        permanent = pqsim.oracle.permanent_batch
-        monkeypatch.setattr(pqsim.oracle, "permanent_batch",
-                            lambda mats, counts: calls.append(counts) or permanent(mats, counts))
-        whole, stacks = exact_distribution(config, n_max=3).probs, len(calls)
-        monkeypatch.setattr(pqsim.oracle, "_STACK_ENTRIES", 1 << 10)
-        assert np.array_equal(exact_distribution(config, n_max=3).probs, whole)
-        assert len(calls) - stacks > stacks
+def photons_and_gaussian_light(photons: int) -> ExperimentConfig:
+    """``photons`` one-photon mixtures on ports 0, 2 and 4, a coherent source
+    on port 1 and thermal light on port 3 of a lossy Haar unitary."""
+    modes = 5
+    mixtures = [MixedSinglePhoton(0.7, 0.9), MixedSinglePhoton(0.5, 0.8),
+                MixedSinglePhoton(0.9, 1.0)]
+    sources = [PortSource(Coherent(0.3 - 0.2j), (1,)), PortSource(Thermal(0.08), (3,))]
+    sources += [PortSource(mixtures[j], (2 * j,)) if j < photons
+                else PortSource(Vacuum(), (2 * j,)) for j in range(3)]
+    return ExperimentConfig(modes=modes, sources=tuple(sources),
+                            transfer=math.sqrt(0.85) * haar_unitary(modes, RngStream(41)),
+                            detectors=(DetectorModel(0.9, 0.1),) * modes)
+
+
+def photons_and_lossy_pair() -> ExperimentConfig:
+    """Two one-photon mixtures on ports 0 and 2 and a lossy pair on (1, 3)
+    of a lossy Haar unitary."""
+    return ExperimentConfig(modes=4,
+                            sources=(PortSource(MixedSinglePhoton(0.9, 1.0), (0,)),
+                                     PortSource(SpdcPair(math.asinh(0.2), 0.7), (1, 3)),
+                                     PortSource(MixedSinglePhoton(0.6, 0.9), (2,))),
+                            transfer=math.sqrt(0.9) * haar_unitary(4, RngStream(43)),
+                            detectors=(DetectorModel(0.85, 0.07),) * 4)
 
 
 def lossy_pairs_on_lossy_signals(pairs: int) -> ExperimentConfig:
@@ -393,74 +289,55 @@ def two_pairs_on_scaled_rows() -> ExperimentConfig:
     )
 
 
-def pair_and_thermal_on_lossy_rows() -> ExperimentConfig:
-    """An SPDC pair (sinh^2 r = 0.02) on (0, 1), Thermal(0.1) on 2 and
-    vacuum on 3 and 4, on diag(sqrt(1, 1, 1, 0.95, 0.9)) times a Haar
-    unitary: 7 modes once the oracle adds the loss modes."""
-    transfer = np.diag(np.sqrt([1.0, 1.0, 1.0, 0.95, 0.9])) @ haar_unitary(5, RngStream(5))
-    return ExperimentConfig(
-        modes=5,
-        sources=(PortSource(SpdcPair(math.asinh(math.sqrt(0.02)), 1.0), (0, 1)),
-                 PortSource(Thermal(0.1), (2,)), PortSource(Vacuum(), (3,)),
-                 PortSource(Vacuum(), (4,))),
-        transfer=transfer,
-        detectors=(DetectorModel(0.9, 0.05),) * 5,
-    )
+def desk_suite(seed: int):
+    """The four desk configs of the benchmark's verify_desk at one seed, as
+    (name, config, n_max of :func:`fock_click_table`)."""
+    mixed = ExperimentConfig(
+        modes=4,
+        sources=(PortSource(Vacuum(), (0,)), PortSource(MixedSinglePhoton(0.5, 0.1), (1,)),
+                 PortSource(Coherent(0.2 + 0.1j), (2,)), PortSource(Thermal(0.02), (3,))),
+        transfer=math.sqrt(0.9) * haar_unitary(4, RngStream(seed, 1)),
+        detectors=(DetectorModel(0.9, 0.08),) * 4)
+    gaussian = ExperimentConfig(
+        modes=3,
+        sources=(PortSource(Coherent(0.25), (0,)), PortSource(Thermal(0.03), (1,)),
+                 PortSource(Vacuum(), (2,))),
+        transfer=math.sqrt(0.8) * haar_unitary(3, RngStream(seed, 2)),
+        detectors=(DetectorModel(0.9, 0.05),) * 3)
+    return [("single_photon_6x6", single_photon_config(6, 6, p_d=0.06, unitary_seed=seed), 1),
+            ("mixed_sources_4", mixed, 5),
+            ("spdc_2_pairs", spdc_config(2, 0.01, p_d=0.06, unitary_seed=seed), 3),
+            ("gaussian_3", gaussian, 6)]
 
 
-class TestMixtureWeights:
-    """Each thermal alternative's weight times its |amplitude|^2 is what the
-    floor and the photon bound weigh.  Read as |amplitude|^2 = 1 alone, every
-    alternative up to n_max counted, and this config was refused at n_max 5
-    to 7 for kets of 15 to 21 photons."""
-
-    @pytest.mark.parametrize("n_max", [5, 6, 7])
-    def test_pair_and_thermal_match_the_gaussian_click_table(self, n_max):
-        config = pair_and_thermal_on_lossy_rows()
-        table = exact_distribution(config, n_max=n_max)
-        assert 0.5 * np.sum(np.abs(table.probs - gaussian_click_table(config))) <= (
-            table.truncation_error)
-
-    def test_too_small_n_max_suggests_the_next(self):
-        with pytest.raises(TruncationError) as err:
-            exact_distribution(pair_and_thermal_on_lossy_rows(), n_max=4)
-        assert err.value.suggested_n_max == 5
+FOCK_CASES = (
+    [pytest.param(config, n_max, id=name) for name, config, n_max, _ in oracle_suite()]
+    + [pytest.param(config, n_max, id=f"{name}_seed{seed}")
+       for seed in (1, 2, 7) for name, config, n_max in desk_suite(seed)]
+    + [pytest.param(spdc_and_photon_config(), 5, id="spdc_and_photon"),
+       pytest.param(photons_and_gaussian_light(2), 5, id="two_photons_coherent_thermal"),
+       pytest.param(photons_and_gaussian_light(3), 5, id="three_photons_coherent_thermal"),
+       pytest.param(photons_and_lossy_pair(), 5, id="two_photons_lossy_pair"),
+       pytest.param(two_pairs_on_scaled_rows(), 3, id="two_pairs_scaled_rows"),
+       pytest.param(lossy_pairs_on_lossy_signals(3), 2, id="three_lossy_pairs")])
 
 
-class TestLossySpdcFold:
-    """A lossy signal arm is folded into the network contraction before it
-    is dilated; the Gaussian silent-set formula is the reference."""
+class TestFockReference:
+    """The silent-set formulas against :func:`fock_click_table`, which
+    truncates the input in its Fock basis and takes no determinant: within
+    that truncation's bound, on every source kind, both routes' desk
+    configs and one to three photon ports beside Gaussian light."""
 
-    @pytest.mark.parametrize("build,n_max", [
-        pytest.param(lambda: next(c for name, c, _, _ in oracle_suite()
-                                  if name == "spdc_pair_lossy_net"), 3, id="spdc_pair_lossy_net"),
-        pytest.param(two_pairs_on_scaled_rows, 3, id="two_pairs_scaled_rows"),
-        pytest.param(lambda: lossy_pairs_on_lossy_signals(3), 2, id="three_lossy_pairs"),
-    ])
-    def test_matches_the_gaussian_click_table(self, build, n_max):
-        config = build()
-        table = exact_distribution(config, n_max=n_max)
-        assert np.max(np.abs(table.probs - gaussian_click_table(config))) <= (
-            table.truncation_error + 1e-12)
-
-    def test_no_mode_beyond_the_dilation(self, monkeypatch):
-        # Signal loss and network loss share one environment mode per signal.
-        built = []
-
-        class Spy(pqsim.oracle._Propagator):
-            def __init__(self, transfer, system_modes):
-                super().__init__(transfer, system_modes)
-                built.append(self.modes)
-
-        monkeypatch.setattr(pqsim.oracle, "_Propagator", Spy)
-        exact_distribution(lossy_pairs_on_lossy_signals(3), n_max=2)
-        assert built == [9]
+    @pytest.mark.parametrize("config, n_max", FOCK_CASES)
+    def test_matches_the_fock_reference(self, config, n_max):
+        reference, error = fock_click_table(config, n_max)
+        table = exact_distribution(config)
+        assert np.max(np.abs(table.probs - reference)) <= error + 1e-12
 
 
 class TestMultiPhotonKets:
-    """A coherent or thermal source on port 0 puts up to n_max photons on one
-    input mode, one row of the network repeated in every permanent.  Closed
-    forms that use no permanent give its table: detector j sees the flux
+    """A coherent or thermal source on port 0 puts any number of photons on
+    one input mode.  Closed forms give its table: detector j sees the flux
     f_j = eta_d |L_0j|^2 per input photon, a coherent source leaves every
     detector independent and silent with probability (1 - p_d)
     exp(-|alpha|^2 f_j), and a thermal one leaves a set T silent with
@@ -489,15 +366,15 @@ class TestMultiPhotonKets:
             detectors=(DetectorModel(0.9, 0.05), DetectorModel(0.7, 0.0),
                        DetectorModel(0.8, 0.1), DetectorModel(1.0, 0.02)),
         )
-        table = exact_distribution(config, n_max=12)
+        table = exact_distribution(config)
         expected = clicks_from_silent(self.silent_sets(source, config))
-        assert np.max(np.abs(table.probs - expected)) <= table.truncation_error + 1e-12
+        assert np.max(np.abs(table.probs - expected)) <= 1e-14
 
 
 class TestSourcesWithoutPhotons:
-    """Thermal light at zero mean and SPDC at zero squeezing take their
-    general expansions; every ket with photons weighs exactly 0 and is
-    floored, so the table is the all-vacuum one."""
+    """Thermal light at zero mean and SPDC at zero squeezing take the
+    Gaussian formula with zero moments, so the table is the all-vacuum
+    one, which the permanent formula gives."""
 
     @staticmethod
     def config(sources):
@@ -512,11 +389,23 @@ class TestSourcesWithoutPhotons:
     def test_table_is_the_vacuum_table(self, head):
         tail = (PortSource(Vacuum(), (2,)), PortSource(Vacuum(), (3,)))
         vacuum = exact_distribution(self.config(pure_photons([], 4)))
-        # With no floor the zero kets still go: 16 photons a port would be refused.
-        for kwargs in ({}, {"n_max": 16, "ket_floor": 0.0}):
-            table = exact_distribution(self.config(head + tail), **kwargs)
-            assert table.truncation_error == 0.0
-            assert np.array_equal(table.probs, vacuum.probs)
+        table = exact_distribution(self.config(head + tail))
+        assert table.truncation_error == 0.0
+        assert np.array_equal(table.probs, vacuum.probs)
+
+
+class TestIndependence:
+    def test_no_wigner_moments_are_read(self, monkeypatch):
+        # The samplers draw from wigner_moments(); the oracle reads the
+        # sources' own fields, so a wrong Wigner covariance cannot hide.
+        def refuse(self):
+            raise AssertionError(f"wigner_moments() called on {self!r}")
+
+        for kind in (SourceModel, Vacuum, Coherent, Thermal, SpdcPair):
+            monkeypatch.setattr(kind, "wigner_moments", refuse)
+        for name, config, _, _ in oracle_suite():
+            exact_distribution(config)
+        exact_distribution(spdc_and_photon_config())
 
 
 class TestIdealProbabilityPermanent:
@@ -575,8 +464,8 @@ class TestTvDistance:
         assert tv_distance(p, batch) == pytest.approx(0.25)
 
     def test_empty_batch_is_refused(self):
-        _, config, n_max, _ = oracle_suite()[0]
-        table = exact_distribution(config, n_max=n_max)
+        _, config, _, _ = oracle_suite()[0]
+        table = exact_distribution(config)
         with pytest.raises(ValueError, match="empty"):
             tv_distance(table, run_experiment(config, 0, RngStream(1)))
 

@@ -149,16 +149,16 @@ class TestSourceBlockFactor:
         far = np.array([[0.9, 1e-9], [0.0, 0.8]], dtype=complex)
         assert validate_transfer(far, diagonal_gram=True)[1] is False
 
-    @pytest.mark.parametrize("config, n_max", [
-        (classical(3), 5),
+    @pytest.mark.parametrize("config", [
+        classical(3),
         # The dead-detector config above with p_d = 0.25 takes this set-up.
-        (route1_dead_detector_config(0.25), 6),
+        route1_dead_detector_config(0.25),
     ], ids=["classical-p_d-0", "spdc-vacuum-dead-detector"])
-    def test_matches_oracle(self, monkeypatch, config, n_max):
+    def test_matches_oracle(self, monkeypatch, config):
         (_, half_factor), _ = route1_setup(monkeypatch, config)
         assert half_factor.shape[0] < 2 * config.modes
         draws = 200_000
-        table = exact_distribution(config, n_max=n_max)
+        table = exact_distribution(config)
         batch = run_condition1(config, draws, RngStream(76))
         bound = max(0.01, 3 * math.sqrt(len(table.outcomes) / draws))
         assert tv_distance(table, batch) <= bound

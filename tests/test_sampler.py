@@ -11,7 +11,14 @@ from pqsim import DetectorModel, RngStream
 from pqsim.errors import SimulabilityError, UnsupportedSourceError
 from pqsim.experiment import ExperimentConfig, PortSource
 from pqsim.linalg import PSD_TOL, haar_unitary
-from pqsim.oracle import ProbabilityTable, all_bitstrings, exact_distribution, tv_distance
+from pqsim.oracle import (
+    ProbabilityTable,
+    all_bitstrings,
+    exact_distribution,
+    gaussian_click_table,
+    photon_click_table,
+    tv_distance,
+)
 from pqsim.presets import spdc_config, single_photon_config
 import pqsim.sampler
 from pqsim.processes import propagate_blocks, sigma_matrix
@@ -32,11 +39,10 @@ from pqsim.states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 
 from conftest import (
     dead_detector_beamsplitter,
-    gaussian_click_table,
     gaussian_total_click_variance,
     oracle_suite,
-    photon_click_table,
     photon_eta_bar,
+    random_mixed_config,
     route1_dead_detector_config,
     single_photon_click_marginals,
     spdc_and_photon_config,
@@ -78,10 +84,9 @@ def exact_sampler_tv(probs, draws: int) -> float:
 
 
 def assert_total_clicks_match(probs, outcomes):
-    """Beyond the oracle's 12 modes: the total-click histogram of
-    ``outcomes`` by a chi^2 test against the exact table ``probs`` (mode 0
-    the leading bit), and its variance, which holds every pairwise click
-    covariance, by a z-test; each at 1e-6."""
+    """The total-click histogram of ``outcomes`` by a chi^2 test against the
+    exact table ``probs`` (mode 0 the leading bit), and its variance, which
+    holds every pairwise click covariance, by a z-test; each at 1e-6."""
     draws, modes = outcomes.shape
     counts = [bits.count("1") for bits in all_bitstrings(modes)]
     exact = np.bincount(counts, weights=probs)
@@ -139,9 +144,18 @@ class TestRouteDecision:
         tv = tv_distance(table, run_experiment(config, draws, RngStream(7)))
         assert tv <= 2.0 * exact_sampler_tv(table.probs, draws)
 
+    @pytest.mark.parametrize("condition", [1, 2])
+    def test_smallest_spdc_preset_matches_the_oracle(self, condition):
+        # Route 1's smallest preset, sampled on both routes.
+        config = spdc_config(2, 0.05, p_d=0.09)
+        table = exact_distribution(config)
+        draws = 200_000
+        batch = run_experiment(config, draws, RngStream(90 + condition), condition=condition)
+        assert tv_distance(table, batch) <= 2.0 * exact_sampler_tv(table.probs, draws)
+
     def test_spdc_and_photon_sample_on_the_default_route(self):
         config = spdc_and_photon_config()
-        table = exact_distribution(config, n_max=3)
+        table = exact_distribution(config)
         draws = 200_000
         tv = tv_distance(table, run_experiment(config, draws, RngStream(8)))
         assert tv <= 2.0 * exact_sampler_tv(table.probs, draws)
@@ -177,9 +191,20 @@ class TestCondition2:
         assert err.value.report is not None
         assert not err.value.report.simulatable
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_source_mixes_match_the_oracle(self, seed):
+        # All five kinds at six modes, photons beside Gaussian light on most
+        # seeds, and coherent amplitudes near 1 that no small Fock
+        # truncation reaches.
+        config = random_mixed_config(500 + seed, 6)
+        table = exact_distribution(config)
+        draws = 200_000
+        batch = run_condition2(config, draws, RngStream(600 + seed))
+        assert tv_distance(table, batch) <= 2.0 * exact_sampler_tv(table.probs, draws)
+
     def test_small_config_matches_oracle(self):
-        name, config, n_max, _ = oracle_suite()[0]
-        table = exact_distribution(config, n_max=n_max)
+        _, config, _, _ = oracle_suite()[0]
+        table = exact_distribution(config)
         batch = run_condition2(config, 200_000, RngStream(4))
         bound = max(0.01, 3 * math.sqrt(len(table.outcomes) / 200_000))
         assert tv_distance(table, batch) <= bound
@@ -217,6 +242,17 @@ class TestClickMarginalsReference:
         eta_bar = photon_eta_bar(config)
         expected = 1.0 - (1.0 - p_d) * (1.0 - eta_bar * eta_d)
         assert np.max(np.abs(single_photon_click_marginals(config) - expected)) <= 1e-12
+
+    def test_matches_the_exact_table_at_16_modes(self):
+        # The Moebius table's marginals telescope to its silent sets; the
+        # oracle then clips the table's negative roundoff (7.5e-11 in all),
+        # which adds that much to the marginals at most.
+        config = single_photon_config(16, 4, p_d=0.06)
+        table = exact_distribution(config)
+        bits = np.array([[b == "1" for b in outcome] for outcome in table.outcomes])
+        exact = single_photon_click_marginals(config)
+        assert np.max(np.abs(photon_click_table(config) @ bits - exact)) <= 1e-12
+        assert np.max(np.abs(table.probs @ bits - exact)) <= table.truncation_error + 1e-12
 
 
 class TestClickMarginals:
@@ -346,28 +382,13 @@ class TestZeroNoiseChain:
 
 
 def _spdc_desk_configs():
-    suite = [pytest.param(config, n_max, id=name)
-             for name, config, n_max, _ in oracle_suite() if name.startswith("spdc")]
-    return suite + [pytest.param(spdc_config(2, 0.01, p_d=0.06), 3, id="spdc_config_2")]
-
-
-def _photon_desk_configs():
-    suite = [pytest.param(config, n_max, id=name) for name, config, n_max, _ in oracle_suite()
-             if all(isinstance(e.source, (MixedSinglePhoton, Vacuum)) for e in config.sources)]
-    # The photon desk of perfbench's verify_desk: 6 + 6 loss modes, six photons.
-    return suite + [pytest.param(single_photon_config(6, 6, p_d=0.06, unitary_seed=seed), 1,
-                                 id=f"single_photon_config_6_6_seed{seed}")
-                    for seed in (1, 2, 7)]
+    suite = [pytest.param(config, id=name)
+             for name, config, _, _ in oracle_suite() if name.startswith("spdc")]
+    return suite + [pytest.param(spdc_config(2, 0.01, p_d=0.06), id="spdc_config_2"),
+                    pytest.param(spdc_config(8, 0.05, p_d=0.06), id="spdc_config_8")]
 
 
 class TestPhotonClickTable:
-    @pytest.mark.parametrize("config, n_max", _photon_desk_configs())
-    def test_reference_matches_the_oracle(self, config, n_max):
-        # The M = 16 check below trusts this reference; pin it where the
-        # oracle reaches.
-        table = exact_distribution(config, n_max=n_max)
-        assert np.max(np.abs(table.probs - photon_click_table(config))) <= 1e-12
-
     def test_route2_total_clicks_at_16_modes(self):
         config = single_photon_config(16, 4, p_d=0.06)
         outcomes = run_experiment(config, 10**6, RngStream(1616), condition=2).outcomes
@@ -391,24 +412,10 @@ def pairs_and_thermal(pairs: int, thermal: int) -> ExperimentConfig:
                             detectors=(DetectorModel(0.9, 0.12),) * modes)
 
 
-def _gaussian_desk_configs():
-    suite = [pytest.param(config, n_max, id=name) for name, config, n_max, _ in oracle_suite()
-             if all(isinstance(e.source, (SpdcPair, Thermal, Vacuum)) for e in config.sources)]
-    return suite + [pytest.param(pairs_and_thermal(1, 1), 5, id="pair_and_thermal")]
-
-
 class TestGaussianClickTable:
-    @pytest.mark.parametrize("config, n_max", _gaussian_desk_configs())
-    def test_reference_matches_the_oracle(self, config, n_max):
-        # The M = 16 check below trusts this reference; pin it where the
-        # oracle reaches.
-        table = exact_distribution(config, n_max=n_max)
-        assert np.max(np.abs(table.probs - gaussian_click_table(config))) <= (
-            table.truncation_error + 1e-12)
-
     def test_route1_at_16_modes(self):
-        # Pairs and thermal light on a non-diagonal Gram, beyond the
-        # oracle's 12 modes: the total clicks, then the full table.
+        # Pairs and thermal light on a non-diagonal Gram at 16 modes: the
+        # total clicks, then the full table.
         draws = 10**6
         config = pairs_and_thermal(6, 4)
         probs = gaussian_click_table(config)
@@ -419,11 +426,11 @@ class TestGaussianClickTable:
 
 
 class TestTotalClickVariance:
-    @pytest.mark.parametrize("config, n_max", _spdc_desk_configs())
-    def test_reference_matches_the_oracle(self, config, n_max):
+    @pytest.mark.parametrize("config", _spdc_desk_configs())
+    def test_reference_matches_the_oracle(self, config):
         # The M = 256 check below trusts this reference; pin it where the
-        # exact distribution is small enough to enumerate.
-        table = exact_distribution(config, n_max=n_max)
+        # exact distribution is small enough to enumerate, up to 16 modes.
+        table = exact_distribution(config)
         totals = np.array([bits.count("1") for bits in table.outcomes])
         exact = table.probs @ totals**2 - (table.probs @ totals) ** 2
         assert gaussian_total_click_variance(config) == pytest.approx(exact, rel=0, abs=1e-7)
@@ -531,7 +538,7 @@ class TestCertainRandomCounts:
     def test_mixed_detectors_match_oracle(self, eta_d):
         draws = 200_000
         for route, config in zip((run_condition1, run_condition2), certain_count_configs(eta_d)):
-            table = exact_distribution(config, n_max=4)
+            table = exact_distribution(config)
             batch = route(config, draws, RngStream(73))
             assert batch.outcomes[:, 0].all()
             bound = max(0.01, 3 * math.sqrt(len(table.outcomes) / draws))
@@ -544,7 +551,7 @@ class TestDeadDetectors:
         # (kappa = 1.21 at p_d = 0.7); its clicks are p_d coins.
         draws = 200_000
         config = dead_detector_beamsplitter(0.7)
-        table = exact_distribution(config, n_max=1)
+        table = exact_distribution(config)
         batch = run_condition2(config, draws, RngStream(74))
         assert abs(batch.outcomes[:, 1].mean() - 0.7) <= 5 * math.sqrt(0.21 / draws)
         bound = max(0.01, 3 * math.sqrt(len(table.outcomes) / draws))
@@ -567,7 +574,7 @@ class TestDeadDetectors:
         assert np.array_equal(sampled[np.ix_(live, live)], cov[np.ix_(live, live)])
         assert np.array_equal(sampled[:, ~live], np.eye(8)[:, ~live])
         draws = 200_000
-        table = exact_distribution(config, n_max=6)
+        table = exact_distribution(config)
         batch = run_condition1(config, draws, RngStream(75))
         assert not batch.outcomes[:, 3].any()
         bound = max(0.01, 3 * math.sqrt(len(table.outcomes) / draws))
@@ -727,9 +734,8 @@ class TestBatchAndStats:
     def test_condition2_fallback_handles_spdc_sources(self):
         from conftest import oracle_suite
 
-        by_name = {name: (config, n_max) for name, config, n_max, _ in oracle_suite()}
-        config, n_max = by_name["spdc_pair"]
-        table = exact_distribution(config, n_max=n_max)
+        config = {name: config for name, config, _, _ in oracle_suite()}["spdc_pair"]
+        table = exact_distribution(config)
         batch = run_condition2(config, 200_000, RngStream(31))
         bound = max(0.01, 3 * math.sqrt(len(table.outcomes) / 200_000))
         assert tv_distance(table, batch) <= bound
