@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,12 @@ from pqsim.oracle import (
     all_bitstrings,
     clicks_from_silent,
     exact_distribution,
+    gaussian_click_table,
+    photon_click_table,
     tv_distance,
 )
 from pqsim.presets import single_photon_config, spdc_config
+from pqsim.processes import propagate_blocks, propagate_gaussian
 from pqsim.sampler import SampleBatch
 from pqsim.states import Coherent, MixedSinglePhoton, SourceModel, SpdcPair, Thermal, Vacuum
 
@@ -333,6 +337,117 @@ class TestFockReference:
         reference, error = fock_click_table(config, n_max)
         table = exact_distribution(config)
         assert np.max(np.abs(table.probs - reference)) <= error + 1e-12
+
+
+def _is_photon_config(config) -> bool:
+    return all(isinstance(e.source, (MixedSinglePhoton, Vacuum)) for e in config.sources)
+
+
+IDENTITY_CASES = (
+    [pytest.param(config, id=name) for name, config, _, _ in oracle_suite()]
+    + [pytest.param(spdc_and_photon_config(), id="spdc_and_photon"),
+       pytest.param(photons_and_gaussian_light(2), id="two_photons_coherent_thermal"),
+       pytest.param(photons_and_lossy_pair(), id="two_photons_lossy_pair")])
+
+PHOTON_CASES = (
+    [pytest.param(config, id=name)
+     for name, config, _, _ in oracle_suite() if _is_photon_config(config)]
+    + [pytest.param(config, id=f"{name}_seed{seed}") for seed in (1, 2, 7)
+       for name, config, _ in desk_suite(seed) if _is_photon_config(config)])
+
+GAUSSIAN_CASES = (
+    [pytest.param(config, id=name) for name, config, _, _ in oracle_suite()
+     if not any(isinstance(e.source, MixedSinglePhoton) for e in config.sources)]
+    + [pytest.param(config, id=f"{name}_seed{seed}") for seed in (1, 2, 7)
+       for name, config, _ in desk_suite(seed)
+       if not any(isinstance(e.source, MixedSinglePhoton) for e in config.sources)])
+
+
+def _as_axes(table: ProbabilityTable) -> np.ndarray:
+    """The table's probabilities on one axis per mode, mode 0 first."""
+    return table.probs.reshape((2,) * len(table.outcomes[0]))
+
+
+class TestTableIdentities:
+    """Identities the detector model fixes, on every source kind: relabelling
+    detectors relabels the table, random counts are independent coins after
+    the light, eta_d is a loss in front of an ideal detector, and a detector
+    that can never click leaves the others' marginal."""
+
+    @pytest.mark.parametrize("config", IDENTITY_CASES)
+    def test_relabelling_detectors_permutes_the_table(self, config):
+        # New mode i is old mode perm[i]; a cycle with no fixed point tells a
+        # permutation from its inverse at three modes or more.
+        perm = np.roll(np.arange(config.modes), 1)
+        relabelled = replace(config, transfer=config.transfer[:, perm],
+                             detectors=tuple(config.detectors[k] for k in perm))
+        expected = _as_axes(exact_distribution(config)).transpose(perm)
+        assert np.max(np.abs(_as_axes(exact_distribution(relabelled)) - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("config", IDENTITY_CASES)
+    def test_random_counts_are_independent_coins(self, config):
+        # Detector k clicks when light or its own p_d coin says so.
+        quiet = replace(config, detectors=tuple(DetectorModel(d.eta_d, 0.0)
+                                                for d in config.detectors))
+        expected = _as_axes(exact_distribution(quiet))
+        for axis, det in enumerate(config.detectors):
+            silent, click = np.moveaxis(expected, axis, 0)
+            expected = np.moveaxis(np.stack([(1.0 - det.p_d) * silent,
+                                             click + det.p_d * silent]), 0, axis)
+        assert np.max(np.abs(_as_axes(exact_distribution(config)) - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("config", IDENTITY_CASES)
+    def test_efficiency_is_a_loss_before_an_ideal_detector(self, config):
+        eta = np.array([d.eta_d for d in config.detectors])
+        folded = replace(config, transfer=config.transfer * np.sqrt(eta),
+                         detectors=tuple(DetectorModel(1.0, d.p_d) for d in config.detectors))
+        direct = exact_distribution(config).probs
+        assert np.max(np.abs(exact_distribution(folded).probs - direct)) <= 1e-14
+
+    @pytest.mark.parametrize("config", IDENTITY_CASES)
+    def test_a_detector_that_never_clicks_leaves_the_marginal(self, config):
+        # Mode 0, the leading bit: blind and without random counts, it reads
+        # 0 on every shot and the rest see what they saw before.  Its click
+        # entries are differences of equal silent sets, 0 up to roundoff.
+        blind = replace(config, detectors=(DetectorModel(0.0, 0.0),) + config.detectors[1:])
+        table = _as_axes(exact_distribution(blind))
+        marginal = _as_axes(exact_distribution(config)).sum(axis=0)
+        assert np.max(np.abs(table[0] - marginal)) <= 1e-14
+        assert np.max(np.abs(table[1])) <= 1e-14
+
+
+class TestTwoClosedForms:
+    @pytest.mark.parametrize("config", PHOTON_CASES)
+    def test_photon_fold_of_the_gaussian_form_matches_the_permanent(self, config):
+        # With no Gaussian light Q_0 = I and every click comes from the
+        # photon ports' multilinear terms, a path that shares only the
+        # Moebius step with the permanent.
+        reference = photon_click_table(config)
+        assert np.max(np.abs(gaussian_click_table(config) - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("config", GAUSSIAN_CASES)
+    def test_gaussian_table_matches_the_samplers_wigner_moments(self, config):
+        # The oracle builds its moments from the sources' fields; the
+        # samplers' Wigner moments (x = a + a^dag, vacuum covariance I) must
+        # give the same silent sets: prod_T (1 - p_d) 2^|T| exp(-d^T (V_T +
+        # I)^-1 d / 2) / sqrt(det(V_T + I)).
+        modes = config.modes
+        eta = np.array([d.eta_d for d in config.detectors])
+        mean, cov = propagate_gaussian(*propagate_blocks(config.sources, config.transfer),
+                                       np.diag(np.sqrt(eta)).astype(complex))
+        dark = 1.0 - np.array([d.p_d for d in config.detectors])
+        silent = np.ones(1 << modes)
+        for size in range(1, modes + 1):
+            for members in itertools.combinations(range(modes), size):
+                quads = [2 * k + q for k in members for q in (0, 1)]
+                v = cov[np.ix_(quads, quads)] + np.eye(2 * size)
+                d = mean[quads]
+                code = sum(1 << (modes - 1 - k) for k in members)
+                silent[code] = (np.prod(dark[list(members)]) * 2.0**size
+                                * math.exp(-0.5 * d @ np.linalg.solve(v, d))
+                                / math.sqrt(np.linalg.det(v)))
+        expected = clicks_from_silent(silent)
+        assert np.max(np.abs(exact_distribution(config).probs - expected)) <= 1e-12
 
 
 class TestMultiPhotonKets:
