@@ -36,8 +36,8 @@ from .states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 #: permanent or determinant; 19 vacuum modes pass, 20 do not.
 MAX_ORACLE_COST = 1 << 30
 
-#: One outcome's table entry (its string, probability and Moebius step),
-#: counted in flops.
+#: One silent set's table entry and bookkeeping (its code and its batch
+#: slot), counted in flops.
 _ENTRY_COST = 1 << 10
 
 #: Most complex entries in one batch of silent-set matrices.
@@ -46,29 +46,33 @@ _BATCH_ENTRIES = 1 << 20
 
 @dataclass(frozen=True)
 class ProbabilityTable:
-    """Distribution over click patterns; ``truncation_error`` is the mass
-    that clipping negative roundoff at 0 added to it."""
+    """Distribution over the 2^M click patterns: ``probs[i]`` is the pattern
+    whose binary code is i, mode 0 the leading bit.  ``truncation_error`` is
+    the mass that clipping negative roundoff at 0 added to it."""
 
-    outcomes: tuple[str, ...]
     probs: np.ndarray
     truncation_error: float = 0.0
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (len(self.outcomes),):
-            raise DimensionError("outcomes and probs must have equal length")
-        width = len(self.outcomes[0]) if self.outcomes else 0
-        if not (all(isinstance(o, str) and len(o) == width for o in self.outcomes)
-                and set("".join(self.outcomes)) <= {"0", "1"}
-                and len(set(self.outcomes)) == len(self.outcomes)):
-            raise DimensionError("outcomes must be distinct 0/1 strings of one length")
-        if np.min(probs, initial=0.0) < -1e-9:
+        if probs.ndim != 1 or probs.size < 2 or probs.size & (probs.size - 1):
+            raise DimensionError(f"a table holds 2^M probabilities, M >= 1, not {probs.shape}")
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
+        if probs.min() < -1e-9:
             raise ValueError(f"negative probability {probs.min():.3e}")
         probs = np.clip(probs, 0.0, None)
         if abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {probs.sum():.12f}, not 1")
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
+
+    @property
+    def modes(self) -> int:
+        return self.probs.size.bit_length() - 1
+
+    @property
+    def outcomes(self) -> tuple[str, ...]:
+        return all_bitstrings(self.modes)
 
     def as_dict(self) -> dict:
         return dict(zip(self.outcomes, self.probs.tolist()))
@@ -298,54 +302,31 @@ def exact_distribution(config: ExperimentConfig, n_max=None) -> ProbabilityTable
             f"{float(MAX_ORACLE_COST):.3g}")
     probs = (gaussian_click_table if gaussian else photon_click_table)(config)
     clipped = float(np.clip(-probs, 0.0, None).sum())
-    return ProbabilityTable(all_bitstrings(modes), np.clip(probs, 0.0, None),
-                            truncation_error=clipped)
-
-
-def _empirical_probs(table: ProbabilityTable, outcomes: np.ndarray) -> np.ndarray:
-    """Frequencies of the rows of a non-empty (n, M) 0/1 array in the
-    table's outcome order, counted by each row's binary code (mode 0 first);
-    each distinct code is looked up among the table's, so nothing scales
-    with 2^M."""
-    if len(outcomes) == 0:
-        raise ValueError("cannot compare against an empty sample batch")
-    modes = len(table.outcomes[0])
-    if outcomes.shape[1] != modes:
-        raise DimensionError(
-            f"batch has {outcomes.shape[1]} modes but the table covers "
-            f"{modes}-mode outcomes"
-        )
-    if modes > 62:
-        raise DimensionError(f"an int64 code holds at most 62 modes, not {modes}")
-    if outcomes.size and outcomes.max() > 1:
-        raise DimensionError("outcome rows must hold 0/1 clicks only")
-    codes = np.zeros(len(outcomes), dtype=np.int64)
-    for column in outcomes.T:
-        codes <<= 1
-        codes |= column
-    seen, counts = np.unique(codes, return_counts=True)
-    table_codes = np.array([int(bits, 2) for bits in table.outcomes], dtype=np.int64)
-    order = np.argsort(table_codes)
-    slot = order[np.searchsorted(table_codes[order], seen).clip(max=len(order) - 1)]
-    outside = table_codes[slot] != seen
-    if outside.any():
-        raise DimensionError(
-            f"outcome {int(seen[outside][0]):0{modes}b} not in the table's outcome space"
-        )
-    freqs = np.bincount(slot, weights=counts, minlength=len(order))
-    return freqs / freqs.sum()
+    return ProbabilityTable(np.clip(probs, 0.0, None), truncation_error=clipped)
 
 
 def tv_distance(p: ProbabilityTable, q) -> float:
     """Total variation distance between a table and a table or a non-empty
-    sample batch (anything with an (n, M) ``outcomes`` array)."""
+    sample batch (anything with an (n, M) 0/1 ``outcomes`` array, whose rows
+    are counted by binary code, the table's index)."""
     if isinstance(q, ProbabilityTable):
-        if set(q.outcomes) != set(p.outcomes):
+        if q.modes != p.modes:
             raise DimensionError("probability tables cover different outcome spaces")
-        lookup = q.as_dict()
-        q_probs = np.array([lookup[o] for o in p.outcomes])
+        q_probs = q.probs
     elif hasattr(q, "outcomes"):
-        q_probs = _empirical_probs(p, q.outcomes)
+        rows = q.outcomes
+        if len(rows) == 0:
+            raise ValueError("cannot compare against an empty sample batch")
+        if rows.shape[1] != p.modes:
+            raise DimensionError(f"batch has {rows.shape[1]} modes but the table covers "
+                                 f"{p.modes}-mode outcomes")
+        if rows.max() > 1:
+            raise DimensionError("outcome rows must hold 0/1 clicks only")
+        codes = np.zeros(len(rows), dtype=np.intp)
+        for column in rows.T:
+            codes <<= 1
+            codes |= column
+        q_probs = np.bincount(codes, minlength=p.probs.size) / len(rows)
     else:
         raise TypeError(f"cannot compare against {type(q).__name__}")
     return 0.5 * float(np.abs(p.probs - q_probs).sum())

@@ -140,7 +140,7 @@ class TestRouteDecision:
         assert default_route(config) == 1
         draws = 200_000
         probs = gaussian_click_table(config)
-        table = ProbabilityTable(all_bitstrings(config.modes), probs)
+        table = ProbabilityTable(probs)
         tv = tv_distance(table, run_experiment(config, draws, RngStream(7)))
         assert tv <= 2.0 * exact_sampler_tv(table.probs, draws)
 
@@ -421,7 +421,7 @@ class TestGaussianClickTable:
         probs = gaussian_click_table(config)
         batch = run_experiment(config, draws, RngStream(1617), condition=1)
         assert_total_clicks_match(probs, batch.outcomes)
-        table = ProbabilityTable(all_bitstrings(config.modes), probs)
+        table = ProbabilityTable(probs)
         assert tv_distance(table, batch) <= 2.0 * exact_sampler_tv(table.probs, draws)
 
 
