@@ -29,7 +29,7 @@ from .experiment import SCHEME_SINGLE_PHOTON, SCHEME_SPDC, parse_config
 from .oracle import exact_distribution, tv_distance
 from .presets import ScenarioParams, threshold_table
 from .rng import RngStream
-from .sampler import default_route, route2_plan, run_experiment, tile_workers
+from .sampler import default_route, route2_plan, run_experiment, setup, tile_workers
 from .simulability import check_second_condition
 
 # Not called here; perfbench's tracer wraps this name and stops if it is missing.
@@ -86,11 +86,8 @@ def cmd_check(args) -> int:
     config = parse_config(args.config)
     route = default_route(config)
     report = check_second_condition(config)
-    try:  # route 2's verdict is the Sigma_bar report; route 1's the zero-shot set-up
-        if route == 2:
-            report.require()
-        else:
-            run_experiment(config, 0, RngStream(args.seed))
+    try:  # route 2's verdict is the Sigma_bar report; route 1's its set-up
+        report.require() if route == 2 else setup(config, 1)
         refusal, verdict = None, f"simulatable on route {route}"
     except SimulabilityError as exc:
         refusal, verdict = str(exc), f"NOT simulatable on route {route}: {exc}"

@@ -44,10 +44,9 @@ def matrix_from_dict(data: dict) -> np.ndarray:
             f"matrix dict declares {rows}x{cols} but carries "
             f"{re.size} real / {im.size} imaginary entries"
         )
-    a = (re + 1j * im).reshape(rows, cols)
     if not np.all(np.isfinite(re)) or not np.all(np.isfinite(im)):
         raise DimensionError("matrix entries must be finite")
-    return a
+    return (re + 1j * im).reshape(rows, cols)
 
 
 def load_matrix_json(path) -> np.ndarray:
@@ -71,7 +70,7 @@ def load_matrix_csv(path) -> np.ndarray:
     )
     if entries.shape[1] != 2:
         raise DimensionError("each matrix CSV entry line must be 're,im'")
-    return (entries[:, 0] + 1j * entries[:, 1]).reshape(rows, cols)
+    return matrix_from_dict({"rows": rows, "cols": cols, "re": entries[:, 0], "im": entries[:, 1]})
 
 
 def load_matrix(path) -> np.ndarray:

@@ -37,7 +37,8 @@ from .states import Coherent, MixedSinglePhoton, SpdcPair, Thermal, Vacuum
 MAX_ORACLE_COST = 1 << 30
 
 #: One silent set's table entry and bookkeeping (its code and its batch
-#: slot), counted in flops.
+#: slot), counted in flops.  It also keeps M <= 19, past which the Moebius
+#: roundoff nears the table's 1e-9 sum check (20 modes, 4 photons: 1.9e-9).
 _ENTRY_COST = 1 << 10
 
 #: Most complex entries in one batch of silent-set matrices.
@@ -135,28 +136,30 @@ def _moments(config: ExperimentConfig):
     return n, m, mu, np.sqrt(eta_bar[ports])[:, None] * w[ports]
 
 
-def clicks_from_silent(silent) -> np.ndarray:
+def clicks_from_silent(silent, p_d=0.0) -> np.ndarray:
     """Outcome table (mode 0 the leading bit) from the probabilities that
     each subset of the M detectors is silent, 2^M of them indexed the same
     way (bit set = mode in the subset), by Moebius inversion, mode by mode:
-    "silent" reads the entry with the mode in the subset, "click" the entry
-    without it minus the entry with it."""
+    "silent" reads (1 - p) times the entry with the mode in the subset,
+    "click" the entry without it minus that, p the mode's entry of ``p_d``
+    (one per mode, or one for all), its random counts as a coin."""
     silent = np.asarray(silent, dtype=float)
     modes = silent.size.bit_length() - 1
+    quiet = np.broadcast_to(1.0 - np.asarray(p_d, dtype=float), modes)
     silent = silent.reshape((2,) * modes)
     for axis in range(modes):
         without, within = np.moveaxis(silent, axis, 0)
+        within = quiet[axis] * within
         silent = np.moveaxis(np.stack([within, without - within]), 0, axis)
     return silent.ravel()
 
 
-def _silent_sets(config: ExperimentConfig, silent_batch, entries) -> np.ndarray:
-    """The 2^M silent-set probabilities, indexed as :func:`clicks_from_silent`
-    reads them: ``silent_batch(subsets)`` for (B, s) arrays of sets of one
+def _click_table(config: ExperimentConfig, silent_batch, entries) -> np.ndarray:
+    """:func:`clicks_from_silent` of the 2^M silent-set probabilities without
+    random counts, ``silent_batch(subsets)`` for (B, s) arrays of sets of one
     size s, in batches of ``entries(s)`` complex entries per set up to
-    :data:`_BATCH_ENTRIES`, times the sets' prod (1 - p_d)."""
+    :data:`_BATCH_ENTRIES`; each detector's p_d enters as its axis's coin."""
     modes = config.modes
-    dark = 1.0 - np.array([d.p_d for d in config.detectors])
     silent = np.ones(1 << modes)
     for size in range(1, modes + 1):
         count = math.comb(modes, size)
@@ -166,10 +169,10 @@ def _silent_sets(config: ExperimentConfig, silent_batch, entries) -> np.ndarray:
         step = max(1, _BATCH_ENTRIES // entries(size))
         for start in range(0, count, step):
             sets = subsets[start : start + step]
-            silent[codes[start : start + step]] = np.prod(dark[sets], axis=1) * silent_batch(sets)
+            silent[codes[start : start + step]] = silent_batch(sets)
     if not np.isfinite(silent).all():
         raise ValueError("a silent-set probability overflowed a float")
-    return silent
+    return clicks_from_silent(silent, [d.p_d for d in config.detectors])
 
 
 def photon_click_table(config: ExperimentConfig) -> np.ndarray:
@@ -190,8 +193,7 @@ def photon_click_table(config: ExperimentConfig) -> np.ndarray:
         rows = photons[:, sets].transpose(1, 0, 2)  # (B, n, s)
         return permanent_batch(eye - rows @ rows.conj().transpose(0, 2, 1)).real
 
-    return clicks_from_silent(_silent_sets(
-        config, silent, lambda s: 1 + len(eye) * (len(eye) + s)))
+    return _click_table(config, silent, lambda s: 1 + len(eye) * (len(eye) + s))
 
 
 def gaussian_click_table(config: ExperimentConfig) -> np.ndarray:
@@ -268,8 +270,7 @@ def gaussian_click_table(config: ExperimentConfig) -> np.ndarray:
                 sub = (sub - 1) & rest
         return base * e.sum(axis=0).real
 
-    return clicks_from_silent(_silent_sets(
-        config, silent, lambda s: 4 * s * s * (4 + 2 * k + (1 << k))))
+    return _click_table(config, silent, lambda s: 4 * s * s * (4 + 2 * k + (1 << k)))
 
 
 def exact_distribution(config: ExperimentConfig, n_max=None) -> ProbabilityTable:
@@ -284,7 +285,8 @@ def exact_distribution(config: ExperimentConfig, n_max=None) -> ProbabilityTable
     more than :data:`MAX_ORACLE_COST`, :class:`OracleSizeError` is raised
     before any of them.  Rounding can leave a Moebius difference slightly
     below 0; such entries are clipped at 0, and the mass clipped is
-    reported as ``truncation_error``.
+    reported as ``truncation_error``, or refused with
+    :class:`OracleSizeError` past the table's 1e-9 sum check.
 
     ``n_max`` is accepted and ignored: nothing is truncated, and the
     benchmark's workloads still pass it.
@@ -302,6 +304,9 @@ def exact_distribution(config: ExperimentConfig, n_max=None) -> ProbabilityTable
             f"{float(MAX_ORACLE_COST):.3g}")
     probs = (gaussian_click_table if gaussian else photon_click_table)(config)
     clipped = float(np.clip(-probs, 0.0, None).sum())
+    if clipped > 1e-9:
+        raise OracleSizeError(f"Moebius roundoff over 2^{modes} sets left {clipped:.3g} "
+                              "of negative mass, above the table's 1e-9 tolerance")
     return ProbabilityTable(np.clip(probs, 0.0, None), truncation_error=clipped)
 
 

@@ -1,7 +1,9 @@
 """Monte Carlo engines that draw detector outcomes from an experiment.
 
 Two routes, one per sufficient condition; unless told otherwise, a run
-takes the one its sources pick (:func:`default_route`):
+takes the one its sources pick (:func:`default_route`).  :func:`setup`
+builds either route's verdict, path and tile, and both engines are that
+set-up plus one batch loop:
 
 * :func:`run_condition2` chains input PQD draws, the network's transition
   Gaussian and the measurement PQDs; it works for any source mix that
@@ -11,7 +13,8 @@ takes the one its sources pick (:func:`default_route`):
 * :func:`run_condition1` samples the output-state PQD of an all-Gaussian
   input directly; it applies whenever that PQD and the click PQDs are
   nonnegative at one output ordering, which is weaker than the Sigma_bar
-  test.  Where L^dag L is diagonal it is the zero-noise chain.
+  test.  Where L^dag L is diagonal it is the same zero-noise chain, with
+  every source in the Gaussian rows.
 
 Each draw has one implementation, which both routes and the public API
 share: :func:`~pqsim.states.sample_source_pqd` (input),
@@ -251,13 +254,6 @@ def _tile(first, draws, s, detectors):
     return tile
 
 
-def _chain_tile(factor, s, detectors, draws=()):
-    """The zero-noise chain's tile: beta = normals @ (R / 2) + mean / 2 from
-    ``factor`` (:func:`~pqsim.states.sample_gaussian_pqd`), plus ``draws``."""
-    return _tile(lambda gen, n, out, work, spare: sample_gaussian_pqd(factor, gen, n, out, work),
-                 draws, s, detectors)
-
-
 def _zero_noise(config: ExperimentConfig):
     """(t0, s0) with t0 = min t_bar and s0 = 1 - (1 - t0) k when L^dag L =
     diag(k), L :func:`live_transfer`'s, and s0 >= s_bar, else None.
@@ -270,13 +266,6 @@ def _zero_noise(config: ExperimentConfig):
     lr, li = transfer.real, transfer.imag
     s0 = 1.0 - (1.0 - t0) * (np.einsum("ij,ij->j", lr, lr) + np.einsum("ij,ij->j", li, li))
     return (t0, s0) if np.all(s0 >= s_bar_vector(config)) else None
-
-
-def _rows_factor(config: ExperimentConfig, sources, t0: float):
-    """(mean / 2, R / 2), R the rows of :func:`~pqsim.processes.block_rows` at
-    t0 <= every t_bar for ``sources`` (all lam > 0 up to roundoff), halved in place."""
-    mean, rows, _ = block_rows(sources, live_transfer(config), t0)
-    return mean / 2.0, np.divide(rows, 2.0, out=rows)
 
 
 def route2_plan(config: ExperimentConfig) -> tuple[tuple | None, dict]:
@@ -295,37 +284,6 @@ def route2_plan(config: ExperimentConfig) -> tuple[tuple | None, dict]:
     return (_zero_noise(config) if costs["chain"] < costs["rank_s"] else None), costs
 
 
-def run_condition2(config: ExperimentConfig, n_samples: int, rng: RngStream,
-                   workers: int | None = None) -> SampleBatch:
-    """Sample outcomes through input PQDs + transition Gaussian + measurement.
-
-    Refuses with :class:`SimulabilityError` (report attached) unless
-    Sigma_bar at the extreme orderings is positive semidefinite; the chain
-    then draws unbiased samples from the exact outcome distribution, on the
-    path :func:`route2_plan` picks.  The zero-noise chain is route 1's tile
-    on the Gaussian sources' rows at t0, plus the other groups drawn at t0.
-    The rank-|S| path draws at t_bar, where only the ports S with t_bar < 1
-    add noise, a unit complex normal through the factor of
-    :func:`transition_factor`, and mixes the non-vacuum ports A through
-    their rows of L: O(M (|S| + |A|)) a shot.
-    """
-    report = check_second_condition(config).require()
-    zero = route2_plan(config)[0]
-    if zero is not None:
-        factor = _rows_factor(config, [e for e in config.sources if _gaussian(e.source)], zero[0])
-        draws = _groups(config, np.full(config.modes, zero[0]), lambda src: not _gaussian(src))
-        tile = _chain_tile(factor, zero[1], config.detectors, draws)
-    else:
-        factor = transition_factor(live_transfer(config), report.s_bar, report.t_bar)
-        # Vacuum ports are neither drawn nor mixed: at t_bar = 1 their PQD is a point mass.
-        draws = _groups(config, report.t_bar, lambda src: not isinstance(src, Vacuum))
-        tile = _tile(partial(transition_noise, factor), draws, report.s_bar, config.detectors)
-    # spare takes each group's draws, and on the rank-|S| path the noise's product with C^dag.
-    width = max([0 if zero else factor[0].shape[1]] + [len(mixing) for *_, mixing in draws])
-    outcomes = _run_batched(lambda gen, n: tile, config.modes, n_samples, rng, workers, width)
-    return SampleBatch(outcomes, rng, config.config_hash(), None)
-
-
 def output_gaussian(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Wigner mean and covariance of the network output for all-Gaussian
     sources, built from each source's block of Wigner moments; raises
@@ -335,40 +293,79 @@ def output_gaussian(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return propagate_blocks(config.sources, live_transfer(config))
 
 
-def run_condition1(config: ExperimentConfig, n_samples: int, rng: RngStream,
-                   workers: int | None = None) -> SampleBatch:
-    """Sample outcomes by drawing from the output-state PQD directly.
+def setup(config: ExperimentConfig, route: int):
+    """(tile, width): route ``route``'s ``tile(gen, out, work, spare)`` and
+    the complex entries per row its ``spare`` takes (each group's draws, and
+    on the rank-|S| path the noise's product with C^dag), or that route's
+    :class:`SimulabilityError`.  The only builder of a verdict, path or factor.
 
-    Requires every source to be Gaussian and the output-state and click
-    PQDs to be nonnegative at one output ordering s >= s_bar; refuses
-    otherwise.  Where :func:`_zero_noise` holds this is the zero-noise
-    chain: V_out - diag(s0) = R^T R, R the r <= 2M rows of
-    :func:`_rows_factor` (the off-diagonal Gram and the dropped rows each
-    move it by at most PSD_TOL), r normals and an r x 2M product a shot.
-    Otherwise V_out - diag(s_bar) is factored (2M normals and a 2M x 2M
-    product a shot).  Both read L with dead detectors' columns zeroed.
+    Route 2 refuses unless Sigma_bar is PSD (``report.require()``), then
+    takes :func:`route2_plan`'s path; route 1 takes the zero-noise chain
+    where :func:`_zero_noise` holds, else factors V_out - diag(s_bar) (2M
+    normals and a 2M x 2M product a shot), refusing where that is not PSD.
+    The chain draws beta = normals @ (R / 2) + mean / 2, R the r <= 2M
+    :func:`~pqsim.processes.block_rows` at t0 of the chained sources (route
+    1's all, so V_out - diag(s0) = R^T R up to PSD_TOL; route 2's Gaussian
+    ones), plus every other group drawn at t0 through its rows of L.  The
+    rank-|S| path draws at t_bar, where only the ports S with t_bar < 1 add
+    noise (a unit normal through :func:`transition_factor`) and the
+    non-vacuum ports A mix through L: O(M (|S| + |A|)) a shot.  The set-up
+    arrays (block rows, V_out) die with this frame.
     """
-    s, factor = _output_factor(config)
-    tile = _chain_tile(factor, s, config.detectors)
-    outcomes = _run_batched(lambda gen, n: tile, config.modes, n_samples, rng, workers, 0)
+    if route == 2:
+        report = check_second_condition(config).require()
+        zero = route2_plan(config)[0]
+    elif route == 1:
+        zero = _zero_noise(config)
+    else:
+        raise ValueError(f"route must be 1 or 2, got {route!r}")
+    draws = []
+    if zero is not None:
+        t0, s = zero
+        chained = _gaussian if route == 2 else lambda src: True
+        mean, rows, _ = block_rows([e for e in config.sources if chained(e.source)],
+                                   live_transfer(config), t0)
+        factor = mean / 2.0, np.divide(rows, 2.0, out=rows)
+        draws = _groups(config, np.full(config.modes, t0), lambda src: not chained(src))
+    elif route == 1:
+        s = s_bar_vector(config)
+        try:
+            factor = gaussian_pqd_factor(*output_gaussian(config), s)
+        except NotPsdError as exc:
+            raise SimulabilityError(
+                f"output-state PQD is negative at the detectors' ordering bound: {exc}"
+            ) from exc
+    else:
+        factor = transition_factor(live_transfer(config), report.s_bar, report.t_bar)
+        # Vacuum ports are neither drawn nor mixed: at t_bar = 1 their PQD is a point mass.
+        draws = _groups(config, report.t_bar, lambda src: not isinstance(src, Vacuum))
+        tile = _tile(partial(transition_noise, factor), draws, report.s_bar, config.detectors)
+        return tile, max([factor[0].shape[1]] + [len(mixing) for *_, mixing in draws])
+    tile = _tile(lambda gen, n, out, work, spare: sample_gaussian_pqd(factor, gen, n, out, work),
+                 draws, s, config.detectors)
+    return tile, max([0] + [len(mixing) for *_, mixing in draws])
+
+
+def _sample(config: ExperimentConfig, route: int, n_samples, rng, workers) -> SampleBatch:
+    tile, width = setup(config, route)
+    outcomes = _run_batched(lambda gen, n: tile, config.modes, n_samples, rng, workers, width)
     return SampleBatch(outcomes, rng, config.config_hash(), None)
 
 
-def _output_factor(config: ExperimentConfig):
-    """(s, factor): :func:`run_condition1`'s output ordering and PQD factor;
-    raises :class:`SimulabilityError` where it refuses.  The set-up arrays
-    (the block rows, or the output covariance) die with this frame."""
-    zero = _zero_noise(config)
-    if zero is not None:
-        return zero[1], _rows_factor(config, config.sources, zero[0])
-    sbar = s_bar_vector(config)
-    mean, cov = output_gaussian(config)
-    try:
-        return sbar, gaussian_pqd_factor(mean, cov, sbar)
-    except NotPsdError as exc:
-        raise SimulabilityError(
-            f"output-state PQD is negative at the detectors' ordering bound: {exc}"
-        ) from exc
+def run_condition2(config: ExperimentConfig, n_samples: int, rng: RngStream,
+                   workers: int | None = None) -> SampleBatch:
+    """Draw outcomes through input PQDs, the transition Gaussian and the
+    measurement PQDs (:func:`setup`'s route 2): any source mix whose
+    Sigma_bar passes, unbiased for the exact outcome distribution."""
+    return _sample(config, 2, n_samples, rng, workers)
+
+
+def run_condition1(config: ExperimentConfig, n_samples: int, rng: RngStream,
+                   workers: int | None = None) -> SampleBatch:
+    """Draw outcomes from the output-state PQD directly (:func:`setup`'s
+    route 1): all-Gaussian sources whose output-state and click PQDs are
+    nonnegative at one output ordering s >= s_bar."""
+    return _sample(config, 1, n_samples, rng, workers)
 
 
 def default_route(config: ExperimentConfig) -> int:

@@ -182,9 +182,9 @@ class TestCheckRoute:
     @pytest.mark.parametrize("config, counts", [
         # Route 2: one Sigma_bar eigenproblem, no noise factor, one hash.
         (single_photon_config(64, 8, p_d=0.06), {"eigvalsh": 1, "eigh": 0, "config_hash": 1}),
-        # Route 1: the report's eigenproblem, the zero-shot set-up's block
-        # eigenproblem, and the hashes of the zero-shot batch and the manifest.
-        (spdc_config(2, 0.05, p_d=0.09), {"eigvalsh": 1, "eigh": 1, "config_hash": 2}),
+        # Route 1: the report's eigenproblem, the set-up's block eigenproblem,
+        # and the manifest's hash.
+        (spdc_config(2, 0.05, p_d=0.09), {"eigvalsh": 1, "eigh": 1, "config_hash": 1}),
     ], ids=["route2", "route1"])
     def test_set_up_work_per_check(self, config, counts, tmp_path, monkeypatch, capsys):
         calls = Counter()
@@ -200,6 +200,20 @@ class TestCheckRoute:
         calls.clear()
         assert main(["check", "--config", str(path), "--quiet"]) == EXIT_OK
         assert {name: calls[name] for name in counts} == counts
+
+    @pytest.mark.parametrize("config, route", [(spdc_config(2, 0.05, p_d=0.09), 1),
+                                               (spdc_lossy_network_config(), 1),
+                                               (single_photon_config(4, 2, p_d=0.06), 2)],
+                             ids=["route1-chain", "route1-dense", "route2"])
+    def test_check_runs_no_batch_loop(self, config, route, tmp_path, monkeypatch, capsys):
+        loop, calls = pqsim.sampler._run_batched, []
+        monkeypatch.setattr(pqsim.sampler, "_run_batched",
+                            lambda *args, **kwargs: calls.append(args) or loop(*args, **kwargs))
+        path, payload, _ = self.check(config, tmp_path, capsys)
+        assert payload["route"] == route and payload["refusal"] is None
+        assert calls == []
+        assert main(["sample", "--config", str(path), "--samples", "10", "--quiet"]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_check_and_run_condition2_refuse_with_one_text(self, tmp_path, capsys):
         config = single_photon_config(3, 1, p_d=0.0005, unitary_seed=12)
@@ -476,13 +490,13 @@ GOLDEN_RUNS = [
         "report.json": "e107feeafcdcbd2e2d7bb417ff69be7c0605face57e94cc79874ea0122b8aea7",
     }, id="check-spdc"),
     pytest.param(["oracle", "--config", "{hom}"], {
-        "stdout": "540a1c0e57b1d5011bfa1be8df19c9d8dcdc6856176ec4827b03c9e3204ec420",
-        "distribution.json": "540a1c0e57b1d5011bfa1be8df19c9d8dcdc6856176ec4827b03c9e3204ec420",
+        "stdout": "d7a8836d1df46f6ab2c93eb17a47f5a4ae8cfc5c8f091dcc4a63c58d45eddee0",
+        "distribution.json": "d7a8836d1df46f6ab2c93eb17a47f5a4ae8cfc5c8f091dcc4a63c58d45eddee0",
     }, id="oracle"),
     pytest.param(["compare", "--config", "{hom}", "--samples", "20000", "--tolerance", "0.05",
       "--seed", "5"], {
-        "stdout": "fe9149009734ac067de807c99ac35beb7d1fb23b270f1dfa6799555088f8af77",
-        "compare.json": "c4586bb71fb0057ee7c0450d3e28d656f54caa6545a9c0cd172525970dc2e406",
+        "stdout": "fa2950e384456c2052d935d71fe1e44631629913be96d45a5265b4ad02d63377",
+        "compare.json": "15ea5294ac09b57d4b1aaa4b75ea96a769dddc4446c3330363f8f963cce72c06",
     }, id="compare"),
     pytest.param(["thresholds", "--modes", "10,100"], {
         "stdout": "434350c82d3ea5ddcddeb36e6c3e2fc31e3d2d4916fec930618e1ef50c5b745a",

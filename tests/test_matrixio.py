@@ -56,6 +56,20 @@ def test_nonfinite_rejected():
         matrix_from_dict({"rows": 1, "cols": 1, "re": [float("nan")], "im": [0.0]})
 
 
+def test_infinite_imaginary_part_rejected_before_any_arithmetic():
+    # 1j * inf is nan + inf j and warns; the check comes first.
+    with pytest.raises(DimensionError, match="matrix entries must be finite"):
+        matrix_from_dict({"rows": 1, "cols": 1, "re": [1.0], "im": [float("inf")]})
+
+
+@pytest.mark.parametrize("entry", ["nan,0", "1,inf", "-inf,0"])
+def test_nonfinite_csv_rejected(tmp_path, entry):
+    path = tmp_path / "m.csv"
+    path.write_text(f"1,1\n{entry}\n")
+    with pytest.raises(DimensionError, match="matrix entries must be finite"):
+        load_matrix_csv(path)
+
+
 def test_unknown_extension_rejected(tmp_path):
     with pytest.raises(DimensionError):
         load_matrix(tmp_path / "m.txt")

@@ -55,6 +55,27 @@ def test_refusal_comes_before_any_permanent_or_determinant(monkeypatch, config):
         exact_distribution(config)
 
 
+@pytest.mark.parametrize("config", [
+    pytest.param(ExperimentConfig(modes=19, sources=tuple(PortSource(Vacuum(), (k,))
+                                                          for k in range(19)),
+                                  transfer=0.9 * np.eye(19, dtype=complex),
+                                  detectors=(DetectorModel(0.9, 0.01),) * 19), id="vacuum_19"),
+    pytest.param(single_photon_config(19, 3, p_d=0.01), id="photons_19x3"),
+])
+def test_the_largest_tables_pass_their_own_sum_check(config):
+    # Inside the size rule, with random counts a coin per Moebius axis, the
+    # clipped roundoff stays below the table's 1e-9 tolerance.
+    table = exact_distribution(config)
+    assert table.modes == 19 and table.truncation_error <= 1e-9
+
+
+def test_roundoff_past_the_sum_check_is_a_size_refusal(monkeypatch):
+    monkeypatch.setattr(pqsim.oracle, "photon_click_table",
+                        lambda config: np.array([0.5 + 2e-9, -2e-9, 0.25, 0.25]))
+    with pytest.raises(OracleSizeError, match="Moebius roundoff over 2\\^2 sets left 2e-09"):
+        exact_distribution(single_photon_config(2, 1, p_d=0.06))
+
+
 def test_sixteen_modes_stay_within_a_memory_budget():
     # spdc_config(8): 2^16 sets, the largest 8 at a time in 16 x 16
     # determinants; the table itself is one array of 65,536 floats.
